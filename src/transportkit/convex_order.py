@@ -29,6 +29,7 @@ from .measures import (
     barycenter,
     point_key,
 )
+from .ot import _marginal_rows
 
 INDEPENDENCE_TOL = 1e-9
 BARYCENTER_TOL = 1e-9
@@ -163,21 +164,12 @@ def _martingale_rows(mu: DiscreteMeasure, nu: DiscreteMeasure):
     row order: m row sums, n column sums, then d barycenter rows per
     source point."""
     m, n, d = len(mu), len(nu), mu.dim
-    cons = []
-    for i in range(m):
-        row = np.zeros((m, n))
-        row[i, :] = 1.0
-        cons.append((row.ravel(), lp.EQ, mu.weights[i]))
-    for j in range(n):
-        row = np.zeros((m, n))
-        row[:, j] = 1.0
-        cons.append((row.ravel(), lp.EQ, nu.weights[j]))
-    for i in range(m):
-        for axis in range(d):
-            row = np.zeros((m, n))
-            row[i, :] = nu.points[:, axis] - mu.points[i, axis]
-            cons.append((row.ravel(), lp.EQ, 0.0))
-    return cons
+    bary = np.zeros((m, d, m, n))
+    # row (i, axis) holds y_j[axis] - x_i[axis] on the columns of source i
+    bary[np.arange(m), :, np.arange(m), :] = \
+        nu.points.T[None, :, :] - mu.points[:, :, None]
+    return _marginal_rows((mu, nu)) + \
+        [(row, lp.EQ, 0.0) for row in bary.reshape(m * d, m * n)]
 
 
 def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -294,7 +286,10 @@ def fan_decompose(center, nu: DiscreteMeasure) -> FanRepresentation:
             mixes = [mix]
         for bmix, bw in zip(mixes, branches):
             sel = bw > WEIGHT_FLOOR
-            if not sel.any() or bmix <= 0.0:
+            # a branch of negligible weight is LP noise amplified by the
+            # step s ~ 1/weight; the recomposition check in
+            # choquet_represent still bounds the mass it drops
+            if not sel.any() or bmix <= TV_TOL / 10:
                 continue
             wn = bw[sel] / bw[sel].sum()
             stack.append((bmix, atoms[sel].copy(), wn))

@@ -24,7 +24,7 @@ variable direction, proving emptiness.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -72,7 +72,7 @@ class LinearProgram:
             raise ValueError("objective must be a vector")
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be min or max, got {self.sense!r}")
-        rows = []
+        rows, rels, rhs = [], [], []
         for a, rel, b in self.constraints:
             a = np.asarray(a, dtype=float)
             if a.shape != c.shape:
@@ -82,15 +82,22 @@ class LinearProgram:
                 raise ValueError(f"relation must be one of {_RELATIONS}")
             if not np.isfinite(b):
                 raise ValueError("rhs must be finite")
-            rows.append((a, rel, float(b)))
+            rows.append(a)
+            rels.append(rel)
+            rhs.append(float(b))
         fr = self.free
         fr = np.zeros(c.size, dtype=bool) if fr is None \
             else np.asarray(fr, dtype=bool)
         if fr.shape != c.shape:
             raise ValueError("free mask length mismatch")
+        # rows are stacked once; the stored constraints are views of A
+        A = np.array(rows) if rows else np.zeros((0, c.size))
+        b = np.array(rhs)
         object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraints", tuple(rows))
+        object.__setattr__(self, "constraints",
+                           tuple(zip(A, rels, rhs)))
         object.__setattr__(self, "free", fr)
+        object.__setattr__(self, "_matrices", (A, rels, b))
 
     @property
     def n_vars(self) -> int:
@@ -101,15 +108,8 @@ class LinearProgram:
         return len(self.constraints)
 
     def matrices(self):
-        n, m = self.n_vars, self.n_rows
-        A = np.zeros((m, n))
-        b = np.zeros(m)
-        rels = []
-        for i, (a, rel, bi) in enumerate(self.constraints):
-            A[i] = a
-            b[i] = bi
-            rels.append(rel)
-        return A, rels, b
+        """(A, relations, b) of the constraint rows; shared, do not mutate."""
+        return self._matrices
 
 
 @dataclass
@@ -370,9 +370,7 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
                                     cfg.debug, refresh)
         # settle the verdict on basis-exact values; if artificials still
         # carry mass, re-pivot with a strict entering threshold
-        strict = SolverConfig(pivot_tol=cfg.pivot_tol, feas_tol=1e-13,
-                              max_iterations=cfg.max_iterations,
-                              debug=cfg.debug)
+        strict = replace(cfg, feas_tol=1e-13)
         art_level = np.inf
         for attempt in range(3):
             _refresh_tableau(T, n_cols, basis, M, fb, c1)
@@ -390,7 +388,11 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
             farkas = flip * y
             viol = farkas @ std.b
             comb = std.A.T @ farkas
-            if viol <= 0 or comb.max(initial=0.0) > 1e-7 * (1.0 + viol):
+            # b.y must stand clear of the rounding in its own sum: a ray
+            # of huge multipliers can show a tiny positive b.y that is
+            # pure cancellation noise
+            noise = 1e-9 * float(np.abs(farkas) @ np.abs(std.b))
+            if viol <= noise or comb.max(initial=0.0) > 1e-7 * (1.0 + viol):
                 raise NumericalBreakdown(
                     "infeasibility certificate failed validation")
             return "infeasible", None, None, None, None, farkas / viol, \
@@ -452,9 +454,7 @@ def _escalation(config: SolverConfig):
     yield config
     for pt in (1e-9, 1e-8, 1e-7):
         if pt > config.pivot_tol:
-            yield SolverConfig(pivot_tol=pt, feas_tol=config.feas_tol,
-                               max_iterations=config.max_iterations,
-                               debug=config.debug)
+            yield replace(config, pivot_tol=pt)
 
 
 def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG) \

@@ -263,8 +263,9 @@ def mti_violation(cost: CostSpec, base, atoms, lambdas) -> float:
 
 
 def _sample_tuple(box: Box, seed: int, index: int, with_base: bool):
-    # per-sample generator so serial and parallel runs agree
-    rng = np.random.default_rng(seed ^ index)
+    # per-sample generator so serial and parallel runs agree; the pair
+    # (seed, index) is hashed whole so distinct pairs draw distinct tuples
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     atoms = box.sample(rng, box.dim + 1)
     lam = rng.dirichlet(np.ones(box.dim + 1))
     base = box.sample(rng, 1)[0] if with_base else None

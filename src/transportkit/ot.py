@@ -2,6 +2,10 @@
 c-transforms, single-potential duality for metric costs, and the inductive
 c-convexification with its boundedness normalization.
 
+Each problem is one LP over couplings. The dual potentials are the
+multipliers of its marginal rows, and the single 1-Lipschitz potential of
+a metric cost is the c-transform of the right Kantorovich potential.
+
 Orientation convention: duals maximize integral(phi dmu) - integral(psi dnu)
 under phi(x) - psi(y) <= c(x, y); the single-potential dual maximizes
 integral(f d(mu - nu)) and tightness on a coupling support reads
@@ -125,26 +129,37 @@ def _require_optimal(sol: lp.LpSolution, what: str) -> lp.LpSolution:
 # Two-marginal Kantorovich problem
 # ---------------------------------------------------------------------------
 
+def _marginal_rows(measures):
+    """Equality rows fixing every marginal of a coupling on the product of
+    the supports (flattened in C order): for each measure in turn, one row
+    per atom."""
+    sizes = tuple(len(m) for m in measures)
+    N = int(np.prod(sizes))
+    cols = np.arange(N)
+    offsets = np.cumsum((0,) + sizes[:-1])
+    A = np.zeros((sum(sizes), N))
+    for off, idx in zip(offsets, np.unravel_index(cols, sizes)):
+        A[off + idx, cols] = 1.0
+    b = np.concatenate([m.weights for m in measures])
+    return [(a, lp.EQ, bi) for a, bi in zip(A, b)]
+
+
+def _solve_couplings(measures, C, what, config) -> lp.LpSolution:
+    """The primal LP over couplings with cost tensor C; its marginal-row
+    multipliers are the dual potentials."""
+    return _require_optimal(
+        lp.solve(lp.LinearProgram(C.ravel(), "min", _marginal_rows(measures)),
+                 config), what)
+
+
 def kantorovich_primal(mu: DiscreteMeasure, nu: DiscreteMeasure,
                        cost: CostSpec,
                        config: lp.SolverConfig = lp.DEFAULT_CONFIG):
     """Minimal-cost coupling of (mu, nu); returns (Coupling, value)."""
     _check_dims(mu, nu)
-    m, n = len(mu), len(nu)
-    C = cost.pairwise(mu.points, nu.points)
-    cons = []
-    for i in range(m):
-        row = np.zeros((m, n))
-        row[i, :] = 1.0
-        cons.append((row.ravel(), lp.EQ, mu.weights[i]))
-    for j in range(n):
-        row = np.zeros((m, n))
-        row[:, j] = 1.0
-        cons.append((row.ravel(), lp.EQ, nu.weights[j]))
-    sol = _require_optimal(
-        lp.solve(lp.LinearProgram(C.ravel(), "min", cons), config),
-        "kantorovich_primal")
-    mass = sol.primal.reshape(m, n)
+    sol = _solve_couplings((mu, nu), cost.pairwise(mu.points, nu.points),
+                           "kantorovich_primal", config)
+    mass = sol.primal.reshape(len(mu), len(nu))
     coupling = Coupling(mu, nu, mass / mass.sum(), marginal_consistent=True)
     return coupling, float(sol.value)
 
@@ -152,26 +167,16 @@ def kantorovich_primal(mu: DiscreteMeasure, nu: DiscreteMeasure,
 def kantorovich_dual(mu: DiscreteMeasure, nu: DiscreteMeasure,
                      cost: CostSpec,
                      config: lp.SolverConfig = lp.DEFAULT_CONFIG):
-    """Optimal feasible potentials; returns (Potentials, value)."""
+    """Optimal feasible potentials; returns (Potentials, value).
+
+    phi and -psi are the multipliers of the row and column sums of the
+    primal LP."""
     _check_dims(mu, nu)
-    m, n = len(mu), len(nu)
-    C = cost.pairwise(mu.points, nu.points)
-    nvar = m + n
-    cons = []
-    for i in range(m):
-        for j in range(n):
-            row = np.zeros(nvar)
-            row[i] = 1.0
-            row[m + j] = -1.0
-            cons.append((row, lp.LE, C[i, j]))
-    objective = np.concatenate([mu.weights, -nu.weights])
-    sol = _require_optimal(
-        lp.solve(lp.LinearProgram(objective, "max", cons,
-                                  free=np.ones(nvar, dtype=bool)), config),
-        "kantorovich_dual")
-    pots = Potentials(mu.points, nu.points,
-                      sol.primal[:m].copy(), sol.primal[m:].copy())
-    return pots, float(sol.value)
+    sol = _solve_couplings((mu, nu), cost.pairwise(mu.points, nu.points),
+                           "kantorovich_dual", config)
+    m = len(mu)
+    pots = Potentials(mu.points, nu.points, sol.dual[:m], -sol.dual[m:])
+    return pots, pots.objective(mu, nu)
 
 
 def c_transform(psi, cost: CostSpec, left_support, right_support) \
@@ -223,11 +228,18 @@ def _verify_metric(D: np.ndarray, points: np.ndarray, tol: float = 1e-9):
         i = int(np.argmax(np.abs(np.diag(D))))
         raise NotAMetric(f"nonzero diagonal {diag:.3e} at point {i}",
                          witness=(points[i],))
-    # triangle inequality over all ordered triples
-    viol = D[:, None, :] - (D[:, :, None] + D[None, :, :])
-    worst = np.max(viol)
+    # triangle inequality over all ordered triples (i, j, k), one first
+    # index at a time so memory stays O(u^2); the witness is the first
+    # worst triple in C order
+    worst, triple = -np.inf, None
+    for i in range(D.shape[0]):
+        viol = D[i][None, :] - (D[i][:, None] + D)
+        flat = int(np.argmax(viol))
+        if viol.flat[flat] > worst:
+            worst = viol.flat[flat]
+            triple = (i,) + np.unravel_index(flat, viol.shape)
     if worst > tol:
-        i, j, k = np.unravel_index(np.argmax(viol), viol.shape)
+        i, j, k = triple
         raise NotAMetric(
             f"triangle violation {worst:.3e} on triple ({i}, {j}, {k})",
             witness=(points[i], points[j], points[k]))
@@ -239,32 +251,25 @@ def kr_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, metric_cost: CostSpec,
 
     The cost must be a metric on the union of supports (symmetry, zero
     diagonal and triangle inequality are checked on all support triples).
+    f is the c-transform f(z) = min_j d(z, y_j) + psi_j of the right
+    Kantorovich potential: 1-Lipschitz for a metric, f >= phi on the left
+    support and f <= psi on the right one, so it reaches the Kantorovich
+    value, which no 1-Lipschitz potential exceeds.
     Returns (KrPotential, value).
     """
     _check_dims(mu, nu)
     U = union_points(mu.points, nu.points)
     D = metric_cost.pairwise(U, U)
     _verify_metric(D, U)
-    u = U.shape[0]
-    signed = np.zeros(u)
-    mu_d, nu_d = mu.as_dict(), nu.as_dict()
-    for i, p in enumerate(U):
-        k = point_key(p)
-        signed[i] = mu_d.get(k, 0.0) - nu_d.get(k, 0.0)
-    cons = []
-    for i in range(u):
-        for j in range(u):
-            if i == j:
-                continue
-            row = np.zeros(u)
-            row[i] = 1.0
-            row[j] = -1.0
-            cons.append((row, lp.LE, D[i, j]))
-    sol = _require_optimal(
-        lp.solve(lp.LinearProgram(signed, "max", cons,
-                                  free=np.ones(u, dtype=bool)), config),
-        "kr_dual")
-    return KrPotential(U, sol.primal.copy()), float(sol.value)
+    index = {point_key(p): t for t, p in enumerate(U)}
+    left = np.array([index[point_key(p)] for p in mu.points])
+    right = np.array([index[point_key(p)] for p in nu.points])
+    sol = _solve_couplings((mu, nu), D[np.ix_(left, right)], "kr_dual",
+                           config)
+    psi = -sol.dual[len(mu):]
+    f = np.min(D[:, right] + psi[None, :], axis=1)
+    return KrPotential(U, f), \
+        float(mu.weights @ f[left] - nu.weights @ f[right])
 
 
 def kr_tight_check(f: KrPotential, coupling: Coupling,
@@ -292,62 +297,40 @@ def _multi_guard(sizes):
     if total > PRODUCT_GUARD:
         raise ProductTooLarge(
             f"product support has {total} entries, guard is {PRODUCT_GUARD}")
-    return total
 
 
-def multimarginal_primal(measures, cost: MultiCost,
-                         config: lp.SolverConfig = lp.DEFAULT_CONFIG):
-    """Minimal-cost coupling of k marginals; returns (MultiCoupling, value)."""
+def _solve_multimarginal(measures, cost: MultiCost, what, config):
     measures = list(measures)
     if len(measures) < 2:
         raise DimensionMismatch("need at least two marginals")
     dim = measures[0].dim
     if any(m.dim != dim for m in measures):
         raise DimensionMismatch("marginals have unequal dims")
-    supports = [m.points for m in measures]
-    sizes = [len(m) for m in measures]
-    N = _multi_guard(sizes)
-    C = cost.tensor(supports)
-    idx = np.unravel_index(np.arange(N), tuple(sizes))
-    cons = []
-    for i, meas in enumerate(measures):
-        for t in range(sizes[i]):
-            row = (idx[i] == t).astype(float)
-            cons.append((row, lp.EQ, meas.weights[t]))
-    sol = _require_optimal(
-        lp.solve(lp.LinearProgram(C.ravel(), "min", cons), config),
-        "multimarginal_primal")
-    mass = sol.primal.reshape(tuple(sizes))
-    mc = MultiCoupling(tuple(supports), mass / mass.sum(),
-                       marginal_consistent=True)
+    supports = tuple(m.points for m in measures)
+    _multi_guard([len(m) for m in measures])
+    sol = _solve_couplings(measures, cost.tensor(supports), what, config)
+    return measures, supports, sol
+
+
+def multimarginal_primal(measures, cost: MultiCost,
+                         config: lp.SolverConfig = lp.DEFAULT_CONFIG):
+    """Minimal-cost coupling of k marginals; returns (MultiCoupling, value)."""
+    measures, supports, sol = _solve_multimarginal(
+        measures, cost, "multimarginal_primal", config)
+    mass = sol.primal.reshape(tuple(len(m) for m in measures))
+    mc = MultiCoupling(supports, mass / mass.sum(), marginal_consistent=True)
     return mc, float(sol.value)
 
 
 def multimarginal_dual(measures, cost: MultiCost,
                        config: lp.SolverConfig = lp.DEFAULT_CONFIG):
-    """Optimal potentials f_i with sum_i f_i(x_i) <= c on the product."""
-    measures = list(measures)
-    if len(measures) < 2:
-        raise DimensionMismatch("need at least two marginals")
-    supports = [m.points for m in measures]
-    sizes = [len(m) for m in measures]
-    N = _multi_guard(sizes)
-    C = cost.tensor(supports)
-    offsets = np.cumsum([0] + sizes[:-1])
-    nvar = sum(sizes)
-    idx = np.unravel_index(np.arange(N), tuple(sizes))
-    A = np.zeros((N, nvar))
-    for i in range(len(sizes)):
-        A[np.arange(N), offsets[i] + idx[i]] = 1.0
-    cons = [(A[r], lp.LE, C.ravel()[r]) for r in range(N)]
-    objective = np.concatenate([m.weights for m in measures])
-    sol = _require_optimal(
-        lp.solve(lp.LinearProgram(objective, "max", cons,
-                                  free=np.ones(nvar, dtype=bool)), config),
-        "multimarginal_dual")
-    vals = tuple(sol.primal[offsets[i]:offsets[i] + sizes[i]].copy()
-                 for i in range(len(sizes)))
-    return MultiPotentials(tuple(supports), vals), float(sol.value)
+    """Optimal potentials f_i with sum_i f_i(x_i) <= c on the product: the
+    multipliers of the primal LP's marginal rows, one slice per measure."""
+    measures, supports, sol = _solve_multimarginal(
+        measures, cost, "multimarginal_dual", config)
+    cuts = np.cumsum([len(m) for m in measures])[:-1]
+    pots = MultiPotentials(supports, tuple(np.split(sol.dual, cuts)))
+    return pots, pots.objective(measures)
 
 
 # ---------------------------------------------------------------------------

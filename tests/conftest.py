@@ -122,3 +122,14 @@ def transport_value_by_vertex_enumeration(mu, nu, cost_matrix) -> float:
         x[list(basis)] = sol
         best = min(best, float(cost_matrix.ravel() @ x))
     return best
+
+
+def kr_certificate_errors(f, value, mu, nu, cost):
+    """Independent check of a single-potential dual: the largest excess of
+    f(z_i) - f(z_j) over d(z_i, z_j) on the potential's support, and the
+    distance of the reported value from integral(f d(mu - nu))."""
+    D = cost.pairwise(f.points, f.points)
+    lipschitz = float(np.max(f.values[:, None] - f.values[None, :] - D))
+    signed = sum(w * f.value_at(p) for p, w in zip(mu.points, mu.weights)) \
+        - sum(w * f.value_at(p) for p, w in zip(nu.points, nu.weights))
+    return lipschitz, abs(value - signed)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    kr_certificate_errors,
     lp_value_by_vertex_enumeration,
     random_bounded_lp,
     random_convex_order_pair,
@@ -56,12 +57,15 @@ def _ot_instances():
 
 def test_criterion_01_ot_strong_duality():
     worst = 0.0
+    violation = 0.0
     for mu, nu, cost, coupling, primal, pots, dual in _ot_instances():
         rel = abs(primal - dual) / (1.0 + abs(primal))
         worst = max(worst, rel)
-    ok = worst <= 1e-7
+        violation = max(violation, pots.max_violation(cost))
+    ok = worst <= 1e-7 and violation <= 1e-9
     _report(1, "OT strong duality on 50 random instances", ok,
-            f"max relative gap {worst:.2e}")
+            f"max relative gap {worst:.2e}, "
+            f"max dual violation {violation:.2e}")
 
 
 def test_criterion_01_runtime():
@@ -88,6 +92,8 @@ def test_criterion_03_kantorovich_rubinstein():
     metrics = (ms.CostSpec.euclidean(), ms.CostSpec.manhattan(),
                ms.CostSpec.truncated_euclidean(1.0))
     worst = 0.0
+    lipschitz = 0.0
+    value_err = 0.0
     tight_ok = True
     for k in range(20):
         dim = int(rng.integers(1, 3))
@@ -97,11 +103,15 @@ def test_criterion_03_kantorovich_rubinstein():
         f, v_single = ot.kr_dual(mu, nu, cost)
         _, v_two = ot.kantorovich_dual(mu, nu, cost)
         worst = max(worst, abs(v_single - v_two))
+        lip, err = kr_certificate_errors(f, v_single, mu, nu, cost)
+        lipschitz, value_err = max(lipschitz, lip), max(value_err, err)
         coupling, _ = ot.kantorovich_primal(mu, nu, cost)
         tight_ok = tight_ok and ot.kr_tight_check(f, coupling, cost, 1e-7)
-    ok = worst <= 1e-7 and tight_ok
+    ok = worst <= 1e-7 and tight_ok and lipschitz <= 1e-9 \
+        and value_err <= 1e-12
     _report(3, "Kantorovich-Rubinstein single potential", ok,
-            f"max |single - two| = {worst:.2e}, tight checks "
+            f"max |single - two| = {worst:.2e}, Lipschitz excess "
+            f"{lipschitz:.2e}, value error {value_err:.2e}, tight checks "
             f"{'pass' if tight_ok else 'fail'}")
 
 
@@ -111,19 +121,23 @@ def test_criterion_04_multimarginal():
     base = ms.CostSpec.euclidean()
     cost = ms.MultiCost.pairwise_sum(base)
     worst = 0.0
+    violation = 0.0
     for k, cap in ((3, 6), (4, 4)):
         measures = [random_measure(rng, 1, cap) for _ in range(k)]
         _, vp = ot.multimarginal_primal(measures, cost)
-        _, vd = ot.multimarginal_dual(measures, cost)
+        pots, vd = ot.multimarginal_dual(measures, cost)
         worst = max(worst, abs(vp - vd) / (1.0 + abs(vp)))
+        violation = max(violation, pots.max_violation(cost))
     mu = random_measure(rng, 2, 6)
     nu = random_measure(rng, 2, 6)
     _, v2 = ot.kantorovich_primal(mu, nu, base)
     _, vk2 = ot.multimarginal_primal([mu, nu], cost)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-7 and abs(v2 - vk2) <= 1e-8 and elapsed < 20.0
+    ok = worst <= 1e-7 and violation <= 1e-9 and abs(v2 - vk2) <= 1e-8 \
+        and elapsed < 20.0
     _report(4, "multimarginal duality (k=3,4) and k=2 agreement", ok,
-            f"max gap {worst:.2e}, |k2 - two-marginal| = "
+            f"max gap {worst:.2e}, max dual violation {violation:.2e}, "
+            f"|k2 - two-marginal| = "
             f"{abs(v2 - vk2):.2e}, {elapsed:.2f}s of 20s")
 
 

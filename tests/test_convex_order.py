@@ -3,7 +3,7 @@ import pytest
 
 from conftest import mean_preserving_spread, random_convex_order_pair, \
     random_measure
-from transportkit import convex_order as co, measures as ms
+from transportkit import convex_order as co, measures as ms, mot
 from transportkit.errors import BarycenterMismatch, NotInConvexOrder
 
 
@@ -13,6 +13,25 @@ def pm1():
 
 def nu3():
     return ms.new_measure(1, [[-2.0], [0.0], [2.0]], [0.25, 0.5, 0.25])
+
+
+def spread_pair(seed, index):
+    """A seeded 2-D pair in convex order: 8 atoms mu, each split along a
+    random direction into two atoms that keep its barycenter."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2, index]))
+    X = rng.uniform(-1, 1, (8, 2))
+    w = rng.uniform(0.5, 1.5, size=8)
+    w = w / w.sum()
+    pts, wts = [], []
+    for x, wx in zip(X, w):
+        ang = rng.uniform(0, 2 * np.pi)
+        u = np.array([np.cos(ang), np.sin(ang)])
+        s1, s2 = rng.uniform(0.1, 0.5, size=2)
+        pts += [x + s1 * u, x - s2 * u]
+        wts += [wx * s2 / (s1 + s2), wx * s1 / (s1 + s2)]
+    wts = np.asarray(wts)
+    return ms.new_measure(2, X, w), \
+        ms.new_measure(2, np.asarray(pts), wts / wts.sum())
 
 
 # --- convex_order_check -------------------------------------------------------
@@ -65,6 +84,19 @@ def test_in_order_implies_convex_integral_inequality():
         lhs = sum(w * f(p) for p, w in zip(mu.points, mu.weights))
         rhs = sum(w * f(p) for p, w in zip(nu.points, nu.weights))
         assert lhs <= rhs + 1e-9
+
+
+def test_noise_farkas_ray_is_not_a_refusal():
+    # phase 1 used to return a ray whose positive b.y was rounding noise of
+    # multipliers near 1e15, refusing a pair that is in convex order
+    mu, nu = spread_pair(109, 11)
+    cert = co.convex_order_check(mu, nu)
+    assert cert.in_order
+    cost = ms.CostSpec.sq_euclidean()
+    _, primal = mot.mot_primal(mu, nu, cost)
+    _, dual = mot.mot_dual(mu, nu, cost)
+    assert primal == pytest.approx(0.1076982756, abs=1e-9)
+    assert abs(primal - dual) <= 1e-9
 
 
 # --- strassen_coupling / disintegrate ----------------------------------------
@@ -234,6 +266,14 @@ def test_representation_cost_equals_coupling_cost():
                               * cost.pairwise(mu.points, nu.points)))
         assert co.representation_cost(rep, cost) == pytest.approx(
             direct, abs=1e-9)
+
+
+def test_choquet_drops_noise_branches():
+    # a Strassen fiber carries an LP-noise atom of weight 1.3e-12; its split
+    # branch used to end in a fan whose barycenter was off by 6.5e-6
+    mu, nu = spread_pair(0, 37)
+    rep = co.choquet_represent(mu, nu)
+    assert max(rep.recomposition_error(mu, nu)) <= co.TV_TOL
 
 
 # --- is_extreme_pair -----------------------------------------------------------

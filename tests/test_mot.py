@@ -149,6 +149,15 @@ def test_simplex_sampling_deterministic():
     assert a.max_violation == b.max_violation
 
 
+def test_sample_streams_differ_across_seed_and_index():
+    # seed 0, index 5 and seed 5, index 0 once drew the same tuple
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+    a = mot._sample_tuple(box, 0, 5, with_base=True)
+    b = mot._sample_tuple(box, 5, 0, with_base=True)
+    assert not np.allclose(a[0], b[0])
+    assert not np.allclose(a[2], b[2])
+
+
 # --- gamma certification ------------------------------------------------------
 
 def test_gamma_certify_convex():

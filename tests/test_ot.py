@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_measure, transport_value_by_vertex_enumeration
+from conftest import (
+    kr_certificate_errors,
+    random_measure,
+    transport_value_by_vertex_enumeration,
+)
 from transportkit import measures as ms, ot
 from transportkit.errors import (
     InfeasibleInput,
@@ -151,19 +155,29 @@ def test_every_optimal_pair_is_tight():
 
 # --- Kantorovich-Rubinstein --------------------------------------------------
 
+def _assert_kr_certificate(f, value, mu, nu, cost):
+    lipschitz, value_err = kr_certificate_errors(f, value, mu, nu, cost)
+    assert lipschitz <= 1e-9
+    assert value_err <= 1e-12
+
+
 def test_kr_examples():
     cost = ms.CostSpec.euclidean()
-    f, v = ot.kr_dual(ms.dirac([0.0]), ms.dirac([1.0]), cost)
+    mu1, nu1 = ms.dirac([0.0]), ms.dirac([1.0])
+    f, v = ot.kr_dual(mu1, nu1, cost)
     assert v == pytest.approx(1.0)
     assert f.value_at([0.0]) - f.value_at([1.0]) == pytest.approx(1.0)
+    _assert_kr_certificate(f, v, mu1, nu1, cost)
 
     mu = random_measure(np.random.default_rng(21), 1, 6)
-    _, v2 = ot.kr_dual(mu, mu, cost)
+    f2, v2 = ot.kr_dual(mu, mu, cost)
     assert v2 == pytest.approx(0.0, abs=1e-10)
+    _assert_kr_certificate(f2, v2, mu, mu, cost)
 
     mu3, nu3 = two_by_two()
-    _, v3 = ot.kr_dual(mu3, nu3, cost)
+    f3, v3 = ot.kr_dual(mu3, nu3, cost)
     assert v3 == pytest.approx(1.0)
+    _assert_kr_certificate(f3, v3, mu3, nu3, cost)
 
 
 def test_kr_rejects_non_metric():
@@ -175,6 +189,38 @@ def test_kr_rejects_non_metric():
     assert info.value.witness is not None
 
 
+def _full_tensor_triangle(D):
+    """Reference: worst triangle excess over all ordered triples from one
+    u x u x u tensor, with the first worst triple in C order."""
+    viol = D[:, None, :] - (D[:, :, None] + D[None, :, :])
+    return float(np.max(viol)), np.unravel_index(np.argmax(viol), viol.shape)
+
+
+def test_verify_metric_matches_full_tensor():
+    rng = np.random.default_rng(29)
+    raised = 0
+    for trial in range(40):
+        u = int(rng.integers(3, 10))
+        # small integer entries tie often, so the witness order is tested
+        D = rng.integers(0, 4, size=(u, u)).astype(float) if trial % 2 \
+            else rng.uniform(0.0, 1.0, size=(u, u))
+        D = D + D.T
+        np.fill_diagonal(D, 0.0)
+        points = np.arange(u, dtype=float)[:, None]
+        worst, (i, j, k) = _full_tensor_triangle(D)
+        if worst <= 1e-9:
+            ot._verify_metric(D, points)
+            continue
+        with pytest.raises(NotAMetric) as info:
+            ot._verify_metric(D, points)
+        raised += 1
+        assert str(info.value).endswith(
+            f"triangle violation {worst:.3e} on triple ({i}, {j}, {k})")
+        assert np.array_equal(np.array(info.value.witness),
+                              points[[i, j, k]])
+    assert raised >= 30
+
+
 def test_kr_equals_two_potential_dual_on_metrics():
     rng = np.random.default_rng(23)
     costs = [ms.CostSpec.euclidean(), ms.CostSpec.manhattan(),
@@ -184,9 +230,10 @@ def test_kr_equals_two_potential_dual_on_metrics():
         mu = random_measure(rng, dim, 7)
         nu = random_measure(rng, dim, 7)
         cost = costs[k % 3]
-        _, v_kr = ot.kr_dual(mu, nu, cost)
+        f, v_kr = ot.kr_dual(mu, nu, cost)
         _, v_two = ot.kantorovich_dual(mu, nu, cost)
         assert abs(v_kr - v_two) <= 1e-7
+        _assert_kr_certificate(f, v_kr, mu, nu, cost)
 
 
 def test_kr_tight_check():
@@ -213,8 +260,9 @@ def test_multimarginal_diracs():
     cost = ms.MultiCost.pairwise_sum(ms.CostSpec.euclidean())
     _, v = ot.multimarginal_primal(measures, cost)
     assert v == pytest.approx(cost([np.array(p) for p in pts]))
-    _, vd = ot.multimarginal_dual(measures, cost)
+    pots, vd = ot.multimarginal_dual(measures, cost)
     assert vd == pytest.approx(v, abs=1e-9)
+    assert pots.max_violation(cost) <= 1e-9
 
 
 def test_multimarginal_uniform_diagonal():
@@ -222,8 +270,9 @@ def test_multimarginal_uniform_diagonal():
     cost = ms.MultiCost.pairwise_sum(ms.CostSpec.euclidean())
     _, v = ot.multimarginal_primal([m01] * 3, cost)
     assert v == pytest.approx(0.0, abs=1e-12)
-    _, vd = ot.multimarginal_dual([m01] * 3, cost)
+    pots, vd = ot.multimarginal_dual([m01] * 3, cost)
     assert vd == pytest.approx(0.0, abs=1e-9)
+    assert pots.max_violation(cost) <= 1e-9
 
 
 def test_multimarginal_forced_instance():
@@ -232,8 +281,9 @@ def test_multimarginal_forced_instance():
     measures = [m01, ms.dirac([0.0]), ms.dirac([1.0])]
     _, v = ot.multimarginal_primal(measures, cost)
     assert v == pytest.approx(2.0)
-    _, vd = ot.multimarginal_dual(measures, cost)
+    pots, vd = ot.multimarginal_dual(measures, cost)
     assert vd == pytest.approx(2.0, abs=1e-9)
+    assert pots.max_violation(cost) <= 1e-9
 
 
 def test_multimarginal_k2_agrees_with_two_marginal():
@@ -375,5 +425,6 @@ def test_multimarginal_duality_gap_small_instances():
         measures = [random_measure(rng, 1, 4) for _ in range(k)]
         cost = ms.MultiCost.pairwise_sum(ms.CostSpec.euclidean())
         _, vp = ot.multimarginal_primal(measures, cost)
-        _, vd = ot.multimarginal_dual(measures, cost)
+        pots, vd = ot.multimarginal_dual(measures, cost)
         assert abs(vp - vd) <= 1e-7 * (1 + abs(vp))
+        assert pots.max_violation(cost) <= 1e-9

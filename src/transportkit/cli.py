@@ -272,15 +272,19 @@ def _cmd_class_certify(args):
               "f2": _load_json_arg(args.f2, "f2"),
               "cost": _load_json_arg(args.cost, "cost"),
               "x": X, "y": Y}
+    return (inputs, *_gamma_report(res))
+
+
+def _gamma_report(res):
+    """(results, exit code) of a gamma certification."""
     if res.ok:
-        return inputs, {"ok": True, "points": res.points,
-                        "gamma": res.gammas}, 0
+        return {"ok": True, "points": res.points, "gamma": res.gammas}, 0
     cex = res.counterexample
-    return inputs, {"ok": False,
-                    "counterexample": {
-                        "point": cex.point, "index": cex.index,
-                        "binding": [{"y": y, "coefficient": c}
-                                    for y, c in cex.binding]}}, 2
+    return {"ok": False,
+            "counterexample": {
+                "point": cex.point, "index": cex.index,
+                "binding": [{"y": y, "coefficient": c}
+                            for y, c in cex.binding]}}, 2
 
 
 def _cmd_class_generate(args):
@@ -358,15 +362,7 @@ def _certify_handler(args, certify):
     res = certify(f, sigma, grid)
     inputs = {"f": _load_json_arg(args.f, "f"),
               "sigma": _load_json_arg(args.sigma, "sigma"), "grid": gobj}
-    if res.ok:
-        return inputs, {"ok": True, "points": res.points,
-                        "gamma": res.gammas}, 0
-    cex = res.counterexample
-    return inputs, {"ok": False,
-                    "counterexample": {
-                        "point": cex.point, "index": cex.index,
-                        "binding": [{"y": y, "coefficient": c}
-                                    for y, c in cex.binding]}}, 2
+    return (inputs, *_gamma_report(res))
 
 
 def _cmd_ucvx(args):

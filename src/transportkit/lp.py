@@ -266,7 +266,7 @@ def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase, debug,
                 refresh=None):
     """Pivot to optimality. Entering: smallest eligible index with reduced
     cost below -feas_tol. Leaving: lexicographic. Returns
-    ("optimal" | "unbounded", iterations)."""
+    ("optimal" | "unbounded", iterations, entering column or None)."""
     it = 0
     m = len(basis)
     period = max(100, 2 * m)
@@ -296,7 +296,7 @@ def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase, debug,
         z = T[-1, :n_cols]
         entering = np.flatnonzero(allowed & (z < -cfg.feas_tol))
         if entering.size == 0:
-            return "optimal", it
+            return "optimal", it, None
         j = int(entering[0])
         col = T[:-1, j]
         rows = np.flatnonzero(col > cfg.pivot_tol)
@@ -306,7 +306,7 @@ def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase, debug,
                 # missing leaving row means pivots were lost to tolerance
                 raise NumericalBreakdown(
                     "phase 1: no admissible pivot above tolerance")
-            return "unbounded", it
+            return "unbounded", it, j
         r = _lex_leaving(T, n_cols, basis, rows, col, m)
         if debug:
             print(f"[lp] phase {phase} it {it}: col {j} row {r} "
@@ -366,8 +366,8 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
         cap = cfg.iteration_cap(m, n_cols)
         tol = cfg.feas_tol * (1.0 + np.abs(fb).max(initial=0.0))
         refresh = _make_refresh(n_cols, M, fb, c1)
-        _, iterations = _pivot_loop(T, n_cols, basis, allowed, cfg, cap, 1,
-                                    cfg.debug, refresh)
+        _, iterations, _ = _pivot_loop(T, n_cols, basis, allowed, cfg,
+                                       cap, 1, cfg.debug, refresh)
         # settle the verdict on basis-exact values; if artificials still
         # carry mass, re-pivot with a strict entering threshold
         strict = replace(cfg, feas_tol=1e-13)
@@ -378,8 +378,8 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
                             for i in range(m) if basis[i] >= n)
             if art_level <= tol:
                 break
-            _, extra = _pivot_loop(T, n_cols, basis, allowed, strict, cap,
-                                   1, cfg.debug, refresh)
+            _, extra, _ = _pivot_loop(T, n_cols, basis, allowed, strict,
+                                      cap, 1, cfg.debug, refresh)
             iterations += extra
 
         if art_level > tol:
@@ -412,6 +412,23 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
                     _pivot(T, basis, i, j)
 
     return "feasible", T, basis, M_aug, n_art, None, iterations
+
+
+def _validate_ray(M_aug, c_aug, n_real, basis, j, cfg) -> None:
+    """Check the phase-2 unboundedness ray of entering column j on the
+    original data: z_j = 1, z_B = -B^-1 A_j. A near-singular basis can hide
+    an admissible pivot below pivot_tol; such a ray fails here and the solve
+    is retried on the next rung of the tolerance ladder."""
+    w = _solve_or_lstsq(M_aug[:, basis], M_aug[:, j])
+    z = np.zeros(M_aug.shape[1])
+    z[basis] = -w
+    z[j] = 1.0
+    # artificial columns carry no mass in the real system, so the residual
+    # is taken over the real columns only
+    resid = np.abs(M_aug[:, :n_real] @ z[:n_real]).max(initial=0.0)
+    if w.max(initial=0.0) > cfg.pivot_tol or resid > cfg.feas_tol \
+            or not c_aug @ z < -cfg.feas_tol:
+        raise NumericalBreakdown("unboundedness ray failed validation")
 
 
 def _extract_primal(M_aug, b, n_real, T, basis, cfg) -> np.ndarray:
@@ -490,10 +507,11 @@ def _solve_once(lp: LinearProgram, config: SolverConfig) -> LpSolution:
                          full=(round_ == 0))
         if not np.any(T[-1, :n] < -config.feas_tol):
             break
-        outcome, extra = _pivot_loop(T, n_cols, basis, allowed, config,
-                                     cap, 2, config.debug, refresh)
+        outcome, extra, j = _pivot_loop(T, n_cols, basis, allowed, config,
+                                        cap, 2, config.debug, refresh)
         it2 += extra
         if outcome == "unbounded":
+            _validate_ray(M_aug, c_aug, n, basis, j, config)
             return LpSolution(status=UNBOUNDED, iterations=it1 + it2)
 
     # refine primal and dual values from the final basis using the

@@ -10,6 +10,14 @@ Gamma convention: a certificate for (f1, f2) satisfies
 f1(x) - f2(y) <= c(x, y) + <gamma(x), y - x> on the checked sets. Uniform
 convexity certificates use the classical orientation
 f(x) + sigma(||y - x||) + <gamma(x), y - x> <= f(y).
+
+Every gamma certifier checks a point x through the Farkas alternative of
+its rows <g, y_j - x> <= r_j: one LP with d + 1 rows,
+min sum_j lam_j r_j  s.t.  sum_j lam_j (y_j - x) = 0, sum_j lam_j <= 1,
+lam >= 0. Optimum zero: the barycenter-row multipliers are g. Negative
+optimum: the basic lam has at most d + 1 nonzeros and its support is an
+irreducible infeasible core (Gleeson & Ryan, ORSA J. Comput. 1990),
+reported with the weights lam normalised to sum 1.
 """
 
 from __future__ import annotations
@@ -315,59 +323,60 @@ def gamma_certify(f1, f2, X, Y, cost: CostSpec,
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    f1v = values_on(X, f1)
-    f2v = values_on(Y, f2)
-    d = X.shape[1]
-    C = cost.pairwise(X, Y)
-    gammas = np.zeros((X.shape[0], d))
-    for i in range(X.shape[0]):
-        cons = []
-        for j in range(Y.shape[0]):
-            cons.append((Y[j] - X[i], lp.GE, f1v[i] - f2v[j] - C[i, j]))
-        res = lp.check_feasibility(cons, n_vars=d,
-                                   free=np.ones(d, dtype=bool),
-                                   config=config)
-        if not res.feasible:
-            return GammaResult(
-                False, X,
-                counterexample=CounterexamplePoint(
-                    X[i].copy(), i,
-                    _binding_rows(Y, cons, res.certificate, config)))
-        gammas[i] = res.primal
+    R = values_on(X, f1)[:, None] - values_on(Y, f2)[None, :] \
+        - cost.pairwise(X, Y)
+    return _certify_points(X, Y, R, -1.0, config)
+
+
+def _certify_points(X, Y, R, orient, config, skip_self=False) \
+        -> GammaResult:
+    """Gamma fields with orient * <gamma(x_i), y_j - x_i> <= orient * R[i, j]
+    for every row j (j != i when ``skip_self``), point by point, or the
+    first point where none exists with its binding core."""
+    gammas = np.zeros(X.shape)
+    for i, x in enumerate(X):
+        keep = np.arange(len(Y)) != i if skip_self else slice(None)
+        Yi = Y[keep]
+        g, core = _farkas_point(Yi - x, orient * R[i, keep], config)
+        if core is not None:
+            binding = tuple((Yi[k].copy(), float(w)) for k, w in zip(*core))
+            return GammaResult(False, X, counterexample=CounterexamplePoint(
+                x.copy(), i, binding))
+        gammas[i] = orient * g
     return GammaResult(True, X, gammas=gammas)
 
 
-def _binding_rows(points, rows, certificate, config) -> tuple:
-    """Reduce an infeasible gamma system to an irreducible core and return
-    its constraint points with their Farkas weights.
+def _farkas_point(D, r, config):
+    """A vector g with D @ g <= r, or an irreducible core proving none.
 
-    Greedy row dropping: a subsystem that stays infeasible without a row
-    does not need it. Helly bounds the core size by dim + 1, so in one
-    dimension this is the literal infeasible pair.
+    Solves the Farkas alternative  min r.lam  s.t.  D' lam = 0,
+    sum(lam) <= 1, lam >= 0  (d + 1 rows; lam = 0 is feasible and the
+    simplex bounds it). At optimum 0 the multipliers of the d barycenter
+    rows are g. A negative optimum proves the system empty; its basic lam
+    has at most d + 1 nonzeros on linearly independent columns, so no
+    proper subset of its support is infeasible. Returns (g, None) or
+    (None, (support, weights summing to 1)); both are re-verified on the
+    rows before they are returned.
     """
-    top = float(np.max(np.abs(certificate), initial=0.0))
-    active = [j for j, cj in enumerate(certificate)
-              if abs(cj) > 1e-9 * top]
-    d = rows[0][0].size
-    free = np.ones(d, dtype=bool)
-
-    def infeasible(idx):
-        res = lp.check_feasibility([rows[k] for k in idx], n_vars=d,
-                                   free=free, config=config)
-        return None if res.feasible else res.certificate
-
-    if infeasible(active) is None:
-        active = list(range(len(rows)))  # filter cut too deep; start over
-    i = 0
-    while i < len(active) and len(active) > 2:
-        trial = active[:i] + active[i + 1:]
-        if infeasible(trial) is not None:
-            active = trial
-        else:
-            i += 1
-    cert = infeasible(active)
-    return tuple((points[k].copy(), float(c))
-                 for k, c in zip(active, cert))
+    n, d = D.shape
+    rows = [(D[:, k], lp.EQ, 0.0) for k in range(d)]
+    rows.append((np.ones(n), lp.LE, 1.0))
+    sol = lp.solve(lp.LinearProgram(r, "min", rows), config)
+    if sol.status != lp.OPTIMAL:
+        raise NumericalBreakdown(f"gamma certificate: LP terminated "
+                                 f"{sol.status}")
+    scale = 1.0 + np.abs(r).max(initial=0.0)
+    if sol.value >= -config.feas_tol * scale:
+        g = sol.dual[:d]
+        if np.max(D @ g - r, initial=0.0) > 1e-8 * scale:
+            raise NumericalBreakdown("gamma certificate violates its rows")
+        return g, None
+    support = np.flatnonzero(sol.primal > 1e-12)
+    lam = sol.primal[support] / sol.primal[support].sum()
+    drift = np.abs(lam @ D[support]).max(initial=0.0)
+    if drift > 1e-8 * (1.0 + np.abs(D).max()) or not lam @ r[support] < 0:
+        raise NumericalBreakdown("infeasibility core failed validation")
+    return None, (support, lam)
 
 
 def bclass_generate(atoms, cost: CostSpec) -> FunctionEvaluator:
@@ -444,34 +453,21 @@ def extend(grid_points, g, cost: CostSpec, gamma, targets,
 # Uniform convexity / smoothness
 # ---------------------------------------------------------------------------
 
-def _per_point_certify(fvals, points, rhs_fn, relation, config) \
-        -> GammaResult:
-    d = points.shape[1]
-    gammas = np.zeros((points.shape[0], d))
-    for i in range(points.shape[0]):
-        cons = []
-        for j in range(points.shape[0]):
-            if j == i:
-                continue
-            cons.append((points[j] - points[i], relation, rhs_fn(i, j)))
-        res = lp.check_feasibility(cons, n_vars=d,
-                                   free=np.ones(d, dtype=bool),
-                                   config=config)
-        if not res.feasible:
-            others = np.delete(points, i, axis=0)
-            return GammaResult(
-                False, points,
-                counterexample=CounterexamplePoint(
-                    points[i].copy(), i,
-                    _binding_rows(others, cons, res.certificate, config)))
-        gammas[i] = res.primal
-    return GammaResult(True, points, gammas=gammas)
-
-
 def _grid_points(grid):
     if isinstance(grid, Grid):
         return grid.points()
     return np.atleast_2d(np.asarray(grid, dtype=float))
+
+
+def _modulus_rows(f, sigma: ModulusSpec, grid):
+    """Grid points and R[i, j] = f(y_j) - f(x_i) - sigma(||y_j - x_i||)."""
+    pts = _grid_points(grid)
+    if abs(sigma(0.0)) > 0.0:
+        raise ValueError("modulus must vanish at zero")
+    fvals = np.array([float(f(p)) for p in pts])
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    sig = np.array([[sigma(t) for t in row] for row in dist])
+    return pts, fvals[None, :] - fvals[:, None] - sig
 
 
 def uniform_convexity_certify(f, sigma: ModulusSpec, grid,
@@ -479,16 +475,8 @@ def uniform_convexity_certify(f, sigma: ModulusSpec, grid,
         -> GammaResult:
     """Per-point gamma with f(x) + sigma(||y-x||) + <gamma(x), y-x> <= f(y)
     over the grid, or the first point where none exists."""
-    pts = _grid_points(grid)
-    if abs(sigma(0.0)) > 0.0:
-        raise ValueError("modulus must vanish at zero")
-    fvals = np.array([float(f(p)) for p in pts])
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-
-    def rhs(i, j):
-        return fvals[j] - fvals[i] - sigma(dist[i, j])
-
-    return _per_point_certify(fvals, pts, rhs, lp.LE, config)
+    pts, R = _modulus_rows(f, sigma, grid)
+    return _certify_points(pts, pts, R, 1.0, config, skip_self=True)
 
 
 def uniform_smoothness_certify(f, sigma: ModulusSpec, grid,
@@ -496,16 +484,8 @@ def uniform_smoothness_certify(f, sigma: ModulusSpec, grid,
         -> GammaResult:
     """Mirror of uniform_convexity_certify:
     f(x) + sigma(||y-x||) + <gamma(x), y-x> >= f(y) over the grid."""
-    pts = _grid_points(grid)
-    if abs(sigma(0.0)) > 0.0:
-        raise ValueError("modulus must vanish at zero")
-    fvals = np.array([float(f(p)) for p in pts])
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-
-    def rhs(i, j):
-        return fvals[j] - fvals[i] - sigma(dist[i, j])
-
-    return _per_point_certify(fvals, pts, rhs, lp.GE, config)
+    pts, R = _modulus_rows(f, sigma, grid)
+    return _certify_points(pts, pts, R, -1.0, config, skip_self=True)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,20 @@ def test_noise_farkas_ray_is_not_a_refusal():
     assert abs(primal - dual) <= 1e-9
 
 
+def test_unbounded_verdict_is_validated():
+    # phase 2 used to declare the dual unbounded on a basis of condition
+    # ~1e17 whose entering column showed no pivot above tolerance, though
+    # the ray it implied does not improve the objective
+    mu, nu = spread_pair(11, 53)
+    cost = ms.CostSpec.sq_euclidean()
+    _, primal = mot.mot_primal(mu, nu, cost)
+    _, dual = mot.mot_dual(mu, nu, cost)
+    assert primal == pytest.approx(0.0927369686, abs=1e-9)
+    assert abs(primal - dual) <= 1e-9
+    with pytest.raises(NotInConvexOrder):
+        mot.mot_dual(nu, mu, cost)
+
+
 # --- strassen_coupling / disintegrate ----------------------------------------
 
 def test_strassen_unique_solution():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_convex_order_pair
-from transportkit import convex_order as co, measures as ms, mot
+from transportkit import convex_order as co, lp, measures as ms, mot
 from transportkit.errors import (
     EmptyAtoms,
     GammaMissing,
@@ -332,6 +332,61 @@ def test_ucvx_abs_two_constraint_infeasibility():
     assert res.counterexample.point[0] == pytest.approx(0.5)
     ys = sorted(y[0] for y, _ in res.counterexample.binding)
     assert ys == [pytest.approx(0.4), pytest.approx(0.6)]
+
+
+def _farkas_cases():
+    """(D, r) systems <g, y_j - x> <= r_j at every point x of seeded 1-D
+    and 2-D sets: random points under a noisy quadratic, integer lattices
+    with integer values (many exact ties), and a 5 x 5 grid whose centre
+    is raised above a uniformly convex quadratic."""
+    rng = np.random.default_rng(20261018)
+    sets = []
+    for d in (1, 2):
+        for _ in range(8):
+            P = rng.uniform(-1.0, 1.0, (9, d))
+            f = (P ** 2).sum(axis=1) + rng.normal(0.0, 0.1, 9)
+            sets.append((P, f, rng.uniform(0.0, 1.0)))
+    line = np.arange(-3.0, 4.0).reshape(-1, 1)
+    lattice = Grid(Box([-2.0, -2.0], [2.0, 2.0]), (5, 5)).points()
+    for P in (line, lattice):
+        for f in (np.abs(P).sum(axis=1), np.abs(P).max(axis=1),
+                  -np.abs(P).sum(axis=1), np.round((P ** 2).sum(axis=1) / 2)):
+            sets.append((P, f, 0.0))
+    grid = Grid(Box([-1.0, -1.0], [1.0, 1.0]), (5, 5)).points()
+    raised = (grid ** 2).sum(axis=1)
+    raised[12] += 0.3
+    sets.append((grid, raised, 1.0))
+    for P, f, s in sets:
+        for i, x in enumerate(P):
+            D = np.delete(P, i, axis=0) - x
+            r = np.delete(f, i) - f[i] - s * (D ** 2).sum(axis=1)
+            yield D, r
+
+
+def _referee_feasible(D, r):
+    """The (n - 1)-row system solved directly for g."""
+    d = D.shape[1]
+    return lp.check_feasibility([(D[j], lp.LE, r[j]) for j in range(len(r))],
+                                n_vars=d, free=np.ones(d, dtype=bool)).feasible
+
+
+def test_farkas_point_matches_direct_system():
+    verdicts = set()
+    for D, r in _farkas_cases():
+        g, core = mot._farkas_point(D, r, lp.DEFAULT_CONFIG)
+        assert (core is None) == _referee_feasible(D, r)
+        verdicts.add(core is None)
+        if core is None:
+            assert np.max(D @ g - r) <= 1e-8
+            continue
+        idx, lam = core
+        assert len(idx) <= D.shape[1] + 1
+        assert lam.min() > 0 and lam.sum() == pytest.approx(1.0)
+        assert not _referee_feasible(D[idx], r[idx])
+        for k in range(len(idx)):
+            keep = np.delete(idx, k)
+            assert _referee_feasible(D[keep], r[keep])
+    assert verdicts == {True, False}
 
 
 def test_ucvx_max_affine_zero_modulus():

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -384,7 +385,10 @@ def _echo2(mu, nu, cost_arg=None):
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args reads it
+    and leaves it unchanged, so every call may share it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
                         help="override the command's check tolerance")
@@ -477,8 +481,7 @@ def _to_csv(command: str, results: dict) -> str:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     command = args.group + (f" {args.cmd}" if getattr(args, "cmd", None)
                             else "")
     if args.format == "csv" and command not in _CSV_COMMANDS:

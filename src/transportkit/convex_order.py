@@ -160,16 +160,17 @@ class OrderCertificate:
 
 
 def _martingale_rows(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """Equality system of the martingale transport polytope, in the fixed
-    row order: m row sums, n column sums, then d barycenter rows per
-    source point."""
+    """Equality system (A, rels, b) of the martingale transport polytope,
+    in the fixed row order: m row sums, n column sums, then d barycenter
+    rows per source point."""
     m, n, d = len(mu), len(nu), mu.dim
     bary = np.zeros((m, d, m, n))
     # row (i, axis) holds y_j[axis] - x_i[axis] on the columns of source i
     bary[np.arange(m), :, np.arange(m), :] = \
         nu.points.T[None, :, :] - mu.points[:, :, None]
-    return _marginal_rows((mu, nu)) + \
-        [(row, lp.EQ, 0.0) for row in bary.reshape(m * d, m * n)]
+    A, b = _marginal_rows((mu, nu))
+    b = np.concatenate([b, np.zeros(m * d)])
+    return np.vstack([A, bary.reshape(m * d, m * n)]), (lp.EQ,) * len(b), b
 
 
 def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -185,8 +186,7 @@ def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
     m, n, d = len(mu), len(nu), mu.dim
-    res = lp.check_feasibility(_martingale_rows(mu, nu), n_vars=m * n,
-                               config=config)
+    res = lp.check_feasibility(*_martingale_rows(mu, nu), config=config)
     if res.feasible:
         mass = res.primal.reshape(m, n)
         coupling = Coupling(mu, nu, mass / mass.sum(),

@@ -5,6 +5,12 @@ Self-contained: no external LP dependency. Designed for desk-scale problems
 are split into differences of nonnegative parts internally; the split is
 invisible to callers.
 
+Constraints come in matrix form only: an (m, n) array ``A``, a length-m
+sequence ``rels`` of ``LE``/``EQ``/``GE`` and a length-m right-hand side
+``b``, read row by row as ``A[i] @ x  rels[i]  b[i]``. The problem
+builders (coupling marginals, martingale barycenters, gamma rows) form
+their rows as one array and hand it over as it is.
+
 Pivot rule: the entering column is the smallest eligible index with a
 negative reduced cost; the leaving row is chosen lexicographically on the
 ratios of [rhs | basis-inverse] rows, which breaks every tie without a
@@ -23,7 +29,6 @@ variable direction, proving emptiness.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -46,7 +51,6 @@ class SolverConfig:
     pivot_tol: float = 1e-11   # smallest admissible pivot magnitude
     feas_tol: float = 1e-9     # feasibility / reduced-cost threshold
     max_iterations: int = 0    # 0 = automatic cap from problem size
-    debug: bool = False        # dump pivot trace to stderr
 
     def iteration_cap(self, m: int, n: int) -> int:
         if self.max_iterations:
@@ -59,11 +63,14 @@ DEFAULT_CONFIG = SolverConfig()
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max/min c.x subject to rows (a, rel, b); x_j >= 0 unless free."""
+    """max/min c.x subject to A x (rels) b row by row; x_j >= 0 unless
+    free. The arrays are stored as given (as floats); do not mutate them."""
 
     objective: np.ndarray
-    sense: str = "min"
-    constraints: Sequence = ()
+    sense: str
+    A: np.ndarray
+    rels: Sequence[str]
+    b: np.ndarray
     free: np.ndarray | None = None  # bool mask; default all False
 
     def __post_init__(self):
@@ -72,32 +79,27 @@ class LinearProgram:
             raise ValueError("objective must be a vector")
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be min or max, got {self.sense!r}")
-        rows, rels, rhs = [], [], []
-        for a, rel, b in self.constraints:
-            a = np.asarray(a, dtype=float)
-            if a.shape != c.shape:
-                raise ValueError(
-                    f"constraint row has length {a.size}, expected {c.size}")
-            if rel not in _RELATIONS:
-                raise ValueError(f"relation must be one of {_RELATIONS}")
-            if not np.isfinite(b):
-                raise ValueError("rhs must be finite")
-            rows.append(a)
-            rels.append(rel)
-            rhs.append(float(b))
-        fr = self.free
-        fr = np.zeros(c.size, dtype=bool) if fr is None \
-            else np.asarray(fr, dtype=bool)
+        A = np.asarray(self.A, dtype=float)
+        rels = np.asarray(self.rels, dtype=str)
+        b = np.asarray(self.b, dtype=float)
+        if b.ndim != 1 or rels.shape != b.shape:
+            raise ValueError(f"rels and b must be vectors of one length, "
+                             f"got shapes {rels.shape} and {b.shape}")
+        # a reshape would let a wrong-shaped A of the right size through
+        if A.ndim != 2 or A.shape != (b.size, c.size):
+            raise ValueError(f"A has shape {A.shape}, expected "
+                             f"{(b.size, c.size)}")
+        if not set(rels.tolist()) <= set(_RELATIONS):
+            raise ValueError(f"relation must be one of {_RELATIONS}")
+        if not np.isfinite(b).all():
+            raise ValueError("rhs must be finite")
+        fr = np.zeros(c.size, dtype=bool) if self.free is None \
+            else np.asarray(self.free, dtype=bool)
         if fr.shape != c.shape:
             raise ValueError("free mask length mismatch")
-        # rows are stacked once; the stored constraints are views of A
-        A = np.array(rows) if rows else np.zeros((0, c.size))
-        b = np.array(rhs)
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraints",
-                           tuple(zip(A, rels, rhs)))
-        object.__setattr__(self, "free", fr)
-        object.__setattr__(self, "_matrices", (A, rels, b))
+        for name, value in (("objective", c), ("A", A), ("rels", rels),
+                            ("b", b), ("free", fr)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_vars(self) -> int:
@@ -105,11 +107,7 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        return len(self.constraints)
-
-    def matrices(self):
-        """(A, relations, b) of the constraint rows; shared, do not mutate."""
-        return self._matrices
+        return self.b.size
 
 
 @dataclass
@@ -135,44 +133,36 @@ class FeasibilityResult:
 # ---------------------------------------------------------------------------
 
 class _Standardized:
-    """User LP rewritten as  min c.z  s.t.  A z = b, z >= 0."""
+    """User LP rewritten as  min c.z  s.t.  A z = b, z >= 0.
+
+    Column order: user variable j gives column +j, followed at once by
+    -j when j is free; then one slack column per inequality row, in row
+    order (+1 on "<=" rows, -1 on ">=" rows)."""
 
     def __init__(self, lp: LinearProgram):
-        A, rels, b = lp.matrices()
+        A, b = lp.A, lp.b
         m, n = A.shape
         sign = -1.0 if lp.sense == "max" else 1.0
-        cols = []
-        costs = []
-        self.var_map = []  # (user var, +1/-1) per structural column
-        for j in range(n):
-            cols.append(A[:, j])
-            costs.append(sign * lp.objective[j])
-            self.var_map.append((j, 1.0))
-            if lp.free[j]:
-                cols.append(-A[:, j])
-                costs.append(-sign * lp.objective[j])
-                self.var_map.append((j, -1.0))
-        self.n_struct = len(cols)
-        self.slack_row = []  # row index per slack column
-        for i, rel in enumerate(rels):
-            if rel in (LE, GE):
-                e = np.zeros(m)
-                e[i] = 1.0 if rel == LE else -1.0
-                cols.append(e)
-                costs.append(0.0)
-                self.slack_row.append(i)
-        self.A = np.column_stack(cols) if cols else np.zeros((m, 0))
-        self.c = np.asarray(costs)
+        reps = np.where(lp.free, 2, 1)
+        self.var_of = np.repeat(np.arange(n), reps)  # user var per column
+        self.var_sign = np.ones(self.var_of.size)
+        self.var_sign[(np.cumsum(reps) - 1)[lp.free]] = -1.0
+        self.n_struct = self.var_of.size
+        self.slack_row = np.flatnonzero(lp.rels != EQ)
+        S = np.zeros((m, self.slack_row.size))
+        S[self.slack_row, np.arange(self.slack_row.size)] = \
+            np.where(lp.rels[self.slack_row] == LE, 1.0, -1.0)
+        self.A = np.hstack([A[:, self.var_of] * self.var_sign, S])
+        self.c = np.concatenate([sign * lp.objective[self.var_of]
+                                 * self.var_sign, np.zeros(S.shape[1])])
         self.b = b.copy()
-        self.rels = rels
-        self.sign = sign
         self.m = m
+        self.n_user = n
         self.n_total = self.A.shape[1]
 
-    def user_primal(self, z: np.ndarray, n_user: int) -> np.ndarray:
-        x = np.zeros(n_user)
-        for col, (j, s) in enumerate(self.var_map):
-            x[j] += s * z[col]
+    def user_primal(self, z: np.ndarray) -> np.ndarray:
+        x = np.zeros(self.n_user)
+        np.add.at(x, self.var_of, self.var_sign * z[:self.n_struct])
         return x
 
 
@@ -262,7 +252,7 @@ def _lex_leaving(T, n_cols, basis, rows, col, m):
     return int(cand[0])
 
 
-def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase, debug,
+def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase,
                 refresh=None):
     """Pivot to optimality. Entering: smallest eligible index with reduced
     cost below -feas_tol. Leaving: lexicographic. Returns
@@ -308,9 +298,6 @@ def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase, debug,
                     "phase 1: no admissible pivot above tolerance")
             return "unbounded", it, j
         r = _lex_leaving(T, n_cols, basis, rows, col, m)
-        if debug:
-            print(f"[lp] phase {phase} it {it}: col {j} row {r} "
-                  f"pivot {T[r, j]:.3e}", file=sys.stderr)
         _pivot(T, basis, r, j)
 
 
@@ -329,22 +316,19 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
 
     # a slack column with +1 coefficient after flipping can seed the basis;
     # every other row gets an artificial
-    slack_of_row = {}
-    for k, i in enumerate(std.slack_row):
-        col = std.n_struct + k
-        if std.A[i, col] * flip[i] > 0:
-            slack_of_row[i] = col
-    art_rows = [i for i in range(m) if i not in slack_of_row]
+    basis = np.full(m, -1)
+    slack_col = std.n_struct + np.arange(std.slack_row.size)
+    seeds = std.A[std.slack_row, slack_col] * flip[std.slack_row] > 0
+    basis[std.slack_row[seeds]] = slack_col[seeds]
+    art_rows = np.flatnonzero(basis < 0)
+    basis[art_rows] = n + np.arange(art_rows.size)
+    basis = basis.tolist()
 
-    n_art = len(art_rows)
-    E = np.eye(m)[:, art_rows] if n_art else np.zeros((m, 0))
+    n_art = art_rows.size
+    E = np.eye(m)[:, art_rows]
     M = np.hstack([FA, E])                       # flipped frame
     M_aug = np.hstack([std.A, flip[:, None] * E])  # unflipped frame
     n_cols = M.shape[1]
-    basis = [0] * m
-    art_pos = {i: k for k, i in enumerate(art_rows)}
-    for i in range(m):
-        basis[i] = slack_of_row.get(i, n + art_pos.get(i, 0))
 
     # tableau with the basis-inverse block; the initial basis is the
     # identity in the flipped frame
@@ -367,7 +351,7 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
         tol = cfg.feas_tol * (1.0 + np.abs(fb).max(initial=0.0))
         refresh = _make_refresh(n_cols, M, fb, c1)
         _, iterations, _ = _pivot_loop(T, n_cols, basis, allowed, cfg,
-                                       cap, 1, cfg.debug, refresh)
+                                       cap, 1, refresh)
         # settle the verdict on basis-exact values; if artificials still
         # carry mass, re-pivot with a strict entering threshold
         strict = replace(cfg, feas_tol=1e-13)
@@ -379,7 +363,7 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
             if art_level <= tol:
                 break
             _, extra, _ = _pivot_loop(T, n_cols, basis, allowed, strict,
-                                      cap, 1, cfg.debug, refresh)
+                                      cap, 1, refresh)
             iterations += extra
 
         if art_level > tol:
@@ -508,7 +492,7 @@ def _solve_once(lp: LinearProgram, config: SolverConfig) -> LpSolution:
         if not np.any(T[-1, :n] < -config.feas_tol):
             break
         outcome, extra, j = _pivot_loop(T, n_cols, basis, allowed, config,
-                                        cap, 2, config.debug, refresh)
+                                        cap, 2, refresh)
         it2 += extra
         if outcome == "unbounded":
             _validate_ray(M_aug, c_aug, n, basis, j, config)
@@ -521,7 +505,7 @@ def _solve_once(lp: LinearProgram, config: SolverConfig) -> LpSolution:
     y = _solve_or_lstsq(B.T, c_aug[basis])
     value_int = float(std.c @ z)
 
-    x_user = std.user_primal(z, lp.n_vars)
+    x_user = std.user_primal(z)
     if lp.sense == "max":
         value = -value_int
         y_user = -y
@@ -538,63 +522,45 @@ def _solve_once(lp: LinearProgram, config: SolverConfig) -> LpSolution:
 def residual_report(lp: LinearProgram, sol: LpSolution) -> dict:
     """Primal/dual feasibility, duality-gap and complementary-slackness
     residuals of an optimal solution, measured on the user-level data."""
-    A, rels, b = lp.matrices()
-    x, y = sol.primal, sol.dual
-    ax = A @ x if A.size else np.zeros(len(rels))
-    primal = 0.0
-    dual_sign = 0.0
-    cs_rows = 0.0
-    sense_max = lp.sense == "max"
-    for i, rel in enumerate(rels):
-        gap = ax[i] - b[i]
-        if rel == LE:
-            primal = max(primal, gap)
-            s = y[i] if not sense_max else -y[i]
-            dual_sign = max(dual_sign, s)  # must be <= 0
-        elif rel == GE:
-            primal = max(primal, -gap)
-            s = -y[i] if not sense_max else y[i]
-            dual_sign = max(dual_sign, s)
-        else:
-            primal = max(primal, abs(gap))
-        cs_rows = max(cs_rows, abs(y[i] * gap))
-    primal = max(primal, float(np.max(-x[~lp.free], initial=0.0)))
+    x, y, free = sol.primal, sol.dual, lp.free
+    le, ge = lp.rels == LE, lp.rels == GE
+    gap = lp.A @ x - lp.b
+    row_viol = np.where(le, gap, np.where(ge, -gap, np.abs(gap)))
+    primal = max(0.0, float(row_viol.max(initial=0.0)),
+                 float(np.max(-x[~free], initial=0.0)))
+    # dual signs: y <= 0 on "<=" rows and y >= 0 on ">=" rows (min)
+    y_min = -y if lp.sense == "max" else y
+    dual_sign = max(0.0, float(y_min[le].max(initial=0.0)),
+                    float((-y_min[ge]).max(initial=0.0)))
+    cs_rows = float(np.abs(y * gap).max(initial=0.0))
 
     # reduced costs: r = c - A^T y (min) must be >= 0 on x >= 0, = 0 on free
-    r = lp.objective - A.T @ y if A.size else lp.objective.copy()
-    if sense_max:
+    r = lp.objective - lp.A.T @ y
+    if lp.sense == "max":
         r = -r
-    dual_red = 0.0
-    cs_vars = 0.0
-    for j in range(lp.n_vars):
-        if lp.free[j]:
-            dual_red = max(dual_red, abs(r[j]))
-        else:
-            dual_red = max(dual_red, -r[j])
-            cs_vars = max(cs_vars, abs(x[j] * r[j]))
-    gap = abs(float(lp.objective @ x) - float(b @ y))
+    dual_red = max(0.0, float(np.abs(r[free]).max(initial=0.0)),
+                   float((-r[~free]).max(initial=0.0)))
+    cs_vars = float(np.abs(x * r)[~free].max(initial=0.0))
+    gap = abs(float(lp.objective @ x) - float(lp.b @ y))
     return {
-        "primal": float(primal),
-        "dual": float(max(dual_sign, dual_red)),
+        "primal": primal,
+        "dual": max(dual_sign, dual_red),
         "gap": float(gap),
-        "complementary_slackness": float(max(cs_rows, cs_vars)),
+        "complementary_slackness": max(cs_rows, cs_vars),
     }
 
 
-def check_feasibility(constraints, n_vars: int | None = None,
-                      free=None, config: SolverConfig = DEFAULT_CONFIG) \
+def check_feasibility(A, rels, b, free=None,
+                      config: SolverConfig = DEFAULT_CONFIG) \
         -> FeasibilityResult:
-    """Phase-one feasibility of {rows hold, x respects bounds}.
+    """Phase-one feasibility of {A x (rels) b, x respects bounds}.
 
     Returns a feasible point or a Farkas combination proving emptiness.
     """
-    constraints = list(constraints)
-    if n_vars is None:
-        if not constraints:
-            raise ValueError("need n_vars when no constraints are given")
-        n_vars = np.asarray(constraints[0][0]).size
-    lp = LinearProgram(objective=np.zeros(n_vars), sense="min",
-                       constraints=constraints, free=free)
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"A must be a matrix, got shape {A.shape}")
+    lp = LinearProgram(np.zeros(A.shape[1]), "min", A, rels, b, free)
     last = None
     for cfg in _escalation(config):
         try:
@@ -612,4 +578,4 @@ def _feasibility_once(lp: LinearProgram, config: SolverConfig) \
         return FeasibilityResult(feasible=False, certificate=farkas)
     z = _extract_primal(M_aug, std.b, std.n_total, T, basis, config)
     return FeasibilityResult(feasible=True,
-                             primal=std.user_primal(z, lp.n_vars))
+                             primal=std.user_primal(z))

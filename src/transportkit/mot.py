@@ -159,7 +159,7 @@ def mot_primal(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
         raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
     C = cost.pairwise(mu.points, nu.points)
     sol = lp.solve(lp.LinearProgram(C.ravel(), "min",
-                                    _martingale_rows(mu, nu)), config)
+                                    *_martingale_rows(mu, nu)), config)
     if sol.status == lp.INFEASIBLE:
         raise NotInConvexOrder("no martingale coupling exists")
     if sol.status != lp.OPTIMAL:
@@ -167,6 +167,18 @@ def mot_primal(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     mass = sol.primal.reshape(len(mu), len(nu))
     return Coupling(mu, nu, mass / mass.sum(), marginal_consistent=True), \
         float(sol.value)
+
+
+def _gamma_dual_rows(nvar, plus, minus, gamma_at, diffs):
+    """Rows of the gamma duals, one per entry k:  x[plus_k] - x[minus_k]
+    + <x[gamma_at_k : gamma_at_k + d], diffs_k>  (diffs has d columns)."""
+    k, d = diffs.shape
+    rows = np.arange(k)
+    A = np.zeros((k, nvar))
+    A[rows, plus] = 1.0
+    A[rows, minus] = -1.0
+    A[rows[:, None], gamma_at[:, None] + np.arange(d)] = diffs
+    return A
 
 
 def mot_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
@@ -177,18 +189,13 @@ def mot_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     m, n, d = len(mu), len(nu), mu.dim
     C = cost.pairwise(mu.points, nu.points)
     nvar = m + n + m * d
-    cons = []
-    for i in range(m):
-        for j in range(n):
-            row = np.zeros(nvar)
-            row[i] = 1.0
-            row[m + j] = -1.0
-            row[m + n + i * d:m + n + (i + 1) * d] = \
-                nu.points[j] - mu.points[i]
-            cons.append((row, lp.LE, C[i, j]))
+    I, J = np.divmod(np.arange(m * n), n)
+    A = _gamma_dual_rows(nvar, I, m + J, m + n + I * d,
+                         nu.points[J] - mu.points[I])
     objective = np.concatenate([mu.weights, -nu.weights, np.zeros(m * d)])
-    sol = lp.solve(lp.LinearProgram(objective, "max", cons,
-                                    free=np.ones(nvar, dtype=bool)), config)
+    sol = lp.solve(lp.LinearProgram(objective, "max", A, (lp.LE,) * len(A),
+                                    C.ravel(), np.ones(nvar, dtype=bool)),
+                   config)
     if sol.status == lp.UNBOUNDED:
         raise NotInConvexOrder(
             "dual is unbounded: the pair is not in convex order")
@@ -218,22 +225,15 @@ def mot_dual_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure,
             f"|c(z, z)| reaches {np.max(np.abs(diag)):.3e} on the union")
     C = cost.pairwise(Z, Z)
     nvar = u + u * d
-    cons = []
-    for i in range(u):
-        for j in range(u):
-            if i == j:
-                continue
-            row = np.zeros(nvar)
-            row[i] = 1.0
-            row[j] -= 1.0
-            row[u + i * d:u + (i + 1) * d] = Z[j] - Z[i]
-            cons.append((row, lp.LE, C[i, j]))
+    I, J = np.nonzero(~np.eye(u, dtype=bool))
+    A = _gamma_dual_rows(nvar, I, J, u + I * d, Z[J] - Z[I])
     mu_d, nu_d = mu.as_dict(), nu.as_dict()
     signed = np.array([mu_d.get(point_key(p), 0.0)
                        - nu_d.get(point_key(p), 0.0) for p in Z])
     objective = np.concatenate([signed, np.zeros(u * d)])
-    sol = lp.solve(lp.LinearProgram(objective, "max", cons,
-                                    free=np.ones(nvar, dtype=bool)), config)
+    sol = lp.solve(lp.LinearProgram(objective, "max", A, (lp.LE,) * len(A),
+                                    C[I, J], np.ones(nvar, dtype=bool)),
+                   config)
     if sol.status == lp.UNBOUNDED:
         raise NotInConvexOrder(
             "symmetric dual is unbounded: the pair is not in convex order")
@@ -359,9 +359,9 @@ def _farkas_point(D, r, config):
     rows before they are returned.
     """
     n, d = D.shape
-    rows = [(D[:, k], lp.EQ, 0.0) for k in range(d)]
-    rows.append((np.ones(n), lp.LE, 1.0))
-    sol = lp.solve(lp.LinearProgram(r, "min", rows), config)
+    A = np.vstack([D.T, np.ones(n)])
+    sol = lp.solve(lp.LinearProgram(r, "min", A, (lp.EQ,) * d + (lp.LE,),
+                                    np.append(np.zeros(d), 1.0)), config)
     if sol.status != lp.OPTIMAL:
         raise NumericalBreakdown(f"gamma certificate: LP terminated "
                                  f"{sol.status}")

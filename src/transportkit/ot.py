@@ -130,9 +130,9 @@ def _require_optimal(sol: lp.LpSolution, what: str) -> lp.LpSolution:
 # ---------------------------------------------------------------------------
 
 def _marginal_rows(measures):
-    """Equality rows fixing every marginal of a coupling on the product of
-    the supports (flattened in C order): for each measure in turn, one row
-    per atom."""
+    """Equality rows (A, b) fixing every marginal of a coupling on the
+    product of the supports (flattened in C order): for each measure in
+    turn, one row per atom."""
     sizes = tuple(len(m) for m in measures)
     N = int(np.prod(sizes))
     cols = np.arange(N)
@@ -140,16 +140,15 @@ def _marginal_rows(measures):
     A = np.zeros((sum(sizes), N))
     for off, idx in zip(offsets, np.unravel_index(cols, sizes)):
         A[off + idx, cols] = 1.0
-    b = np.concatenate([m.weights for m in measures])
-    return [(a, lp.EQ, bi) for a, bi in zip(A, b)]
+    return A, np.concatenate([m.weights for m in measures])
 
 
 def _solve_couplings(measures, C, what, config) -> lp.LpSolution:
     """The primal LP over couplings with cost tensor C; its marginal-row
     multipliers are the dual potentials."""
-    return _require_optimal(
-        lp.solve(lp.LinearProgram(C.ravel(), "min", _marginal_rows(measures)),
-                 config), what)
+    A, b = _marginal_rows(measures)
+    prog = lp.LinearProgram(C.ravel(), "min", A, (lp.EQ,) * len(b), b)
+    return _require_optimal(lp.solve(prog, config), what)
 
 
 def kantorovich_primal(mu: DiscreteMeasure, nu: DiscreteMeasure,

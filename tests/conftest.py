@@ -60,15 +60,14 @@ def random_bounded_lp(rng: np.random.Generator, max_vars: int,
     x0 = rng.uniform(0.0, 1.0, size=n)
     b = A @ x0 + rng.uniform(0.1, 1.0, size=m)
     c = rng.uniform(-1.0, 1.0, size=n)
-    cons = [(A[i], lp.LE, float(b[i])) for i in range(m)]
-    cons.append((np.ones(n), lp.LE, float(n) + 1.0))
-    return lp.LinearProgram(c, "max", cons)
+    return lp.LinearProgram(c, "max", np.vstack([A, np.ones(n)]),
+                            (lp.LE,) * (m + 1), np.append(b, n + 1.0))
 
 
 def lp_value_by_vertex_enumeration(prog: lp.LinearProgram) -> float:
     """Independent oracle: convert to standard equality form with slacks
     and take the best objective over all feasible basic solutions."""
-    A, rels, b = prog.matrices()
+    A, rels, b = prog.A, prog.rels, prog.b
     m, n = A.shape
     assert all(r == lp.LE for r in rels) and not prog.free.any(), \
         "oracle handles <= rows with nonnegative variables"

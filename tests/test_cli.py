@@ -246,3 +246,31 @@ def test_out_file(measures, tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["results"]["value"] == pytest.approx(1.0)
+
+
+def test_shared_parser_carries_no_option_over(capsys):
+    """The parser is built once per process; a second command without
+    --tol / --samples must not see the first command's values."""
+    first = ["class", "check", "--f1", '{"kind":"neg_quadratic"}',
+             "--f2", '{"kind":"neg_quadratic"}',
+             "--cost", '{"kind":"linear","a":[0.0]}',
+             "--domain", "[[-1.0,1.0]]", "--samples", "40", "--tol", "10"]
+    second = ["mti", "check", "--cost", '{"kind":"sq_euclidean"}',
+              "--domain", "[[-1.0,1.0]]"]
+
+    def report(argv):
+        code, rep = run(capsys, argv)
+        rep.pop("timing_ms")
+        return code, rep
+
+    alone = []
+    for argv in (first, second):
+        cli.build_parser.cache_clear()
+        alone.append(report(argv))
+    cli.build_parser.cache_clear()
+    back_to_back = [report(first), report(second)]
+    assert cli.build_parser.cache_info().misses == 1
+    assert back_to_back == alone
+    assert alone[0][1]["results"]["samples"] == 40
+    assert alone[1][1]["results"]["samples"] == 1000
+    assert alone[1][1]["results"]["ok"]

@@ -111,6 +111,75 @@ def test_symmetric_below_general_structural():
         assert vs <= vg + 1e-9
 
 
+def _mot_dual_rows_by_loop(mu, nu, C):
+    """The one-row-per-pair construction of the mot_dual constraints."""
+    m, n, d = len(mu), len(nu), mu.dim
+    nvar = m + n + m * d
+    rows, rhs = [], []
+    for i in range(m):
+        for j in range(n):
+            row = np.zeros(nvar)
+            row[i] = 1.0
+            row[m + j] = -1.0
+            row[m + n + i * d:m + n + (i + 1) * d] = \
+                nu.points[j] - mu.points[i]
+            rows.append(row)
+            rhs.append(C[i, j])
+    return np.array(rows), np.array(rhs)
+
+
+def _symmetric_rows_by_loop(Z, C):
+    """The one-row-per-pair construction of the mot_dual_symmetric
+    constraints."""
+    u, d = Z.shape
+    nvar = u + u * d
+    rows, rhs = [], []
+    for i in range(u):
+        for j in range(u):
+            if i == j:
+                continue
+            row = np.zeros(nvar)
+            row[i] = 1.0
+            row[j] -= 1.0
+            row[u + i * d:u + (i + 1) * d] = Z[j] - Z[i]
+            rows.append(row)
+            rhs.append(C[i, j])
+    return np.array(rows), np.array(rhs)
+
+
+def test_gamma_dual_rows_match_row_loops(monkeypatch):
+    progs = []
+    solve = lp.solve
+
+    def capture(prog, config=lp.DEFAULT_CONFIG):
+        progs.append(prog)
+        return solve(prog, config)
+
+    monkeypatch.setattr(lp, "solve", capture)
+    rng = np.random.default_rng(311)
+    eu = ms.CostSpec.euclidean()
+    checked = 0
+    for dim in (1, 2):
+        for _ in range(6):
+            mu, nu = random_convex_order_pair(rng, dim, 5)
+            Z = ms.union_points(mu.points, nu.points)
+            for dual, (A, b) in (
+                    (mot.mot_dual, _mot_dual_rows_by_loop(
+                        mu, nu, eu.pairwise(mu.points, nu.points))),
+                    (mot.mot_dual_symmetric, _symmetric_rows_by_loop(
+                        Z, eu.pairwise(Z, Z)))):
+                progs.clear()
+                dual(mu, nu, eu)
+                prog, = progs
+                assert prog.A.shape == A.shape
+                assert prog.A.tobytes() == A.tobytes()
+                assert prog.b.tobytes() == b.tobytes()
+                assert list(prog.rels) == [lp.LE] * len(b)
+                assert prog.free.all()
+                checked += 1
+    assert checked == 24
+
+
 # --- simplex inequalities -----------------------------------------------------
 
 def test_simplex_check_jensen():
@@ -366,8 +435,8 @@ def _farkas_cases():
 def _referee_feasible(D, r):
     """The (n - 1)-row system solved directly for g."""
     d = D.shape[1]
-    return lp.check_feasibility([(D[j], lp.LE, r[j]) for j in range(len(r))],
-                                n_vars=d, free=np.ones(d, dtype=bool)).feasible
+    return lp.check_feasibility(D, (lp.LE,) * len(r), r,
+                                free=np.ones(d, dtype=bool)).feasible
 
 
 def test_farkas_point_matches_direct_system():

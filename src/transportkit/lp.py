@@ -11,13 +11,16 @@ sequence ``rels`` of ``LE``/``EQ``/``GE`` and a length-m right-hand side
 builders (coupling marginals, martingale barycenters, gamma rows) form
 their rows as one array and hand it over as it is.
 
-Pivot rule: the entering column is the smallest eligible index with a
-negative reduced cost; the leaving row is chosen lexicographically on the
-ratios of [rhs | basis-inverse] rows, which breaks every tie without a
-tolerance and rules out cycling. The basis-inverse block is carried in the
-tableau; derived rows are recomputed from the basis periodically and the
-whole tableau is rebuilt exactly if a basis ever repeats. On numerical
-breakdown the solve restarts on a fixed ladder of pivot tolerances.
+Pivot rule: the entering column has the most negative reduced cost
+(Dantzig; ties go to the smallest index); the leaving row is chosen
+lexicographically on the ratios of [rhs | basis-inverse] rows, which breaks
+every tie without a tolerance and rules out cycling under any entering
+rule. The basis-inverse block is carried in the tableau; derived rows are
+recomputed from the basis periodically and the whole tableau is rebuilt
+exactly if a basis ever repeats. Phase 1 pivots only when some artificial
+starts above zero. On numerical breakdown the solve restarts on a fixed
+ladder of pivot tolerances, and the result names each abandoned rung in
+``breakdowns``.
 
 Conventions for the reported dual vector y (one multiplier per constraint):
   sense=min: value = b.y, y <= 0 on "<=" rows, y >= 0 on ">=" rows;
@@ -119,6 +122,7 @@ class LpSolution:
     farkas: np.ndarray | None = None
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
+    breakdowns: tuple = ()  # one message per abandoned tolerance rung
 
 
 @dataclass
@@ -126,6 +130,7 @@ class FeasibilityResult:
     feasible: bool
     primal: np.ndarray | None = None
     certificate: np.ndarray | None = None
+    breakdowns: tuple = ()  # one message per abandoned tolerance rung
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +259,10 @@ def _lex_leaving(T, n_cols, basis, rows, col, m):
 
 def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase,
                 refresh=None):
-    """Pivot to optimality. Entering: smallest eligible index with reduced
-    cost below -feas_tol. Leaving: lexicographic. Returns
-    ("optimal" | "unbounded", iterations, entering column or None)."""
+    """Pivot to optimality. Entering: the allowed column of most negative
+    reduced cost below -feas_tol, the smallest index on a tie. Leaving:
+    lexicographic. Returns ("optimal" | "unbounded", iterations, entering
+    column or None)."""
     it = 0
     m = len(basis)
     period = max(100, 2 * m)
@@ -287,7 +293,7 @@ def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase,
         entering = np.flatnonzero(allowed & (z < -cfg.feas_tol))
         if entering.size == 0:
             return "optimal", it, None
-        j = int(entering[0])
+        j = int(entering[np.argmin(z[entering])])
         col = T[:-1, j]
         rows = np.flatnonzero(col > cfg.pivot_tol)
         if rows.size == 0:
@@ -344,7 +350,9 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
     T[-1, n_cols:-1] = 0.0
 
     iterations = 0
-    if n_art:
+    # artificials that all start at level zero already sit in a feasible
+    # basis: no pivot loop runs, and the untouched tableau stays exact
+    if fb[art_rows].any():
         allowed = np.zeros(n_cols, dtype=bool)
         allowed[:n] = True
         cap = cfg.iteration_cap(m, n_cols)
@@ -382,18 +390,19 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
             return "infeasible", None, None, None, None, farkas / viol, \
                 iterations
 
-        # pivot leftover artificials out on honest (freshly rebuilt)
-        # entries; rows without one are redundant and keep their artificial
-        # pinned at level zero for good
         if any(basis[i] >= n for i in range(m)):
             _refresh_tableau(T, n_cols, basis, M, fb, c1, full=True)
-            for i in range(m):
-                if basis[i] < n:
-                    continue
-                row = T[i, :n]
-                j = int(np.argmax(np.abs(row)))
-                if abs(row[j]) > 1e-7:
-                    _pivot(T, basis, i, j)
+
+    # pivot leftover artificials out on honest (untouched or freshly
+    # rebuilt) entries; rows without one are redundant and keep their
+    # artificial pinned at level zero for good
+    for i in range(m):
+        if basis[i] < n:
+            continue
+        row = T[i, :n]
+        j = int(np.argmax(np.abs(row)))
+        if abs(row[j]) > 1e-7:
+            _pivot(T, basis, i, j)
 
     return "feasible", T, basis, M_aug, n_art, None, iterations
 
@@ -458,16 +467,27 @@ def _escalation(config: SolverConfig):
             yield replace(config, pivot_tol=pt)
 
 
+def _climb_ladder(once, lp: LinearProgram, config: SolverConfig):
+    """Run ``once(lp, cfg)`` on each rung of the tolerance ladder until one
+    returns; the result's ``breakdowns`` names every abandoned rung. If
+    every rung breaks down, the last breakdown is raised."""
+    abandoned = []
+    for cfg in _escalation(config):
+        try:
+            result = once(lp, cfg)
+        except NumericalBreakdown as e:
+            abandoned.append(f"pivot_tol={cfg.pivot_tol:g}: {e}")
+            last = e
+            continue
+        result.breakdowns = tuple(abandoned)
+        return result
+    raise last
+
+
 def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG) \
         -> LpSolution:
     """Solve the LP; deterministic for identical inputs."""
-    last = None
-    for cfg in _escalation(config):
-        try:
-            return _solve_once(lp, cfg)
-        except NumericalBreakdown as e:
-            last = e
-    raise last
+    return _climb_ladder(_solve_once, lp, config)
 
 
 def _solve_once(lp: LinearProgram, config: SolverConfig) -> LpSolution:
@@ -561,13 +581,7 @@ def check_feasibility(A, rels, b, free=None,
     if A.ndim != 2:
         raise ValueError(f"A must be a matrix, got shape {A.shape}")
     lp = LinearProgram(np.zeros(A.shape[1]), "min", A, rels, b, free)
-    last = None
-    for cfg in _escalation(config):
-        try:
-            return _feasibility_once(lp, cfg)
-        except NumericalBreakdown as e:
-            last = e
-    raise last
+    return _climb_ladder(_feasibility_once, lp, config)
 
 
 def _feasibility_once(lp: LinearProgram, config: SolverConfig) \

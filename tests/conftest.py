@@ -10,9 +10,16 @@ the seed alone.
 import itertools
 
 import numpy as np
+from hypothesis import settings
 
 from transportkit import lp
 from transportkit.measures import DiscreteMeasure, point_key
+
+# Property tests draw a fixed example sequence (no database, no clock), so
+# a run is repeatable and a slow shared host cannot fail it on a deadline.
+settings.register_profile("transportkit", derandomize=True, database=None,
+                          deadline=None, max_examples=60)
+settings.load_profile("transportkit")
 
 
 def random_measure(rng: np.random.Generator, dim: int,

@@ -218,6 +218,17 @@ def test_fan_decompose_terminates_with_valid_leaves():
             assert co.is_extreme_pair(fan.center, fan.measure())
 
 
+def test_breakdown_pair_52_186_is_in_order():
+    # an in-order pair on which convex_order_check and choquet_represent
+    # raised NumericalBreakdown after every rung of the tolerance ladder
+    mu, nu = spread_pair(52, 186)
+    assert co.convex_order_check(mu, nu).in_order
+    rep = co.choquet_represent(mu, nu)
+    assert max(rep.recomposition_error(mu, nu)) <= co.TV_TOL
+    _, value = mot.mot_primal(mu, nu, ms.CostSpec.euclidean())
+    assert value == pytest.approx(0.2116263803, abs=1e-9)
+
+
 # --- choquet_represent ---------------------------------------------------------
 
 def test_choquet_single_fan():

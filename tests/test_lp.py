@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     lp_value_by_vertex_enumeration,
@@ -98,6 +99,95 @@ def test_determinism_bitwise():
     b = lp.solve(prog)
     assert a.primal.tobytes() == b.primal.tobytes()
     assert a.dual.tobytes() == b.dual.tobytes()
+
+
+def test_beale_cycling_lp():
+    # Beale (1955): most-negative-reduced-cost entering with a smallest-index
+    # tie-break among the tied ratios cycles forever from the slack basis;
+    # the lexicographic leaving rule must reach the optimum instead
+    c = [-0.75, 20.0, -0.5, 6.0]
+    A = [[0.25, -8.0, -1.0, 9.0],
+         [0.5, -12.0, -0.5, 3.0],
+         [0.0, 0.0, 1.0, 0.0]]
+    sol = lp.solve(lp.LinearProgram(c, "min", A, [lp.LE] * 3,
+                                    [0.0, 0.0, 1.0]))
+    assert sol.status == lp.OPTIMAL
+    assert sol.value == -1.25
+    assert sol.primal.tolist() == [1.0, 0.0, 1.0, 0.0]
+    assert all(v == 0.0 for v in sol.residuals.values()), sol.residuals
+
+
+@st.composite
+def tie_heavy_lps(draw):
+    """Small <= LPs with many ties: integer-lattice coefficients, costs
+    all equal or on a lattice, duplicated (redundant) rows, and a simplex
+    cap that keeps them bounded. Some rhs are negative, so phase 1 pivots
+    and some instances are infeasible."""
+    n = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n,
+                                  max_size=n), min_size=1, max_size=3))
+    rhs = draw(st.lists(st.integers(-1, 3), min_size=len(rows),
+                        max_size=len(rows)))
+    for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
+        rows.append(rows[k])
+        rhs.append(rhs[k])
+    rows.append([1] * n)
+    rhs.append(draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        c = [draw(st.sampled_from([-1, 1]))] * n
+    else:
+        c = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return lp.LinearProgram(np.array(c, dtype=float),
+                            draw(st.sampled_from(["min", "max"])),
+                            np.array(rows, dtype=float), [lp.LE] * len(rows),
+                            np.array(rhs, dtype=float))
+
+
+@given(tie_heavy_lps())
+def test_tie_heavy_lps_match_vertex_enumeration(prog):
+    sol = lp.solve(prog)
+    again = lp.solve(prog)
+    oracle = lp_value_by_vertex_enumeration(prog)
+    if np.isinf(oracle):
+        # no feasible vertex: the Farkas ray must prove emptiness
+        assert sol.status == lp.INFEASIBLE
+        y = sol.farkas
+        assert y @ prog.b > 0
+        assert y.max() <= 1e-10
+        assert (prog.A.T @ y).max() <= 1e-8
+        assert y.tobytes() == again.farkas.tobytes()
+        return
+    assert sol.status == lp.OPTIMAL
+    assert abs(sol.value - oracle) <= 1e-9 * (1 + abs(oracle))
+    assert abs(sol.value - prog.b @ sol.dual) <= 1e-9 * (1 + abs(oracle))
+    assert max(sol.residuals.values()) <= 1e-9, sol.residuals
+    assert sol.value == again.value
+    assert sol.primal.tobytes() == again.primal.tobytes()
+    assert sol.dual.tobytes() == again.dual.tobytes()
+
+
+def _first_rung_breaks(monkeypatch, name):
+    real = getattr(lp, name)
+
+    def once(prog, cfg):
+        if cfg.pivot_tol == lp.DEFAULT_CONFIG.pivot_tol:
+            raise NumericalBreakdown("basis became singular during refresh")
+        return real(prog, cfg)
+    monkeypatch.setattr(lp, name, once)
+
+
+def test_abandoned_rungs_are_recorded(monkeypatch):
+    prog = lp.LinearProgram([1.0], "max", [[1.0]], [lp.LE], [1.0])
+    assert lp.solve(prog).breakdowns == ()
+    assert lp.check_feasibility([[1.0]], [lp.EQ], [1.0]).breakdowns == ()
+    _first_rung_breaks(monkeypatch, "_solve_once")
+    _first_rung_breaks(monkeypatch, "_feasibility_once")
+    expected = ("pivot_tol=1e-11: basis became singular during refresh",)
+    sol = lp.solve(prog)
+    assert sol.status == lp.OPTIMAL and sol.value == pytest.approx(1.0)
+    assert sol.breakdowns == expected
+    res = lp.check_feasibility([[1.0]], [lp.EQ], [1.0])
+    assert res.feasible and res.breakdowns == expected
 
 
 def test_unbounded_detection():

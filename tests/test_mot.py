@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -456,6 +458,33 @@ def test_farkas_point_matches_direct_system():
             keep = np.delete(idx, k)
             assert _referee_feasible(D[keep], r[keep])
     assert verdicts == {True, False}
+
+
+def test_farkas_points_skip_phase_one(monkeypatch):
+    # lam = 0 with the sum(lam) <= 1 slack is a feasible basis, and the d
+    # barycenter rows have rhs 0: their artificials start at level 0, so
+    # phase 1 must not pivot
+    phases, points = [], []
+    pivot_loop, farkas_point = lp._pivot_loop, mot._farkas_point
+    params = inspect.signature(pivot_loop)
+
+    def spy_loop(*args, **kwargs):
+        phases.append(params.bind(*args, **kwargs).arguments["phase"])
+        return pivot_loop(*args, **kwargs)
+
+    def spy_point(D, r, config):
+        points.append(len(r))
+        return farkas_point(D, r, config)
+    monkeypatch.setattr(lp, "_pivot_loop", spy_loop)
+    monkeypatch.setattr(mot, "_farkas_point", spy_point)
+    grid = Grid(Box([-1.0, -1.0], [1.0, 1.0]), (7, 7)).points()
+    f = FunctionEvaluator.quadratic(np.array([[2.0, 0.5], [0.5, 1.5]]),
+                                    np.zeros(2))
+    res = mot.uniform_convexity_certify(f, ModulusSpec.power(2), grid)
+    assert res.ok
+    assert points == [48] * 49
+    assert 1 not in phases
+    assert 2 in phases
 
 
 def test_ucvx_max_affine_zero_modulus():

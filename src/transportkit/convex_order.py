@@ -187,12 +187,12 @@ def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
     m, n, d = len(mu), len(nu), mu.dim
     res = lp.check_feasibility(*_martingale_rows(mu, nu), config=config)
-    if res.feasible:
+    if res.status == lp.OPTIMAL:
         mass = res.primal.reshape(m, n)
         coupling = Coupling(mu, nu, mass / mass.sum(),
                             marginal_consistent=True)
         return OrderCertificate(in_order=True, coupling=coupling)
-    y = res.certificate
+    y = res.farkas
     u = y[:m]
     gamma = y[m + n:].reshape(m, d)
     witness = ConvexWitness(

@@ -22,6 +22,10 @@ starts above zero. On numerical breakdown the solve restarts on a fixed
 ladder of pivot tolerances, and the result names each abandoned rung in
 ``breakdowns``.
 
+There is one solve path. ``check_feasibility`` is ``solve`` with a zero
+objective and returns its ``LpSolution``: OPTIMAL with a feasible
+``primal``, or INFEASIBLE with a Farkas ray in ``farkas``.
+
 Conventions for the reported dual vector y (one multiplier per constraint):
   sense=min: value = b.y, y <= 0 on "<=" rows, y >= 0 on ">=" rows;
   sense=max: value = b.y, y >= 0 on "<=" rows, y <= 0 on ">=" rows.
@@ -125,14 +129,6 @@ class LpSolution:
     breakdowns: tuple = ()  # one message per abandoned tolerance rung
 
 
-@dataclass
-class FeasibilityResult:
-    feasible: bool
-    primal: np.ndarray | None = None
-    certificate: np.ndarray | None = None
-    breakdowns: tuple = ()  # one message per abandoned tolerance rung
-
-
 # ---------------------------------------------------------------------------
 # standard form
 # ---------------------------------------------------------------------------
@@ -230,12 +226,6 @@ def _refresh_tableau(T, n_cols, basis, M, b, costs, full=False):
     T[-1, -1] = -float(costs[basis] @ xb)
 
 
-def _make_refresh(n_cols, M, b, costs):
-    def _do(T, basis, full=False):
-        _refresh_tableau(T, n_cols, basis, M, b, costs, full=full)
-    return _do
-
-
 def _lex_leaving(T, n_cols, basis, rows, col, m):
     """Lexicographic ratio test over [rhs | basis-inverse] rows.
 
@@ -257,12 +247,12 @@ def _lex_leaving(T, n_cols, basis, rows, col, m):
     return int(cand[0])
 
 
-def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase,
-                refresh=None):
+def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase, M, b, costs):
     """Pivot to optimality. Entering: the allowed column of most negative
     reduced cost below -feas_tol, the smallest index on a tie. Leaving:
-    lexicographic. Returns ("optimal" | "unbounded", iterations, entering
-    column or None)."""
+    lexicographic. The tableau is rebuilt exactly from (M, b, costs)
+    periodically and whenever a basis repeats. Returns ("optimal" |
+    "unbounded", iterations, entering column or None)."""
     it = 0
     m = len(basis)
     period = max(100, 2 * m)
@@ -273,22 +263,21 @@ def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase,
         if it > cap:
             raise NumericalBreakdown(
                 f"phase {phase}: iteration cap {cap} exceeded")
-        if refresh is not None:
-            key = hash(tuple(basis))
-            if key in seen:
-                # impossible under exact pivots; rebuild exactly and retry
-                rebuilds += 1
-                if rebuilds > 5:
-                    raise NumericalBreakdown(
-                        f"phase {phase}: cycling persists after "
-                        f"{rebuilds - 1} exact rebuilds")
-                refresh(T, basis, full=True)
-                seen = {}
-            elif it % period == 0:
-                # periodic full rebuild: matrix-entry drift would otherwise
-                # feed the ratio test stale pivots
-                refresh(T, basis, full=True)
-            seen[key] = it
+        key = hash(tuple(basis))
+        if key in seen:
+            # impossible under exact pivots; rebuild exactly and retry
+            rebuilds += 1
+            if rebuilds > 5:
+                raise NumericalBreakdown(
+                    f"phase {phase}: cycling persists after "
+                    f"{rebuilds - 1} exact rebuilds")
+            _refresh_tableau(T, n_cols, basis, M, b, costs, full=True)
+            seen = {}
+        elif it % period == 0:
+            # periodic full rebuild: matrix-entry drift would otherwise
+            # feed the ratio test stale pivots
+            _refresh_tableau(T, n_cols, basis, M, b, costs, full=True)
+        seen[key] = it
         z = T[-1, :n_cols]
         entering = np.flatnonzero(allowed & (z < -cfg.feas_tol))
         if entering.size == 0:
@@ -357,9 +346,8 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
         allowed[:n] = True
         cap = cfg.iteration_cap(m, n_cols)
         tol = cfg.feas_tol * (1.0 + np.abs(fb).max(initial=0.0))
-        refresh = _make_refresh(n_cols, M, fb, c1)
         _, iterations, _ = _pivot_loop(T, n_cols, basis, allowed, cfg,
-                                       cap, 1, refresh)
+                                       cap, 1, M, fb, c1)
         # settle the verdict on basis-exact values; if artificials still
         # carry mass, re-pivot with a strict entering threshold
         strict = replace(cfg, feas_tol=1e-13)
@@ -371,7 +359,7 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
             if art_level <= tol:
                 break
             _, extra, _ = _pivot_loop(T, n_cols, basis, allowed, strict,
-                                      cap, 1, refresh)
+                                      cap, 1, M, fb, c1)
             iterations += extra
 
         if art_level > tol:
@@ -467,27 +455,24 @@ def _escalation(config: SolverConfig):
             yield replace(config, pivot_tol=pt)
 
 
-def _climb_ladder(once, lp: LinearProgram, config: SolverConfig):
-    """Run ``once(lp, cfg)`` on each rung of the tolerance ladder until one
-    returns; the result's ``breakdowns`` names every abandoned rung. If
-    every rung breaks down, the last breakdown is raised."""
+def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG) \
+        -> LpSolution:
+    """Solve the LP; deterministic for identical inputs.
+
+    Each rung of the tolerance ladder is tried until one returns; the
+    result's ``breakdowns`` names every abandoned rung. If every rung
+    breaks down, the last breakdown is raised."""
     abandoned = []
     for cfg in _escalation(config):
         try:
-            result = once(lp, cfg)
+            sol = _solve_once(lp, cfg)
         except NumericalBreakdown as e:
             abandoned.append(f"pivot_tol={cfg.pivot_tol:g}: {e}")
             last = e
             continue
-        result.breakdowns = tuple(abandoned)
-        return result
+        sol.breakdowns = tuple(abandoned)
+        return sol
     raise last
-
-
-def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG) \
-        -> LpSolution:
-    """Solve the LP; deterministic for identical inputs."""
-    return _climb_ladder(_solve_once, lp, config)
 
 
 def _solve_once(lp: LinearProgram, config: SolverConfig) -> LpSolution:
@@ -503,7 +488,6 @@ def _solve_once(lp: LinearProgram, config: SolverConfig) -> LpSolution:
     allowed[:n] = True  # artificials may stay basic at zero, never enter
     cap = config.iteration_cap(std.m, n_cols)
     it2 = 0
-    refresh = _make_refresh(n_cols, M_aug, std.b, c_aug)
     # pivot to optimality; the first refresh is full, installing a fresh
     # lexicographic state, later ones keep drift from ending phase 2 early
     for round_ in range(4):
@@ -512,7 +496,7 @@ def _solve_once(lp: LinearProgram, config: SolverConfig) -> LpSolution:
         if not np.any(T[-1, :n] < -config.feas_tol):
             break
         outcome, extra, j = _pivot_loop(T, n_cols, basis, allowed, config,
-                                        cap, 2, refresh)
+                                        cap, 2, M_aug, std.b, c_aug)
         it2 += extra
         if outcome == "unbounded":
             _validate_ray(M_aug, c_aug, n, basis, j, config)
@@ -571,25 +555,14 @@ def residual_report(lp: LinearProgram, sol: LpSolution) -> dict:
 
 
 def check_feasibility(A, rels, b, free=None,
-                      config: SolverConfig = DEFAULT_CONFIG) \
-        -> FeasibilityResult:
-    """Phase-one feasibility of {A x (rels) b, x respects bounds}.
-
-    Returns a feasible point or a Farkas combination proving emptiness.
+                      config: SolverConfig = DEFAULT_CONFIG) -> LpSolution:
+    """Feasibility of {A x (rels) b, x respects bounds}, as the
+    zero-objective ``solve``: ``status`` is OPTIMAL with a feasible point
+    in ``primal``, or INFEASIBLE with a Farkas ray in ``farkas`` proving
+    emptiness.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"A must be a matrix, got shape {A.shape}")
-    lp = LinearProgram(np.zeros(A.shape[1]), "min", A, rels, b, free)
-    return _climb_ladder(_feasibility_once, lp, config)
-
-
-def _feasibility_once(lp: LinearProgram, config: SolverConfig) \
-        -> FeasibilityResult:
-    std = _Standardized(lp)
-    status, T, basis, M_aug, n_art, farkas, _ = _phase1(std, config)
-    if status == "infeasible":
-        return FeasibilityResult(feasible=False, certificate=farkas)
-    z = _extract_primal(M_aug, std.b, std.n_total, T, basis, config)
-    return FeasibilityResult(feasible=True,
-                             primal=std.user_primal(z))
+    return solve(LinearProgram(np.zeros(A.shape[1]), "min", A, rels, b,
+                               free), config)

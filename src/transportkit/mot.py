@@ -6,6 +6,12 @@ through per-point gamma fields, generation and extension of the associated
 function class, uniform convexity and smoothness certificates, and the
 martingale triangle inequality checks (sampled and second-order).
 
+The symmetric dual (f, gamma) on a support union of u points is read off
+the row duals of its primal twin, a flow-and-barycenter LP with u (1 + d)
+rows. ``mot_dual`` still solves its own dual LP (m n rows): on small
+pairs that is faster than reading it off the martingale primal
+(m + n + m d rows), which takes several times the pivots.
+
 Gamma convention: a certificate for (f1, f2) satisfies
 f1(x) - f2(y) <= c(x, y) + <gamma(x), y - x> on the checked sets. Uniform
 convexity certificates use the classical orientation
@@ -169,29 +175,24 @@ def mot_primal(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
         float(sol.value)
 
 
-def _gamma_dual_rows(nvar, plus, minus, gamma_at, diffs):
-    """Rows of the gamma duals, one per entry k:  x[plus_k] - x[minus_k]
-    + <x[gamma_at_k : gamma_at_k + d], diffs_k>  (diffs has d columns)."""
-    k, d = diffs.shape
-    rows = np.arange(k)
-    A = np.zeros((k, nvar))
-    A[rows, plus] = 1.0
-    A[rows, minus] = -1.0
-    A[rows[:, None], gamma_at[:, None] + np.arange(d)] = diffs
-    return A
-
-
 def mot_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
              config: lp.SolverConfig = lp.DEFAULT_CONFIG):
-    """Optimal (u, v, gamma); value matches mot_primal by LP duality."""
+    """Optimal (u, v, gamma); value matches mot_primal by LP duality.
+
+    One row per pair (i, j):  u_i - v_j + <gamma_i, y_j - x_i> <= c(x_i, y_j).
+    """
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
     m, n, d = len(mu), len(nu), mu.dim
     C = cost.pairwise(mu.points, nu.points)
     nvar = m + n + m * d
     I, J = np.divmod(np.arange(m * n), n)
-    A = _gamma_dual_rows(nvar, I, m + J, m + n + I * d,
-                         nu.points[J] - mu.points[I])
+    rows = np.arange(m * n)
+    A = np.zeros((m * n, nvar))
+    A[rows, I] = 1.0
+    A[rows, m + J] = -1.0
+    A[rows[:, None], m + n + I[:, None] * d + np.arange(d)] = \
+        nu.points[J] - mu.points[I]
     objective = np.concatenate([mu.weights, -nu.weights, np.zeros(m * d)])
     sol = lp.solve(lp.LinearProgram(objective, "max", A, (lp.LE,) * len(A),
                                     C.ravel(), np.ones(nvar, dtype=bool)),
@@ -210,10 +211,16 @@ def mot_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
 def mot_dual_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure,
                        cost: CostSpec,
                        config: lp.SolverConfig = lp.DEFAULT_CONFIG):
-    """Single-potential dual on the support union.
+    """Single-potential dual on the support union Z, read off its primal.
 
-    Requires the cost to vanish on the diagonal of the union. The value
-    never exceeds the two-potential dual (the feasible set restricts).
+    Requires the cost to vanish on the diagonal of the union. The dual
+    rows are f_i - f_j + <gamma_i, z_j - z_i> <= c(z_i, z_j) for i != j;
+    its primal twin is the flow-and-barycenter LP over pi_ij >= 0 (i != j)
+    min sum c(z_i, z_j) pi_ij  s.t.  sum_j pi_kj - sum_i pi_ik = (mu - nu)_k
+    and sum_j pi_ij (z_j - z_i) = 0, with u (1 + d) rows. Its row duals are
+    (f, gamma). The primal is feasible exactly when mu precedes nu in
+    convex order. The value never exceeds the two-potential dual (the
+    feasible set restricts).
     """
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
@@ -224,25 +231,27 @@ def mot_dual_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise NonVanishingDiagonal(
             f"|c(z, z)| reaches {np.max(np.abs(diag)):.3e} on the union")
     C = cost.pairwise(Z, Z)
-    nvar = u + u * d
     I, J = np.nonzero(~np.eye(u, dtype=bool))
-    A = _gamma_dual_rows(nvar, I, J, u + I * d, Z[J] - Z[I])
+    cols = np.arange(I.size)
+    A = np.zeros((u * (1 + d), I.size))
+    A[I, cols] = 1.0
+    A[J, cols] = -1.0
+    A[u + I[:, None] * d + np.arange(d), cols[:, None]] = Z[J] - Z[I]
     mu_d, nu_d = mu.as_dict(), nu.as_dict()
     signed = np.array([mu_d.get(point_key(p), 0.0)
                        - nu_d.get(point_key(p), 0.0) for p in Z])
-    objective = np.concatenate([signed, np.zeros(u * d)])
-    sol = lp.solve(lp.LinearProgram(objective, "max", A, (lp.LE,) * len(A),
-                                    C[I, J], np.ones(nvar, dtype=bool)),
+    b = np.concatenate([signed, np.zeros(u * d)])
+    sol = lp.solve(lp.LinearProgram(C[I, J], "min", A, (lp.EQ,) * len(b), b),
                    config)
-    if sol.status == lp.UNBOUNDED:
+    if sol.status == lp.INFEASIBLE:
         raise NotInConvexOrder(
-            "symmetric dual is unbounded: the pair is not in convex order")
+            "no flow-and-barycenter plan: the pair is not in convex order")
     if sol.status != lp.OPTIMAL:
         raise NumericalBreakdown(
             f"mot_dual_symmetric: LP terminated {sol.status}")
-    sym = SymmetricDual(Z, sol.primal[:u].copy(),
-                        sol.primal[u:].reshape(u, d).copy())
-    return sym, float(sol.value)
+    sym = SymmetricDual(Z, sol.dual[:u].copy(),
+                        sol.dual[u:].reshape(u, d).copy())
+    return sym, sym.objective_against(mu, nu)
 
 
 # ---------------------------------------------------------------------------

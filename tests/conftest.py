@@ -13,13 +13,23 @@ import numpy as np
 from hypothesis import settings
 
 from transportkit import lp
-from transportkit.measures import DiscreteMeasure, point_key
+from transportkit.measures import DiscreteMeasure, new_measure, point_key
 
 # Property tests draw a fixed example sequence (no database, no clock), so
 # a run is repeatable and a slow shared host cannot fail it on a deadline.
 settings.register_profile("transportkit", derandomize=True, database=None,
                           deadline=None, max_examples=60)
 settings.load_profile("transportkit")
+
+
+def pm1():
+    """Half at -1 and half at 1."""
+    return new_measure(1, [[-1.0], [1.0]], [0.5, 0.5])
+
+
+def nu3():
+    """A quarter at -2 and 2 and half at 0: a spread of pm1()."""
+    return new_measure(1, [[-2.0], [0.0], [2.0]], [0.25, 0.5, 0.25])
 
 
 def random_measure(rng: np.random.Generator, dim: int,

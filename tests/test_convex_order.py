@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import mean_preserving_spread, random_convex_order_pair, \
-    random_measure
+from conftest import mean_preserving_spread, nu3, pm1, \
+    random_convex_order_pair, random_measure
 from transportkit import convex_order as co, measures as ms, mot
 from transportkit.errors import BarycenterMismatch, NotInConvexOrder
-
-
-def pm1():
-    return ms.new_measure(1, [[-1.0], [1.0]], [0.5, 0.5])
-
-
-def nu3():
-    return ms.new_measure(1, [[-2.0], [0.0], [2.0]], [0.25, 0.5, 0.25])
 
 
 def spread_pair(seed, index):

@@ -2,8 +2,9 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import random_convex_order_pair
+from conftest import nu3, pm1, random_convex_order_pair
 from transportkit import convex_order as co, lp, measures as ms, mot
 from transportkit.errors import (
     EmptyAtoms,
@@ -14,14 +15,6 @@ from transportkit.errors import (
     NotInConvexOrder,
 )
 from transportkit.functions import Box, FunctionEvaluator, Grid, ModulusSpec
-
-
-def pm1():
-    return ms.new_measure(1, [[-1.0], [1.0]], [0.5, 0.5])
-
-
-def nu3():
-    return ms.new_measure(1, [[-2.0], [0.0], [2.0]], [0.25, 0.5, 0.25])
 
 
 def sq(p):
@@ -149,6 +142,25 @@ def _symmetric_rows_by_loop(Z, C):
     return np.array(rows), np.array(rhs)
 
 
+def _symmetric_referee(mu, nu, cost):
+    """The u (u - 1)-row dual LP of the symmetric dual, solved directly:
+    max sum_k (mu - nu)_k f_k over (f, gamma) meeting every pair row.
+    Returns the rows (A, b) and the solution."""
+    Z = ms.union_points(mu.points, nu.points)
+    A, b = _symmetric_rows_by_loop(Z, cost.pairwise(Z, Z))
+    mu_d, nu_d = mu.as_dict(), nu.as_dict()
+    signed = np.array([mu_d.get(ms.point_key(p), 0.0)
+                       - nu_d.get(ms.point_key(p), 0.0) for p in Z])
+    objective = np.concatenate([signed, np.zeros(A.shape[1] - len(Z))])
+    sol = lp.solve(lp.LinearProgram(objective, "max", A, (lp.LE,) * len(b),
+                                    b, np.ones(A.shape[1], dtype=bool)))
+    return A, b, sol
+
+
+def _symmetric_row_excess(sym, A, b):
+    return float(np.max(A @ np.concatenate([sym.f, sym.gamma.ravel()]) - b))
+
+
 def test_gamma_dual_rows_match_row_loops(monkeypatch):
     progs = []
     solve = lp.solve
@@ -164,22 +176,101 @@ def test_gamma_dual_rows_match_row_loops(monkeypatch):
     for dim in (1, 2):
         for _ in range(6):
             mu, nu = random_convex_order_pair(rng, dim, 5)
-            Z = ms.union_points(mu.points, nu.points)
-            for dual, (A, b) in (
-                    (mot.mot_dual, _mot_dual_rows_by_loop(
-                        mu, nu, eu.pairwise(mu.points, nu.points))),
-                    (mot.mot_dual_symmetric, _symmetric_rows_by_loop(
-                        Z, eu.pairwise(Z, Z)))):
-                progs.clear()
-                dual(mu, nu, eu)
-                prog, = progs
-                assert prog.A.shape == A.shape
-                assert prog.A.tobytes() == A.tobytes()
-                assert prog.b.tobytes() == b.tobytes()
-                assert list(prog.rels) == [lp.LE] * len(b)
-                assert prog.free.all()
-                checked += 1
-    assert checked == 24
+            A, b = _mot_dual_rows_by_loop(
+                mu, nu, eu.pairwise(mu.points, nu.points))
+            progs.clear()
+            mot.mot_dual(mu, nu, eu)
+            prog, = progs
+            assert prog.A.shape == A.shape
+            assert prog.A.tobytes() == A.tobytes()
+            assert prog.b.tobytes() == b.tobytes()
+            assert list(prog.rels) == [lp.LE] * len(b)
+            assert prog.free.all()
+            checked += 1
+    assert checked == 12
+
+
+def test_symmetric_dual_read_off_meets_referee_rows():
+    # the same 12 seeded pairs as test_gamma_dual_rows_match_row_loops; the
+    # per-pair dual rows are the referee of the read-off (f, gamma)
+    rng = np.random.default_rng(311)
+    eu = ms.CostSpec.euclidean()
+    checked = 0
+    for dim in (1, 2):
+        for _ in range(6):
+            mu, nu = random_convex_order_pair(rng, dim, 5)
+            sym, value = mot.mot_dual_symmetric(mu, nu, eu)
+            A, b, ref = _symmetric_referee(mu, nu, eu)
+            assert sym.points.tobytes() == \
+                ms.union_points(mu.points, nu.points).tobytes()
+            assert _symmetric_row_excess(sym, A, b) <= 1e-9
+            assert ref.status == lp.OPTIMAL
+            assert abs(value - ref.value) <= 1e-9
+            with pytest.raises(NotInConvexOrder):
+                mot.mot_dual_symmetric(nu, mu, eu)
+            checked += 1
+    assert checked == 12
+
+
+@st.composite
+def lattice_martingale_pairs(draw):
+    """(mu, nu, cost): mu on distinct points of the integer lattice
+    {-2..2}^d (d = 1, 2) with equal or lattice weights; nu spreads some
+    atoms x of mu to x - e and x + e with half the weight each, e a
+    nonzero step in {-1, 0, 1}^d, so mu precedes nu strictly in convex
+    order and atoms of nu pile up on shared lattice points."""
+    d = draw(st.sampled_from([1, 2]))
+    coord = st.integers(-2, 2)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=3,
+                        unique=True))
+    k = len(pts)
+    w = [1] * k if draw(st.booleans()) else \
+        draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    step = st.tuples(*[st.integers(-1, 1)] * d)
+    steps = draw(st.lists(step, min_size=k, max_size=k).filter(
+        lambda es: any(any(e) for e in es)))
+    table = {}
+    for x, wx, e in zip(pts, w, steps):
+        for sgn in ((-1, 1) if any(e) else (0,)):
+            y = tuple(xi + sgn * ei for xi, ei in zip(x, e))
+            table[y] = table.get(y, 0.0) + (wx / 2 if any(e) else wx)
+    total = float(sum(w))
+    mu = ms.new_measure(d, np.array(pts, dtype=float), np.array(w) / total)
+    ys = sorted(table)
+    nu = ms.new_measure(d, np.array(ys, dtype=float),
+                        np.array([table[y] for y in ys]) / total)
+    cost = draw(st.sampled_from([ms.CostSpec.euclidean(),
+                                 ms.CostSpec.sq_euclidean()]))
+    return mu, nu, cost
+
+
+def _mot_outputs(mu, nu, cost):
+    coupling, vp = mot.mot_primal(mu, nu, cost)
+    dual, vd = mot.mot_dual(mu, nu, cost)
+    sym, vs = mot.mot_dual_symmetric(mu, nu, cost)
+    return (coupling, vp), (dual, vd), (sym, vs)
+
+
+@given(lattice_martingale_pairs())
+def test_tie_heavy_martingale_pairs(pair):
+    mu, nu, cost = pair
+    (coupling, vp), (dual, vd), (sym, vs) = _mot_outputs(mu, nu, cost)
+    assert abs(vp - vd) <= 1e-9
+    assert dual.max_violation(cost) <= 1e-9
+    assert vs <= vd + 1e-9
+    A, b, _ = _symmetric_referee(mu, nu, cost)
+    assert _symmetric_row_excess(sym, A, b) <= 1e-9
+    assert co.convex_order_check(mu, nu).in_order
+    assert not co.convex_order_check(nu, mu).in_order
+    with pytest.raises(NotInConvexOrder):
+        mot.mot_dual_symmetric(nu, mu, cost)
+    (coupling2, vp2), (dual2, vd2), (sym2, vs2) = _mot_outputs(mu, nu, cost)
+    assert coupling2.mass.tobytes() == coupling.mass.tobytes()
+    for a, b2 in ((dual.u, dual2.u), (dual.v, dual2.v),
+                  (dual.gamma, dual2.gamma), (sym.f, sym2.f),
+                  (sym.gamma, sym2.gamma)):
+        assert a.tobytes() == b2.tobytes()
+    assert (vp, vd, vs) == (vp2, vd2, vs2)
 
 
 # --- simplex inequalities -----------------------------------------------------
@@ -438,7 +529,8 @@ def _referee_feasible(D, r):
     """The (n - 1)-row system solved directly for g."""
     d = D.shape[1]
     return lp.check_feasibility(D, (lp.LE,) * len(r), r,
-                                free=np.ones(d, dtype=bool)).feasible
+                                free=np.ones(d, dtype=bool)).status \
+        == lp.OPTIMAL
 
 
 def test_farkas_point_matches_direct_system():

@@ -15,12 +15,19 @@ Pivot rule: the entering column has the most negative reduced cost
 (Dantzig; ties go to the smallest index); the leaving row is chosen
 lexicographically on the ratios of [rhs | basis-inverse] rows, which breaks
 every tie without a tolerance and rules out cycling under any entering
-rule. The basis-inverse block is carried in the tableau; derived rows are
-recomputed from the basis periodically and the whole tableau is rebuilt
-exactly if a basis ever repeats. Phase 1 pivots only when some artificial
-starts above zero. On numerical breakdown the solve restarts on a fixed
-ladder of pivot tolerances, and the result names each abandoned rung in
-``breakdowns``.
+rule. Rows still tied on the rhs ratio are compared only on the
+basis-inverse columns that are nonzero on some tied row; a column of zeros
+there gives every tied row the same ratio, so skipping it is exact and the
+choice is the one a full column-by-column scan makes. The basis-inverse
+block is carried in the tableau; derived rows are recomputed from the
+basis periodically and the whole tableau is rebuilt exactly if a basis
+ever repeats. When phase 2 ends right after a refresh, the result reuses
+that refresh's duals, and its basic values unless it was the full one,
+instead of solving the final basis again. Phase 1 pivots only when some
+artificial starts above zero. On numerical breakdown the solve restarts
+on a fixed ladder of pivot tolerances, and the result names each
+abandoned rung in ``breakdowns``. ``LpSolution.iterations`` counts the
+pivots of both phases.
 
 There is one solve path. ``check_feasibility`` is ``solve`` with a zero
 objective and returns its ``LpSolution``: OPTIMAL with a feasible
@@ -201,7 +208,8 @@ def _refresh_tableau(T, n_cols, basis, M, b, costs, full=False):
     matrix block, resetting the lexicographic block to the identity (a
     fresh, exactly valid perturbation state for the current tableau).
     A singular basis raises: continuing on least-squares output would
-    poison every later pivot decision."""
+    poison every later pivot decision. Returns the basic values and the
+    duals ``(xb, y)`` it solved for."""
     B = M[:, basis]
     try:
         if full:
@@ -224,6 +232,7 @@ def _refresh_tableau(T, n_cols, basis, M, b, costs, full=False):
     T[-1, basis] = 0.0
     T[-1, n_cols:-1] = 0.0
     T[-1, -1] = -float(costs[basis] @ xb)
+    return xb, y
 
 
 def _lex_leaving(T, n_cols, basis, rows, col, m):
@@ -231,17 +240,22 @@ def _lex_leaving(T, n_cols, basis, rows, col, m):
 
     Degenerate rows may carry tiny negative rhs after a refresh; the rhs
     component is clamped so steps stay degenerate rather than infeasible.
+    Rows still tied after the rhs are compared, in column order, only on
+    the basis-inverse columns that are nonzero on some tied row: a column
+    of +-0 on every candidate gives them all the ratio 0 and keeps every
+    one, so skipping it leaves the choice exactly as a full scan makes it.
     """
     cand = rows
     vals = np.maximum(T[cand, -1], 0.0) / col[cand]
     best = vals.min()
     cand = cand[vals <= best + 1e-12 * (1.0 + abs(best))]
-    k = 0
-    while cand.size > 1 and k < m:
-        vals = T[cand, n_cols + k] / col[cand]
-        best = vals.min()
-        cand = cand[vals <= best + 1e-12 * (1.0 + abs(best))]
-        k += 1
+    if cand.size > 1:
+        for k in np.flatnonzero(T[cand, n_cols:n_cols + m].any(axis=0)):
+            vals = T[cand, n_cols + k] / col[cand]
+            best = vals.min()
+            cand = cand[vals <= best + 1e-12 * (1.0 + abs(best))]
+            if cand.size == 1:
+                break
     if cand.size > 1:
         cand = cand[np.argsort([basis[i] for i in cand])]
     return int(cand[0])
@@ -252,7 +266,8 @@ def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase, M, b, costs):
     reduced cost below -feas_tol, the smallest index on a tie. Leaving:
     lexicographic. The tableau is rebuilt exactly from (M, b, costs)
     periodically and whenever a basis repeats. Returns ("optimal" |
-    "unbounded", iterations, entering column or None)."""
+    "unbounded", pivots made, entering column or None); the iteration cap
+    bounds the pricing passes, one more than the pivots."""
     it = 0
     m = len(basis)
     period = max(100, 2 * m)
@@ -281,7 +296,7 @@ def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase, M, b, costs):
         z = T[-1, :n_cols]
         entering = np.flatnonzero(allowed & (z < -cfg.feas_tol))
         if entering.size == 0:
-            return "optimal", it, None
+            return "optimal", it - 1, None
         j = int(entering[np.argmin(z[entering])])
         col = T[:-1, j]
         rows = np.flatnonzero(col > cfg.pivot_tol)
@@ -291,7 +306,7 @@ def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase, M, b, costs):
                 # missing leaving row means pivots were lost to tolerance
                 raise NumericalBreakdown(
                     "phase 1: no admissible pivot above tolerance")
-            return "unbounded", it, j
+            return "unbounded", it - 1, j
         r = _lex_leaving(T, n_cols, basis, rows, col, m)
         _pivot(T, basis, r, j)
 
@@ -299,7 +314,7 @@ def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase, M, b, costs):
 def _phase1(std: _Standardized, cfg: SolverConfig):
     """Find a basic feasible point or a Farkas certificate.
 
-    Returns (status, T, basis, M_aug, n_art, farkas, iterations). M_aug is
+    Returns (status, T, basis, M_aug, n_art, farkas, pivots). M_aug is
     the unflipped standard matrix with artificial columns appended;
     artificials stay in the basis at level zero when rows are redundant,
     so no rows are ever deleted.
@@ -391,6 +406,7 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
         j = int(np.argmax(np.abs(row)))
         if abs(row[j]) > 1e-7:
             _pivot(T, basis, i, j)
+            iterations += 1
 
     return "feasible", T, basis, M_aug, n_art, None, iterations
 
@@ -412,20 +428,22 @@ def _validate_ray(M_aug, c_aug, n_real, basis, j, cfg) -> None:
         raise NumericalBreakdown("unboundedness ray failed validation")
 
 
-def _extract_primal(M_aug, b, n_real, T, basis, cfg) -> np.ndarray:
+def _extract_primal(M_aug, b, n_real, T, basis, cfg, xb) -> np.ndarray:
     """Basic solution from the final basis, refined against the original
-    data when the basis is well behaved, else read off the tableau. The
-    result is validated on the augmented standard system and truncated to
-    the real (non-artificial) columns."""
+    data when the basis is well behaved, else read off the tableau. ``xb``
+    is B^-1 b when a plain refresh has just solved for it; otherwise it is
+    solved here. The result is validated on the augmented standard system
+    and truncated to the real (non-artificial) columns."""
     scale = 1.0 + np.abs(b).max(initial=0.0)
     candidates = []
-    B = M_aug[:, basis]
-    try:
-        xb = np.linalg.solve(B, b)
-        if np.isfinite(xb).all() and xb.min(initial=0.0) > -1e-6 * scale:
-            candidates.append(xb)
-    except np.linalg.LinAlgError:
-        pass
+    if xb is None:
+        try:
+            xb = np.linalg.solve(M_aug[:, basis], b)
+        except np.linalg.LinAlgError:
+            pass
+    if xb is not None and np.isfinite(xb).all() \
+            and xb.min(initial=0.0) > -1e-6 * scale:
+        candidates.append(xb)
     candidates.append(T[:len(basis), -1])
     thresh = max(1e-8, cfg.feas_tol) * scale
     for xb in candidates:
@@ -489,11 +507,17 @@ def _solve_once(lp: LinearProgram, config: SolverConfig) -> LpSolution:
     cap = config.iteration_cap(std.m, n_cols)
     it2 = 0
     # pivot to optimality; the first refresh is full, installing a fresh
-    # lexicographic state, later ones keep drift from ending phase 2 early
+    # lexicographic state, later ones keep drift from ending phase 2 early.
+    # A closing refresh has solved the final basis already: its duals are
+    # kept, and its basic values too unless it was the full one, whose
+    # solve against [M | b] may differ from B^-1 b in the last bits
     for round_ in range(4):
-        _refresh_tableau(T, n_cols, basis, M_aug, std.b, c_aug,
-                         full=(round_ == 0))
+        full = round_ == 0
+        xb, y = _refresh_tableau(T, n_cols, basis, M_aug, std.b, c_aug,
+                                 full=full)
         if not np.any(T[-1, :n] < -config.feas_tol):
+            if full:
+                xb = None
             break
         outcome, extra, j = _pivot_loop(T, n_cols, basis, allowed, config,
                                         cap, 2, M_aug, std.b, c_aug)
@@ -501,12 +525,15 @@ def _solve_once(lp: LinearProgram, config: SolverConfig) -> LpSolution:
         if outcome == "unbounded":
             _validate_ray(M_aug, c_aug, n, basis, j, config)
             return LpSolution(status=UNBOUNDED, iterations=it1 + it2)
+    else:
+        # the last round ended on pivots: nothing has solved this basis
+        xb = y = None
 
     # refine primal and dual values from the final basis using the
     # original, drift-free data
-    z = _extract_primal(M_aug, std.b, n, T, basis, config)
-    B = M_aug[:, basis]
-    y = _solve_or_lstsq(B.T, c_aug[basis])
+    z = _extract_primal(M_aug, std.b, n, T, basis, config, xb)
+    if y is None:
+        y = _solve_or_lstsq(M_aug[:, basis].T, c_aug[basis])
     value_int = float(std.c @ z)
 
     x_user = std.user_primal(z)

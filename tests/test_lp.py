@@ -8,7 +8,10 @@ from conftest import (
     transport_value_by_vertex_enumeration,
 )
 from transportkit import lp
+from transportkit.convex_order import convex_order_check
 from transportkit.errors import NumericalBreakdown
+from transportkit.measures import cost_from_json, new_measure
+from transportkit.mot import mot_primal
 
 
 def test_max_bounded_by_one():
@@ -101,16 +104,19 @@ def test_determinism_bitwise():
     assert a.dual.tobytes() == b.dual.tobytes()
 
 
-def test_beale_cycling_lp():
-    # Beale (1955): most-negative-reduced-cost entering with a smallest-index
-    # tie-break among the tied ratios cycles forever from the slack basis;
-    # the lexicographic leaving rule must reach the optimum instead
+def _beale_lp():
     c = [-0.75, 20.0, -0.5, 6.0]
     A = [[0.25, -8.0, -1.0, 9.0],
          [0.5, -12.0, -0.5, 3.0],
          [0.0, 0.0, 1.0, 0.0]]
-    sol = lp.solve(lp.LinearProgram(c, "min", A, [lp.LE] * 3,
-                                    [0.0, 0.0, 1.0]))
+    return lp.LinearProgram(c, "min", A, [lp.LE] * 3, [0.0, 0.0, 1.0])
+
+
+def test_beale_cycling_lp():
+    # Beale (1955): most-negative-reduced-cost entering with a smallest-index
+    # tie-break among the tied ratios cycles forever from the slack basis;
+    # the lexicographic leaving rule must reach the optimum instead
+    sol = lp.solve(_beale_lp())
     assert sol.status == lp.OPTIMAL
     assert sol.value == -1.25
     assert sol.primal.tolist() == [1.0, 0.0, 1.0, 0.0]
@@ -164,6 +170,158 @@ def test_tie_heavy_lps_match_vertex_enumeration(prog):
     assert sol.value == again.value
     assert sol.primal.tobytes() == again.primal.tobytes()
     assert sol.dual.tobytes() == again.dual.tobytes()
+
+
+def test_iterations_count_pivots():
+    # Beale's LP starts from its slack basis and takes two phase-2 pivots
+    assert lp.solve(_beale_lp()).iterations == 2
+    # x1 = x2 = x3 starts feasible with two artificials at level 0; the
+    # two pivots that drive them out are the only pivots of the solve
+    sol = lp.solve(lp.LinearProgram(
+        [1.0, 1.0, 1.0], "min", [[1, -1, 0], [0, 1, -1], [1, 1, 1]],
+        [lp.EQ, lp.EQ, lp.LE], [0.0, 0.0, 1.0]))
+    assert sol.status == lp.OPTIMAL and sol.value == 0.0
+    assert sol.iterations == 2
+
+
+def test_final_basis_solved_when_rounds_end_on_pivots(monkeypatch):
+    # max sum (j+1) x_j s.t. (j+2) x_j <= 1 has one optimal basis. Each
+    # of the first three phase-2 rounds may enter only column r, so the
+    # fourth and last round pivots after its refresh and the loop ends
+    # without a closing refresh: primal and duals must then be solved
+    # from the final basis, not taken from the last refresh
+    n = 6
+    prog = lp.LinearProgram(np.arange(1.0, n + 1), "max",
+                            np.diag(np.arange(2.0, n + 2)), [lp.LE] * n,
+                            np.ones(n))
+    ref = lp.solve(prog)
+    real_loop, real_refresh = lp._pivot_loop, lp._refresh_tableau
+    pivots, refreshed = [], []
+
+    def staged(T, n_cols, basis, allowed, *rest):
+        if len(pivots) < 3:
+            allowed = allowed & (np.arange(n_cols) == len(pivots))
+        out = real_loop(T, n_cols, basis, allowed, *rest)
+        pivots.append(out[1])
+        return out
+
+    def recorded(*args, **kw):
+        refreshed.append(real_refresh(*args, **kw))
+        return refreshed[-1]
+    monkeypatch.setattr(lp, "_pivot_loop", staged)
+    monkeypatch.setattr(lp, "_refresh_tableau", recorded)
+    sol = lp.solve(prog)
+    assert pivots == [1, 1, 1, 3] and len(refreshed) == 4
+    assert sol.status == lp.OPTIMAL and sol.iterations == ref.iterations
+    assert max(sol.residuals.values()) <= 1e-9, sol.residuals
+    assert sol.value == ref.value
+    assert sol.primal.tobytes() == ref.primal.tobytes()
+    assert sol.dual.tobytes() == ref.dual.tobytes()
+    # the last refresh saw a basis three pivots short of the optimum
+    assert not np.allclose(-refreshed[-1][1], sol.dual)
+
+
+def _lex_leaving_by_columns(T, n_cols, basis, rows, col, m):
+    """The leaving-row rule read one basis-inverse column at a time, every
+    column in turn while a tie remains: the referee of lp._lex_leaving."""
+    cand = rows
+    vals = np.maximum(T[cand, -1], 0.0) / col[cand]
+    best = vals.min()
+    cand = cand[vals <= best + 1e-12 * (1.0 + abs(best))]
+    k = 0
+    while cand.size > 1 and k < m:
+        vals = T[cand, n_cols + k] / col[cand]
+        best = vals.min()
+        cand = cand[vals <= best + 1e-12 * (1.0 + abs(best))]
+        k += 1
+    if cand.size > 1:
+        cand = cand[np.argsort([basis[i] for i in cand])]
+    return int(cand[0])
+
+
+@st.composite
+def lex_tableaux(draw):
+    """A small tableau and entering column 0 with integer-lattice entries.
+    Rhs ratios are mostly forced to tie. A random number of leading
+    basis-inverse columns tie every row: they are +0, -0 (and skipped) or
+    a multiple of column 0 (nonzero, so read, but narrowing nothing), and
+    a later column decides. Rows that are multiples of an earlier row tie
+    to the basis index. Other zeros are signed at random."""
+    m, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    width = n_cols + m + 1
+    T = np.zeros((m + 1, width))
+    for i in range(m):
+        T[i] = draw(st.lists(st.integers(-2, 2), min_size=width,
+                             max_size=width))
+        T[i, 0] = draw(st.integers(-1, 3))
+    T[0, 0] = draw(st.integers(1, 3))
+    ratio = draw(st.sampled_from([None, 0, 1, 2]))
+    if ratio is not None:
+        T[:-1, -1] = ratio * T[:-1, 0]
+    for k in range(draw(st.integers(0, m))):
+        kind = draw(st.sampled_from([0.0, -0.0, "tied"]))
+        T[:-1, n_cols + k] = draw(st.integers(-2, 2)) * T[:-1, 0] \
+            if kind == "tied" else kind
+    for i, src in enumerate(draw(st.lists(st.integers(0, m - 1),
+                                          min_size=m, max_size=m))):
+        if src < i and draw(st.booleans()):
+            T[i] = draw(st.integers(1, 3)) * T[src]
+    flips = np.array(draw(st.lists(st.booleans(), min_size=m * width,
+                                   max_size=m * width))).reshape(m, width)
+    T[:-1][flips & (T[:-1] == 0)] = -0.0
+    basis = draw(st.permutations(range(n_cols + m)))[:m]
+    return T, n_cols, basis, m
+
+
+@given(lex_tableaux())
+def test_lex_leaving_matches_column_scan(case):
+    T, n_cols, basis, m = case
+    col = T[:-1, 0]
+    rows = np.flatnonzero(col > lp.DEFAULT_CONFIG.pivot_tol)
+    assert lp._lex_leaving(T, n_cols, basis, rows, col, m) == \
+        _lex_leaving_by_columns(T, n_cols, basis, rows, col, m)
+
+
+def _spread_pair(seed):
+    """8 atoms in [-1, 1]^2, each split along a random direction into two
+    atoms with the same barycenter: an 8 x 16 pair in convex order."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, (8, 2))
+    w = rng.uniform(0.5, 1.5, 8)
+    pts, wts = [], []
+    for x, wx in zip(X, w / w.sum()):
+        ang = rng.uniform(0, 2 * np.pi)
+        u = np.array([np.cos(ang), np.sin(ang)])
+        s1, s2 = rng.uniform(0.1, 0.5, size=2)
+        pts += [x + s1 * u, x - s2 * u]
+        wts += [wx * s2 / (s1 + s2), wx * s1 / (s1 + s2)]
+    wts = np.asarray(wts)
+    return (new_measure(2, X, w / w.sum()),
+            new_measure(2, np.asarray(pts), wts / wts.sum()))
+
+
+def test_lex_leaving_matches_column_scan_on_martingale_pair(monkeypatch):
+    real = lp._lex_leaving
+    choices, tied = [], []
+
+    def refereed(T, n_cols, basis, rows, col, m):
+        r = real(T, n_cols, basis, rows, col, m)
+        choices.append(r == _lex_leaving_by_columns(T, n_cols, basis, rows,
+                                                    col, m))
+        vals = np.maximum(T[rows, -1], 0.0) / col[rows]
+        best = vals.min()
+        tied.append(np.sum(vals <= best + 1e-12 * (1.0 + abs(best))) > 1)
+        return r
+    monkeypatch.setattr(lp, "_lex_leaving", refereed)
+    mu, nu = _spread_pair(7)
+    assert convex_order_check(mu, nu).in_order
+    assert not convex_order_check(nu, mu).in_order
+    _, value = mot_primal(mu, nu, cost_from_json({"kind": "euclidean"}))
+    assert value > 0
+    assert len(choices) > 100 and all(choices)
+    # the martingale rows' zero rhs makes some choices tie past the rhs,
+    # so the basis-inverse columns decide them
+    assert sum(tied) > 10
 
 
 def _first_rung_breaks(monkeypatch, name):

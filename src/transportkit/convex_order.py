@@ -164,6 +164,7 @@ def _martingale_rows(mu: DiscreteMeasure, nu: DiscreteMeasure):
     in the fixed row order: m row sums, n column sums, then d barycenter
     rows per source point."""
     m, n, d = len(mu), len(nu), mu.dim
+    lp.check_size(m + n + m * d, m * n)
     bary = np.zeros((m, d, m, n))
     # row (i, axis) holds y_j[axis] - x_i[axis] on the columns of source i
     bary[np.arange(m), :, np.arange(m), :] = \

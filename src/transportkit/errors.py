@@ -44,7 +44,7 @@ class NumericalBreakdown(TransportkitError):
 # --- transport solvers ---
 
 class ProductTooLarge(TransportkitError):
-    """Multimarginal product support exceeds the dense-tensor guard."""
+    """An LP's dense tableau would exceed ``lp.DENSE_BUDGET_BYTES``."""
 
 
 class NotAMetric(TransportkitError):

@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalBreakdown
+from .errors import NumericalBreakdown, ProductTooLarge
 
 LE, EQ, GE = "<=", "==", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -73,6 +73,24 @@ class SolverConfig:
 
 
 DEFAULT_CONFIG = SolverConfig()
+
+# Largest dense tableau a solve may build. At its peak a solve holds about
+# eight arrays of the tableau's size (standard form, phase-1 matrices,
+# tableau, refresh solve, pivot outer product: tracemalloc measured 7.6-7.8x
+# on OT solves), so this keeps a solve near 1 GB; each pivot at this size
+# already sweeps ~17 M entries.
+DENSE_BUDGET_BYTES = 128 * 2 ** 20
+
+
+def check_size(n_rows: int, n_cols: int) -> None:
+    """Refuse an LP whose dense tableau, 8 (rows + 1)(cols + 2 rows + 1)
+    bytes for rows equality rows over cols variables, exceeds
+    ``DENSE_BUDGET_BYTES``. Problem builders call it from the sizes alone,
+    before the cost or the row matrix is allocated."""
+    size = 8 * (n_rows + 1) * (n_cols + 2 * n_rows + 1)
+    if size > DENSE_BUDGET_BYTES:
+        raise ProductTooLarge(f"{n_rows} x {n_cols} LP needs {size >> 20} "
+                              f"MiB, over {DENSE_BUDGET_BYTES >> 20} MiB")
 
 
 @dataclass(frozen=True)
@@ -182,14 +200,16 @@ class _Standardized:
 # last row holds the reduced costs and minus the objective value.
 # ---------------------------------------------------------------------------
 
-def _solve_or_lstsq(B, rhs):
+def _solve_basis(B, rhs, during: str) -> np.ndarray:
+    """B^-1 rhs, or NumericalBreakdown when B is singular or the result is
+    not finite, so that the tolerance ladder retries the solve."""
     try:
         out = np.linalg.solve(B, rhs)
-        if np.isfinite(out).all():
-            return out
     except np.linalg.LinAlgError:
-        pass
-    return np.linalg.lstsq(B, rhs, rcond=None)[0]
+        raise NumericalBreakdown(f"basis became singular during {during}")
+    if not np.isfinite(out).all():
+        raise NumericalBreakdown("basis is numerically singular")
+    return out
 
 
 def _pivot(T: np.ndarray, basis: list, r: int, j: int) -> None:
@@ -207,26 +227,20 @@ def _refresh_tableau(T, n_cols, basis, M, b, costs, full=False):
     always the rhs column and reduced-cost row; with ``full`` also the
     matrix block, resetting the lexicographic block to the identity (a
     fresh, exactly valid perturbation state for the current tableau).
-    A singular basis raises: continuing on least-squares output would
-    poison every later pivot decision. Returns the basic values and the
-    duals ``(xb, y)`` it solved for."""
+    A singular basis raises. Returns the basic values and the duals
+    ``(xb, y)`` it solved for."""
     B = M[:, basis]
-    try:
-        if full:
-            m = len(basis)
-            sol = np.linalg.solve(B, np.hstack([M, b[:, None]]))
-            T[:-1, :n_cols] = sol[:, :-1]
-            T[:-1, basis] = 0.0
-            T[range(m), basis] = 1.0
-            T[:-1, n_cols:-1] = np.eye(m)
-            xb = sol[:, -1]
-        else:
-            xb = np.linalg.solve(B, b)
-        y = np.linalg.solve(B.T, costs[basis])
-    except np.linalg.LinAlgError:
-        raise NumericalBreakdown("basis became singular during refresh")
-    if not (np.isfinite(xb).all() and np.isfinite(y).all()):
-        raise NumericalBreakdown("basis is numerically singular")
+    if full:
+        m = len(basis)
+        sol = _solve_basis(B, np.hstack([M, b[:, None]]), "refresh")
+        T[:-1, :n_cols] = sol[:, :-1]
+        T[:-1, basis] = 0.0
+        T[range(m), basis] = 1.0
+        T[:-1, n_cols:-1] = np.eye(m)
+        xb = sol[:, -1]
+    else:
+        xb = _solve_basis(B, b, "refresh")
+    y = _solve_basis(B.T, costs[basis], "refresh")
     T[:-1, -1] = xb
     T[-1, :n_cols] = costs - M.T @ y
     T[-1, basis] = 0.0
@@ -378,8 +392,7 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
             iterations += extra
 
         if art_level > tol:
-            B = M[:, basis]
-            y = _solve_or_lstsq(B.T, c1[basis])
+            y = _solve_basis(M[:, basis].T, c1[basis], "the Farkas ray")
             farkas = flip * y
             viol = farkas @ std.b
             comb = std.A.T @ farkas
@@ -416,7 +429,7 @@ def _validate_ray(M_aug, c_aug, n_real, basis, j, cfg) -> None:
     original data: z_j = 1, z_B = -B^-1 A_j. A near-singular basis can hide
     an admissible pivot below pivot_tol; such a ray fails here and the solve
     is retried on the next rung of the tolerance ladder."""
-    w = _solve_or_lstsq(M_aug[:, basis], M_aug[:, j])
+    w = _solve_basis(M_aug[:, basis], M_aug[:, j], "ray validation")
     z = np.zeros(M_aug.shape[1])
     z[basis] = -w
     z[j] = 1.0
@@ -533,7 +546,7 @@ def _solve_once(lp: LinearProgram, config: SolverConfig) -> LpSolution:
     # original, drift-free data
     z = _extract_primal(M_aug, std.b, n, T, basis, config, xb)
     if y is None:
-        y = _solve_or_lstsq(M_aug[:, basis].T, c_aug[basis])
+        y = _solve_basis(M_aug[:, basis].T, c_aug[basis], "dual extraction")
     value_int = float(std.c @ z)
 
     x_user = std.user_primal(z)

@@ -6,11 +6,10 @@ through per-point gamma fields, generation and extension of the associated
 function class, uniform convexity and smoothness certificates, and the
 martingale triangle inequality checks (sampled and second-order).
 
-The symmetric dual (f, gamma) on a support union of u points is read off
-the row duals of its primal twin, a flow-and-barycenter LP with u (1 + d)
-rows. ``mot_dual`` still solves its own dual LP (m n rows): on small
-pairs that is faster than reading it off the martingale primal
-(m + n + m d rows), which takes several times the pivots.
+``mot_primal`` and ``mot_dual`` solve one martingale LP (m + n + m d rows)
+and the dual is read off its row multipliers; the symmetric dual (f, gamma)
+on a support union of u points is read off a flow-and-barycenter primal
+with u (1 + d) rows.
 
 Gamma convention: a certificate for (f1, f2) satisfies
 f1(x) - f2(y) <= c(x, y) + <gamma(x), y - x> on the checked sets. Uniform
@@ -158,18 +157,26 @@ class ExtendResult:
 # Martingale transport LPs
 # ---------------------------------------------------------------------------
 
-def mot_primal(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
-               config: lp.SolverConfig = lp.DEFAULT_CONFIG):
-    """Cheapest martingale coupling; returns (Coupling, value)."""
+def _solve_martingale(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                      cost: CostSpec, what: str, config) -> lp.LpSolution:
+    """The LP over martingale couplings, whose row multipliers are the
+    dual (u, -v, gamma); raises unless it is optimal."""
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
+    A, rels, b = _martingale_rows(mu, nu)
     C = cost.pairwise(mu.points, nu.points)
-    sol = lp.solve(lp.LinearProgram(C.ravel(), "min",
-                                    *_martingale_rows(mu, nu)), config)
+    sol = lp.solve(lp.LinearProgram(C.ravel(), "min", A, rels, b), config)
     if sol.status == lp.INFEASIBLE:
         raise NotInConvexOrder("no martingale coupling exists")
     if sol.status != lp.OPTIMAL:
-        raise NumericalBreakdown(f"mot_primal: LP terminated {sol.status}")
+        raise NumericalBreakdown(f"{what}: LP terminated {sol.status}")
+    return sol
+
+
+def mot_primal(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
+               config: lp.SolverConfig = lp.DEFAULT_CONFIG):
+    """Cheapest martingale coupling; returns (Coupling, value)."""
+    sol = _solve_martingale(mu, nu, cost, "mot_primal", config)
     mass = sol.primal.reshape(len(mu), len(nu))
     return Coupling(mu, nu, mass / mass.sum(), marginal_consistent=True), \
         float(sol.value)
@@ -179,33 +186,15 @@ def mot_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
              config: lp.SolverConfig = lp.DEFAULT_CONFIG):
     """Optimal (u, v, gamma); value matches mot_primal by LP duality.
 
-    One row per pair (i, j):  u_i - v_j + <gamma_i, y_j - x_i> <= c(x_i, y_j).
+    u, -v and gamma are the multipliers of the martingale primal's source,
+    target and barycenter rows; they meet one row per pair (i, j):
+    u_i - v_j + <gamma_i, y_j - x_i> <= c(x_i, y_j).
     """
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
-    m, n, d = len(mu), len(nu), mu.dim
-    C = cost.pairwise(mu.points, nu.points)
-    nvar = m + n + m * d
-    I, J = np.divmod(np.arange(m * n), n)
-    rows = np.arange(m * n)
-    A = np.zeros((m * n, nvar))
-    A[rows, I] = 1.0
-    A[rows, m + J] = -1.0
-    A[rows[:, None], m + n + I[:, None] * d + np.arange(d)] = \
-        nu.points[J] - mu.points[I]
-    objective = np.concatenate([mu.weights, -nu.weights, np.zeros(m * d)])
-    sol = lp.solve(lp.LinearProgram(objective, "max", A, (lp.LE,) * len(A),
-                                    C.ravel(), np.ones(nvar, dtype=bool)),
-                   config)
-    if sol.status == lp.UNBOUNDED:
-        raise NotInConvexOrder(
-            "dual is unbounded: the pair is not in convex order")
-    if sol.status != lp.OPTIMAL:
-        raise NumericalBreakdown(f"mot_dual: LP terminated {sol.status}")
-    dual = GammaDual(mu.points, nu.points,
-                     sol.primal[:m].copy(), sol.primal[m:m + n].copy(),
-                     sol.primal[m + n:].reshape(m, d).copy())
-    return dual, float(sol.value)
+    sol = _solve_martingale(mu, nu, cost, "mot_dual", config)
+    m, n, y = len(mu), len(nu), sol.dual
+    dual = GammaDual(mu.points, nu.points, y[:m], -y[m:m + n],
+                     y[m + n:].reshape(m, mu.dim))
+    return dual, dual.objective(mu, nu)
 
 
 def mot_dual_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -230,6 +219,7 @@ def mot_dual_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure,
     if np.max(np.abs(diag)) > 1e-12:
         raise NonVanishingDiagonal(
             f"|c(z, z)| reaches {np.max(np.abs(diag)):.3e} on the union")
+    lp.check_size(u * (1 + d), u * (u - 1))
     C = cost.pairwise(Z, Z)
     I, J = np.nonzero(~np.eye(u, dtype=bool))
     cols = np.arange(I.size)

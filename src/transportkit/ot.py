@@ -14,6 +14,7 @@ f(x) - f(y) = d(x, y) with x from the first marginal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ from .errors import (
     NotAFixedPoint,
     NotAMetric,
     NumericalBreakdown,
-    ProductTooLarge,
 )
 from .measures import (
     Coupling,
@@ -38,7 +38,6 @@ from .measures import (
     values_on,
 )
 
-PRODUCT_GUARD = 10 ** 6
 FEAS_MARGIN = 1e-9
 
 
@@ -117,6 +116,8 @@ class TightSet:
 def _check_dims(mu: DiscreteMeasure, nu: DiscreteMeasure):
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"marginal dims {mu.dim} vs {nu.dim}")
+    # before the cost matrix is built
+    lp.check_size(len(mu) + len(nu), len(mu) * len(nu))
 
 
 def _require_optimal(sol: lp.LpSolution, what: str) -> lp.LpSolution:
@@ -134,7 +135,8 @@ def _marginal_rows(measures):
     product of the supports (flattened in C order): for each measure in
     turn, one row per atom."""
     sizes = tuple(len(m) for m in measures)
-    N = int(np.prod(sizes))
+    N = math.prod(sizes)
+    lp.check_size(sum(sizes), N)
     cols = np.arange(N)
     offsets = np.cumsum((0,) + sizes[:-1])
     A = np.zeros((sum(sizes), N))
@@ -289,15 +291,6 @@ def kr_tight_check(f: KrPotential, coupling: Coupling,
 # Multimarginal transport
 # ---------------------------------------------------------------------------
 
-def _multi_guard(sizes):
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > PRODUCT_GUARD:
-        raise ProductTooLarge(
-            f"product support has {total} entries, guard is {PRODUCT_GUARD}")
-
-
 def _solve_multimarginal(measures, cost: MultiCost, what, config):
     measures = list(measures)
     if len(measures) < 2:
@@ -305,8 +298,9 @@ def _solve_multimarginal(measures, cost: MultiCost, what, config):
     dim = measures[0].dim
     if any(m.dim != dim for m in measures):
         raise DimensionMismatch("marginals have unequal dims")
+    sizes = [len(m) for m in measures]
+    lp.check_size(sum(sizes), math.prod(sizes))
     supports = tuple(m.points for m in measures)
-    _multi_guard([len(m) for m in measures])
     sol = _solve_couplings(measures, cost.tensor(supports), what, config)
     return measures, supports, sol
 
@@ -368,7 +362,8 @@ def multi_c_convexify(partial, cost: MultiCost, supports) -> MultiPotentials:
     if len(partial) != k:
         raise DimensionMismatch(f"{len(partial)} tables for {k} supports")
     sizes = [s.shape[0] for s in supports]
-    _multi_guard(sizes)
+    # the budget of the multimarginal LP over the same supports
+    lp.check_size(sum(sizes), math.prod(sizes))
 
     index_of = [{point_key(p): t for t, p in enumerate(s)} for s in supports]
     A_idx = []

@@ -8,8 +8,10 @@ the seed alone.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from transportkit import lp
@@ -65,6 +67,17 @@ def random_convex_order_pair(rng: np.random.Generator, dim: int,
     nu = mean_preserving_spread(rng, mu,
                                 int(rng.integers(1, max_spreads + 1)))
     return mu, nu
+
+
+def traced_refusal_peak(error, call) -> int:
+    """Peak bytes traced while ``call()`` raises ``error``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_bounded_lp(rng: np.random.Generator, max_vars: int,

@@ -230,12 +230,13 @@ def test_class_certify_and_generate(capsys):
                                            pytest.approx(-0.5)]
 
 
-def test_exit_code_2_not_in_convex_order(measures, capsys):
+@pytest.mark.parametrize("cmd", ["solve", "dual"])
+def test_exit_code_2_not_in_convex_order(measures, capsys, cmd):
     code, report = run(capsys, [
-        "mot", "solve", "--mu", measures["pm1"], "--nu", measures["d0"],
+        "mot", cmd, "--mu", measures["pm1"], "--nu", measures["d0"],
         "--cost", '{"kind":"euclidean"}'])
     assert code == 2
-    assert "error" in report["results"]
+    assert report["results"]["error"] == "no martingale coupling exists"
 
 
 def test_out_file(measures, tmp_path, capsys):

@@ -355,6 +355,41 @@ def test_unbounded_detection():
     assert sol.status == lp.UNBOUNDED
 
 
+def test_singular_basis_solve_raises():
+    # a singular or overflowing basis solve is a breakdown for the
+    # tolerance ladder, never a least-squares guess
+    with pytest.raises(NumericalBreakdown,
+                       match="basis became singular during refresh"):
+        lp._solve_basis(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2),
+                        "refresh")
+    with pytest.raises(NumericalBreakdown, match="numerically singular"):
+        lp._solve_basis(np.diag([1e-300, 1.0]), np.array([1e10, 1.0]),
+                        "refresh")
+
+
+def test_validate_ray_rejects_false_rays():
+    # one row x0 - x1 + x2 + a = 0 with a artificial (n_real = 3); on
+    # basis {x0}, column 1 gives the ray z = (1, 1, 0, 0), which improves
+    # min -x1 and is accepted
+    M = np.array([[1.0, -1.0, 1.0, 1.0]])
+    cfg = lp.DEFAULT_CONFIG
+    lp._validate_ray(M, np.array([0.0, -1.0, 0.0, 0.0]), 3, [0], 1, cfg)
+    with pytest.raises(NumericalBreakdown, match="ray failed validation"):
+        # the ray does not improve a zero objective
+        lp._validate_ray(M, np.zeros(4), 3, [0], 1, cfg)
+    with pytest.raises(NumericalBreakdown, match="ray failed validation"):
+        # column 2 has the admissible pivot B^-1 A_2 = 1
+        lp._validate_ray(M, np.array([0.0, 0.0, -1.0, 0.0]), 3, [0], 2, cfg)
+    with pytest.raises(NumericalBreakdown, match="ray failed validation"):
+        # on the artificial basis {a} the ray (0, 1, 0, 1) leaves the
+        # real row unbalanced
+        lp._validate_ray(M, np.array([0.0, -1.0, 0.0, 0.0]), 3, [3], 1, cfg)
+    with pytest.raises(NumericalBreakdown,
+                       match="singular during ray validation"):
+        lp._validate_ray(np.array([[0.0, 1.0]]), np.array([0.0, -1.0]), 2,
+                         [0], 1, cfg)
+
+
 def test_free_variables_hidden_split():
     # x is free, so min 2x + y with x + y = 3 drives x down to its row
     # bound x >= -2; the internal positive split must stay invisible

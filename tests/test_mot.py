@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import nu3, pm1, random_convex_order_pair
+from conftest import (
+    nu3,
+    pm1,
+    random_convex_order_pair,
+    traced_refusal_peak,
+)
 from transportkit import convex_order as co, lp, measures as ms, mot
 from transportkit.errors import (
     EmptyAtoms,
@@ -13,6 +18,7 @@ from transportkit.errors import (
     LowerBoundViolation,
     NonVanishingDiagonal,
     NotInConvexOrder,
+    ProductTooLarge,
 )
 from transportkit.functions import Box, FunctionEvaluator, Grid, ModulusSpec
 
@@ -45,6 +51,18 @@ def test_mot_primal_examples():
 def test_mot_primal_rejects_unordered():
     with pytest.raises(NotInConvexOrder):
         mot.mot_primal(pm1(), ms.dirac([0.0]), ms.CostSpec.euclidean())
+
+
+def test_mot_primal_size_budget():
+    # 1400 rows over 200 000 couplings: a ~2.2 GB dense tableau, refused
+    # from the sizes before the cost or the rows are built
+    mu = ms.new_measure(1, np.linspace(-1, 1, 200)[:, None],
+                        np.full(200, 1 / 200))
+    nu = ms.new_measure(1, np.linspace(-2, 2, 1000)[:, None],
+                        np.full(1000, 1 / 1000))
+    peak = traced_refusal_peak(ProductTooLarge, lambda: mot.mot_primal(
+        mu, nu, ms.CostSpec.euclidean()))
+    assert peak < 20e6
 
 
 def test_mot_dual_examples():
@@ -161,38 +179,37 @@ def _symmetric_row_excess(sym, A, b):
     return float(np.max(A @ np.concatenate([sym.f, sym.gamma.ravel()]) - b))
 
 
-def test_gamma_dual_rows_match_row_loops(monkeypatch):
-    progs = []
-    solve = lp.solve
-
-    def capture(prog, config=lp.DEFAULT_CONFIG):
-        progs.append(prog)
-        return solve(prog, config)
-
-    monkeypatch.setattr(lp, "solve", capture)
+def test_gamma_dual_read_off_meets_referee_rows():
+    # the one-row-per-pair dual LP, solved directly, is the referee of the
+    # (u, v, gamma) read off the martingale primal
     rng = np.random.default_rng(311)
     eu = ms.CostSpec.euclidean()
     checked = 0
     for dim in (1, 2):
         for _ in range(6):
             mu, nu = random_convex_order_pair(rng, dim, 5)
+            dual, value = mot.mot_dual(mu, nu, eu)
             A, b = _mot_dual_rows_by_loop(
                 mu, nu, eu.pairwise(mu.points, nu.points))
-            progs.clear()
-            mot.mot_dual(mu, nu, eu)
-            prog, = progs
-            assert prog.A.shape == A.shape
-            assert prog.A.tobytes() == A.tobytes()
-            assert prog.b.tobytes() == b.tobytes()
-            assert list(prog.rels) == [lp.LE] * len(b)
-            assert prog.free.all()
+            objective = np.concatenate([mu.weights, -nu.weights,
+                                        np.zeros(A.shape[1] - len(mu)
+                                                 - len(nu))])
+            ref = lp.solve(lp.LinearProgram(
+                objective, "max", A, (lp.LE,) * len(b), b,
+                np.ones(A.shape[1], dtype=bool)))
+            x = np.concatenate([dual.u, dual.v, dual.gamma.ravel()])
+            assert float(np.max(A @ x - b)) <= 1e-9
+            assert ref.status == lp.OPTIMAL
+            assert abs(value - ref.value) <= 1e-9
+            with pytest.raises(NotInConvexOrder):
+                mot.mot_dual(nu, mu, eu)
             checked += 1
     assert checked == 12
 
 
 def test_symmetric_dual_read_off_meets_referee_rows():
-    # the same 12 seeded pairs as test_gamma_dual_rows_match_row_loops; the
-    # per-pair dual rows are the referee of the read-off (f, gamma)
+    # the same 12 seeded pairs as test_gamma_dual_read_off_meets_referee_rows;
+    # the per-pair dual rows are the referee of the read-off (f, gamma)
     rng = np.random.default_rng(311)
     eu = ms.CostSpec.euclidean()
     checked = 0

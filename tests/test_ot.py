@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     kr_certificate_errors,
     random_measure,
+    traced_refusal_peak,
     transport_value_by_vertex_enumeration,
 )
 from transportkit import measures as ms, ot
@@ -297,13 +298,24 @@ def test_multimarginal_k2_agrees_with_two_marginal():
     assert abs(v2 - vk) <= 1e-8
 
 
+def test_coupling_lp_size_budget():
+    # 6000 rows over 9e6 couplings: refused before the 72 MB cost matrix
+    m = ms.new_measure(1, np.arange(3000.0)[:, None], np.full(3000, 1 / 3000))
+    eu = ms.CostSpec.euclidean()
+    for solve in (ot.kantorovich_primal, ot.kantorovich_dual, ot.kr_dual):
+        assert traced_refusal_peak(ProductTooLarge,
+                                   lambda: solve(m, m, eu)) < 20e6
+
+
 def test_multimarginal_guard():
+    # the dense tableau would take ~2.4 GB; the refusal comes from the
+    # sizes, before the cost tensor is built
     m = ms.new_measure(1, [[float(i)] for i in range(101)],
                        np.full(101, 1 / 101))
-    with pytest.raises(ProductTooLarge):
-        ot.multimarginal_primal([m, m, m],
-                                ms.MultiCost.pairwise_sum(
-                                    ms.CostSpec.euclidean()))
+    cost = ms.MultiCost.pairwise_sum(ms.CostSpec.euclidean())
+    peak = traced_refusal_peak(
+        ProductTooLarge, lambda: ot.multimarginal_primal([m, m, m], cost))
+    assert peak < 20e6
 
 
 # --- c-convexification -------------------------------------------------------

@@ -23,15 +23,23 @@ block is carried in the tableau; derived rows are recomputed from the
 basis periodically and the whole tableau is rebuilt exactly if a basis
 ever repeats. When phase 2 ends right after a refresh, the result reuses
 that refresh's duals, and its basic values unless it was the full one,
-instead of solving the final basis again. Phase 1 pivots only when some
-artificial starts above zero. On numerical breakdown the solve restarts
-on a fixed ladder of pivot tolerances, and the result names each
+instead of solving the final basis again. On numerical breakdown the solve
+restarts on a fixed ladder of pivot tolerances, and the result names each
 abandoned rung in ``breakdowns``. ``LpSolution.iterations`` counts the
 pivots of both phases.
 
+Phase 1 starts from the slack/artificial identity, or from a starting
+basis the caller passes to ``solve``: one entry per row, a user column or
+-1 for an artificial on that row (the coupling LPs of ``ot`` pass their
+least-cost staircase). Phase 1 pivots only when some artificial starts
+above zero (for a given basis: above the feasibility tolerance, as the
+artificials of redundant rows carry rounding); a feasible starting basis
+goes straight to phase 2.
+
 There is one solve path. ``check_feasibility`` is ``solve`` with a zero
 objective and returns its ``LpSolution``: OPTIMAL with a feasible
-``primal``, or INFEASIBLE with a Farkas ray in ``farkas``.
+``primal``, or INFEASIBLE with a Farkas ray in ``farkas``. A zero
+objective is optimal at every feasible basis, so it runs no phase 2.
 
 Conventions for the reported dual vector y (one multiplier per constraint):
   sense=min: value = b.y, y <= 0 on "<=" rows, y >= 0 on ">=" rows;
@@ -325,8 +333,14 @@ def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase, M, b, costs):
         _pivot(T, basis, r, j)
 
 
-def _phase1(std: _Standardized, cfg: SolverConfig):
+def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
     """Find a basic feasible point or a Farkas certificate.
+
+    Starts from the slack/artificial identity, or from ``start``: one
+    standard column per row, -1 for an artificial on that row (see
+    ``_start_columns``). A starting basis is installed by a full refresh
+    against the phase-1 costs; a singular one, or one whose basic values
+    fall below -feas_tol (1 + |b|), raises ValueError.
 
     Returns (status, T, basis, M_aug, n_art, farkas, pivots). M_aug is
     the unflipped standard matrix with artificial columns appended;
@@ -337,13 +351,17 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
     flip = np.where(std.b < 0, -1.0, 1.0)
     FA = std.A * flip[:, None]
     fb = std.b * flip
+    tol = cfg.feas_tol * (1.0 + np.abs(fb).max(initial=0.0))
 
-    # a slack column with +1 coefficient after flipping can seed the basis;
-    # every other row gets an artificial
-    basis = np.full(m, -1)
-    slack_col = std.n_struct + np.arange(std.slack_row.size)
-    seeds = std.A[std.slack_row, slack_col] * flip[std.slack_row] > 0
-    basis[std.slack_row[seeds]] = slack_col[seeds]
+    if start is None:
+        # a slack column with +1 coefficient after flipping can seed the
+        # basis; every other row gets an artificial
+        basis = np.full(m, -1)
+        slack_col = std.n_struct + np.arange(std.slack_row.size)
+        seeds = std.A[std.slack_row, slack_col] * flip[std.slack_row] > 0
+        basis[std.slack_row[seeds]] = slack_col[seeds]
+    else:
+        basis = start.copy()
     art_rows = np.flatnonzero(basis < 0)
     basis[art_rows] = n + np.arange(art_rows.size)
     basis = basis.tolist()
@@ -353,28 +371,41 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
     M = np.hstack([FA, E])                       # flipped frame
     M_aug = np.hstack([std.A, flip[:, None] * E])  # unflipped frame
     n_cols = M.shape[1]
-
-    # tableau with the basis-inverse block; the initial basis is the
-    # identity in the flipped frame
-    T = np.zeros((m + 1, n_cols + m + 1))
-    T[:-1, :n_cols] = M
-    T[:-1, n_cols:-1] = np.eye(m)
-    T[:-1, -1] = fb
     c1 = np.zeros(n_cols)
     c1[n:] = 1.0
-    for i in art_rows:
-        T[-1] -= T[i]
-    T[-1, n:n_cols] = 0.0
-    T[-1, n_cols:-1] = 0.0
+
+    # tableau with the basis-inverse block
+    T = np.zeros((m + 1, n_cols + m + 1))
+    if start is None:
+        # the initial basis is the identity in the flipped frame, and the
+        # artificials start at b itself
+        T[:-1, :n_cols] = M
+        T[:-1, n_cols:-1] = np.eye(m)
+        T[:-1, -1] = fb
+        for i in art_rows:
+            T[-1] -= T[i]
+        T[-1, n:n_cols] = 0.0
+        T[-1, n_cols:-1] = 0.0
+        above = fb[art_rows].any()
+    else:
+        try:
+            xb, _ = _refresh_tableau(T, n_cols, basis, M, fb, c1, full=True)
+        except NumericalBreakdown as e:
+            raise ValueError(f"starting basis is singular: {e}") from None
+        if xb.min(initial=0.0) < -tol:
+            raise ValueError(f"starting basis is infeasible: basic value "
+                             f"{xb.min():.3e} below {-tol:.3e}")
+        # the artificials of redundant rows sit at B^-1 b = 0 up to
+        # rounding, which is no reason to pivot
+        above = (xb[art_rows] > tol).any()
 
     iterations = 0
     # artificials that all start at level zero already sit in a feasible
     # basis: no pivot loop runs, and the untouched tableau stays exact
-    if fb[art_rows].any():
+    if above:
         allowed = np.zeros(n_cols, dtype=bool)
         allowed[:n] = True
         cap = cfg.iteration_cap(m, n_cols)
-        tol = cfg.feas_tol * (1.0 + np.abs(fb).max(initial=0.0))
         _, iterations, _ = _pivot_loop(T, n_cols, basis, allowed, cfg,
                                        cap, 1, M, fb, c1)
         # settle the verdict on basis-exact values; if artificials still
@@ -422,6 +453,34 @@ def _phase1(std: _Standardized, cfg: SolverConfig):
             iterations += 1
 
     return "feasible", T, basis, M_aug, n_art, None, iterations
+
+
+def _phase2(T, n_cols, basis, M_aug, b, c_aug, n, cfg):
+    """Pivot from the phase-1 basis to optimality. The first refresh is
+    full, installing a fresh lexicographic state; later ones keep drift
+    from ending phase 2 early. Returns (xb, y, pivots, entering): the
+    column of an unboundedness ray in ``entering``, else None. A closing
+    refresh has solved the final basis already: its duals ``y`` are kept,
+    and its basic values ``xb`` too unless it was the full one, whose
+    solve against [M | b] may differ from B^-1 b in the last bits; both
+    are None when nothing has solved the final basis."""
+    allowed = np.zeros(n_cols, dtype=bool)
+    allowed[:n] = True  # artificials may stay basic at zero, never enter
+    cap = cfg.iteration_cap(len(basis), n_cols)
+    pivots = 0
+    for round_ in range(4):
+        full = round_ == 0
+        xb, y = _refresh_tableau(T, n_cols, basis, M_aug, b, c_aug,
+                                 full=full)
+        if not np.any(T[-1, :n] < -cfg.feas_tol):
+            return (None if full else xb), y, pivots, None
+        outcome, extra, j = _pivot_loop(T, n_cols, basis, allowed, cfg,
+                                        cap, 2, M_aug, b, c_aug)
+        pivots += extra
+        if outcome == "unbounded":
+            return None, None, pivots, j
+    # the last round ended on pivots: nothing has solved this basis
+    return None, None, pivots, None
 
 
 def _validate_ray(M_aug, c_aug, n_real, basis, j, cfg) -> None:
@@ -486,17 +545,50 @@ def _escalation(config: SolverConfig):
             yield replace(config, pivot_tol=pt)
 
 
-def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG) \
-        -> LpSolution:
+def _start_columns(std: _Standardized, lp: LinearProgram, basis) \
+        -> np.ndarray:
+    """A caller's starting basis as standard columns: entry i names the
+    user column basic on row i, or -1 for an artificial on that row.
+    Refuses with ValueError a basis of the wrong length, an entry that is
+    no user column, a repeated column and a free variable."""
+    start = np.asarray(basis)
+    if start.shape != (std.m,):
+        raise ValueError(f"basis needs one entry per row ({std.m}), got "
+                         f"shape {start.shape}")
+    if start.size and start.dtype.kind not in "iu":
+        raise ValueError(f"basis entries must be integers, got "
+                         f"{start.dtype}")
+    if ((start < -1) | (start >= lp.n_vars)).any():
+        raise ValueError(f"basis entries must lie in [-1, {lp.n_vars})")
+    named = start[start >= 0]
+    if len(set(named.tolist())) != named.size:
+        raise ValueError("basis repeats a column")
+    if lp.free[named].any():
+        raise ValueError("basis names a free variable")
+    # a variable that is not free has exactly one standard column
+    return np.where(start >= 0, np.searchsorted(std.var_of, start), -1)
+
+
+def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG,
+          basis=None) -> LpSolution:
     """Solve the LP; deterministic for identical inputs.
+
+    ``basis``, if given, is the starting basis of phase 1: one entry per
+    row, the user column basic on that row or -1 for an artificial there.
+    It must be nonsingular and feasible (basic values B^-1 b >= -feas_tol
+    (1 + |b|)), with no repeated column and no free variable; otherwise
+    ValueError. Phase 1 then pivots only if an artificial starts above
+    the feasibility tolerance.
 
     Each rung of the tolerance ladder is tried until one returns; the
     result's ``breakdowns`` names every abandoned rung. If every rung
     breaks down, the last breakdown is raised."""
+    std = _Standardized(lp)
+    start = None if basis is None else _start_columns(std, lp, basis)
     abandoned = []
     for cfg in _escalation(config):
         try:
-            sol = _solve_once(lp, cfg)
+            sol = _solve_once(lp, std, cfg, start)
         except NumericalBreakdown as e:
             abandoned.append(f"pivot_tol={cfg.pivot_tol:g}: {e}")
             last = e
@@ -506,41 +598,23 @@ def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG) \
     raise last
 
 
-def _solve_once(lp: LinearProgram, config: SolverConfig) -> LpSolution:
-    std = _Standardized(lp)
-    status, T, basis, M_aug, n_art, farkas, it1 = _phase1(std, config)
+def _solve_once(lp: LinearProgram, std: _Standardized,
+                config: SolverConfig, start) -> LpSolution:
+    status, T, basis, M_aug, n_art, farkas, it1 = _phase1(std, config, start)
     if status == "infeasible":
         return LpSolution(status=INFEASIBLE, farkas=farkas, iterations=it1)
 
     n = std.n_total
-    n_cols = n + n_art
     c_aug = np.concatenate([std.c, np.zeros(n_art)])
-    allowed = np.zeros(n_cols, dtype=bool)
-    allowed[:n] = True  # artificials may stay basic at zero, never enter
-    cap = config.iteration_cap(std.m, n_cols)
-    it2 = 0
-    # pivot to optimality; the first refresh is full, installing a fresh
-    # lexicographic state, later ones keep drift from ending phase 2 early.
-    # A closing refresh has solved the final basis already: its duals are
-    # kept, and its basic values too unless it was the full one, whose
-    # solve against [M | b] may differ from B^-1 b in the last bits
-    for round_ in range(4):
-        full = round_ == 0
-        xb, y = _refresh_tableau(T, n_cols, basis, M_aug, std.b, c_aug,
-                                 full=full)
-        if not np.any(T[-1, :n] < -config.feas_tol):
-            if full:
-                xb = None
-            break
-        outcome, extra, j = _pivot_loop(T, n_cols, basis, allowed, config,
-                                        cap, 2, M_aug, std.b, c_aug)
-        it2 += extra
-        if outcome == "unbounded":
+    if std.c.any():
+        xb, y, it2, j = _phase2(T, n + n_art, basis, M_aug, std.b, c_aug, n,
+                                config)
+        if j is not None:
             _validate_ray(M_aug, c_aug, n, basis, j, config)
             return LpSolution(status=UNBOUNDED, iterations=it1 + it2)
     else:
-        # the last round ended on pivots: nothing has solved this basis
-        xb = y = None
+        # a zero objective is optimal at the phase-1 basis, with zero duals
+        xb, y, it2 = None, np.zeros(std.m), 0
 
     # refine primal and dual values from the final basis using the
     # original, drift-free data

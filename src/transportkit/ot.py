@@ -145,12 +145,53 @@ def _marginal_rows(measures):
     return A, np.concatenate([m.weights for m in measures])
 
 
+def _least_cost_basis(C, masses) -> np.ndarray:
+    """Feasible starting basis of the coupling LP with cost tensor C and
+    marginal masses, in the row order of ``_marginal_rows``: the
+    least-cost staircase.
+
+    Each of the sum(n_i) - k + 1 steps takes the cheapest cell whose
+    indices are all live (the first in C order on a tie) and ships the
+    smallest remaining mass among its k indices. Every step but the last
+    then retires one of its indices: the one with the least remaining mass
+    among the coordinates that keep more than one live index. Each cell is
+    the last to use the index it retires, so the cells are independent and
+    B^-1 b is their shipment, which is >= 0. The k - 1 redundant rows, the
+    first atom row of marginals 2..k, carry an artificial (-1)."""
+    sizes = C.shape
+    k = len(sizes)
+    rest = [np.asarray(w, dtype=float).tolist() for w in masses]
+    live = list(sizes)
+    cost = np.array(C, dtype=float)  # a retired index's slice becomes inf
+    steps = sum(sizes) - k + 1
+    cells = []
+    for step in range(steps):
+        flat = int(cost.argmin())
+        cell = np.unravel_index(flat, sizes)
+        cells.append(flat)
+        q = min(r[t] for r, t in zip(rest, cell))
+        for r, t in zip(rest, cell):
+            r[t] -= q
+        if step < steps - 1:
+            i = min((i for i in range(k) if live[i] > 1),
+                    key=lambda i: rest[i][cell[i]])
+            live[i] -= 1
+            cost[(slice(None),) * i + (cell[i],)] = np.inf
+    basis = np.full(sum(sizes), -1)
+    placed = np.ones(basis.size, dtype=bool)
+    placed[np.cumsum(sizes)[:-1]] = False
+    basis[placed] = cells
+    return basis
+
+
 def _solve_couplings(measures, C, what, config) -> lp.LpSolution:
-    """The primal LP over couplings with cost tensor C; its marginal-row
-    multipliers are the dual potentials."""
+    """The primal LP over couplings with cost tensor C, started from its
+    least-cost staircase (``_least_cost_basis``), so phase 1 has nothing
+    to pivot; its marginal-row multipliers are the dual potentials."""
     A, b = _marginal_rows(measures)
     prog = lp.LinearProgram(C.ravel(), "min", A, (lp.EQ,) * len(b), b)
-    return _require_optimal(lp.solve(prog, config), what)
+    start = _least_cost_basis(C, [m.weights for m in measures])
+    return _require_optimal(lp.solve(prog, config, basis=start), what)
 
 
 def kantorovich_primal(mu: DiscreteMeasure, nu: DiscreteMeasure,

@@ -327,10 +327,10 @@ def test_lex_leaving_matches_column_scan_on_martingale_pair(monkeypatch):
 def _first_rung_breaks(monkeypatch, name):
     real = getattr(lp, name)
 
-    def once(prog, cfg):
+    def once(prog, std, cfg, start):
         if cfg.pivot_tol == lp.DEFAULT_CONFIG.pivot_tol:
             raise NumericalBreakdown("basis became singular during refresh")
-        return real(prog, cfg)
+        return real(prog, std, cfg, start)
     monkeypatch.setattr(lp, name, once)
 
 
@@ -347,6 +347,69 @@ def test_abandoned_rungs_are_recorded(monkeypatch):
     assert sol.breakdowns == expected
     res = lp.check_feasibility([[1.0]], [lp.EQ], [1.0])
     assert res.status == lp.OPTIMAL and res.breakdowns == expected
+
+
+def _transport_2x2(free=None):
+    # cells (0,0), (0,1), (1,0), (1,1); rows r0, r1, c0, c1
+    A = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]]
+    return lp.LinearProgram([1.0, 2.0, 3.0, 1.0], "min", A, [lp.EQ] * 4,
+                            [0.5, 0.5, 0.3, 0.7], free)
+
+
+@pytest.mark.parametrize("basis, free, reason", [
+    ([0, 1, -1], None, "one entry per row"),
+    ([0.0, 1.0, 3.0, -1.0], None, "integers"),
+    ([0, 1, 4, -1], None, "must lie in"),
+    ([0, 0, 3, -1], None, "repeats a column"),
+    ([0, 1, 3, -1], [True, False, False, False], "free variable"),
+    ([0, 1, 2, 3], None, "singular"),
+    # x00 = 0.5 leaves x10 = 0.3 - 0.5 on row c0
+    ([0, 3, 2, -1], None, "infeasible"),
+])
+def test_bad_starting_basis_is_refused(basis, free, reason):
+    prog = _transport_2x2(free)
+    with pytest.raises(ValueError, match=reason):
+        lp.solve(prog, basis=basis)
+
+
+def test_starting_basis_is_used():
+    # (0,0), (0,1), (1,1) ship 0.3, 0.2, 0.5; the c0 row is redundant
+    prog = _transport_2x2()
+    sol = lp.solve(prog, basis=[0, 1, -1, 3])
+    cold = lp.solve(prog)
+    assert sol.status == lp.OPTIMAL and sol.breakdowns == ()
+    assert sol.value == pytest.approx(cold.value, abs=1e-15)
+    assert max(sol.residuals.values()) <= 1e-12, sol.residuals
+
+
+def test_starting_artificial_above_zero_runs_phase_one(monkeypatch):
+    # x1 = 1 on the second row leaves the first row's artificial at 1, so
+    # phase 1 must pivot from this basis before phase 2 can start
+    prog = lp.LinearProgram([1.0, 2.0], "max", [[1.0, 1.0], [0.0, 1.0]],
+                            [lp.LE, lp.LE], [2.0, 1.0])
+    real, phases = lp._pivot_loop, []
+
+    def recorded(*args):
+        phases.append(args[6])
+        return real(*args)
+    monkeypatch.setattr(lp, "_pivot_loop", recorded)
+    sol = lp.solve(prog, basis=[-1, 1])
+    assert 1 in phases
+    assert sol.status == lp.OPTIMAL
+    assert sol.value == pytest.approx(lp_value_by_vertex_enumeration(prog),
+                                      abs=1e-12)
+    assert max(sol.residuals.values()) <= 1e-12, sol.residuals
+
+
+def test_zero_objective_runs_no_phase_two(monkeypatch):
+    def never(*args):
+        raise AssertionError("phase 2 ran on a zero objective")
+    monkeypatch.setattr(lp, "_phase2", never)
+    res = lp.check_feasibility([[1.0, 1.0], [1.0, -1.0]], [lp.EQ, lp.GE],
+                               [1.0, 0.5])
+    assert res.status == lp.OPTIMAL and not res.dual.any()
+    assert res.primal @ [1.0, 1.0] == pytest.approx(1.0)
+    assert res.primal @ [1.0, -1.0] >= 0.5 - 1e-12
 
 
 def test_unbounded_detection():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     kr_certificate_errors,
@@ -7,7 +8,7 @@ from conftest import (
     traced_refusal_peak,
     transport_value_by_vertex_enumeration,
 )
-from transportkit import measures as ms, ot
+from transportkit import lp, measures as ms, ot
 from transportkit.errors import (
     InfeasibleInput,
     NotAFixedPoint,
@@ -316,6 +317,64 @@ def test_multimarginal_guard():
     peak = traced_refusal_peak(
         ProductTooLarge, lambda: ot.multimarginal_primal([m, m, m], cost))
     assert peak < 20e6
+
+
+# --- least-cost starting basis ----------------------------------------------
+
+@st.composite
+def staircase_cases(draw):
+    """k = 2..4 marginals of 1 to 4 atoms with integer weights, some zero,
+    and an integer cost tensor with many ties."""
+    k = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    measures = []
+    for n in sizes:
+        w = np.array(draw(st.lists(st.integers(0, 3), min_size=n,
+                                   max_size=n)), dtype=float)
+        w[draw(st.integers(0, n - 1))] += 1.0
+        measures.append(ms.new_measure(1, np.arange(n, dtype=float)[:, None],
+                                       w / w.sum()))
+    cells = int(np.prod(sizes))
+    C = np.array(draw(st.lists(st.integers(0, 3), min_size=cells,
+                               max_size=cells)), dtype=float)
+    return measures, C.reshape(sizes)
+
+
+@given(staircase_cases())
+def test_least_cost_basis_is_a_feasible_start(case):
+    measures, C = case
+    A, b = ot._marginal_rows(measures)
+    basis = ot._least_cost_basis(C, [m.weights for m in measures])
+    named = basis >= 0
+    # an artificial on row i is the unit column e_i
+    B = np.eye(b.size)
+    B[:, named] = A[:, basis[named]]
+    assert np.linalg.matrix_rank(B) == b.size
+    x = np.linalg.solve(B, b)
+    assert x.min() >= -1e-15
+    assert np.abs(x[~named]).max() <= 1e-15
+    prog = lp.LinearProgram(C.ravel(), "min", A, [lp.EQ] * b.size, b)
+    warm, cold = lp.solve(prog, basis=basis), lp.solve(prog)
+    assert abs(warm.value - cold.value) <= 1e-12
+    for sol in (warm, cold):
+        assert max(sol.residuals.values()) <= 1e-9, sol.residuals
+
+
+def test_coupling_lps_run_no_phase_one(monkeypatch):
+    real, phases = lp._pivot_loop, []
+
+    def recorded(*args):
+        phases.append(args[6])
+        return real(*args)
+    monkeypatch.setattr(lp, "_pivot_loop", recorded)
+    rng = np.random.default_rng(17)
+    mu, nu = random_measure(rng, 2, 10), random_measure(rng, 2, 10)
+    eu = ms.CostSpec.euclidean()
+    ot.kantorovich_primal(mu, nu, ms.CostSpec.sq_euclidean())
+    ot.kr_dual(mu, nu, eu)
+    margs = [random_measure(rng, 1, 5) for _ in range(3)]
+    ot.multimarginal_dual(margs, ms.MultiCost.pairwise_sum(eu))
+    assert phases and set(phases) == {2}
 
 
 # --- c-convexification -------------------------------------------------------

@@ -28,13 +28,23 @@ restarts on a fixed ladder of pivot tolerances, and the result names each
 abandoned rung in ``breakdowns``. ``LpSolution.iterations`` counts the
 pivots of both phases.
 
+Standard form negates every row whose right-hand side is negative, so
+b >= 0. Both phases, ray validation and primal extraction work on one
+matrix M, those rows with one unit column per artificial; the row duals
+and the Farkas ray are mapped back to the user's rows by the same signs.
+
 Phase 1 starts from the slack/artificial identity, or from a starting
 basis the caller passes to ``solve``: one entry per row, a user column or
 -1 for an artificial on that row (the coupling LPs of ``ot`` pass their
 least-cost staircase). Phase 1 pivots only when some artificial starts
 above zero (for a given basis: above the feasibility tolerance, as the
 artificials of redundant rows carry rounding); a feasible starting basis
-goes straight to phase 2.
+goes straight to phase 2. After its pivots, one plain refresh settles
+the verdict. Phase 2 opens with a full refresh, a fresh lexicographic
+state, only if phase 1 made a pivot; otherwise the tableau is still the
+exact install of its basis and a plain refresh of rhs and reduced costs
+opens it. The primal is B^-1 b of the final basis, checked against the
+rows of M.
 
 There is one solve path. ``check_feasibility`` is ``solve`` with a zero
 objective and returns its ``LpSolution``: OPTIMAL with a feasible
@@ -83,9 +93,10 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 # Largest dense tableau a solve may build. At its peak a solve holds about
-# eight arrays of the tableau's size (standard form, phase-1 matrices,
-# tableau, refresh solve, pivot outer product: tracemalloc measured 7.6-7.8x
-# on OT solves), so this keeps a solve near 1 GB; each pivot at this size
+# six arrays of the tableau's size (the user's A, its standard form, the
+# matrix M of both phases, the tableau, and a full refresh's [M | b] and
+# its solution: tracemalloc measured 5.3-5.8x on OT and martingale
+# solves), so this keeps a solve under 750 MB; each pivot at this size
 # already sweeps ~17 M entries.
 DENSE_BUDGET_BYTES = 128 * 2 ** 20
 
@@ -167,11 +178,14 @@ class LpSolution:
 # ---------------------------------------------------------------------------
 
 class _Standardized:
-    """User LP rewritten as  min c.z  s.t.  A z = b, z >= 0.
+    """User LP rewritten as  min c.z  s.t.  A z = b, z >= 0, with b >= 0.
 
     Column order: user variable j gives column +j, followed at once by
     -j when j is free; then one slack column per inequality row, in row
-    order (+1 on "<=" rows, -1 on ">=" rows)."""
+    order (+1 on "<=" rows, -1 on ">=" rows). Every row whose b is
+    negative is then negated, slack included; ``row_sign`` is -1 on those
+    rows and +1 elsewhere, so a row dual here times ``row_sign`` is the
+    dual of the user's row."""
 
     def __init__(self, lp: LinearProgram):
         A, b = lp.A, lp.b
@@ -186,10 +200,12 @@ class _Standardized:
         S = np.zeros((m, self.slack_row.size))
         S[self.slack_row, np.arange(self.slack_row.size)] = \
             np.where(lp.rels[self.slack_row] == LE, 1.0, -1.0)
+        self.row_sign = np.where(b < 0, -1.0, 1.0)
         self.A = np.hstack([A[:, self.var_of] * self.var_sign, S])
+        self.A *= self.row_sign[:, None]
         self.c = np.concatenate([sign * lp.objective[self.var_of]
                                  * self.var_sign, np.zeros(S.shape[1])])
-        self.b = b.copy()
+        self.b = b * self.row_sign
         self.m = m
         self.n_user = n
         self.n_total = self.A.shape[1]
@@ -203,9 +219,9 @@ class _Standardized:
 # ---------------------------------------------------------------------------
 # tableau machinery
 #
-# column layout: [0, n_cols) real columns, [n_cols, n_cols + m) the
-# basis-inverse block (in the sign-flipped row frame), last column rhs;
-# last row holds the reduced costs and minus the objective value.
+# column layout: [0, n_cols) the columns of M, [n_cols, n_cols + m) the
+# basis-inverse block, last column rhs; last row holds the reduced costs
+# and minus the objective value.
 # ---------------------------------------------------------------------------
 
 def _solve_basis(B, rhs, during: str) -> np.ndarray:
@@ -340,25 +356,23 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
     standard column per row, -1 for an artificial on that row (see
     ``_start_columns``). A starting basis is installed by a full refresh
     against the phase-1 costs; a singular one, or one whose basic values
-    fall below -feas_tol (1 + |b|), raises ValueError.
+    fall below -feas_tol (1 + |b|), raises ValueError. After the pivot
+    loop one plain refresh settles the verdict on basis-exact values.
 
-    Returns (status, T, basis, M_aug, n_art, farkas, pivots). M_aug is
-    the unflipped standard matrix with artificial columns appended;
-    artificials stay in the basis at level zero when rows are redundant,
-    so no rows are ever deleted.
+    Returns (status, T, basis, M, n_art, farkas, pivots). M is the
+    standard matrix with one unit column per artificial; artificials
+    stay in the basis at level zero when rows are redundant, so no rows
+    are ever deleted.
     """
     m, n = std.m, std.n_total
-    flip = np.where(std.b < 0, -1.0, 1.0)
-    FA = std.A * flip[:, None]
-    fb = std.b * flip
-    tol = cfg.feas_tol * (1.0 + np.abs(fb).max(initial=0.0))
+    tol = cfg.feas_tol * (1.0 + np.abs(std.b).max(initial=0.0))
 
     if start is None:
-        # a slack column with +1 coefficient after flipping can seed the
-        # basis; every other row gets an artificial
+        # a slack column with +1 coefficient can seed the basis; every
+        # other row gets an artificial
         basis = np.full(m, -1)
         slack_col = std.n_struct + np.arange(std.slack_row.size)
-        seeds = std.A[std.slack_row, slack_col] * flip[std.slack_row] > 0
+        seeds = std.A[std.slack_row, slack_col] > 0
         basis[std.slack_row[seeds]] = slack_col[seeds]
     else:
         basis = start.copy()
@@ -367,9 +381,7 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
     basis = basis.tolist()
 
     n_art = art_rows.size
-    E = np.eye(m)[:, art_rows]
-    M = np.hstack([FA, E])                       # flipped frame
-    M_aug = np.hstack([std.A, flip[:, None] * E])  # unflipped frame
+    M = np.hstack([std.A, np.eye(m)[:, art_rows]])
     n_cols = M.shape[1]
     c1 = np.zeros(n_cols)
     c1[n:] = 1.0
@@ -377,19 +389,20 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
     # tableau with the basis-inverse block
     T = np.zeros((m + 1, n_cols + m + 1))
     if start is None:
-        # the initial basis is the identity in the flipped frame, and the
-        # artificials start at b itself
+        # the initial basis is the identity, and the artificials start at
+        # b itself
         T[:-1, :n_cols] = M
         T[:-1, n_cols:-1] = np.eye(m)
-        T[:-1, -1] = fb
+        T[:-1, -1] = std.b
         for i in art_rows:
             T[-1] -= T[i]
         T[-1, n:n_cols] = 0.0
         T[-1, n_cols:-1] = 0.0
-        above = fb[art_rows].any()
+        above = std.b[art_rows].any()
     else:
         try:
-            xb, _ = _refresh_tableau(T, n_cols, basis, M, fb, c1, full=True)
+            xb, _ = _refresh_tableau(T, n_cols, basis, M, std.b, c1,
+                                     full=True)
         except NumericalBreakdown as e:
             raise ValueError(f"starting basis is singular: {e}") from None
         if xb.min(initial=0.0) < -tol:
@@ -407,38 +420,29 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
         allowed[:n] = True
         cap = cfg.iteration_cap(m, n_cols)
         _, iterations, _ = _pivot_loop(T, n_cols, basis, allowed, cfg,
-                                       cap, 1, M, fb, c1)
-        # settle the verdict on basis-exact values; if artificials still
-        # carry mass, re-pivot with a strict entering threshold
-        strict = replace(cfg, feas_tol=1e-13)
-        art_level = np.inf
-        for attempt in range(3):
-            _refresh_tableau(T, n_cols, basis, M, fb, c1)
-            art_level = sum(max(float(T[i, -1]), 0.0)
-                            for i in range(m) if basis[i] >= n)
-            if art_level <= tol:
-                break
-            _, extra, _ = _pivot_loop(T, n_cols, basis, allowed, strict,
-                                      cap, 1, M, fb, c1)
-            iterations += extra
-
+                                       cap, 1, M, std.b, c1)
+        # settle the verdict on basis-exact values
+        _refresh_tableau(T, n_cols, basis, M, std.b, c1)
+        art_level = sum(max(float(T[i, -1]), 0.0)
+                        for i in range(m) if basis[i] >= n)
         if art_level > tol:
+            # y certifies the standard rows; row_sign * y certifies the
+            # user's, and each term of the sums below is the same for both
             y = _solve_basis(M[:, basis].T, c1[basis], "the Farkas ray")
-            farkas = flip * y
-            viol = farkas @ std.b
-            comb = std.A.T @ farkas
+            viol = y @ std.b
+            comb = std.A.T @ y
             # b.y must stand clear of the rounding in its own sum: a ray
             # of huge multipliers can show a tiny positive b.y that is
             # pure cancellation noise
-            noise = 1e-9 * float(np.abs(farkas) @ np.abs(std.b))
+            noise = 1e-9 * float(np.abs(y) @ np.abs(std.b))
             if viol <= noise or comb.max(initial=0.0) > 1e-7 * (1.0 + viol):
                 raise NumericalBreakdown(
                     "infeasibility certificate failed validation")
-            return "infeasible", None, None, None, None, farkas / viol, \
-                iterations
+            return "infeasible", None, None, None, None, \
+                std.row_sign * y / viol, iterations
 
         if any(basis[i] >= n for i in range(m)):
-            _refresh_tableau(T, n_cols, basis, M, fb, c1, full=True)
+            _refresh_tableau(T, n_cols, basis, M, std.b, c1, full=True)
 
     # pivot leftover artificials out on honest (untouched or freshly
     # rebuilt) entries; rows without one are redundant and keep their
@@ -452,30 +456,31 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
             _pivot(T, basis, i, j)
             iterations += 1
 
-    return "feasible", T, basis, M_aug, n_art, None, iterations
+    return "feasible", T, basis, M, n_art, None, iterations
 
 
-def _phase2(T, n_cols, basis, M_aug, b, c_aug, n, cfg):
+def _phase2(T, n_cols, basis, M, b, c_aug, n, cfg, pivoted):
     """Pivot from the phase-1 basis to optimality. The first refresh is
-    full, installing a fresh lexicographic state; later ones keep drift
-    from ending phase 2 early. Returns (xb, y, pivots, entering): the
-    column of an unboundedness ray in ``entering``, else None. A closing
-    refresh has solved the final basis already: its duals ``y`` are kept,
-    and its basic values ``xb`` too unless it was the full one, whose
-    solve against [M | b] may differ from B^-1 b in the last bits; both
-    are None when nothing has solved the final basis."""
+    full, installing a fresh lexicographic state, only if phase 1 made a
+    pivot (``pivoted``); otherwise the tableau is still the exact install
+    of this basis, or the untouched identity. Later refreshes keep drift
+    from ending phase 2 early. Returns (xb, y, pivots, entering): the column
+    of an unboundedness ray in ``entering``, else None. A closing refresh
+    has solved the final basis already: its duals ``y`` are kept, and its
+    basic values ``xb`` too unless it was a full one, whose solve against
+    [M | b] may differ from B^-1 b in the last bits; both are None when
+    nothing has solved the final basis."""
     allowed = np.zeros(n_cols, dtype=bool)
     allowed[:n] = True  # artificials may stay basic at zero, never enter
     cap = cfg.iteration_cap(len(basis), n_cols)
     pivots = 0
     for round_ in range(4):
-        full = round_ == 0
-        xb, y = _refresh_tableau(T, n_cols, basis, M_aug, b, c_aug,
-                                 full=full)
+        full = round_ == 0 and pivoted
+        xb, y = _refresh_tableau(T, n_cols, basis, M, b, c_aug, full=full)
         if not np.any(T[-1, :n] < -cfg.feas_tol):
             return (None if full else xb), y, pivots, None
         outcome, extra, j = _pivot_loop(T, n_cols, basis, allowed, cfg,
-                                        cap, 2, M_aug, b, c_aug)
+                                        cap, 2, M, b, c_aug)
         pivots += extra
         if outcome == "unbounded":
             return None, None, pivots, j
@@ -483,52 +488,45 @@ def _phase2(T, n_cols, basis, M_aug, b, c_aug, n, cfg):
     return None, None, pivots, None
 
 
-def _validate_ray(M_aug, c_aug, n_real, basis, j, cfg) -> None:
+def _validate_ray(M, c_aug, n_real, basis, j, cfg) -> None:
     """Check the phase-2 unboundedness ray of entering column j on the
     original data: z_j = 1, z_B = -B^-1 A_j. A near-singular basis can hide
     an admissible pivot below pivot_tol; such a ray fails here and the solve
     is retried on the next rung of the tolerance ladder."""
-    w = _solve_basis(M_aug[:, basis], M_aug[:, j], "ray validation")
-    z = np.zeros(M_aug.shape[1])
+    w = _solve_basis(M[:, basis], M[:, j], "ray validation")
+    z = np.zeros(M.shape[1])
     z[basis] = -w
     z[j] = 1.0
     # artificial columns carry no mass in the real system, so the residual
     # is taken over the real columns only
-    resid = np.abs(M_aug[:, :n_real] @ z[:n_real]).max(initial=0.0)
+    resid = np.abs(M[:, :n_real] @ z[:n_real]).max(initial=0.0)
     if w.max(initial=0.0) > cfg.pivot_tol or resid > cfg.feas_tol \
             or not c_aug @ z < -cfg.feas_tol:
         raise NumericalBreakdown("unboundedness ray failed validation")
 
 
-def _extract_primal(M_aug, b, n_real, T, basis, cfg, xb) -> np.ndarray:
-    """Basic solution from the final basis, refined against the original
-    data when the basis is well behaved, else read off the tableau. ``xb``
-    is B^-1 b when a plain refresh has just solved for it; otherwise it is
-    solved here. The result is validated on the augmented standard system
-    and truncated to the real (non-artificial) columns."""
-    scale = 1.0 + np.abs(b).max(initial=0.0)
-    candidates = []
+def _extract_primal(M, b, n_real, basis, cfg, xb) -> np.ndarray:
+    """Basic solution B^-1 b of the final basis, solved on the original,
+    drift-free data, validated on the standard system and truncated to the
+    real (non-artificial) columns. ``xb`` is B^-1 b when a plain refresh
+    has just solved for it; otherwise it is solved here, and a singular
+    basis raises. A basic value below -1e-6 (1 + |b|), an artificial
+    carrying mass or a row residual above max(1e-8, feas_tol) (1 + |b|)
+    raises NumericalBreakdown, so the tolerance ladder retries."""
     if xb is None:
-        try:
-            xb = np.linalg.solve(M_aug[:, basis], b)
-        except np.linalg.LinAlgError:
-            pass
-    if xb is not None and np.isfinite(xb).all() \
-            and xb.min(initial=0.0) > -1e-6 * scale:
-        candidates.append(xb)
-    candidates.append(T[:len(basis), -1])
+        xb = _solve_basis(M[:, basis], b, "primal extraction")
+    scale = 1.0 + np.abs(b).max(initial=0.0)
     thresh = max(1e-8, cfg.feas_tol) * scale
-    for xb in candidates:
-        z = np.zeros(M_aug.shape[1])
-        z[basis] = np.maximum(xb, 0.0)
-        # artificial columns must carry no mass: they are bookkeeping, not
-        # part of the solved system
-        if np.max(z[n_real:], initial=0.0) > thresh:
-            continue
-        if np.max(np.abs(M_aug @ z - b), initial=0.0) <= thresh:
-            return z[:n_real]
-    raise NumericalBreakdown(
-        "final basis does not reproduce a feasible point")
+    z = np.zeros(M.shape[1])
+    z[basis] = np.maximum(xb, 0.0)
+    # artificial columns must carry no mass: they are bookkeeping, not
+    # part of the solved system
+    if xb.min(initial=0.0) <= -1e-6 * scale \
+            or np.max(z[n_real:], initial=0.0) > thresh \
+            or np.max(np.abs(M @ z - b), initial=0.0) > thresh:
+        raise NumericalBreakdown(
+            "final basis does not reproduce a feasible point")
+    return z[:n_real]
 
 
 # ---------------------------------------------------------------------------
@@ -600,17 +598,17 @@ def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG,
 
 def _solve_once(lp: LinearProgram, std: _Standardized,
                 config: SolverConfig, start) -> LpSolution:
-    status, T, basis, M_aug, n_art, farkas, it1 = _phase1(std, config, start)
+    status, T, basis, M, n_art, farkas, it1 = _phase1(std, config, start)
     if status == "infeasible":
         return LpSolution(status=INFEASIBLE, farkas=farkas, iterations=it1)
 
     n = std.n_total
     c_aug = np.concatenate([std.c, np.zeros(n_art)])
     if std.c.any():
-        xb, y, it2, j = _phase2(T, n + n_art, basis, M_aug, std.b, c_aug, n,
-                                config)
+        xb, y, it2, j = _phase2(T, n + n_art, basis, M, std.b, c_aug, n,
+                                config, it1 > 0)
         if j is not None:
-            _validate_ray(M_aug, c_aug, n, basis, j, config)
+            _validate_ray(M, c_aug, n, basis, j, config)
             return LpSolution(status=UNBOUNDED, iterations=it1 + it2)
     else:
         # a zero objective is optimal at the phase-1 basis, with zero duals
@@ -618,9 +616,11 @@ def _solve_once(lp: LinearProgram, std: _Standardized,
 
     # refine primal and dual values from the final basis using the
     # original, drift-free data
-    z = _extract_primal(M_aug, std.b, n, T, basis, config, xb)
+    z = _extract_primal(M, std.b, n, basis, config, xb)
     if y is None:
-        y = _solve_basis(M_aug[:, basis].T, c_aug[basis], "dual extraction")
+        y = _solve_basis(M[:, basis].T, c_aug[basis], "dual extraction")
+    # a negated row's dual changes sign with it
+    y = std.row_sign * y
     value_int = float(std.c @ z)
 
     x_user = std.user_primal(z)
@@ -629,7 +629,7 @@ def _solve_once(lp: LinearProgram, std: _Standardized,
         y_user = -y
     else:
         value = value_int
-        y_user = y.copy()
+        y_user = y
 
     sol = LpSolution(status=OPTIMAL, value=value, primal=x_user,
                      dual=y_user, iterations=it1 + it2)

@@ -89,11 +89,7 @@ class SymmetricDual:
 
     def objective_against(self, mu: DiscreteMeasure,
                           nu: DiscreteMeasure) -> float:
-        mu_d, nu_d = mu.as_dict(), nu.as_dict()
-        signed = np.array([mu_d.get(point_key(p), 0.0)
-                           - nu_d.get(point_key(p), 0.0)
-                           for p in self.points])
-        return float(signed @ self.f)
+        return float(_signed_mass(mu, nu, self.points) @ self.f)
 
 
 @dataclass(frozen=True)
@@ -197,6 +193,15 @@ def mot_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     return dual, dual.objective(mu, nu)
 
 
+def _signed_mass(mu: DiscreteMeasure, nu: DiscreteMeasure, points) \
+        -> np.ndarray:
+    """(mu - nu) at each of ``points``; a point off a support has zero
+    mass there."""
+    mu_d, nu_d = mu.as_dict(), nu.as_dict()
+    return np.array([mu_d.get(point_key(p), 0.0) - nu_d.get(point_key(p), 0.0)
+                     for p in points])
+
+
 def mot_dual_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure,
                        cost: CostSpec,
                        config: lp.SolverConfig = lp.DEFAULT_CONFIG):
@@ -227,10 +232,7 @@ def mot_dual_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure,
     A[I, cols] = 1.0
     A[J, cols] = -1.0
     A[u + I[:, None] * d + np.arange(d), cols[:, None]] = Z[J] - Z[I]
-    mu_d, nu_d = mu.as_dict(), nu.as_dict()
-    signed = np.array([mu_d.get(point_key(p), 0.0)
-                       - nu_d.get(point_key(p), 0.0) for p in Z])
-    b = np.concatenate([signed, np.zeros(u * d)])
+    b = np.concatenate([_signed_mass(mu, nu, Z), np.zeros(u * d)])
     sol = lp.solve(lp.LinearProgram(C[I, J], "min", A, (lp.EQ,) * len(b), b),
                    config)
     if sol.status == lp.INFEASIBLE:

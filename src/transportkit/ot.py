@@ -371,20 +371,25 @@ def multimarginal_dual(measures, cost: MultiCost,
 # c-convexification and boundedness normalization
 # ---------------------------------------------------------------------------
 
+def _infimum_over_others(C, values, i) -> np.ndarray:
+    """min over the axes j != i of C - sum_{j != i} values[j], a function
+    on axis i; ``values[i]`` is not read."""
+    k = C.ndim
+    other = C
+    for j in range(k):
+        if j == i:
+            continue
+        shape = [1] * k
+        shape[j] = values[j].size
+        other = other - values[j].reshape(shape)
+    return other.min(axis=tuple(j for j in range(k) if j != i))
+
+
 def _fixed_point_residual(values, C) -> float:
     """Max deviation from f_i(x) = min over others (c - sum_{j != i} f_j)."""
-    k = len(values)
     worst = 0.0
-    for i in range(k):
-        other = C.copy()
-        for j in range(k):
-            if j == i:
-                continue
-            shape = [1] * k
-            shape[j] = values[j].size
-            other = other - values[j].reshape(shape)
-        axes = tuple(j for j in range(k) if j != i)
-        inf_i = other.min(axis=axes)
+    for i in range(len(values)):
+        inf_i = _infimum_over_others(C, values, i)
         worst = max(worst, float(np.max(np.abs(values[i] - inf_i))))
     return worst
 
@@ -447,16 +452,9 @@ def multi_c_convexify(partial, cost: MultiCost, supports) -> MultiPotentials:
                 selector.append(np.arange(sizes[j]))
             else:
                 selector.append(A_idx[j])
-        block = C[np.ix_(*selector)].astype(float)
-        for j in range(k):
-            if j == i:
-                continue
-            fj = values[j] if j < i else A_val[j]
-            shape = [1] * k
-            shape[j] = fj.size
-            block = block - fj.reshape(shape)
-        axes = tuple(j for j in range(k) if j != i)
-        values[i] = block.min(axis=axes)
+        values[i] = _infimum_over_others(
+            C[np.ix_(*selector)],
+            [values[j] if j < i else A_val[j] for j in range(k)], i)
 
     # tightening sweeps; the forward pass already satisfies the identity in
     # exact arithmetic, so this converges immediately in practice
@@ -464,15 +462,7 @@ def multi_c_convexify(partial, cost: MultiCost, supports) -> MultiPotentials:
         if _fixed_point_residual(values, C) <= 1e-9:
             break
         for i in range(k):
-            other = C.copy()
-            for j in range(k):
-                if j == i:
-                    continue
-                shape = [1] * k
-                shape[j] = values[j].size
-                other = other - values[j].reshape(shape)
-            axes = tuple(j for j in range(k) if j != i)
-            values[i] = other.min(axis=axes)
+            values[i] = _infimum_over_others(C, values, i)
 
     return MultiPotentials(tuple(supports), tuple(values))
 

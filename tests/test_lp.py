@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,7 @@ from transportkit.convex_order import convex_order_check
 from transportkit.errors import NumericalBreakdown
 from transportkit.measures import cost_from_json, new_measure
 from transportkit.mot import mot_primal
+from transportkit.ot import kantorovich_primal
 
 
 def test_max_bounded_by_one():
@@ -412,6 +415,67 @@ def test_zero_objective_runs_no_phase_two(monkeypatch):
     assert res.primal @ [1.0, -1.0] >= 0.5 - 1e-12
 
 
+def _gaussian_pair(n, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n)
+    return (new_measure(2, rng.normal(size=(n, 2)), a / a.sum()),
+            new_measure(2, rng.normal(size=(n, 2)), b / b.sum()))
+
+
+def _record_solve_steps(monkeypatch):
+    """Log each pivot loop (its phase), each refresh ("full" or "plain")
+    and each basis solve outside a refresh (what it was for), in order."""
+    real_loop, real_refresh = lp._pivot_loop, lp._refresh_tableau
+    real_solve = lp._solve_basis
+    steps = []
+
+    def loop(*args):
+        steps.append(f"phase {args[6]} loop")
+        return real_loop(*args)
+
+    def refresh(*args, full=False):
+        steps.append("full" if full else "plain")
+        return real_refresh(*args, full=full)
+
+    def solve_basis(B, rhs, during):
+        if during != "refresh":
+            steps.append(during)
+        return real_solve(B, rhs, during)
+    monkeypatch.setattr(lp, "_pivot_loop", loop)
+    monkeypatch.setattr(lp, "_refresh_tableau", refresh)
+    monkeypatch.setattr(lp, "_solve_basis", solve_basis)
+    return steps
+
+
+def test_starting_basis_is_refreshed_fully_once(monkeypatch):
+    # phase 1 installs the least-cost staircase with a full refresh and
+    # makes no pivot, so phase 2 opens on that tableau with a plain one;
+    # under 99 pivots no periodic rebuild adds a full refresh
+    mu, nu = _gaussian_pair(10, 10)
+    real_solve, sols = lp.solve, []
+
+    def solve(*args, **kw):
+        sols.append(real_solve(*args, **kw))
+        return sols[-1]
+    monkeypatch.setattr(lp, "solve", solve)
+    steps = _record_solve_steps(monkeypatch)
+    kantorovich_primal(mu, nu, cost_from_json({"kind": "sq_euclidean"}))
+    assert len(sols) == 1 and 0 < sols[0].iterations < 99
+    assert steps.count("full") == 1
+    assert steps[:3] == ["full", "plain", "phase 2 loop"]
+
+
+def test_infeasible_verdict_takes_one_refresh(monkeypatch):
+    # the reversed pair is not in convex order: one phase-1 loop, one
+    # plain refresh to read the artificials, then the Farkas ray
+    mu, nu = _spread_pair(7)
+    steps = _record_solve_steps(monkeypatch)
+    cert = convex_order_check(nu, mu)
+    assert not cert.in_order
+    assert steps == ["phase 1 loop", "plain", "the Farkas ray"]
+    assert cert.witness.integral_gap(nu, mu) > 1e-10
+
+
 def test_unbounded_detection():
     sol = lp.solve(lp.LinearProgram([1.0, 0.0], "max", [[0.0, 1.0]],
                                     [lp.LE], [1.0]))
@@ -451,6 +515,53 @@ def test_validate_ray_rejects_false_rays():
                        match="singular during ray validation"):
         lp._validate_ray(np.array([[0.0, 1.0]]), np.array([0.0, -1.0]), 2,
                          [0], 1, cfg)
+
+
+def test_extract_primal_refusals():
+    # two rows x0 + x1 = b0, x1 = b1 over x0, x1 and one artificial a on
+    # row 0 (n_real = 2); the basis {x0, x1} gives x1 = b1, x0 = b0 - b1
+    M = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
+    cfg = lp.DEFAULT_CONFIG
+    z = lp._extract_primal(M, np.array([3.0, 1.0]), 2, [0, 1], cfg, None)
+    assert z.tolist() == [2.0, 1.0]
+    with pytest.raises(NumericalBreakdown,
+                       match="singular during primal extraction"):
+        # the two basic columns are parallel
+        lp._extract_primal(np.array([[1.0, 2.0], [2.0, 4.0]]),
+                           np.ones(2), 2, [0, 1], cfg, None)
+    with pytest.raises(NumericalBreakdown,
+                       match="does not reproduce a feasible point"):
+        # x0 = -1e-5 on a column of 1e-4: clipped, it leaves row 0 off by
+        # only 1e-9, so the basic value itself must be refused
+        lp._extract_primal(np.array([[1e-4, 1.0], [0.0, 1.0]]),
+                           np.array([1.0 - 1e-9, 1.0]), 2, [0, 1], cfg, None)
+    with pytest.raises(NumericalBreakdown,
+                       match="does not reproduce a feasible point"):
+        # on the basis {a, x1} the artificial carries x0's mass
+        lp._extract_primal(M, np.array([3.0, 1.0]), 2, [2, 1], cfg, None)
+    with pytest.raises(NumericalBreakdown,
+                       match="does not reproduce a feasible point"):
+        # x0 = -1e-7 is clipped to zero, which leaves row 0 off by 1e-7
+        lp._extract_primal(M, np.array([1.0 - 1e-7, 1.0]), 2, [0, 1],
+                           cfg, None)
+
+
+def test_solve_peak_memory_is_bounded_by_tableau():
+    # lp.DENSE_BUDGET_BYTES assumes a solve peaks at about six times its
+    # dense tableau, 8 (rows + 1)(cols + 2 rows + 1) bytes for the 2n
+    # marginal rows over n^2 couplings
+    n = 40
+    mu, nu = _gaussian_pair(n, n)
+    cost = cost_from_json({"kind": "sq_euclidean"})
+    kantorovich_primal(mu, nu, cost)
+    tracemalloc.start()
+    try:
+        kantorovich_primal(mu, nu, cost)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tableau = 8 * (2 * n + 1) * (n * n + 4 * n + 1)
+    assert peak <= 6.5 * tableau, peak / tableau
 
 
 def test_free_variables_hidden_split():

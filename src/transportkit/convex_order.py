@@ -29,7 +29,7 @@ from .measures import (
     barycenter,
     point_key,
 )
-from .ot import _marginal_rows
+from .ot import _least_cost_basis, _marginal_rows
 
 INDEPENDENCE_TOL = 1e-9
 BARYCENTER_TOL = 1e-9
@@ -174,6 +174,28 @@ def _martingale_rows(mu: DiscreteMeasure, nu: DiscreteMeasure):
     return np.vstack([A, bary.reshape(m * d, m * n)]), (lp.EQ,) * len(b), b
 
 
+def _martingale_start(mu: DiscreteMeasure, nu: DiscreteMeasure) \
+        -> np.ndarray:
+    """Starting basis of an LP on ``_martingale_rows(mu, nu)``: the
+    least-cost staircase of squared distances |x_i - y_j|^2 on the m + n
+    marginal rows (``ot._least_cost_basis``), and an artificial (-1) on
+    each of the m d barycenter rows.
+
+    The staircase ships mass without regard to barycenters, so the
+    barycenter rows (b = 0) start at -sum_j pi_ij (y_j - x_i), of either
+    sign: only an artificial can stand there, and ``lp.solve`` enters one
+    that starts below zero with coefficient -1. Phase 1 pivots them out.
+    The rows have rank at most m + n + m d - 1 - d: one marginal row is
+    implied by the others, and so are d barycenter rows, whose sum over
+    the sources is a combination of the marginal rows. So a feasible
+    solve keeps at least 1 + d artificials basic at zero. Squared
+    distances do not depend on the order of the atoms; on euclidean and
+    squared costs they give the cost's own staircase."""
+    C = np.square(mu.points[:, None, :] - nu.points[None, :, :]).sum(axis=2)
+    return np.concatenate([_least_cost_basis(C, [mu.weights, nu.weights]),
+                           np.full(len(mu) * mu.dim, -1)])
+
+
 def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
                        config: lp.SolverConfig = lp.DEFAULT_CONFIG) \
         -> OrderCertificate:
@@ -182,12 +204,14 @@ def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
     InOrder returns a martingale coupling. NotInOrder returns a convex
     piecewise-affine witness assembled from the Farkas certificate of the
     infeasible coupling system: dual values of the barycenter rows become
-    slopes, those of the source-marginal rows become intercepts.
+    slopes, those of the source-marginal rows become intercepts. The
+    feasibility LP starts from ``_martingale_start``.
     """
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
     m, n, d = len(mu), len(nu), mu.dim
-    res = lp.check_feasibility(*_martingale_rows(mu, nu), config=config)
+    res = lp.check_feasibility(*_martingale_rows(mu, nu), config=config,
+                               basis=_martingale_start(mu, nu))
     if res.status == lp.OPTIMAL:
         mass = res.primal.reshape(m, n)
         coupling = Coupling(mu, nu, mass / mass.sum(),

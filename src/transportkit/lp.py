@@ -36,11 +36,17 @@ and the Farkas ray are mapped back to the user's rows by the same signs.
 Phase 1 starts from the slack/artificial identity, or from a starting
 basis the caller passes to ``solve``: one entry per row, a user column or
 -1 for an artificial on that row (the coupling LPs of ``ot`` pass their
-least-cost staircase). Phase 1 pivots only when some artificial starts
-above zero (for a given basis: above the feasibility tolerance, as the
-artificials of redundant rows carry rounding); a feasible starting basis
-goes straight to phase 2. After its pivots, one plain refresh settles
-the verdict. Phase 2 opens with a full refresh, a fresh lexicographic
+least-cost staircase, the martingale LPs of ``convex_order`` and ``mot``
+a staircase on their marginal rows). An artificial that a starting basis
+puts below -feas_tol enters with coefficient -1 instead of +1, so it
+starts above zero; -e_i is still an artificial for row i, and the
+Farkas ray and its validation are the same. A starting basis seeds only
+the first rung of the tolerance ladder: the later rungs start from the
+identity. Phase 1 pivots only when some artificial starts above zero
+(for a given basis: above the feasibility tolerance, as the artificials
+of redundant rows carry rounding); a feasible starting basis goes
+straight to phase 2. After its pivots, one plain refresh settles the
+verdict. Phase 2 opens with a full refresh, a fresh lexicographic
 state, only if phase 1 made a pivot; otherwise the tableau is still the
 exact install of its basis and a plain refresh of rhs and reduced costs
 opens it. The primal is B^-1 b of the final basis, checked against the
@@ -355,9 +361,12 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
     Starts from the slack/artificial identity, or from ``start``: one
     standard column per row, -1 for an artificial on that row (see
     ``_start_columns``). A starting basis is installed by a full refresh
-    against the phase-1 costs; a singular one, or one whose basic values
-    fall below -feas_tol (1 + |b|), raises ValueError. After the pivot
-    loop one plain refresh settles the verdict on basis-exact values.
+    against the phase-1 costs. Each artificial it puts below -feas_tol
+    (1 + |b|) has its column of M negated, and the basis is installed
+    once more: the artificial then starts above zero. A singular starting
+    basis, or one with a user column below -feas_tol (1 + |b|), raises
+    ValueError. After the pivot loop one plain refresh settles the verdict
+    on basis-exact values.
 
     Returns (status, T, basis, M, n_art, farkas, pivots). M is the
     standard matrix with one unit column per artificial; artificials
@@ -403,6 +412,14 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
         try:
             xb, _ = _refresh_tableau(T, n_cols, basis, M, std.b, c1,
                                      full=True)
+            # an artificial below zero enters with coefficient -1: -e_i is
+            # still an artificial for row i, and negating a basic column
+            # only negates its row of B^-1 [M | b]
+            low = xb[art_rows] < -tol
+            if low.any():
+                M[:, n + np.flatnonzero(low)] *= -1.0
+                xb, _ = _refresh_tableau(T, n_cols, basis, M, std.b, c1,
+                                         full=True)
         except NumericalBreakdown as e:
             raise ValueError(f"starting basis is singular: {e}") from None
         if xb.min(initial=0.0) < -tol:
@@ -573,14 +590,16 @@ def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG,
 
     ``basis``, if given, is the starting basis of phase 1: one entry per
     row, the user column basic on that row or -1 for an artificial there.
-    It must be nonsingular and feasible (basic values B^-1 b >= -feas_tol
-    (1 + |b|)), with no repeated column and no free variable; otherwise
-    ValueError. Phase 1 then pivots only if an artificial starts above
-    the feasibility tolerance.
+    It must be nonsingular, with no repeated column and no free variable,
+    and its user columns feasible (basic values >= -feas_tol (1 + |b|));
+    otherwise ValueError. An artificial below that bound enters with
+    coefficient -1. Phase 1 then pivots only if an artificial starts
+    above the feasibility tolerance.
 
     Each rung of the tolerance ladder is tried until one returns; the
-    result's ``breakdowns`` names every abandoned rung. If every rung
-    breaks down, the last breakdown is raised."""
+    result's ``breakdowns`` names every abandoned rung. Only the first
+    rung starts from ``basis``; the later ones start from the identity.
+    If every rung breaks down, the last breakdown is raised."""
     std = _Standardized(lp)
     start = None if basis is None else _start_columns(std, lp, basis)
     abandoned = []
@@ -590,6 +609,9 @@ def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG,
         except NumericalBreakdown as e:
             abandoned.append(f"pivot_tol={cfg.pivot_tol:g}: {e}")
             last = e
+            # a start that led into a breakdown may lead there again: the
+            # later rungs start cold
+            start = None
             continue
         sol.breakdowns = tuple(abandoned)
         return sol
@@ -669,14 +691,16 @@ def residual_report(lp: LinearProgram, sol: LpSolution) -> dict:
 
 
 def check_feasibility(A, rels, b, free=None,
-                      config: SolverConfig = DEFAULT_CONFIG) -> LpSolution:
+                      config: SolverConfig = DEFAULT_CONFIG,
+                      basis=None) -> LpSolution:
     """Feasibility of {A x (rels) b, x respects bounds}, as the
     zero-objective ``solve``: ``status`` is OPTIMAL with a feasible point
     in ``primal``, or INFEASIBLE with a Farkas ray in ``farkas`` proving
-    emptiness.
+    emptiness. ``basis`` is a starting basis, passed to ``solve`` as it
+    is: it seeds the first rung of the tolerance ladder only.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"A must be a matrix, got shape {A.shape}")
     return solve(LinearProgram(np.zeros(A.shape[1]), "min", A, rels, b,
-                               free), config)
+                               free), config, basis)

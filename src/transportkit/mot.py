@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .convex_order import _martingale_rows
+from .convex_order import _martingale_rows, _martingale_start
 from .errors import (
     DimensionMismatch,
     GammaMissing,
@@ -155,13 +155,15 @@ class ExtendResult:
 
 def _solve_martingale(mu: DiscreteMeasure, nu: DiscreteMeasure,
                       cost: CostSpec, what: str, config) -> lp.LpSolution:
-    """The LP over martingale couplings, whose row multipliers are the
-    dual (u, -v, gamma); raises unless it is optimal."""
+    """The LP over martingale couplings, started from
+    ``_martingale_start``, whose row multipliers are the dual (u, -v,
+    gamma); raises unless it is optimal."""
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
     A, rels, b = _martingale_rows(mu, nu)
     C = cost.pairwise(mu.points, nu.points)
-    sol = lp.solve(lp.LinearProgram(C.ravel(), "min", A, rels, b), config)
+    sol = lp.solve(lp.LinearProgram(C.ravel(), "min", A, rels, b), config,
+                   basis=_martingale_start(mu, nu))
     if sol.status == lp.INFEASIBLE:
         raise NotInConvexOrder("no martingale coupling exists")
     if sol.status != lp.OPTIMAL:

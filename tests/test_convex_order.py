@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import mean_preserving_spread, nu3, pm1, \
     random_convex_order_pair, random_measure
-from transportkit import convex_order as co, measures as ms, mot
+from transportkit import convex_order as co, lp, measures as ms, mot
 from transportkit.errors import BarycenterMismatch, NotInConvexOrder
 
 
@@ -219,6 +220,95 @@ def test_breakdown_pair_52_186_is_in_order():
     assert max(rep.recomposition_error(mu, nu)) <= co.TV_TOL
     _, value = mot.mot_primal(mu, nu, ms.CostSpec.euclidean())
     assert value == pytest.approx(0.2116263803, abs=1e-9)
+
+
+def _cold_value(mu, nu, cost):
+    """The martingale LP's value from the slack/artificial identity."""
+    A, rels, b = co._martingale_rows(mu, nu)
+    C = cost.pairwise(mu.points, nu.points).ravel()
+    return lp.solve(lp.LinearProgram(C, "min", A, rels, b)).value
+
+
+@pytest.mark.parametrize("seed, index", [(52, 168), (41, 272)])
+def test_staircase_breakdown_pairs_recover_cold(seed, index):
+    # from the martingale staircase, all four in-order calls on (52, 168)
+    # abandon their first rung, and while every rung reused the start they
+    # broke down on every rung ("basis became singular during refresh");
+    # the later rungs start cold and recover. (41, 272) is a pair of the
+    # same kind that must stay solved.
+    mu, nu = spread_pair(seed, index)
+    eu = ms.CostSpec.euclidean()
+    assert co.convex_order_check(mu, nu).in_order
+    rep = co.choquet_represent(mu, nu)
+    assert max(rep.recomposition_error(mu, nu)) <= co.TV_TOL
+    cold = _cold_value(mu, nu, eu)
+    _, primal = mot.mot_primal(mu, nu, eu)
+    _, dual = mot.mot_dual(mu, nu, eu)
+    assert abs(primal - cold) <= 1e-12
+    assert abs(dual - cold) <= 1e-12
+
+
+@st.composite
+def kernel_pairs(draw):
+    """(mu, nu, cost): nu on at most 12 distinct points (d = 1, 2),
+    either of the integer lattice {-2..2}^d, where distances tie, or of
+    the grid of eighths in [-1, 1]^d; each of 1-6 sources is the
+    barycenter of a kernel row of integer weights over those points, so
+    mu precedes nu in convex order, and points no row reaches are
+    dropped. The weighted sums K @ Y are exact, so rows with one
+    barycenter give one point, and such atoms of mu are merged."""
+    d = draw(st.sampled_from([1, 2]))
+    lattice = draw(st.booleans())
+    coord = st.integers(-2, 2) if lattice else \
+        st.integers(-8, 8).map(lambda k: k / 8)
+    ys = draw(st.lists(st.tuples(*[coord] * d), min_size=2, max_size=12,
+                       unique=True))
+    n = len(ys)
+    m = draw(st.integers(1, 6))
+    K = np.array(draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any),
+        min_size=m, max_size=m)), dtype=float)
+    a = np.array(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)),
+                 dtype=float)
+    Y = np.array(ys, dtype=float)
+    X = (K @ Y) / K.sum(axis=1)[:, None]
+    a /= a.sum()
+    b = a @ (K / K.sum(axis=1)[:, None])
+    table = {}
+    for x, w in zip(X, a):
+        table[ms.point_key(x)] = table.get(ms.point_key(x), 0.0) + w
+    xs = sorted(table)
+    mu = ms.new_measure(d, np.array(xs), np.array([table[x] for x in xs]))
+    keep = b > 0
+    nu = ms.new_measure(d, Y[keep], b[keep] / b[keep].sum())
+    cost = draw(st.sampled_from([ms.CostSpec.euclidean(),
+                                 ms.CostSpec.sq_euclidean()]))
+    return mu, nu, cost
+
+
+@given(kernel_pairs())
+def test_martingale_start_matches_cold_solve(case):
+    # the staircase start is never refused and changes no verdict, no
+    # value and no certificate, in order and reversed
+    mu, nu, cost = case
+    assert co.convex_order_check(mu, nu).in_order
+    for p, q in ((mu, nu), (nu, mu)):
+        A, rels, b = co._martingale_rows(p, q)
+        start = co._martingale_start(p, q)
+        cold = lp.check_feasibility(A, rels, b)
+        cert = co.convex_order_check(p, q)
+        assert cert.in_order == (cold.status == lp.OPTIMAL)
+        if not cert.in_order:
+            assert cert.witness.integral_gap(p, q) > 1e-10
+            continue
+        C = cost.pairwise(p.points, q.points).ravel()
+        sol = lp.solve(lp.LinearProgram(C, "min", A, rels, b), basis=start)
+        assert max(sol.residuals.values()) <= 1e-9, sol.residuals
+        cold_value = _cold_value(p, q, cost)
+        assert abs(sol.value - cold_value) <= 1e-12
+        assert abs(mot.mot_primal(p, q, cost)[1] - cold_value) <= 1e-12
+        rep = co.choquet_represent(p, q)
+        assert max(rep.recomposition_error(p, q)) <= co.TV_TOL
 
 
 # --- choquet_represent ---------------------------------------------------------

@@ -10,7 +10,7 @@ from conftest import (
     transport_value_by_vertex_enumeration,
 )
 from transportkit import lp
-from transportkit.convex_order import convex_order_check
+from transportkit.convex_order import _martingale_rows, convex_order_check
 from transportkit.errors import NumericalBreakdown
 from transportkit.measures import cost_from_json, new_measure
 from transportkit.mot import mot_primal
@@ -466,14 +466,65 @@ def test_starting_basis_is_refreshed_fully_once(monkeypatch):
 
 
 def test_infeasible_verdict_takes_one_refresh(monkeypatch):
-    # the reversed pair is not in convex order: one phase-1 loop, one
-    # plain refresh to read the artificials, then the Farkas ray
+    # the reversed pair is not in convex order: from the identity, one
+    # phase-1 loop, one plain refresh to read the artificials, then the
+    # Farkas ray
+    mu, nu = _spread_pair(7)
+    A, rels, b = _martingale_rows(nu, mu)
+    steps = _record_solve_steps(monkeypatch)
+    res = lp.check_feasibility(A, rels, b)
+    assert res.status == lp.INFEASIBLE
+    assert steps == ["phase 1 loop", "plain", "the Farkas ray"]
+    assert res.farkas @ b == pytest.approx(1.0)
+    assert (A.T @ res.farkas).max() <= 1e-7
+
+
+def test_started_infeasible_verdict_takes_one_refresh(monkeypatch):
+    # convex_order_check starts from the martingale staircase: its install,
+    # a re-install once the barycenter artificials that start below zero
+    # are negated, then the same loop, plain refresh and Farkas ray
     mu, nu = _spread_pair(7)
     steps = _record_solve_steps(monkeypatch)
     cert = convex_order_check(nu, mu)
     assert not cert.in_order
-    assert steps == ["phase 1 loop", "plain", "the Farkas ray"]
+    assert steps == ["full", "full", "phase 1 loop", "plain",
+                     "the Farkas ray"]
     assert cert.witness.integral_gap(nu, mu) > 1e-10
+
+
+def test_starting_artificial_below_zero_enters_negated():
+    # x1 = 1 on the second row leaves the first row's artificial at
+    # 0 - 1 = -1; it enters as -e_0, starts at +1 and phase 1 pivots it out
+    A = [[1.0, -1.0], [1.0, 1.0]]
+    prog = lp.LinearProgram([1.0, 2.0], "min", A, [lp.EQ, lp.EQ],
+                            [0.0, 1.0])
+    # the same rows as pairs of "<=" rows, for the oracle
+    oracle = lp.LinearProgram([1.0, 2.0], "min", A + [[-1.0, 1.0],
+                                                      [-1.0, -1.0]],
+                              [lp.LE] * 4, [0.0, 1.0, 0.0, -1.0])
+    sol = lp.solve(prog, basis=[-1, 0])
+    assert sol.status == lp.OPTIMAL and sol.breakdowns == ()
+    assert sol.value == pytest.approx(
+        lp_value_by_vertex_enumeration(oracle), abs=1e-12)
+    assert max(sol.residuals.values()) <= 1e-12, sol.residuals
+
+
+def test_later_rungs_start_cold(monkeypatch):
+    # a start that led the first rung into a breakdown seeds no other rung
+    prog = _transport_2x2()
+    cold = lp.solve(prog)
+    real, starts = lp._solve_once, []
+
+    def recorded(prog, std, cfg, start):
+        starts.append(start)
+        if len(starts) < 3:
+            raise NumericalBreakdown("basis became singular during refresh")
+        return real(prog, std, cfg, start)
+    monkeypatch.setattr(lp, "_solve_once", recorded)
+    sol = lp.solve(prog, basis=[0, 1, -1, 3])
+    assert sol.status == lp.OPTIMAL and len(sol.breakdowns) == 2
+    assert sol.value == pytest.approx(cold.value, abs=1e-15)
+    assert [s is None for s in starts] == [False, True, True]
 
 
 def test_unbounded_detection():

@@ -30,8 +30,10 @@ pivots of both phases.
 
 Standard form negates every row whose right-hand side is negative, so
 b >= 0. Both phases, ray validation and primal extraction work on one
-matrix M, those rows with one unit column per artificial; the row duals
-and the Farkas ray are mapped back to the user's rows by the same signs.
+matrix M = [A | I], built once per solve: column n + i is the artificial
+of row i, a basis entry that never enters and so has no tableau column.
+The row duals and the Farkas ray are mapped back to the user's rows by
+the same signs.
 
 Phase 1 starts from the slack/artificial identity, or from a starting
 basis the caller passes to ``solve``: one entry per row, a user column or
@@ -91,6 +93,8 @@ class SolverConfig:
     max_iterations: int = 0    # 0 = automatic cap from problem size
 
     def iteration_cap(self, m: int, n: int) -> int:
+        """Pricing passes per pivot loop on m rows over n standard
+        columns; the artificials never enter and are not counted."""
         if self.max_iterations:
             return self.max_iterations
         return 2000 + 200 * m + 20 * n
@@ -99,19 +103,19 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 # Largest dense tableau a solve may build. At its peak a solve holds about
-# six arrays of the tableau's size (the user's A, its standard form, the
-# matrix M of both phases, the tableau, and a full refresh's [M | b] and
-# its solution: tracemalloc measured 5.3-5.8x on OT and martingale
-# solves), so this keeps a solve under 750 MB; each pivot at this size
-# already sweeps ~17 M entries.
+# five arrays of the tableau's size (the user's A, the standard matrix M,
+# the tableau, and a full refresh's [A | b] and its solution: tracemalloc
+# measured 4.6-4.8x on OT and 5.2-5.5x on martingale solves), so this keeps
+# a solve under 750 MB; each pivot at this size sweeps ~17 M entries.
 DENSE_BUDGET_BYTES = 128 * 2 ** 20
 
 
 def check_size(n_rows: int, n_cols: int) -> None:
-    """Refuse an LP whose dense tableau, 8 (rows + 1)(cols + 2 rows + 1)
-    bytes for rows equality rows over cols variables, exceeds
-    ``DENSE_BUDGET_BYTES``. Problem builders call it from the sizes alone,
-    before the cost or the row matrix is allocated."""
+    """Refuse an LP of rows equality rows over cols variables when 8 (rows
+    + 1)(cols + 2 rows + 1) bytes, its tableau plus a (rows + 1) x rows
+    block for the artificial columns of M, exceed ``DENSE_BUDGET_BYTES``.
+    Problem builders call it from the sizes alone, before the cost or the
+    row matrix is allocated."""
     size = 8 * (n_rows + 1) * (n_cols + 2 * n_rows + 1)
     if size > DENSE_BUDGET_BYTES:
         raise ProductTooLarge(f"{n_rows} x {n_cols} LP needs {size >> 20} "
@@ -191,7 +195,8 @@ class _Standardized:
     order (+1 on "<=" rows, -1 on ">=" rows). Every row whose b is
     negative is then negated, slack included; ``row_sign`` is -1 on those
     rows and +1 elsewhere, so a row dual here times ``row_sign`` is the
-    dual of the user's row."""
+    dual of the user's row. ``M`` is ``A`` followed by one unit column per
+    row, the artificials; ``A`` is a view of M's first columns."""
 
     def __init__(self, lp: LinearProgram):
         A, b = lp.A, lp.b
@@ -207,14 +212,16 @@ class _Standardized:
         S[self.slack_row, np.arange(self.slack_row.size)] = \
             np.where(lp.rels[self.slack_row] == LE, 1.0, -1.0)
         self.row_sign = np.where(b < 0, -1.0, 1.0)
-        self.A = np.hstack([A[:, self.var_of] * self.var_sign, S])
+        self.M = np.hstack([A[:, self.var_of] * self.var_sign, S,
+                            np.eye(m)])
+        self.n_total = self.M.shape[1] - m
+        self.A = self.M[:, :self.n_total]
         self.A *= self.row_sign[:, None]
         self.c = np.concatenate([sign * lp.objective[self.var_of]
                                  * self.var_sign, np.zeros(S.shape[1])])
         self.b = b * self.row_sign
         self.m = m
         self.n_user = n
-        self.n_total = self.A.shape[1]
 
     def user_primal(self, z: np.ndarray) -> np.ndarray:
         x = np.zeros(self.n_user)
@@ -225,9 +232,9 @@ class _Standardized:
 # ---------------------------------------------------------------------------
 # tableau machinery
 #
-# column layout: [0, n_cols) the columns of M, [n_cols, n_cols + m) the
-# basis-inverse block, last column rhs; last row holds the reduced costs
-# and minus the objective value.
+# column layout: [0, n) the standard columns (artificials have none),
+# [n, n + m) the basis-inverse block, last column rhs; last row holds the
+# reduced costs and minus the objective value.
 # ---------------------------------------------------------------------------
 
 def _solve_basis(B, rhs, during: str) -> np.ndarray:
@@ -252,34 +259,36 @@ def _pivot(T: np.ndarray, basis: list, r: int, j: int) -> None:
     basis[r] = j
 
 
-def _refresh_tableau(T, n_cols, basis, M, b, costs, full=False):
-    """Recompute the derived tableau content exactly from the basis:
-    always the rhs column and reduced-cost row; with ``full`` also the
+def _refresh_tableau(T, basis, M, b, costs, full=False):
+    """Recompute the derived tableau content exactly from the basis, whose
+    artificials are columns n + i of M: always the rhs column and the
+    reduced costs of the n standard columns; with ``full`` also their
     matrix block, resetting the lexicographic block to the identity (a
-    fresh, exactly valid perturbation state for the current tableau).
-    A singular basis raises. Returns the basic values and the duals
-    ``(xb, y)`` it solved for."""
+    fresh, exactly valid perturbation state). A singular basis raises.
+    Returns the basic values and the duals ``(xb, y)`` it solved for."""
+    m = len(basis)
+    n = M.shape[1] - m
     B = M[:, basis]
     if full:
-        m = len(basis)
-        sol = _solve_basis(B, np.hstack([M, b[:, None]]), "refresh")
-        T[:-1, :n_cols] = sol[:, :-1]
+        sol = _solve_basis(B, np.hstack([M[:, :n], b[:, None]]), "refresh")
+        T[:-1, :n] = sol[:, :-1]
+        # a basic artificial's entries land in the block reset next
         T[:-1, basis] = 0.0
         T[range(m), basis] = 1.0
-        T[:-1, n_cols:-1] = np.eye(m)
+        T[:-1, n:-1] = np.eye(m)
         xb = sol[:, -1]
     else:
         xb = _solve_basis(B, b, "refresh")
     y = _solve_basis(B.T, costs[basis], "refresh")
     T[:-1, -1] = xb
-    T[-1, :n_cols] = costs - M.T @ y
+    T[-1, :n] = costs[:n] - M[:, :n].T @ y
     T[-1, basis] = 0.0
-    T[-1, n_cols:-1] = 0.0
+    T[-1, n:-1] = 0.0
     T[-1, -1] = -float(costs[basis] @ xb)
     return xb, y
 
 
-def _lex_leaving(T, n_cols, basis, rows, col, m):
+def _lex_leaving(T, basis, rows, col):
     """Lexicographic ratio test over [rhs | basis-inverse] rows.
 
     Degenerate rows may carry tiny negative rhs after a refresh; the rhs
@@ -289,13 +298,14 @@ def _lex_leaving(T, n_cols, basis, rows, col, m):
     of +-0 on every candidate gives them all the ratio 0 and keeps every
     one, so skipping it leaves the choice exactly as a full scan makes it.
     """
+    inv = T[:, -len(basis) - 1:-1]
     cand = rows
     vals = np.maximum(T[cand, -1], 0.0) / col[cand]
     best = vals.min()
     cand = cand[vals <= best + 1e-12 * (1.0 + abs(best))]
     if cand.size > 1:
-        for k in np.flatnonzero(T[cand, n_cols:n_cols + m].any(axis=0)):
-            vals = T[cand, n_cols + k] / col[cand]
+        for k in np.flatnonzero(inv[cand].any(axis=0)):
+            vals = inv[cand, k] / col[cand]
             best = vals.min()
             cand = cand[vals <= best + 1e-12 * (1.0 + abs(best))]
             if cand.size == 1:
@@ -305,8 +315,8 @@ def _lex_leaving(T, n_cols, basis, rows, col, m):
     return int(cand[0])
 
 
-def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase, M, b, costs):
-    """Pivot to optimality. Entering: the allowed column of most negative
+def _pivot_loop(T, basis, cfg, cap, phase, M, b, costs):
+    """Pivot to optimality. Entering: the standard column of most negative
     reduced cost below -feas_tol, the smallest index on a tie. Leaving:
     lexicographic. The tableau is rebuilt exactly from (M, b, costs)
     periodically and whenever a basis repeats. Returns ("optimal" |
@@ -314,6 +324,7 @@ def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase, M, b, costs):
     bounds the pricing passes, one more than the pivots."""
     it = 0
     m = len(basis)
+    n = T.shape[1] - m - 1
     period = max(100, 2 * m)
     seen: dict = {}
     rebuilds = 0
@@ -330,15 +341,15 @@ def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase, M, b, costs):
                 raise NumericalBreakdown(
                     f"phase {phase}: cycling persists after "
                     f"{rebuilds - 1} exact rebuilds")
-            _refresh_tableau(T, n_cols, basis, M, b, costs, full=True)
+            _refresh_tableau(T, basis, M, b, costs, full=True)
             seen = {}
         elif it % period == 0:
             # periodic full rebuild: matrix-entry drift would otherwise
             # feed the ratio test stale pivots
-            _refresh_tableau(T, n_cols, basis, M, b, costs, full=True)
+            _refresh_tableau(T, basis, M, b, costs, full=True)
         seen[key] = it
-        z = T[-1, :n_cols]
-        entering = np.flatnonzero(allowed & (z < -cfg.feas_tol))
+        z = T[-1, :n]
+        entering = np.flatnonzero(z < -cfg.feas_tol)
         if entering.size == 0:
             return "optimal", it - 1, None
         j = int(entering[np.argmin(z[entering])])
@@ -351,7 +362,7 @@ def _pivot_loop(T, n_cols, basis, allowed, cfg, cap, phase, M, b, costs):
                 raise NumericalBreakdown(
                     "phase 1: no admissible pivot above tolerance")
             return "unbounded", it - 1, j
-        r = _lex_leaving(T, n_cols, basis, rows, col, m)
+        r = _lex_leaving(T, basis, rows, col)
         _pivot(T, basis, r, j)
 
 
@@ -360,20 +371,22 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
 
     Starts from the slack/artificial identity, or from ``start``: one
     standard column per row, -1 for an artificial on that row (see
-    ``_start_columns``). A starting basis is installed by a full refresh
-    against the phase-1 costs. Each artificial it puts below -feas_tol
-    (1 + |b|) has its column of M negated, and the basis is installed
-    once more: the artificial then starts above zero. A singular starting
-    basis, or one with a user column below -feas_tol (1 + |b|), raises
-    ValueError. After the pivot loop one plain refresh settles the verdict
-    on basis-exact values.
+    ``_start_columns``). Row i's artificial is basis entry n + i, column
+    n + i of ``std.M``, reset to +e_i on each attempt. A starting basis is
+    installed by a full refresh against the phase-1 costs. Each artificial
+    it puts below -feas_tol (1 + |b|) is negated to -e_i in M, and the
+    basis is installed once more: the artificial then starts above zero.
+    A singular starting basis, or one with a user column below -feas_tol
+    (1 + |b|), raises ValueError. After the pivot loop one plain refresh
+    settles the verdict on basis-exact values.
 
-    Returns (status, T, basis, M, n_art, farkas, pivots). M is the
-    standard matrix with one unit column per artificial; artificials
-    stay in the basis at level zero when rows are redundant, so no rows
-    are ever deleted.
+    Returns (status, T, basis, farkas, pivots). Artificials stay in the
+    basis at level zero when rows are redundant, so no rows are deleted.
     """
     m, n = std.m, std.n_total
+    M = std.M
+    # undo the negations of an earlier rung's start
+    np.fill_diagonal(M[:, n:], 1.0)
     tol = cfg.feas_tol * (1.0 + np.abs(std.b).max(initial=0.0))
 
     if start is None:
@@ -386,40 +399,32 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
     else:
         basis = start.copy()
     art_rows = np.flatnonzero(basis < 0)
-    basis[art_rows] = n + np.arange(art_rows.size)
+    basis[art_rows] = n + art_rows
     basis = basis.tolist()
-
-    n_art = art_rows.size
-    M = np.hstack([std.A, np.eye(m)[:, art_rows]])
-    n_cols = M.shape[1]
-    c1 = np.zeros(n_cols)
+    c1 = np.zeros(n + m)
     c1[n:] = 1.0
 
     # tableau with the basis-inverse block
-    T = np.zeros((m + 1, n_cols + m + 1))
+    T = np.zeros((m + 1, n + m + 1))
     if start is None:
-        # the initial basis is the identity, and the artificials start at
-        # b itself
-        T[:-1, :n_cols] = M
-        T[:-1, n_cols:-1] = np.eye(m)
+        # the initial basis is the identity, so the tableau is M itself
+        # and the artificials start at b
+        T[:-1, :-1] = M
         T[:-1, -1] = std.b
         for i in art_rows:
             T[-1] -= T[i]
-        T[-1, n:n_cols] = 0.0
-        T[-1, n_cols:-1] = 0.0
+        T[-1, n:-1] = 0.0
         above = std.b[art_rows].any()
     else:
         try:
-            xb, _ = _refresh_tableau(T, n_cols, basis, M, std.b, c1,
-                                     full=True)
+            xb, _ = _refresh_tableau(T, basis, M, std.b, c1, full=True)
             # an artificial below zero enters with coefficient -1: -e_i is
             # still an artificial for row i, and negating a basic column
-            # only negates its row of B^-1 [M | b]
-            low = xb[art_rows] < -tol
-            if low.any():
-                M[:, n + np.flatnonzero(low)] *= -1.0
-                xb, _ = _refresh_tableau(T, n_cols, basis, M, std.b, c1,
-                                         full=True)
+            # only negates its row of B^-1 [A | b]
+            low = art_rows[xb[art_rows] < -tol]
+            if low.size:
+                M[low, n + low] = -1.0
+                xb, _ = _refresh_tableau(T, basis, M, std.b, c1, full=True)
         except NumericalBreakdown as e:
             raise ValueError(f"starting basis is singular: {e}") from None
         if xb.min(initial=0.0) < -tol:
@@ -433,13 +438,10 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
     # artificials that all start at level zero already sit in a feasible
     # basis: no pivot loop runs, and the untouched tableau stays exact
     if above:
-        allowed = np.zeros(n_cols, dtype=bool)
-        allowed[:n] = True
-        cap = cfg.iteration_cap(m, n_cols)
-        _, iterations, _ = _pivot_loop(T, n_cols, basis, allowed, cfg,
-                                       cap, 1, M, std.b, c1)
+        cap = cfg.iteration_cap(m, n)
+        _, iterations, _ = _pivot_loop(T, basis, cfg, cap, 1, M, std.b, c1)
         # settle the verdict on basis-exact values
-        _refresh_tableau(T, n_cols, basis, M, std.b, c1)
+        _refresh_tableau(T, basis, M, std.b, c1)
         art_level = sum(max(float(T[i, -1]), 0.0)
                         for i in range(m) if basis[i] >= n)
         if art_level > tol:
@@ -455,29 +457,28 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
             if viol <= noise or comb.max(initial=0.0) > 1e-7 * (1.0 + viol):
                 raise NumericalBreakdown(
                     "infeasibility certificate failed validation")
-            return "infeasible", None, None, None, None, \
-                std.row_sign * y / viol, iterations
+            return "infeasible", None, None, std.row_sign * y / viol, \
+                iterations
 
         if any(basis[i] >= n for i in range(m)):
-            _refresh_tableau(T, n_cols, basis, M, std.b, c1, full=True)
+            _refresh_tableau(T, basis, M, std.b, c1, full=True)
 
     # pivot leftover artificials out on honest (untouched or freshly
     # rebuilt) entries; rows without one are redundant and keep their
     # artificial pinned at level zero for good
-    for i in range(m):
-        if basis[i] < n:
-            continue
+    for i in [r for r in range(m) if basis[r] >= n]:
         row = T[i, :n]
         j = int(np.argmax(np.abs(row)))
         if abs(row[j]) > 1e-7:
             _pivot(T, basis, i, j)
             iterations += 1
 
-    return "feasible", T, basis, M, n_art, None, iterations
+    return "feasible", T, basis, None, iterations
 
 
-def _phase2(T, n_cols, basis, M, b, c_aug, n, cfg, pivoted):
-    """Pivot from the phase-1 basis to optimality. The first refresh is
+def _phase2(T, basis, M, b, c_aug, cfg, pivoted):
+    """Pivot from the phase-1 basis to optimality; ``c_aug`` gives every
+    column of M its cost, zero on the artificials. The first refresh is
     full, installing a fresh lexicographic state, only if phase 1 made a
     pivot (``pivoted``); otherwise the tableau is still the exact install
     of this basis, or the untouched identity. Later refreshes keep drift
@@ -485,19 +486,17 @@ def _phase2(T, n_cols, basis, M, b, c_aug, n, cfg, pivoted):
     of an unboundedness ray in ``entering``, else None. A closing refresh
     has solved the final basis already: its duals ``y`` are kept, and its
     basic values ``xb`` too unless it was a full one, whose solve against
-    [M | b] may differ from B^-1 b in the last bits; both are None when
+    [A | b] may differ from B^-1 b in the last bits; both are None when
     nothing has solved the final basis."""
-    allowed = np.zeros(n_cols, dtype=bool)
-    allowed[:n] = True  # artificials may stay basic at zero, never enter
-    cap = cfg.iteration_cap(len(basis), n_cols)
+    n = M.shape[1] - len(basis)
+    cap = cfg.iteration_cap(len(basis), n)
     pivots = 0
     for round_ in range(4):
         full = round_ == 0 and pivoted
-        xb, y = _refresh_tableau(T, n_cols, basis, M, b, c_aug, full=full)
+        xb, y = _refresh_tableau(T, basis, M, b, c_aug, full=full)
         if not np.any(T[-1, :n] < -cfg.feas_tol):
             return (None if full else xb), y, pivots, None
-        outcome, extra, j = _pivot_loop(T, n_cols, basis, allowed, cfg,
-                                        cap, 2, M, b, c_aug)
+        outcome, extra, j = _pivot_loop(T, basis, cfg, cap, 2, M, b, c_aug)
         pivots += extra
         if outcome == "unbounded":
             return None, None, pivots, j
@@ -505,11 +504,12 @@ def _phase2(T, n_cols, basis, M, b, c_aug, n, cfg, pivoted):
     return None, None, pivots, None
 
 
-def _validate_ray(M, c_aug, n_real, basis, j, cfg) -> None:
+def _validate_ray(M, c_aug, basis, j, cfg) -> None:
     """Check the phase-2 unboundedness ray of entering column j on the
     original data: z_j = 1, z_B = -B^-1 A_j. A near-singular basis can hide
     an admissible pivot below pivot_tol; such a ray fails here and the solve
     is retried on the next rung of the tolerance ladder."""
+    n_real = M.shape[1] - M.shape[0]
     w = _solve_basis(M[:, basis], M[:, j], "ray validation")
     z = np.zeros(M.shape[1])
     z[basis] = -w
@@ -522,14 +522,15 @@ def _validate_ray(M, c_aug, n_real, basis, j, cfg) -> None:
         raise NumericalBreakdown("unboundedness ray failed validation")
 
 
-def _extract_primal(M, b, n_real, basis, cfg, xb) -> np.ndarray:
+def _extract_primal(M, b, basis, cfg, xb) -> np.ndarray:
     """Basic solution B^-1 b of the final basis, solved on the original,
     drift-free data, validated on the standard system and truncated to the
-    real (non-artificial) columns. ``xb`` is B^-1 b when a plain refresh
-    has just solved for it; otherwise it is solved here, and a singular
-    basis raises. A basic value below -1e-6 (1 + |b|), an artificial
-    carrying mass or a row residual above max(1e-8, feas_tol) (1 + |b|)
-    raises NumericalBreakdown, so the tolerance ladder retries."""
+    real columns (all but the m artificials). ``xb`` is B^-1 b when a plain
+    refresh has just solved for it; otherwise it is solved here, and a
+    singular basis raises. A basic value below -1e-6 (1 + |b|), an
+    artificial carrying mass or a row residual above max(1e-8, feas_tol)
+    (1 + |b|) raises NumericalBreakdown, so the tolerance ladder retries."""
+    n_real = M.shape[1] - M.shape[0]
     if xb is None:
         xb = _solve_basis(M[:, basis], b, "primal extraction")
     scale = 1.0 + np.abs(b).max(initial=0.0)
@@ -620,17 +621,16 @@ def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG,
 
 def _solve_once(lp: LinearProgram, std: _Standardized,
                 config: SolverConfig, start) -> LpSolution:
-    status, T, basis, M, n_art, farkas, it1 = _phase1(std, config, start)
+    status, T, basis, farkas, it1 = _phase1(std, config, start)
     if status == "infeasible":
         return LpSolution(status=INFEASIBLE, farkas=farkas, iterations=it1)
 
-    n = std.n_total
-    c_aug = np.concatenate([std.c, np.zeros(n_art)])
+    c_aug = np.concatenate([std.c, np.zeros(std.m)])
     if std.c.any():
-        xb, y, it2, j = _phase2(T, n + n_art, basis, M, std.b, c_aug, n,
-                                config, it1 > 0)
+        xb, y, it2, j = _phase2(T, basis, std.M, std.b, c_aug, config,
+                                it1 > 0)
         if j is not None:
-            _validate_ray(M, c_aug, n, basis, j, config)
+            _validate_ray(std.M, c_aug, basis, j, config)
             return LpSolution(status=UNBOUNDED, iterations=it1 + it2)
     else:
         # a zero objective is optimal at the phase-1 basis, with zero duals
@@ -638,9 +638,9 @@ def _solve_once(lp: LinearProgram, std: _Standardized,
 
     # refine primal and dual values from the final basis using the
     # original, drift-free data
-    z = _extract_primal(M, std.b, n, basis, config, xb)
+    z = _extract_primal(std.M, std.b, basis, config, xb)
     if y is None:
-        y = _solve_basis(M[:, basis].T, c_aug[basis], "dual extraction")
+        y = _solve_basis(std.M[:, basis].T, c_aug[basis], "dual extraction")
     # a negated row's dual changes sign with it
     y = std.row_sign * y
     value_int = float(std.c @ z)

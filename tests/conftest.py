@@ -12,10 +12,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from transportkit import lp
-from transportkit.measures import DiscreteMeasure, new_measure, point_key
+from transportkit.measures import CostSpec, DiscreteMeasure, new_measure, \
+    point_key
 
 # Property tests draw a fixed example sequence (no database, no clock), so
 # a run is repeatable and a slow shared host cannot fail it on a deadline.
@@ -162,3 +163,41 @@ def kr_certificate_errors(f, value, mu, nu, cost):
     signed = sum(w * f.value_at(p) for p, w in zip(mu.points, mu.weights)) \
         - sum(w * f.value_at(p) for p, w in zip(nu.points, nu.weights))
     return lipschitz, abs(value - signed)
+
+
+@st.composite
+def kernel_pairs(draw):
+    """(mu, nu, cost): nu on at most 12 distinct points (d = 1, 2),
+    either of the integer lattice {-2..2}^d, where distances tie, or of
+    the grid of eighths in [-1, 1]^d; each of 1-6 sources is the
+    barycenter of a kernel row of integer weights over those points, so
+    mu precedes nu in convex order, and points no row reaches are
+    dropped. The weighted sums K @ Y are exact, so rows with one
+    barycenter give one point, and such atoms of mu are merged."""
+    d = draw(st.sampled_from([1, 2]))
+    lattice = draw(st.booleans())
+    coord = st.integers(-2, 2) if lattice else \
+        st.integers(-8, 8).map(lambda k: k / 8)
+    ys = draw(st.lists(st.tuples(*[coord] * d), min_size=2, max_size=12,
+                       unique=True))
+    n = len(ys)
+    m = draw(st.integers(1, 6))
+    K = np.array(draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any),
+        min_size=m, max_size=m)), dtype=float)
+    a = np.array(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)),
+                 dtype=float)
+    Y = np.array(ys, dtype=float)
+    X = (K @ Y) / K.sum(axis=1)[:, None]
+    a /= a.sum()
+    b = a @ (K / K.sum(axis=1)[:, None])
+    table = {}
+    for x, w in zip(X, a):
+        table[point_key(x)] = table.get(point_key(x), 0.0) + w
+    xs = sorted(table)
+    mu = new_measure(d, np.array(xs), np.array([table[x] for x in xs]))
+    keep = b > 0
+    nu = new_measure(d, Y[keep], b[keep] / b[keep].sum())
+    cost = draw(st.sampled_from([CostSpec.euclidean(),
+                                 CostSpec.sq_euclidean()]))
+    return mu, nu, cost

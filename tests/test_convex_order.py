@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import mean_preserving_spread, nu3, pm1, \
+from conftest import kernel_pairs, mean_preserving_spread, nu3, pm1, \
     random_convex_order_pair, random_measure
 from transportkit import convex_order as co, lp, measures as ms, mot
 from transportkit.errors import BarycenterMismatch, NotInConvexOrder
@@ -246,44 +246,6 @@ def test_staircase_breakdown_pairs_recover_cold(seed, index):
     _, dual = mot.mot_dual(mu, nu, eu)
     assert abs(primal - cold) <= 1e-12
     assert abs(dual - cold) <= 1e-12
-
-
-@st.composite
-def kernel_pairs(draw):
-    """(mu, nu, cost): nu on at most 12 distinct points (d = 1, 2),
-    either of the integer lattice {-2..2}^d, where distances tie, or of
-    the grid of eighths in [-1, 1]^d; each of 1-6 sources is the
-    barycenter of a kernel row of integer weights over those points, so
-    mu precedes nu in convex order, and points no row reaches are
-    dropped. The weighted sums K @ Y are exact, so rows with one
-    barycenter give one point, and such atoms of mu are merged."""
-    d = draw(st.sampled_from([1, 2]))
-    lattice = draw(st.booleans())
-    coord = st.integers(-2, 2) if lattice else \
-        st.integers(-8, 8).map(lambda k: k / 8)
-    ys = draw(st.lists(st.tuples(*[coord] * d), min_size=2, max_size=12,
-                       unique=True))
-    n = len(ys)
-    m = draw(st.integers(1, 6))
-    K = np.array(draw(st.lists(
-        st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any),
-        min_size=m, max_size=m)), dtype=float)
-    a = np.array(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)),
-                 dtype=float)
-    Y = np.array(ys, dtype=float)
-    X = (K @ Y) / K.sum(axis=1)[:, None]
-    a /= a.sum()
-    b = a @ (K / K.sum(axis=1)[:, None])
-    table = {}
-    for x, w in zip(X, a):
-        table[ms.point_key(x)] = table.get(ms.point_key(x), 0.0) + w
-    xs = sorted(table)
-    mu = ms.new_measure(d, np.array(xs), np.array([table[x] for x in xs]))
-    keep = b > 0
-    nu = ms.new_measure(d, Y[keep], b[keep] / b[keep].sum())
-    cost = draw(st.sampled_from([ms.CostSpec.euclidean(),
-                                 ms.CostSpec.sq_euclidean()]))
-    return mu, nu, cost
 
 
 @given(kernel_pairs())

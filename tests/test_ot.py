@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -362,10 +364,11 @@ def test_least_cost_basis_is_a_feasible_start(case):
 
 def test_coupling_lps_run_no_phase_one(monkeypatch):
     real, phases = lp._pivot_loop, []
+    params = inspect.signature(real)
 
-    def recorded(*args):
-        phases.append(args[6])
-        return real(*args)
+    def recorded(*args, **kwargs):
+        phases.append(params.bind(*args, **kwargs).arguments["phase"])
+        return real(*args, **kwargs)
     monkeypatch.setattr(lp, "_pivot_loop", recorded)
     rng = np.random.default_rng(17)
     mu, nu = random_measure(rng, 2, 10), random_measure(rng, 2, 10)

@@ -78,11 +78,6 @@ class Grid:
             mask &= (idx[axis] > 0) & (idx[axis] < c - 1)
         return mask
 
-    def step(self) -> float:
-        return float(min((self.box.hi[i] - self.box.lo[i])
-                         / (self.counts[i] - 1)
-                         for i in range(self.box.dim)))
-
 
 _EVALUATOR_KINDS = ("quadratic", "abs_norm", "neg_quadratic", "max_affine",
                     "bclass_sup", "samples")

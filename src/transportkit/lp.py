@@ -19,14 +19,16 @@ rule. Rows still tied on the rhs ratio are compared only on the
 basis-inverse columns that are nonzero on some tied row; a column of zeros
 there gives every tied row the same ratio, so skipping it is exact and the
 choice is the one a full column-by-column scan makes. The basis-inverse
-block is carried in the tableau; derived rows are recomputed from the
-basis periodically and the whole tableau is rebuilt exactly if a basis
-ever repeats. When phase 2 ends right after a refresh, the result reuses
-that refresh's duals, and its basic values unless it was the full one,
-instead of solving the final basis again. On numerical breakdown the solve
-restarts on a fixed ladder of pivot tolerances, and the result names each
-abandoned rung in ``breakdowns``. ``LpSolution.iterations`` counts the
-pivots of both phases.
+block is carried in the tableau, which is rebuilt exactly from the basis
+periodically. Both phases take an optimum on basis-exact values only: when
+pricing a drifted tableau finds no entering column, the pivot loop
+refreshes rhs and reduced costs from the basis and prices again, and it
+returns once a fresh refresh prices none. The verdict, primal and duals
+are read off that refresh; a fourth refresh that still prices an entering
+column is a breakdown. On numerical breakdown the solve restarts on a
+fixed ladder of pivot tolerances, and the result names each abandoned
+rung in ``breakdowns``. ``LpSolution.iterations`` counts the pivots of
+both phases.
 
 Standard form negates every row whose right-hand side is negative, so
 b >= 0. Both phases, ray validation and primal extraction work on one
@@ -47,12 +49,11 @@ the first rung of the tolerance ladder: the later rungs start from the
 identity. Phase 1 pivots only when some artificial starts above zero
 (for a given basis: above the feasibility tolerance, as the artificials
 of redundant rows carry rounding); a feasible starting basis goes
-straight to phase 2. After its pivots, one plain refresh settles the
-verdict. Phase 2 opens with a full refresh, a fresh lexicographic
-state, only if phase 1 made a pivot; otherwise the tableau is still the
-exact install of its basis and a plain refresh of rhs and reduced costs
-opens it. The primal is B^-1 b of the final basis, checked against the
-rows of M.
+straight to phase 2. Phase 2 opens with a full refresh, a fresh
+lexicographic state, only if phase 1 made a pivot; otherwise the tableau
+is still the exact install of its basis and a plain refresh of rhs and
+reduced costs opens it. The primal is B^-1 b of the final basis, checked
+against the rows of M.
 
 There is one solve path. ``check_feasibility`` is ``solve`` with a zero
 objective and returns its ``LpSolution``: OPTIMAL with a feasible
@@ -315,43 +316,47 @@ def _lex_leaving(T, basis, rows, col):
     return int(cand[0])
 
 
-def _pivot_loop(T, basis, cfg, cap, phase, M, b, costs):
+def _pivot_loop(T, basis, cfg, phase, M, b, costs, fresh=None):
     """Pivot to optimality. Entering: the standard column of most negative
     reduced cost below -feas_tol, the smallest index on a tie. Leaving:
-    lexicographic. The tableau is rebuilt exactly from (M, b, costs)
-    periodically and whenever a basis repeats. Returns ("optimal" |
-    "unbounded", pivots made, entering column or None); the iteration cap
-    bounds the pricing passes, one more than the pivots."""
-    it = 0
+    lexicographic. The tableau is rebuilt exactly from (M, b, costs) every
+    ``period`` pricing passes after the start or the last plain refresh.
+    When pricing finds no entering column on a tableau that has pivoted
+    since that refresh, the loop refreshes it and prices again; ``fresh``
+    is the ``(xb, y)`` of a plain refresh the tableau has just had, if
+    any. If the fourth refresh still prices an entering column,
+    NumericalBreakdown.
+    Returns (xb, y, pivots, entering): the confirming refresh's values and
+    None, or None, None and the column of an unboundedness ray. The
+    iteration cap bounds the pricing passes."""
     m = len(basis)
     n = T.shape[1] - m - 1
+    cap = cfg.iteration_cap(m, n)
     period = max(100, 2 * m)
-    seen: dict = {}
-    rebuilds = 0
+    it = pivots = refreshes = passes = 0
     while True:
         it += 1
         if it > cap:
             raise NumericalBreakdown(
                 f"phase {phase}: iteration cap {cap} exceeded")
-        key = hash(tuple(basis))
-        if key in seen:
-            # impossible under exact pivots; rebuild exactly and retry
-            rebuilds += 1
-            if rebuilds > 5:
-                raise NumericalBreakdown(
-                    f"phase {phase}: cycling persists after "
-                    f"{rebuilds - 1} exact rebuilds")
-            _refresh_tableau(T, basis, M, b, costs, full=True)
-            seen = {}
-        elif it % period == 0:
+        passes += 1
+        if passes % period == 0:
             # periodic full rebuild: matrix-entry drift would otherwise
             # feed the ratio test stale pivots
             _refresh_tableau(T, basis, M, b, costs, full=True)
-        seen[key] = it
         z = T[-1, :n]
         entering = np.flatnonzero(z < -cfg.feas_tol)
         if entering.size == 0:
-            return "optimal", it - 1, None
+            if fresh is not None:
+                return (*fresh, pivots, None)
+            fresh = _refresh_tableau(T, basis, M, b, costs)
+            refreshes += 1
+            passes = 0
+            continue
+        if fresh is not None and refreshes == 4:
+            raise NumericalBreakdown(
+                f"phase {phase}: reduced costs still admit an entering "
+                f"column after {refreshes} refreshes")
         j = int(entering[np.argmin(z[entering])])
         col = T[:-1, j]
         rows = np.flatnonzero(col > cfg.pivot_tol)
@@ -361,9 +366,11 @@ def _pivot_loop(T, basis, cfg, cap, phase, M, b, costs):
                 # missing leaving row means pivots were lost to tolerance
                 raise NumericalBreakdown(
                     "phase 1: no admissible pivot above tolerance")
-            return "unbounded", it - 1, j
+            return None, None, pivots, j
         r = _lex_leaving(T, basis, rows, col)
         _pivot(T, basis, r, j)
+        pivots += 1
+        fresh = None
 
 
 def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
@@ -377,8 +384,9 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
     it puts below -feas_tol (1 + |b|) is negated to -e_i in M, and the
     basis is installed once more: the artificial then starts above zero.
     A singular starting basis, or one with a user column below -feas_tol
-    (1 + |b|), raises ValueError. After the pivot loop one plain refresh
-    settles the verdict on basis-exact values.
+    (1 + |b|), raises ValueError. The verdict is read off the refresh that
+    confirms the pivot loop's optimum: the artificial level from its basic
+    values, the Farkas ray from its duals.
 
     Returns (status, T, basis, farkas, pivots). Artificials stay in the
     basis at level zero when rows are redundant, so no rows are deleted.
@@ -438,16 +446,12 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
     # artificials that all start at level zero already sit in a feasible
     # basis: no pivot loop runs, and the untouched tableau stays exact
     if above:
-        cap = cfg.iteration_cap(m, n)
-        _, iterations, _ = _pivot_loop(T, basis, cfg, cap, 1, M, std.b, c1)
-        # settle the verdict on basis-exact values
-        _refresh_tableau(T, basis, M, std.b, c1)
-        art_level = sum(max(float(T[i, -1]), 0.0)
+        xb, y, iterations, _ = _pivot_loop(T, basis, cfg, 1, M, std.b, c1)
+        art_level = sum(max(float(xb[i]), 0.0)
                         for i in range(m) if basis[i] >= n)
         if art_level > tol:
             # y certifies the standard rows; row_sign * y certifies the
             # user's, and each term of the sums below is the same for both
-            y = _solve_basis(M[:, basis].T, c1[basis], "the Farkas ray")
             viol = y @ std.b
             comb = std.A.T @ y
             # b.y must stand clear of the rounding in its own sum: a ray
@@ -478,30 +482,14 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
 
 def _phase2(T, basis, M, b, c_aug, cfg, pivoted):
     """Pivot from the phase-1 basis to optimality; ``c_aug`` gives every
-    column of M its cost, zero on the artificials. The first refresh is
+    column of M its cost, zero on the artificials. The opening refresh is
     full, installing a fresh lexicographic state, only if phase 1 made a
     pivot (``pivoted``); otherwise the tableau is still the exact install
-    of this basis, or the untouched identity. Later refreshes keep drift
-    from ending phase 2 early. Returns (xb, y, pivots, entering): the column
-    of an unboundedness ray in ``entering``, else None. A closing refresh
-    has solved the final basis already: its duals ``y`` are kept, and its
-    basic values ``xb`` too unless it was a full one, whose solve against
-    [A | b] may differ from B^-1 b in the last bits; both are None when
-    nothing has solved the final basis."""
-    n = M.shape[1] - len(basis)
-    cap = cfg.iteration_cap(len(basis), n)
-    pivots = 0
-    for round_ in range(4):
-        full = round_ == 0 and pivoted
-        xb, y = _refresh_tableau(T, basis, M, b, c_aug, full=full)
-        if not np.any(T[-1, :n] < -cfg.feas_tol):
-            return (None if full else xb), y, pivots, None
-        outcome, extra, j = _pivot_loop(T, basis, cfg, cap, 2, M, b, c_aug)
-        pivots += extra
-        if outcome == "unbounded":
-            return None, None, pivots, j
-    # the last round ended on pivots: nothing has solved this basis
-    return None, None, pivots, None
+    of this basis, or the untouched identity, and a plain opening refresh
+    can confirm an optimum at once. Returns what ``_pivot_loop`` does."""
+    fresh = _refresh_tableau(T, basis, M, b, c_aug, full=pivoted)
+    return _pivot_loop(T, basis, cfg, 2, M, b, c_aug,
+                       None if pivoted else fresh)
 
 
 def _validate_ray(M, c_aug, basis, j, cfg) -> None:
@@ -525,11 +513,12 @@ def _validate_ray(M, c_aug, basis, j, cfg) -> None:
 def _extract_primal(M, b, basis, cfg, xb) -> np.ndarray:
     """Basic solution B^-1 b of the final basis, solved on the original,
     drift-free data, validated on the standard system and truncated to the
-    real columns (all but the m artificials). ``xb`` is B^-1 b when a plain
-    refresh has just solved for it; otherwise it is solved here, and a
-    singular basis raises. A basic value below -1e-6 (1 + |b|), an
-    artificial carrying mass or a row residual above max(1e-8, feas_tol)
-    (1 + |b|) raises NumericalBreakdown, so the tolerance ladder retries."""
+    real columns (all but the m artificials). ``xb`` is B^-1 b from the
+    refresh that confirmed phase 2's optimum; without phase 2 it is None
+    and solved here, and a singular basis raises. A basic value below
+    -1e-6 (1 + |b|), an artificial carrying mass or a row residual above
+    max(1e-8, feas_tol) (1 + |b|) raises NumericalBreakdown, so the
+    tolerance ladder retries."""
     n_real = M.shape[1] - M.shape[0]
     if xb is None:
         xb = _solve_basis(M[:, basis], b, "primal extraction")
@@ -636,11 +625,9 @@ def _solve_once(lp: LinearProgram, std: _Standardized,
         # a zero objective is optimal at the phase-1 basis, with zero duals
         xb, y, it2 = None, np.zeros(std.m), 0
 
-    # refine primal and dual values from the final basis using the
-    # original, drift-free data
+    # primal and dual values of the final basis on the original,
+    # drift-free data
     z = _extract_primal(std.M, std.b, basis, config, xb)
-    if y is None:
-        y = _solve_basis(std.M[:, basis].T, c_aug[basis], "dual extraction")
     # a negated row's dual changes sign with it
     y = std.row_sign * y
     value_int = float(std.c @ z)

@@ -79,14 +79,6 @@ class DiscreteMeasure:
     def __len__(self):
         return self.points.shape[0]
 
-    def weight_at(self, p) -> float:
-        """Weight of an exact support point, 0.0 if absent."""
-        k = point_key(p)
-        for row, w in zip(self.points, self.weights):
-            if point_key(row) == k:
-                return float(w)
-        return 0.0
-
     def as_dict(self) -> dict:
         return {k: float(w) for k, w in zip(map(point_key, self.points),
                                             self.weights)}
@@ -199,10 +191,6 @@ class MultiCoupling:
             raise MassNotOne(f"total mass {t.sum()!r}")
         object.__setattr__(self, "supports", sups)
         object.__setattr__(self, "mass", _freeze(t))
-
-    def axis_marginal(self, i: int) -> np.ndarray:
-        axes = tuple(j for j in range(self.mass.ndim) if j != i)
-        return self.mass.sum(axis=axes)
 
 
 def union_points(*arrays) -> np.ndarray:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from transportkit import cli
+from transportkit import cli, convex_order
+from transportkit.errors import NumericalBreakdown
 
 
 def write(tmp_path, name, obj):
@@ -49,6 +50,27 @@ def test_order_check_not_in_order_exit_2(measures, capsys):
     assert code == 2
     assert report["results"]["in_order"] is False
     assert report["results"]["witness"]["integral_gap"] > 1e-10
+
+
+def test_order_check_in_order_exit_0(measures, capsys):
+    code, report = run(capsys, [
+        "order", "check", "--mu", measures["pm1"], "--nu", measures["nu3"]])
+    assert code == 0
+    assert report["results"]["in_order"] is True
+    # the one martingale coupling splits each of -1, 1 evenly
+    assert np.allclose(report["results"]["coupling"],
+                       [[0.25, 0.25, 0.0], [0.0, 0.25, 0.25]], atol=1e-9)
+
+
+def test_order_decompose_with_cost(measures, capsys):
+    # two fans, each moving its mass a distance 1
+    code, report = run(capsys, [
+        "order", "decompose", "--mu", measures["pm1"],
+        "--nu", measures["nu3"], "--cost", '{"kind":"euclidean"}'])
+    assert code == 0
+    assert report["results"]["fans"] == 2
+    assert report["results"]["representation_cost"] == pytest.approx(
+        1.0, abs=1e-9)
 
 
 def test_order_decompose_two_fans(measures, capsys):
@@ -156,6 +178,76 @@ def test_csv_rejected_for_structured_commands(measures, capsys):
                      "--nu", measures["d1"],
                      "--cost", '{"kind":"euclidean"}', "--format", "csv"])
     assert code == 1
+
+
+def _csv_rows(capsys, argv):
+    code = cli.main(argv + ["--format", "csv"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    return code, lines[0], np.array([[float(v) for v in line.split(",")]
+                                     for line in lines[1:]])
+
+
+def test_ucvx_certify_csv(capsys):
+    # f = x^2 meets sigma(t) = t^2 with equality, so gamma is f' = 2x
+    code, header, rows = _csv_rows(capsys, [
+        "ucvx", "certify", "--f", '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}',
+        "--sigma", '{"kind":"power","p":2}',
+        "--grid", '{"box":[[-1.0,1.0]],"counts":[5]}'])
+    assert code == 0 and header == "x0,gamma0"
+    assert rows[:, 0].tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert np.allclose(rows[:, 1], 2.0 * rows[:, 0], atol=1e-9)
+
+
+def test_class_certify_csv(capsys):
+    code, header, rows = _csv_rows(capsys, [
+        "class", "certify",
+        "--f1", '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}',
+        "--f2", '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}',
+        "--cost", '{"kind":"linear","a":[0.0]}',
+        "--x", "[[-1.0],[0.0],[1.0]]", "--y", "[[-1.0],[0.0],[1.0]]"])
+    assert code == 0 and header == "x0,gamma0"
+    assert rows.shape == (3, 2)
+    assert rows[:, 0].tolist() == [-1.0, 0.0, 1.0]
+
+
+def test_csv_refused_for_failed_certification(capsys):
+    # the counterexample of a refuted certification has no csv table
+    code = cli.main([
+        "usmooth", "certify",
+        "--f", '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}',
+        "--sigma", '{"kind":"zero"}',
+        "--grid", '{"box":[[-1.0,1.0]],"counts":[9]}', "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "csv output needs a certified gamma table" in captured.err
+
+
+def test_numerical_breakdown_exits_3(measures, capsys, monkeypatch):
+    def breaks(mu, nu):
+        raise NumericalBreakdown("basis became singular during refresh")
+    monkeypatch.setattr(convex_order, "convex_order_check", breaks)
+    code = cli.main(["order", "check", "--mu", measures["pm1"],
+                     "--nu", measures["nu3"]])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("error: numerical breakdown: basis became "
+                            "singular during refresh\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # squared distance breaks the triangle inequality: NotAMetric
+    (["ot", "kr", "--mu", "pm1", "--nu", "nu3",
+      "--cost", '{"kind":"sq_euclidean"}'], "triangle violation"),
+    # a one-node axis: GridTooCoarse, another TransportkitError
+    (["mti", "hessian", "--cost", '{"kind":"sq_euclidean"}',
+      "--grid", '{"box":[[-1.0,1.0]],"counts":[1]}'],
+     "need at least two nodes per axis"),
+])
+def test_toolkit_errors_exit_1(measures, capsys, argv, message):
+    code = cli.main([measures.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_mti_check_cli(capsys):

@@ -193,43 +193,82 @@ def test_iterations_count_pivots():
     assert sol.iterations == 2
 
 
-def test_final_basis_solved_when_rounds_end_on_pivots(monkeypatch):
-    # max sum (j+1) x_j s.t. (j+2) x_j <= 1 has one optimal basis. Each
-    # of the first three phase-2 rounds may enter only column r (the
-    # other reduced costs are blanked before its loop prices), so the
-    # fourth and last round pivots after its refresh and the loop ends
-    # without a closing refresh: primal and duals must then be solved
-    # from the final basis, not taken from the last refresh
+def test_false_optimum_is_priced_again_on_a_refresh(monkeypatch):
+    # max sum (j+1) x_j s.t. (j+2) x_j <= 1 has one optimal basis, six
+    # pivots from the slack basis. The first three pivots blank the
+    # reduced costs, so each time the loop sees no entering column on a
+    # drifted tableau: it must refresh, price the columns still to enter
+    # and pivot on to the primal and duals of an unpatched solve
     n = 6
     prog = lp.LinearProgram(np.arange(1.0, n + 1), "max",
                             np.diag(np.arange(2.0, n + 2)), [lp.LE] * n,
                             np.ones(n))
     ref = lp.solve(prog)
-    real_loop, real_refresh = lp._pivot_loop, lp._refresh_tableau
-    pivots, refreshed = [], []
+    real_pivot, real_refresh = lp._pivot, lp._refresh_tableau
+    blanked, refreshes = [], []
 
-    def staged(T, basis, *rest):
-        if len(pivots) < 3:
-            z = T[-1, :T.shape[1] - len(basis) - 1]
-            z[np.arange(z.size) != len(pivots)] = 0.0
-        out = real_loop(T, basis, *rest)
-        pivots.append(out[1])
-        return out
+    def pivot(T, basis, r, j):
+        real_pivot(T, basis, r, j)
+        if len(blanked) < 3:
+            blanked.append(j)
+            T[-1, :n] = 0.0
 
-    def recorded(*args, **kw):
-        refreshed.append(real_refresh(*args, **kw))
-        return refreshed[-1]
-    monkeypatch.setattr(lp, "_pivot_loop", staged)
-    monkeypatch.setattr(lp, "_refresh_tableau", recorded)
+    def refresh(*args, full=False):
+        refreshes.append(full)
+        return real_refresh(*args, full=full)
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    monkeypatch.setattr(lp, "_refresh_tableau", refresh)
     sol = lp.solve(prog)
-    assert pivots == [1, 1, 1, 3] and len(refreshed) == 4
-    assert sol.status == lp.OPTIMAL and sol.iterations == ref.iterations
+    # the opening refresh, one after each blanked pivot, one to confirm
+    assert len(blanked) == 3 and refreshes == [False] * 5
+    assert sol.status == lp.OPTIMAL and sol.breakdowns == ()
+    assert sol.iterations == ref.iterations == n
     assert max(sol.residuals.values()) <= 1e-9, sol.residuals
     assert sol.value == ref.value
     assert sol.primal.tobytes() == ref.primal.tobytes()
     assert sol.dual.tobytes() == ref.dual.tobytes()
-    # the last refresh saw a basis three pivots short of the optimum
-    assert not np.allclose(-refreshed[-1][1], sol.dual)
+
+
+def test_refreshes_that_keep_an_entering_column_break_the_rung(monkeypatch):
+    # max x s.t. x <= 1. On the first rung every plain refresh of the
+    # basis {x} prices x itself at -1: entering it pivots on its own row
+    # and leaves the basis as it was, so no refresh confirms an optimum.
+    # The fourth raises inside the rung, and the next rung solves
+    prog = lp.LinearProgram([1.0], "max", [[1.0]], [lp.LE], [1.0])
+    ref = lp.solve(prog)
+    real_once, real_loop = lp._solve_once, lp._pivot_loop
+    real_refresh = lp._refresh_tableau
+    rungs, lies, raised = [], [], []
+
+    def once(prog, std, cfg, start):
+        rungs.append(cfg.pivot_tol)
+        return real_once(prog, std, cfg, start)
+
+    def loop(*args, **kwargs):
+        try:
+            return real_loop(*args, **kwargs)
+        except NumericalBreakdown as e:
+            raised.append(str(e))
+            raise
+
+    def refresh(T, basis, *args, full=False):
+        out = real_refresh(T, basis, *args, full=full)
+        if len(rungs) == 1 and not full and basis == [0]:
+            lies.append(len(raised))
+            T[-1, 0] = -1.0
+        return out
+    monkeypatch.setattr(lp, "_solve_once", once)
+    monkeypatch.setattr(lp, "_pivot_loop", loop)
+    monkeypatch.setattr(lp, "_refresh_tableau", refresh)
+    sol = lp.solve(prog)
+    assert lies == [0, 0, 0, 0]
+    assert raised == ["phase 2: reduced costs still admit an entering "
+                      "column after 4 refreshes"]
+    assert rungs == [1e-11, 1e-9]
+    assert sol.breakdowns == (f"pivot_tol=1e-11: {raised[0]}",)
+    assert sol.status == lp.OPTIMAL and sol.value == ref.value == 1.0
+    assert sol.primal.tobytes() == ref.primal.tobytes()
+    assert sol.dual.tobytes() == ref.dual.tobytes()
 
 
 def _lex_leaving_by_columns(T, basis, rows, col):
@@ -479,14 +518,14 @@ def test_starting_basis_is_refreshed_fully_once(monkeypatch):
 
 def test_infeasible_verdict_takes_one_refresh(monkeypatch):
     # the reversed pair is not in convex order: from the identity, one
-    # phase-1 loop, one plain refresh to read the artificials, then the
-    # Farkas ray
+    # phase-1 loop whose one plain refresh confirms its optimum and gives
+    # the artificials and the Farkas ray
     mu, nu = _spread_pair(7)
     A, rels, b = _martingale_rows(nu, mu)
     steps = _record_solve_steps(monkeypatch)
     res = lp.check_feasibility(A, rels, b)
     assert res.status == lp.INFEASIBLE
-    assert steps == ["phase 1 loop", "plain", "the Farkas ray"]
+    assert steps == ["phase 1 loop", "plain"]
     assert res.farkas @ b == pytest.approx(1.0)
     assert (A.T @ res.farkas).max() <= 1e-7
 
@@ -494,13 +533,12 @@ def test_infeasible_verdict_takes_one_refresh(monkeypatch):
 def test_started_infeasible_verdict_takes_one_refresh(monkeypatch):
     # convex_order_check starts from the martingale staircase: its install,
     # a re-install once the barycenter artificials that start below zero
-    # are negated, then the same loop, plain refresh and Farkas ray
+    # are negated, then the same loop and its confirming plain refresh
     mu, nu = _spread_pair(7)
     steps = _record_solve_steps(monkeypatch)
     cert = convex_order_check(nu, mu)
     assert not cert.in_order
-    assert steps == ["full", "full", "phase 1 loop", "plain",
-                     "the Farkas ray"]
+    assert steps == ["full", "full", "phase 1 loop", "plain"]
     assert cert.witness.integral_gap(nu, mu) > 1e-10
 
 

@@ -56,20 +56,29 @@ class InputError(Exception):
         self.path = path
 
 
-def _load_json_arg(arg: str, path: str):
+def _load_json_arg(arg: str, path: str, build=lambda obj: obj):
+    """Read a JSON argument, inline or from a file, and ``build`` it into
+    a program object; any failure is an InputError naming the argument."""
     s = arg.strip()
     if s.startswith("{") or s.startswith("["):
         try:
-            return json.loads(s)
+            obj = json.loads(s)
         except json.JSONDecodeError as e:
             raise InputError(path, f"invalid inline JSON ({e})")
+    else:
+        try:
+            with open(arg) as fh:
+                obj = json.load(fh)
+        except OSError as e:
+            raise InputError(path, f"cannot read file {arg!r} ({e})")
+        except json.JSONDecodeError as e:
+            raise InputError(path, f"invalid JSON in {arg!r} ({e})")
     try:
-        with open(arg) as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise InputError(path, f"cannot read file {arg!r} ({e})")
-    except json.JSONDecodeError as e:
-        raise InputError(path, f"invalid JSON in {arg!r} ({e})")
+        return build(obj)
+    except KeyError as e:
+        raise InputError(path, f"missing field {e}")
+    except (TransportkitError, ValueError, IndexError, TypeError) as e:
+        raise InputError(path, str(e))
 
 
 def load_measure(arg: str, label: str):
@@ -85,13 +94,19 @@ def load_measure(arg: str, label: str):
 
 
 def load_cost(arg: str, label: str = "cost"):
-    obj = _load_json_arg(arg, label)
-    if "kind" not in obj:
-        raise InputError(f"{label}/kind", "missing field")
-    try:
-        return cost_from_json(obj)
-    except (TransportkitError, ValueError, KeyError) as e:
-        raise InputError(label, str(e))
+    return _load_json_arg(arg, label, cost_from_json)
+
+
+def _array(obj) -> np.ndarray:
+    return np.asarray(obj, dtype=float)
+
+
+def _points(obj) -> np.ndarray:
+    return np.atleast_2d(_array(obj))
+
+
+def _grid(obj) -> Grid:
+    return Grid(box_from_json(obj["box"]), tuple(obj["counts"]))
 
 
 def validate_inputs(mu_arg: str, nu_arg: str):
@@ -244,10 +259,10 @@ def _cmd_mot_dual_sym(args):
 
 
 def _cmd_class_check(args):
-    f1 = evaluator_from_json(_load_json_arg(args.f1, "f1"))
-    f2 = evaluator_from_json(_load_json_arg(args.f2, "f2"))
+    f1 = _load_json_arg(args.f1, "f1", evaluator_from_json)
+    f2 = _load_json_arg(args.f2, "f2", evaluator_from_json)
     cost = load_cost(args.cost)
-    box = box_from_json(_load_json_arg(args.domain, "domain"))
+    box = _load_json_arg(args.domain, "domain", box_from_json)
     tol = args.tol if args.tol is not None else mot.VIOLATION_TOL
     check = mot.simplex_inequality_check(f1, f2, cost, box,
                                          args.samples, args.seed, tol)
@@ -262,11 +277,11 @@ def _cmd_class_check(args):
 
 
 def _cmd_class_certify(args):
-    f1 = evaluator_from_json(_load_json_arg(args.f1, "f1"))
-    f2 = evaluator_from_json(_load_json_arg(args.f2, "f2"))
+    f1 = _load_json_arg(args.f1, "f1", evaluator_from_json)
+    f2 = _load_json_arg(args.f2, "f2", evaluator_from_json)
     cost = load_cost(args.cost)
-    X = np.asarray(_load_json_arg(args.x, "x"), dtype=float)
-    Y = np.asarray(_load_json_arg(args.y, "y"), dtype=float)
+    X = _load_json_arg(args.x, "x", _array)
+    Y = _load_json_arg(args.y, "y", _array)
     res = mot.gamma_certify(f1, f2, np.atleast_2d(X), np.atleast_2d(Y),
                             cost)
     inputs = {"f1": _load_json_arg(args.f1, "f1"),
@@ -291,14 +306,13 @@ def _gamma_report(res):
 def _cmd_class_generate(args):
     atoms_obj = _load_json_arg(args.atoms, "atoms")
     cost = load_cost(args.cost)
-    f = mot.bclass_generate(
-        [(a["y"], a["a"], a["b"]) for a in atoms_obj], cost)
+    f = _load_json_arg(args.atoms, "atoms", lambda obj: mot.bclass_generate(
+        [(a["y"], a["a"], a["b"]) for a in obj], cost))
     results = {"evaluator": {"kind": "bclass_sup",
                              "cost": _load_json_arg(args.cost, "cost"),
                              "atoms": atoms_obj}}
     if args.at:
-        pts = np.atleast_2d(np.asarray(_load_json_arg(args.at, "at"),
-                                       dtype=float))
+        pts = _load_json_arg(args.at, "at", _points)
         results["points"] = pts
         results["values"] = f.on(pts)
     return {"atoms": atoms_obj}, results, 0
@@ -306,19 +320,16 @@ def _cmd_class_generate(args):
 
 def _cmd_class_extend(args):
     g_obj = _load_json_arg(args.g, "g")
-    K = np.atleast_2d(np.asarray(g_obj["points"], dtype=float))
-    gv = np.asarray(g_obj["values"], dtype=float)
+    K, gv = _load_json_arg(args.g, "g", lambda obj: (
+        _points(obj["points"]), _array(obj["values"])))
     cost = load_cost(args.cost)
-    gamma = np.asarray(_load_json_arg(args.gamma, "gamma"), dtype=float)
-    targets = np.atleast_2d(np.asarray(_load_json_arg(args.targets,
-                                                      "targets"),
-                                       dtype=float))
+    gamma = _load_json_arg(args.gamma, "gamma", _points)
+    targets = _load_json_arg(args.targets, "targets", _points)
     lb = None
     if args.lower_bound:
-        lb = evaluator_from_json(_load_json_arg(args.lower_bound,
-                                                "lower_bound"))
-    res = mot.extend(K, gv, cost, np.atleast_2d(gamma), targets,
-                     lower_bound=lb)
+        lb = _load_json_arg(args.lower_bound, "lower_bound",
+                            evaluator_from_json)
+    res = mot.extend(K, gv, cost, gamma, targets, lower_bound=lb)
     results = {"targets": res.targets, "values": res.values,
                "restriction_error": res.restriction_error}
     return {"g": g_obj, "cost": _load_json_arg(args.cost, "cost")}, \
@@ -327,7 +338,7 @@ def _cmd_class_extend(args):
 
 def _cmd_mti_check(args):
     cost = load_cost(args.cost)
-    box = box_from_json(_load_json_arg(args.domain, "domain"))
+    box = _load_json_arg(args.domain, "domain", box_from_json)
     tol = args.tol if args.tol is not None else mot.VIOLATION_TOL
     check = mot.mti_check(cost, box, args.samples, args.seed, tol)
     results = {"ok": check.ok, "samples": check.samples,
@@ -341,7 +352,7 @@ def _cmd_mti_check(args):
 def _cmd_mti_hessian(args):
     cost = load_cost(args.cost)
     gobj = _load_json_arg(args.grid, "grid")
-    grid = Grid(box_from_json(gobj["box"]), tuple(gobj["counts"]))
+    grid = _load_json_arg(args.grid, "grid", _grid)
     check = mot.mti_second_order_check(cost, grid, args.step)
     results = {"ok": check.ok}
     if not check.ok:
@@ -352,14 +363,11 @@ def _cmd_mti_hessian(args):
 
 
 def _certify_handler(args, certify):
-    f = evaluator_from_json(_load_json_arg(args.f, "f"))
-    sigma = modulus_from_json(_load_json_arg(args.sigma, "sigma"))
+    f = _load_json_arg(args.f, "f", evaluator_from_json)
+    sigma = _load_json_arg(args.sigma, "sigma", modulus_from_json)
     gobj = _load_json_arg(args.grid, "grid")
-    if isinstance(gobj, dict) and "box" in gobj:
-        grid = Grid(box_from_json(gobj["box"]),
-                    tuple(gobj["counts"])).points()
-    else:
-        grid = np.atleast_2d(np.asarray(gobj, dtype=float))
+    grid = _load_json_arg(args.grid, "grid", lambda obj: (
+        _grid(obj).points() if isinstance(obj, dict) else _points(obj)))
     res = certify(f, sigma, grid)
     inputs = {"f": _load_json_arg(args.f, "f"),
               "sigma": _load_json_arg(args.sigma, "sigma"), "grid": gobj}

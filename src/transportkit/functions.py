@@ -11,8 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyAtoms, GridTooCoarse, MissingValue
-from .measures import CostSpec, cost_from_json, cost_to_json, point_key
+from .errors import DimensionMismatch, EmptyAtoms, GridTooCoarse
+from .measures import (
+    CostSpec,
+    cost_from_json,
+    cost_to_json,
+    point_key,
+    values_on,
+)
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,10 @@ _EVALUATOR_KINDS = ("quadratic", "abs_norm", "neg_quadratic", "max_affine",
 @dataclass(frozen=True)
 class FunctionEvaluator:
     """Point function from the registry, or explicit samples on a finite
-    set (exact-point lookup)."""
+    set (exact-point lookup).
+
+    ``on`` evaluates every kind on an (n, d) point array; a call f(x) is
+    its one-point case."""
 
     kind: str
     Q: np.ndarray | None = None
@@ -154,48 +163,45 @@ class FunctionEvaluator:
     # -- evaluation --
 
     def __call__(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        k = self.kind
-        if k == "quadratic":
-            return float(x @ self.Q @ x + self.b @ x + self.c)
-        if k == "abs_norm":
-            return float(np.linalg.norm(x))
-        if k == "neg_quadratic":
-            return float(-(x @ x))
-        if k == "max_affine":
-            return max(float(s @ x + b) for s, b in self.pieces)
-        if k == "bclass_sup":
-            return max(float(b - self.cost(y, x) + a @ (x - y))
-                       for y, a, b in self.atoms)
-        key = point_key(x)
-        if key not in self._table:
-            raise MissingValue(f"no sample at point {key}")
-        return self._table[key]
+        """f(x): the one-point case of ``on``."""
+        return float(self.on(np.reshape(x, (1, -1)))[0])
 
     def on(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "bclass_sup":
-            # vectorized over atoms: b_j - c(y_j, x) + <a_j, x - y_j>
+        """Values at each row of an (n, d) point array."""
+        P = np.atleast_2d(np.asarray(points, dtype=float))
+        k = self.kind
+        if k == "quadratic":
+            return np.sum((P @ self.Q) * P, axis=1) + P @ self.b + self.c
+        if k == "abs_norm":
+            return np.linalg.norm(P, axis=1)
+        if k == "neg_quadratic":
+            return -np.sum(P * P, axis=1)
+        if k == "max_affine":
+            S = np.vstack([s for s, _ in self.pieces])
+            B = np.array([b for _, b in self.pieces])
+            return np.max(P @ S.T + B, axis=1)
+        if k == "bclass_sup":
+            # b_j - c(y_j, x) + <a_j, x - y_j>, maximised over the atoms
             Y = np.vstack([y for y, _, _ in self.atoms])
             A = np.vstack([a for _, a, _ in self.atoms])
             B = np.array([b for _, _, b in self.atoms])
-            C = self.cost.pairwise(Y, points)
-            lin = A @ points.T - np.sum(A * Y, axis=1)[:, None]
+            C = self.cost.pairwise(Y, P)
+            lin = A @ P.T - np.sum(A * Y, axis=1)[:, None]
             return np.max(B[:, None] - C + lin, axis=0)
-        return np.array([self(p) for p in points])
+        return values_on(P, self._table)
 
 
 @dataclass(frozen=True)
 class ModulusSpec:
     """Modulus sigma on [0, diam]: power law, identically zero, or linear
-    interpolation of samples. sigma(0) must vanish."""
+    interpolation of samples. sigma(0) must vanish. sigma evaluates
+    elementwise on an array of t and returns a float for a scalar t."""
 
     kind: str  # "power" | "zero" | "samples"
     p: float = 2.0
     scale: float = 1.0
     ts: np.ndarray | None = None
     sigmas: np.ndarray | None = None
-    lipschitz: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("power", "zero", "samples"):
@@ -205,9 +211,11 @@ class ModulusSpec:
         if self.kind == "samples":
             ts = np.asarray(self.ts, dtype=float)
             vals = np.asarray(self.sigmas, dtype=float)
-            if ts.ndim != 1 or ts.shape != vals.shape or ts[0] != 0.0:
+            if ts.ndim != 1 or ts.size == 0 or ts.shape != vals.shape \
+                    or ts[0] != 0.0:
                 raise DimensionMismatch(
-                    "sample modulus needs matching arrays starting at t=0")
+                    "sample modulus needs matching non-empty arrays "
+                    "starting at t=0")
             if abs(vals[0]) > 0:
                 raise ValueError("sigma(0) must be zero")
             object.__setattr__(self, "ts", ts)
@@ -226,13 +234,15 @@ class ModulusSpec:
         return cls("samples", ts=np.asarray(ts, dtype=float),
                    sigmas=np.asarray(sigmas, dtype=float))
 
-    def __call__(self, t: float) -> float:
-        t = float(t)
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
         if self.kind == "zero":
-            return 0.0
-        if self.kind == "power":
-            return self.scale * t ** self.p
-        return float(np.interp(t, self.ts, self.sigmas))
+            out = np.zeros_like(t)
+        elif self.kind == "power":
+            out = self.scale * t ** self.p
+        else:
+            out = np.interp(t, self.ts, self.sigmas)
+        return float(out) if out.ndim == 0 else out
 
     def growth_constant(self, diam: float) -> float:
         """Smallest L with |sigma(t)| <= L t on (0, diam]."""
@@ -241,8 +251,7 @@ class ModulusSpec:
         if self.kind == "power":
             return abs(self.scale) * diam ** (self.p - 1.0)
         ts = self.ts[self.ts > 0]
-        return float(np.max(np.abs(np.interp(ts, self.ts, self.sigmas)) / ts,
-                            initial=0.0))
+        return float(np.max(np.abs(self(ts)) / ts, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

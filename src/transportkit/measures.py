@@ -118,18 +118,8 @@ def barycenter(m: DiscreteMeasure) -> np.ndarray:
 
 
 def integrate(values, m: DiscreteMeasure) -> float:
-    """Integrate a function given as a callable or an exact-point table."""
-    if callable(values):
-        vals = np.array([float(values(p)) for p in m.points])
-    else:
-        table = {point_key(k): float(v) for k, v in dict(values).items()}
-        vals = np.empty(len(m))
-        for i, p in enumerate(m.points):
-            k = point_key(p)
-            if k not in table:
-                raise MissingValue(f"no value at support point {k}")
-            vals[i] = table[k]
-    return float(m.weights @ vals)
+    """Integrate a function given as anything ``values_on`` takes."""
+    return float(m.weights @ values_on(m.points, values))
 
 
 @dataclass(frozen=True)
@@ -207,13 +197,15 @@ def union_points(*arrays) -> np.ndarray:
 
 
 def values_on(points: np.ndarray, values) -> np.ndarray:
-    """Realize a function (callable, exact-point dict, or aligned array)
-    as an array over the given points."""
+    """Realize a function (an evaluator with ``.on``, a callable, an
+    exact-point dict, or an aligned array) as an array over the points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if hasattr(values, "on"):
+        return values.on(points)
     if callable(values):
         return np.array([float(values(p)) for p in points])
-    if isinstance(values, Mapping) or isinstance(values, dict):
-        table = {point_key(k): float(v) for k, v in dict(values).items()}
+    if isinstance(values, Mapping):
+        table = {point_key(k): float(v) for k, v in values.items()}
         out = np.empty(points.shape[0])
         for i, p in enumerate(points):
             k = point_key(p)
@@ -346,7 +338,10 @@ class CostSpec:
         return evaluate_cost(self, x, y)
 
     def pairwise(self, X, Y) -> np.ndarray:
-        """Cost matrix over two point arrays, shape (len(X), len(Y))."""
+        """Cost matrix over two point arrays, shape (len(X), len(Y)).
+
+        Every cost kind is evaluated here and only here; ``c(x, y)`` is
+        the one-pair case."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if X.shape[1] != Y.shape[1]:
@@ -394,30 +389,13 @@ class CostSpec:
 
 
 def evaluate_cost(c: CostSpec, x, y) -> float:
-    """Evaluate c(x, y) for a single pair of points."""
+    """c(x, y) for a single pair of points: the one-pair case of
+    ``CostSpec.pairwise``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape:
         raise DimensionMismatch(f"point dims {x.shape} vs {y.shape}")
-    k = c.kind
-    if k == "euclidean":
-        return float(np.linalg.norm(x - y))
-    if k == "sq_euclidean":
-        d = x - y
-        return float(d @ d)
-    if k == "manhattan":
-        return float(np.abs(x - y).sum())
-    if k == "truncated_euclidean":
-        return float(min(np.linalg.norm(x - y), c.threshold))
-    if k == "linear":
-        if c.a.size != x.size:
-            raise DimensionMismatch(f"linear cost vector has dim {c.a.size}")
-        return float(c.a @ (x - y))
-    if k == "matrix":
-        return float(c.values[c._lookup(x), c._lookup(y)])
-    if k == "conical_combination":
-        return float(sum(w * evaluate_cost(t, x, y) for w, t in c.terms))
-    return float(c.fn(x, y))
+    return float(c.pairwise(x[None], y[None])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +423,8 @@ class MultiCost:
         return cls("custom", fn=fn)
 
     def __call__(self, points) -> float:
-        pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
-        if self.kind == "pairwise_sum":
-            return float(sum(evaluate_cost(self.base, pts[i], pts[j])
-                             for i in range(len(pts))
-                             for j in range(i + 1, len(pts))))
-        return float(self.fn(pts))
+        """c(x_1, ..., x_k): ``tensor`` on one-point supports."""
+        return self.tensor(points).item()
 
     def tensor(self, supports) -> np.ndarray:
         """Dense cost tensor over the product of supports."""

@@ -222,12 +222,12 @@ def mot_dual_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
     Z = union_points(mu.points, nu.points)
     u, d = Z.shape
-    diag = np.array([cost(p, p) for p in Z])
-    if np.max(np.abs(diag)) > 1e-12:
-        raise NonVanishingDiagonal(
-            f"|c(z, z)| reaches {np.max(np.abs(diag)):.3e} on the union")
     lp.check_size(u * (1 + d), u * (u - 1))
     C = cost.pairwise(Z, Z)
+    diag = np.max(np.abs(np.diag(C)))
+    if diag > 1e-12:
+        raise NonVanishingDiagonal(
+            f"|c(z, z)| reaches {diag:.3e} on the union")
     I, J = np.nonzero(~np.eye(u, dtype=bool))
     cols = np.arange(I.size)
     A = np.zeros((u * (1 + d), I.size))
@@ -258,8 +258,7 @@ def simplex_violation(f1, f2, cost: CostSpec, atoms, lambdas) -> float:
     lam = np.asarray(lambdas, dtype=float)
     bary = lam @ atoms
     costs = cost.pairwise(bary.reshape(1, -1), atoms)[0]
-    f2_vals = np.array([float(f2(a)) for a in atoms])
-    return float(f1(bary) - lam @ f2_vals - lam @ costs)
+    return float(f1(bary) - lam @ values_on(atoms, f2) - lam @ costs)
 
 
 def mti_violation(cost: CostSpec, base, atoms, lambdas) -> float:
@@ -400,7 +399,9 @@ def extend(grid_points, g, cost: CostSpec, gamma, targets,
            lower_bound=None) -> ExtendResult:
     """Extend g beyond its grid via the certified envelope
     g0(z) = max_y g(y) - c(y, z) - <gamma(y), z - y>, joined with an
-    optional lower bound that g dominates on the grid.
+    optional lower bound that g dominates on the grid. g0 is the
+    ``bclass_sup`` evaluator with one atom (y, -gamma(y), g(y)) per grid
+    point.
 
     Requires growth metadata |c(x, y)| <= Lambda ||x - y|| on the cost and
     a gamma value for every grid point. The restriction of g0 to the grid
@@ -427,19 +428,13 @@ def extend(grid_points, g, cost: CostSpec, gamma, targets,
             raise GammaMissing(
                 f"gamma array has shape {gm.shape}, expected {K.shape}")
 
-    lb_on_K = None
     if lower_bound is not None:
-        lb_on_K = np.array([float(lower_bound(p)) for p in K])
-        worst = float(np.max(lb_on_K - gv))
+        worst = float(np.max(values_on(K, lower_bound) - gv))
         if worst > 1e-9:
             raise LowerBoundViolation(
                 f"lower bound exceeds g by {worst:.3e} on the grid")
 
-    def envelope(points):
-        C = cost.pairwise(K, points)
-        lin = gm @ points.T - np.sum(gm * K, axis=1)[:, None]
-        return np.max(gv[:, None] - C - lin, axis=0)
-
+    envelope = FunctionEvaluator.bclass_sup(zip(K, -gm, gv), cost).on
     restriction_error = float(np.max(np.abs(envelope(K) - gv)))
     if restriction_error > 1e-9:
         raise ValueError(
@@ -447,8 +442,7 @@ def extend(grid_points, g, cost: CostSpec, gamma, targets,
             f"by {restriction_error:.3e}")
     out = envelope(Z)
     if lower_bound is not None:
-        out = np.maximum(out,
-                         np.array([float(lower_bound(p)) for p in Z]))
+        out = np.maximum(out, values_on(Z, lower_bound))
     return ExtendResult(Z, out, restriction_error)
 
 
@@ -467,10 +461,9 @@ def _modulus_rows(f, sigma: ModulusSpec, grid):
     pts = _grid_points(grid)
     if abs(sigma(0.0)) > 0.0:
         raise ValueError("modulus must vanish at zero")
-    fvals = np.array([float(f(p)) for p in pts])
+    fvals = values_on(pts, f)
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    sig = np.array([[sigma(t) for t in row] for row in dist])
-    return pts, fvals[None, :] - fvals[:, None] - sig
+    return pts, fvals[None, :] - fvals[:, None] - sigma(dist)
 
 
 def uniform_convexity_certify(f, sigma: ModulusSpec, grid,

@@ -108,10 +108,6 @@ class TightSet:
     left_points: np.ndarray
     right_points: np.ndarray
 
-    def point_pairs(self):
-        return [(self.left_points[i], self.right_points[j])
-                for i, j in self.pairs]
-
 
 def _check_dims(mu: DiscreteMeasure, nu: DiscreteMeasure):
     if mu.dim != nu.dim:

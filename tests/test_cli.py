@@ -250,6 +250,30 @@ def test_toolkit_errors_exit_1(measures, capsys, argv, message):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+UCVX_F = '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}'
+UCVX_SIGMA = '{"kind":"power","p":2}'
+UCVX_GRID = '{"box":[[-1.0,1.0]],"counts":[5]}'
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["ucvx", "certify", "--f", '{"kind":"nope"}', "--sigma", UCVX_SIGMA,
+      "--grid", UCVX_GRID], "f"),
+    (["ucvx", "certify", "--f", UCVX_F, "--sigma", '{"kind":"power"}',
+      "--grid", UCVX_GRID], "sigma"),
+    (["ucvx", "certify", "--f", UCVX_F,
+      "--sigma", '{"kind":"samples","ts":[],"values":[]}',
+      "--grid", UCVX_GRID], "sigma"),
+    (["mti", "hessian", "--cost", '{"kind":"sq_euclidean"}',
+      "--grid", '{"box":[[0,1]]}'], "grid"),
+], ids=["unknown-evaluator", "power-without-p", "empty-samples",
+        "grid-without-counts"])
+def test_malformed_json_argument_exits_1(capsys, argv, label):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {label}: ")
+
+
 def test_mti_check_cli(capsys):
     code, report = run(capsys, [
         "mti", "check", "--cost", '{"kind":"euclidean"}',

@@ -55,13 +55,50 @@ def test_evaluator_json_roundtrip():
 
 
 def test_evaluator_on_matches_scalar():
-    f = FunctionEvaluator.bclass_sup(
-        [([0.0], [0.5], 0.1), ([0.5], [-0.2], 0.0)],
-        ms.CostSpec.euclidean())
-    pts = np.linspace(-1, 1, 7).reshape(-1, 1)
-    vec = f.on(pts)
-    for p, v in zip(pts, vec):
-        assert v == pytest.approx(f(p))
+    # every kind: on() at n points equals n one-point calls, and both
+    # equal the kind's formula written out point by point
+    line = np.linspace(-1, 1, 7).reshape(-1, 1)
+    plane = np.random.default_rng(3).uniform(-1, 1, (9, 2))
+    Q, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -0.5])
+    pieces = [([1.0, 0.0], 0.1), ([-1.0, 0.5], 0.0), ([0.2, -0.7], -0.3)]
+    atoms = [([0.0], [0.5], 0.1), ([0.5], [-0.2], 0.0)]
+    cases = [
+        (FunctionEvaluator.quadratic(Q, b, c=0.25), plane,
+         lambda x: x @ Q @ x + b @ x + 0.25),
+        (FunctionEvaluator.max_affine(pieces), plane,
+         lambda x: max(np.dot(s, x) + c for s, c in pieces)),
+        (FunctionEvaluator.samples(line, np.arange(7.0) ** 2), line,
+         lambda x: float(np.flatnonzero(line[:, 0] == x[0])[0]) ** 2),
+        (FunctionEvaluator.abs_norm(), plane, lambda x: np.linalg.norm(x)),
+        (FunctionEvaluator.neg_quadratic(), plane, lambda x: -(x @ x)),
+        (FunctionEvaluator.bclass_sup(atoms, ms.CostSpec.euclidean()), line,
+         lambda x: max(c - np.linalg.norm(np.subtract(y, x))
+                       + np.dot(a, x - y) for y, a, c in atoms)),
+    ]
+    for f, pts, formula in cases:
+        vec = f.on(pts)
+        assert vec.shape == (len(pts),), f.kind
+        for p, v in zip(pts, vec):
+            value = f(p)
+            assert isinstance(value, float), f.kind
+            assert v == pytest.approx(value, rel=1e-12, abs=1e-12), f.kind
+            assert v == pytest.approx(formula(p), rel=1e-12, abs=1e-12), \
+                f.kind
+
+
+@pytest.mark.parametrize("sigma", [
+    ModulusSpec.power(2, scale=0.5), ModulusSpec.power(1.5),
+    ModulusSpec.zero(),
+    ModulusSpec.from_samples([0.0, 1.0, 2.0], [0.0, 1.0, 1.5]),
+], ids=lambda s: s.kind)
+def test_modulus_on_array_matches_scalar(sigma):
+    ts = np.array([[0.0, 0.3, 1.0], [1.7, 2.0, 2.5]])
+    vec = sigma(ts)
+    assert vec.shape == ts.shape
+    for t, v in zip(ts.ravel(), vec.ravel()):
+        value = sigma(t)
+        assert isinstance(value, float)
+        assert v == value
 
 
 def test_modulus_kinds():
@@ -80,6 +117,8 @@ def test_modulus_validation():
         ModulusSpec.power(0.5)  # sublinear at zero
     with pytest.raises(ValueError):
         ModulusSpec.from_samples([0.0, 1.0], [0.5, 1.0])
+    with pytest.raises(DimensionMismatch):
+        ModulusSpec.from_samples([], [])
 
 
 def test_modulus_growth_constant():

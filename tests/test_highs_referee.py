@@ -1,0 +1,83 @@
+"""HiGHS as an outside referee: the package's LP values on seeded cases
+against scipy's ``linprog(method="highs")`` on the same rows and costs.
+
+scipy is not a package dependency; the module is skipped without it.
+"""
+
+import numpy as np
+import pytest
+
+from transportkit import convex_order, ot
+from transportkit.measures import CostSpec, MultiCost, new_measure
+from transportkit.mot import mot_primal
+
+linprog = pytest.importorskip("scipy.optimize").linprog
+
+OT_COSTS = {"euclidean": CostSpec.euclidean(),
+            "sq_euclidean": CostSpec.sq_euclidean(),
+            "manhattan": CostSpec.manhattan()}
+
+
+def highs_value(C, A, b):
+    """min C.x over A x = b, x >= 0, solved by HiGHS."""
+    res = linprog(np.ravel(C), A_eq=A, b_eq=b, bounds=(0, None),
+                  method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def weights(rng, n):
+    w = rng.uniform(0.5, 1.5, size=n)
+    return w / w.sum()
+
+
+def spread_pair(rng, m):
+    """m atoms in [-1, 1]^2, each split along a random direction into two
+    atoms that keep its barycenter: mu precedes nu in convex order."""
+    X = rng.uniform(-1, 1, (m, 2))
+    w = weights(rng, m)
+    pts, wts = [], []
+    for x, wx in zip(X, w):
+        ang = rng.uniform(0, 2 * np.pi)
+        u = np.array([np.cos(ang), np.sin(ang)])
+        s1, s2 = rng.uniform(0.1, 0.5, size=2)
+        pts += [x + s1 * u, x - s2 * u]
+        wts += [wx * s2 / (s1 + s2), wx * s1 / (s1 + s2)]
+    wts = np.asarray(wts)
+    return new_measure(2, X, w), new_measure(2, pts, wts / wts.sum())
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", sorted(OT_COSTS))
+def test_kantorovich_primal_matches_highs(kind, seed):
+    rng = np.random.default_rng([18, seed])
+    mu = new_measure(2, rng.uniform(-1, 1, (12, 2)), weights(rng, 12))
+    nu = new_measure(2, rng.uniform(-1, 1, (12, 2)), weights(rng, 12))
+    cost = OT_COSTS[kind]
+    _, value = ot.kantorovich_primal(mu, nu, cost)
+    A, b = ot._marginal_rows((mu, nu))
+    C = cost.pairwise(mu.points, nu.points)
+    assert value == pytest.approx(highs_value(C, A, b), abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["euclidean", "sq_euclidean"])
+def test_mot_primal_matches_highs(kind, seed):
+    mu, nu = spread_pair(np.random.default_rng([18, 1, seed]), 6)
+    cost = OT_COSTS[kind]
+    _, value = mot_primal(mu, nu, cost)
+    A, _, b = convex_order._martingale_rows(mu, nu)
+    C = cost.pairwise(mu.points, nu.points)
+    assert value == pytest.approx(highs_value(C, A, b), abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_multimarginal_primal_matches_highs(seed):
+    rng = np.random.default_rng([18, 2, seed])
+    measures = [new_measure(1, rng.uniform(-1, 1, (5, 1)), weights(rng, 5))
+                for _ in range(3)]
+    cost = MultiCost.pairwise_sum(CostSpec.euclidean())
+    _, value = ot.multimarginal_primal(measures, cost)
+    A, b = ot._marginal_rows(measures)
+    C = cost.tensor([m.points for m in measures])
+    assert value == pytest.approx(highs_value(C, A, b), abs=1e-9)

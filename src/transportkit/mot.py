@@ -488,22 +488,23 @@ def uniform_smoothness_certify(f, sigma: ModulusSpec, grid,
 # Second-order martingale triangle check
 # ---------------------------------------------------------------------------
 
-def _hessian_in_second(cost: CostSpec, x, y, h: float) -> np.ndarray:
-    d = y.size
-    H = np.empty((d, d))
-    base = cost(x, y)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h
-        H[i, i] = (cost(x, y + ei) - 2.0 * base + cost(x, y - ei)) / h ** 2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h
-            H[i, j] = (cost(x, y + ei + ej) - cost(x, y + ei - ej)
-                       - cost(x, y - ei + ej) + cost(x, y - ei - ej)) \
-                / (4.0 * h ** 2)
-            H[j, i] = H[i, j]
-    return H
+def _hessians_in_second(cost: CostSpec, x, Y, h: float):
+    """Central-difference Hessians of c(x, .) at each row of Y, shape
+    (len(Y), d, d), and the largest |c| among the values they difference.
+    The stencil is y, y +- h e_i, and y + h (+-e_i +-e_j) for i < j."""
+    n, d = Y.shape
+    E = h * np.eye(d)
+    I, J = np.triu_indices(d, 1)
+    offsets = np.vstack([np.zeros((1, d)), E, -E, E[I] + E[J],
+                         E[I] - E[J], -E[I] + E[J], -E[I] - E[J]])
+    c = cost.pairwise(x[None], (Y[:, None, :] + offsets).reshape(-1, d))
+    c = c.reshape(n, -1)
+    base, plus, minus = c[:, :1], c[:, 1:1 + d], c[:, 1 + d:1 + 2 * d]
+    pp, pm, mp, mm = np.split(c[:, 1 + 2 * d:], 4, axis=1)
+    H = np.empty((n, d, d))
+    H[:, range(d), range(d)] = (plus - 2.0 * base + minus) / h ** 2
+    H[:, I, J] = H[:, J, I] = (pp - pm - mp + mm) / (4.0 * h ** 2)
+    return H, float(np.abs(c).max())
 
 
 def mti_second_order_check(cost: CostSpec, grid: Grid, h: float) \
@@ -511,20 +512,27 @@ def mti_second_order_check(cost: CostSpec, grid: Grid, h: float) \
     """Necessary second-order condition on the grid interior: the
     second-argument Hessian at (y, y) dominates the one at (x, y).
 
-    Central differences with step h; the tolerance 10 h^2 dominates their
-    truncation error. Raises GridTooCoarse below 3 interior nodes per axis.
+    Central differences with step h. The tolerance is 10 h^2, which
+    dominates their truncation error, plus 32 d eps M / h^2 for the
+    rounding of the cost values of size up to M that they difference (at
+    h = 1e-4 and M of order 1 that rounding is already comparable to
+    10 h^2). Raises GridTooCoarse below 3 interior nodes per axis.
     """
     if any(c - 2 < 3 for c in grid.counts):
         raise GridTooCoarse(
             "need at least 3 interior lattice nodes per axis")
     pts = grid.points()
     interior = pts[grid.interior_mask()]
-    tol = 10.0 * h ** 2
-    H_diag = [_hessian_in_second(cost, y, y, h) for y in interior]
-    for xi, x in enumerate(pts):
-        for yi, y in enumerate(interior):
-            gap = H_diag[yi] - _hessian_in_second(cost, x, y, h)
-            lam_min = float(np.linalg.eigvalsh(gap)[0])
-            if lam_min < -tol:
-                return HessianCheck(False, x.copy(), y.copy(), lam_min)
+    at_diag = [_hessians_in_second(cost, y, y[None], h) for y in interior]
+    H_diag = np.concatenate([H for H, _ in at_diag])
+    diag_scale = max(m for _, m in at_diag)
+    rounding = 32.0 * pts.shape[1] * np.finfo(float).eps / h ** 2
+    for x in pts:
+        H, scale = _hessians_in_second(cost, x, interior, h)
+        tol = 10.0 * h ** 2 + rounding * max(scale, diag_scale)
+        gaps = np.linalg.eigvalsh(H_diag - H)[:, 0]
+        bad = np.flatnonzero(gaps < -tol)
+        if bad.size:
+            return HessianCheck(False, x.copy(), interior[bad[0]].copy(),
+                                float(gaps[bad[0]]))
     return HessianCheck(True)

@@ -675,6 +675,24 @@ def test_hessian_check_examples():
     assert res.eigenvalue_gap == pytest.approx(expected, abs=1e-4)
 
 
+def test_hessian_check_two_dimensional():
+    # 2-D stencils difference costs up to |c| ~ 8, whose rounding exceeds
+    # 10 h^2; sq_euclidean (a constant Hessian) must still pass
+    for n in (7, 11):
+        grid = Grid(Box([-1.0, -1.0], [1.0, 1.0]), (n, n))
+        assert mot.mti_second_order_check(ms.CostSpec.sq_euclidean(), grid,
+                                          1e-4).ok
+    quart = ms.CostSpec.custom(
+        lambda x, y: float(np.sum((x - y) ** 2) + np.sum((x - y) ** 2) ** 2))
+    grid = Grid(Box([-1.0, -1.0], [1.0, 1.0]), (7, 7))
+    res = mot.mti_second_order_check(quart, grid, 1e-4)
+    assert not res.ok
+    # Hessian in y: (2 + 4 r^2) I + 8 (y - x)(y - x)^T, against 2 I at
+    # (y, y): the gap's least eigenvalue is -12 r^2 in any direction
+    r2 = float(np.sum((res.x - res.y) ** 2))
+    assert res.eigenvalue_gap == pytest.approx(-12.0 * r2, abs=1e-4)
+
+
 def test_hessian_grid_too_coarse():
     grid = Grid(Box([-1.0], [1.0]), (4,))
     with pytest.raises(GridTooCoarse):

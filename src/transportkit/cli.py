@@ -1,21 +1,28 @@
 """Command-line front end.
 
-Reads measures, costs and function evaluators as JSON (inline or file
-path), dispatches to the solvers and checkers, and emits a RunReport:
+Each leaf command declares its flags in one table (``build_parser``),
+its JSON arguments with their kind: measure, cost, evaluator, modulus,
+domain, grid, nodes (a grid or a point list), points, atoms or g.
+``run`` reads each JSON argument given once (inline or a file path),
+builds it once as its kind, and passes the built objects to the
+command's handler. A malformed argument exits 1 with a diagnostic naming
+it, or its field (``mu/weights``). Each run emits a RunReport:
 
     {"command": ..., "inputs": ..., "results": ..., "timing_ms": ...,
      "seed": ..., "tool_version": ...}
 
-Reports embed the full certificates (couplings, potentials, gamma maps)
-so every numeric claim can be re-verified externally. Exit codes:
-0 success, 1 input/validation error, 2 negative verdict (infeasible pair,
-failed certification, violation witness; report still emitted),
-3 numerical breakdown.
+``inputs`` echoes every JSON argument given as parsed, with measures
+normalised. Reports embed the full certificates (couplings, potentials,
+gamma maps) so every numeric claim can be re-verified externally. Exit
+codes: 0 success, 1 input/validation error, 2 negative verdict
+(infeasible pair, failed certification, violation witness; report still
+emitted), 3 numerical breakdown.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -25,27 +32,15 @@ import time
 
 import numpy as np
 
-from . import __version__, convex_order, lp, mot, ot
-from .errors import (
-    NotAMetric,
-    NotInConvexOrder,
-    NumericalBreakdown,
-    TransportkitError,
-)
+from . import __version__, convex_order, mot, ot
+from .errors import NotInConvexOrder, NumericalBreakdown, TransportkitError
 from .functions import (
-    Box,
     Grid,
     box_from_json,
     evaluator_from_json,
     modulus_from_json,
 )
-from .measures import (
-    CostSpec,
-    MultiCost,
-    cost_from_json,
-    measure_from_json,
-    measure_to_json,
-)
+from .measures import MultiCost, cost_from_json, measure_to_json, new_measure
 
 
 class InputError(Exception):
@@ -54,11 +49,71 @@ class InputError(Exception):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
 
 
-def _load_json_arg(arg: str, path: str, build=lambda obj: obj):
-    """Read a JSON argument, inline or from a file, and ``build`` it into
-    a program object; any failure is an InputError naming the argument."""
+@contextlib.contextmanager
+def _blame(path: str):
+    """Turn a failure to build the argument at ``path`` into an
+    InputError naming it, or naming the field an inner InputError names."""
+    try:
+        yield
+    except InputError as e:
+        raise InputError(f"{path}/{e.path}", e.message) from None
+    except KeyError as e:
+        raise InputError(path, f"missing field {e}")
+    except (TransportkitError, ValueError, IndexError, TypeError) as e:
+        raise InputError(path, str(e))
+
+
+def _array(obj) -> np.ndarray:
+    return np.asarray(obj, dtype=float)
+
+
+def _points(obj) -> np.ndarray:
+    return np.atleast_2d(_array(obj))
+
+
+def _measure(obj):
+    """The measure kind; a failure names its field."""
+    for key in ("dim", "points", "weights"):
+        if key not in obj:
+            raise InputError(key, "missing field")
+    arrays = []
+    for key in ("points", "weights"):
+        with _blame(key):
+            arrays.append(_array(obj[key]))
+    try:
+        return new_measure(obj["dim"], *arrays)
+    except TransportkitError as e:
+        field = "weights" if "weight" in str(e).lower() else "points"
+        raise InputError(field, str(e))
+
+
+def _grid(obj) -> Grid:
+    if not isinstance(obj, dict):
+        raise ValueError("need a grid object {box, counts}")
+    return Grid(box_from_json(obj["box"]), tuple(obj["counts"]))
+
+
+# what each kind of JSON argument builds
+_KINDS = {
+    "measure": _measure,
+    "cost": cost_from_json,
+    "evaluator": evaluator_from_json,
+    "modulus": modulus_from_json,
+    "domain": box_from_json,
+    "grid": _grid,
+    "nodes": lambda obj: (_grid if isinstance(obj, dict) else _points)(obj),
+    "points": _points,
+    "atoms": lambda obj: [(a["y"], a["a"], a["b"]) for a in obj],
+    "g": lambda obj: (_points(obj["points"]), _array(obj["values"])),
+}
+
+
+def _load_json_arg(arg: str, path: str, kind: str):
+    """Read a JSON argument, inline or from a file, and build it as its
+    kind: (its echo in the report, the built object)."""
     s = arg.strip()
     if s.startswith("{") or s.startswith("["):
         try:
@@ -73,51 +128,33 @@ def _load_json_arg(arg: str, path: str, build=lambda obj: obj):
             raise InputError(path, f"cannot read file {arg!r} ({e})")
         except json.JSONDecodeError as e:
             raise InputError(path, f"invalid JSON in {arg!r} ({e})")
-    try:
-        return build(obj)
-    except KeyError as e:
-        raise InputError(path, f"missing field {e}")
-    except (TransportkitError, ValueError, IndexError, TypeError) as e:
-        raise InputError(path, str(e))
+    with _blame(path):
+        value = _KINDS[kind](obj)
+    return (measure_to_json(value) if kind == "measure" else obj), value
 
 
-def load_measure(arg: str, label: str):
-    obj = _load_json_arg(arg, label)
-    for key in ("dim", "points", "weights"):
-        if key not in obj:
-            raise InputError(f"{label}/{key}", "missing field")
-    try:
-        return measure_from_json(obj)
-    except TransportkitError as e:
-        field = "weights" if "weight" in str(e).lower() else "points"
-        raise InputError(f"{label}/{field}", str(e))
-
-
-def load_cost(arg: str, label: str = "cost"):
-    return _load_json_arg(arg, label, cost_from_json)
-
-
-def _array(obj) -> np.ndarray:
-    return np.asarray(obj, dtype=float)
-
-
-def _points(obj) -> np.ndarray:
-    return np.atleast_2d(_array(obj))
-
-
-def _grid(obj) -> Grid:
-    return Grid(box_from_json(obj["box"]), tuple(obj["counts"]))
-
-
-def validate_inputs(mu_arg: str, nu_arg: str):
-    """Parse a measure pair and check the dims agree."""
-    mu = load_measure(mu_arg, "mu")
-    nu = load_measure(nu_arg, "nu")
-    if mu.dim != nu.dim:
+def _read_arguments(args):
+    """Read and build each JSON argument given, once: the report's inputs
+    and the built objects, by argument name. A repeated flag gives lists;
+    an argument the command takes as given also appears as its JSON, under
+    its name plus "_json"."""
+    inputs, built = {}, {}
+    for name, kind in args.json_kinds.items():
+        arg = getattr(args, name)
+        if isinstance(arg, list):
+            read = [_load_json_arg(a, f"{name}[{i}]", kind)
+                    for i, a in enumerate(arg)]
+            inputs[name] = [echo for echo, _ in read]
+            built[name] = [value for _, value in read]
+        elif arg is not None:
+            inputs[name], built[name] = _load_json_arg(arg, name, kind)
+    for name in args.given:
+        built[name + "_json"] = inputs[name]
+    if "nu" in built and built["mu"].dim != built["nu"].dim:
         raise InputError(
-            "mu/dim", f"dim {mu.dim} in {mu_arg!r} does not match "
-            f"dim {nu.dim} in {nu_arg!r}")
-    return mu, nu
+            "mu/dim", f"dim {built['mu'].dim} in {args.mu!r} does not "
+            f"match dim {built['nu'].dim} in {args.nu!r}")
+    return inputs, built
 
 
 def _js(x):
@@ -134,161 +171,111 @@ def _js(x):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (inputs_echo, results, exit_code)
+# command handlers: each takes the parsed flags and the built JSON
+# arguments, and returns (results, exit_code)
 # ---------------------------------------------------------------------------
 
-def _cmd_ot_solve(args):
-    mu, nu = validate_inputs(args.mu, args.nu)
-    cost = load_cost(args.cost)
+def _cmd_ot_solve(args, mu, nu, cost):
     coupling, value = ot.kantorovich_primal(mu, nu, cost)
-    results = {"value": value, "coupling": coupling.mass,
-               "row_marginal_residual": float(np.max(np.abs(
-                   coupling.mass.sum(axis=1) - mu.weights))),
-               "col_marginal_residual": float(np.max(np.abs(
-                   coupling.mass.sum(axis=0) - nu.weights)))}
-    return _echo2(mu, nu, args.cost), results, 0
+    return {"value": value, "coupling": coupling.mass,
+            "row_marginal_residual": float(np.max(np.abs(
+                coupling.mass.sum(axis=1) - mu.weights))),
+            "col_marginal_residual": float(np.max(np.abs(
+                coupling.mass.sum(axis=0) - nu.weights)))}, 0
 
 
-def _cmd_ot_dual(args):
-    mu, nu = validate_inputs(args.mu, args.nu)
-    cost = load_cost(args.cost)
+def _cmd_ot_dual(args, mu, nu, cost):
     pots, value = ot.kantorovich_dual(mu, nu, cost)
-    results = {"value": value, "phi": pots.phi, "psi": pots.psi,
-               "feasibility_margin": pots.max_violation(cost)}
-    return _echo2(mu, nu, args.cost), results, 0
+    return {"value": value, "phi": pots.phi, "psi": pots.psi,
+            "feasibility_margin": pots.max_violation(cost)}, 0
 
 
-def _cmd_ot_kr(args):
-    mu, nu = validate_inputs(args.mu, args.nu)
-    cost = load_cost(args.cost)
+def _cmd_ot_kr(args, mu, nu, cost):
     f, value = ot.kr_dual(mu, nu, cost)
     coupling, primal = ot.kantorovich_primal(mu, nu, cost)
     tol = args.tol if args.tol is not None else 1e-7
-    results = {"value": value, "primal_value": primal,
-               "points": f.points, "f": f.values,
-               "tight": ot.kr_tight_check(f, coupling, cost, tol),
-               "coupling": coupling.mass}
-    return _echo2(mu, nu, args.cost), results, 0
+    return {"value": value, "primal_value": primal,
+            "points": f.points, "f": f.values,
+            "tight": ot.kr_tight_check(f, coupling, cost, tol),
+            "coupling": coupling.mass}, 0
 
 
-def _cmd_ot_multi(args):
-    measures = [load_measure(m, f"mu[{i}]") for i, m in enumerate(args.mu)]
-    if len(measures) < 2:
+def _cmd_ot_multi(args, mu, cost):
+    if len(mu) < 2:
         raise InputError("mu", "need at least two --mu arguments")
-    base = load_cost(args.cost)
-    cost = MultiCost.pairwise_sum(base)
-    coupling, value = ot.multimarginal_primal(measures, cost)
-    pots, dual_value = ot.multimarginal_dual(measures, cost)
-    results = {"value": value, "dual_value": dual_value,
-               "gap": abs(value - dual_value),
-               "mass": coupling.mass,
-               "potentials": [v for v in pots.values],
-               "feasibility_margin": pots.max_violation(cost)}
-    inputs = {"mu": [measure_to_json(m) for m in measures],
-              "cost": _load_json_arg(args.cost, "cost"),
-              "cost_interpretation": "sum over pairs i<j of c(x_i, x_j)"}
-    return inputs, results, 0
+    cost = MultiCost.pairwise_sum(cost)
+    coupling, value = ot.multimarginal_primal(mu, cost)
+    pots, dual_value = ot.multimarginal_dual(mu, cost)
+    return {"value": value, "dual_value": dual_value,
+            "gap": abs(value - dual_value),
+            "mass": coupling.mass,
+            "potentials": [v for v in pots.values],
+            "feasibility_margin": pots.max_violation(cost)}, 0
 
 
-def _cmd_order_check(args):
-    mu, nu = validate_inputs(args.mu, args.nu)
+def _cmd_order_check(args, mu, nu):
     cert = convex_order.convex_order_check(mu, nu)
     if cert.in_order:
-        results = {"in_order": True, "coupling": cert.coupling.mass}
-        return _echo2(mu, nu), results, 0
-    results = {"in_order": False,
-               "witness": {"slopes": cert.witness.slopes,
-                           "intercepts": cert.witness.intercepts,
-                           "integral_gap":
-                               cert.witness.integral_gap(mu, nu)}}
-    return _echo2(mu, nu), results, 2
+        return {"in_order": True, "coupling": cert.coupling.mass}, 0
+    return {"in_order": False,
+            "witness": {"slopes": cert.witness.slopes,
+                        "intercepts": cert.witness.intercepts,
+                        "integral_gap": cert.witness.integral_gap(mu, nu)}}, 2
 
 
-def _cmd_order_couple(args):
-    mu, nu = validate_inputs(args.mu, args.nu)
-    coupling = convex_order.strassen_coupling(mu, nu)
+def _barycenter_residual(coupling, mu, nu) -> float:
     drift = np.abs(coupling.mass @ nu.points
                    - coupling.mass.sum(axis=1)[:, None] * mu.points)
-    results = {"coupling": coupling.mass,
-               "barycenter_residual": float(drift.max())}
-    return _echo2(mu, nu), results, 0
+    return float(drift.max())
 
 
-def _cmd_order_decompose(args):
-    mu, nu = validate_inputs(args.mu, args.nu)
+def _cmd_order_couple(args, mu, nu):
+    coupling = convex_order.strassen_coupling(mu, nu)
+    return {"coupling": coupling.mass, "barycenter_residual":
+            _barycenter_residual(coupling, mu, nu)}, 0
+
+
+def _cmd_order_decompose(args, mu, nu, cost=None):
     rep = convex_order.choquet_represent(mu, nu)
-    err = rep.recomposition_error(mu, nu)
     results = {"representation": convex_order.fan_representation_to_json(rep),
-               "recomposition_error": max(err),
+               "recomposition_error": max(rep.recomposition_error(mu, nu)),
                "fans": len(rep.entries)}
-    if args.cost:
-        cost = load_cost(args.cost)
+    if cost is not None:
         results["representation_cost"] = \
             convex_order.representation_cost(rep, cost)
-    return _echo2(mu, nu), results, 0
+    return results, 0
 
 
-def _cmd_mot_solve(args):
-    mu, nu = validate_inputs(args.mu, args.nu)
-    cost = load_cost(args.cost)
+def _cmd_mot_solve(args, mu, nu, cost):
     coupling, value = mot.mot_primal(mu, nu, cost)
-    drift = np.abs(coupling.mass @ nu.points
-                   - coupling.mass.sum(axis=1)[:, None] * mu.points)
-    results = {"value": value, "coupling": coupling.mass,
-               "barycenter_residual": float(drift.max())}
-    return _echo2(mu, nu, args.cost), results, 0
+    return {"value": value, "coupling": coupling.mass, "barycenter_residual":
+            _barycenter_residual(coupling, mu, nu)}, 0
 
 
-def _cmd_mot_dual(args):
-    mu, nu = validate_inputs(args.mu, args.nu)
-    cost = load_cost(args.cost)
+def _cmd_mot_dual(args, mu, nu, cost):
     dual, value = mot.mot_dual(mu, nu, cost)
-    results = {"value": value, "u": dual.u, "v": dual.v,
-               "gamma": dual.gamma,
-               "feasibility_margin": dual.max_violation(cost)}
-    return _echo2(mu, nu, args.cost), results, 0
+    return {"value": value, "u": dual.u, "v": dual.v, "gamma": dual.gamma,
+            "feasibility_margin": dual.max_violation(cost)}, 0
 
 
-def _cmd_mot_dual_sym(args):
-    mu, nu = validate_inputs(args.mu, args.nu)
-    cost = load_cost(args.cost)
+def _cmd_mot_dual_sym(args, mu, nu, cost):
     sym, value = mot.mot_dual_symmetric(mu, nu, cost)
-    results = {"value": value, "points": sym.points, "f": sym.f,
-               "gamma": sym.gamma}
-    return _echo2(mu, nu, args.cost), results, 0
+    return {"value": value, "points": sym.points, "f": sym.f,
+            "gamma": sym.gamma}, 0
 
 
-def _cmd_class_check(args):
-    f1 = _load_json_arg(args.f1, "f1", evaluator_from_json)
-    f2 = _load_json_arg(args.f2, "f2", evaluator_from_json)
-    cost = load_cost(args.cost)
-    box = _load_json_arg(args.domain, "domain", box_from_json)
+def _check_report(check, gap_key):
+    """(results, exit code) of a sampled check."""
+    return {"ok": check.ok, "samples": check.samples,
+            gap_key: check.max_violation,
+            "witness": check.witness.to_json() if check.witness else None}, \
+        0 if check.ok else 2
+
+
+def _cmd_class_check(args, f1, f2, cost, domain):
     tol = args.tol if args.tol is not None else mot.VIOLATION_TOL
-    check = mot.simplex_inequality_check(f1, f2, cost, box,
-                                         args.samples, args.seed, tol)
-    results = {"ok": check.ok, "samples": check.samples,
-               "max_violation": check.max_violation,
-               "witness": check.witness.to_json() if check.witness else None}
-    inputs = {"f1": _load_json_arg(args.f1, "f1"),
-              "f2": _load_json_arg(args.f2, "f2"),
-              "cost": _load_json_arg(args.cost, "cost"),
-              "domain": _load_json_arg(args.domain, "domain")}
-    return inputs, results, 0 if check.ok else 2
-
-
-def _cmd_class_certify(args):
-    f1 = _load_json_arg(args.f1, "f1", evaluator_from_json)
-    f2 = _load_json_arg(args.f2, "f2", evaluator_from_json)
-    cost = load_cost(args.cost)
-    X = _load_json_arg(args.x, "x", _array)
-    Y = _load_json_arg(args.y, "y", _array)
-    res = mot.gamma_certify(f1, f2, np.atleast_2d(X), np.atleast_2d(Y),
-                            cost)
-    inputs = {"f1": _load_json_arg(args.f1, "f1"),
-              "f2": _load_json_arg(args.f2, "f2"),
-              "cost": _load_json_arg(args.cost, "cost"),
-              "x": X, "y": Y}
-    return (inputs, *_gamma_report(res))
+    return _check_report(mot.simplex_inequality_check(
+        f1, f2, cost, domain, args.samples, args.seed, tol), "max_violation")
 
 
 def _gamma_report(res):
@@ -303,90 +290,49 @@ def _gamma_report(res):
                             for y, c in cex.binding]}}, 2
 
 
-def _cmd_class_generate(args):
-    atoms_obj = _load_json_arg(args.atoms, "atoms")
-    cost = load_cost(args.cost)
-    f = _load_json_arg(args.atoms, "atoms", lambda obj: mot.bclass_generate(
-        [(a["y"], a["a"], a["b"]) for a in obj], cost))
-    results = {"evaluator": {"kind": "bclass_sup",
-                             "cost": _load_json_arg(args.cost, "cost"),
-                             "atoms": atoms_obj}}
-    if args.at:
-        pts = _load_json_arg(args.at, "at", _points)
-        results["points"] = pts
-        results["values"] = f.on(pts)
-    return {"atoms": atoms_obj}, results, 0
+def _cmd_class_certify(args, f1, f2, cost, x, y):
+    return _gamma_report(mot.gamma_certify(f1, f2, x, y, cost))
 
 
-def _cmd_class_extend(args):
-    g_obj = _load_json_arg(args.g, "g")
-    K, gv = _load_json_arg(args.g, "g", lambda obj: (
-        _points(obj["points"]), _array(obj["values"])))
-    cost = load_cost(args.cost)
-    gamma = _load_json_arg(args.gamma, "gamma", _points)
-    targets = _load_json_arg(args.targets, "targets", _points)
-    lb = None
-    if args.lower_bound:
-        lb = _load_json_arg(args.lower_bound, "lower_bound",
-                            evaluator_from_json)
-    res = mot.extend(K, gv, cost, gamma, targets, lower_bound=lb)
-    results = {"targets": res.targets, "values": res.values,
-               "restriction_error": res.restriction_error}
-    return {"g": g_obj, "cost": _load_json_arg(args.cost, "cost")}, \
-        results, 0
+def _cmd_class_generate(args, atoms, cost, atoms_json, cost_json, at=None):
+    with _blame("atoms"):
+        f = mot.bclass_generate(atoms, cost)
+    results = {"evaluator": {"kind": "bclass_sup", "cost": cost_json,
+                             "atoms": atoms_json}}
+    if at is not None:
+        results["points"] = at
+        results["values"] = f.on(at)
+    return results, 0
 
 
-def _cmd_mti_check(args):
-    cost = load_cost(args.cost)
-    box = _load_json_arg(args.domain, "domain", box_from_json)
+def _cmd_class_extend(args, g, cost, gamma, targets,
+                      lower_bound=None):
+    res = mot.extend(*g, cost, gamma, targets, lower_bound=lower_bound)
+    return {"targets": res.targets, "values": res.values,
+            "restriction_error": res.restriction_error}, 0
+
+
+def _cmd_mti_check(args, cost, domain):
     tol = args.tol if args.tol is not None else mot.VIOLATION_TOL
-    check = mot.mti_check(cost, box, args.samples, args.seed, tol)
-    results = {"ok": check.ok, "samples": check.samples,
-               "max_abs_gap": check.max_violation,
-               "witness": check.witness.to_json() if check.witness else None}
-    return {"cost": _load_json_arg(args.cost, "cost"),
-            "domain": _load_json_arg(args.domain, "domain")}, \
-        results, 0 if check.ok else 2
+    return _check_report(mot.mti_check(
+        cost, domain, args.samples, args.seed, tol), "max_abs_gap")
 
 
-def _cmd_mti_hessian(args):
-    cost = load_cost(args.cost)
-    gobj = _load_json_arg(args.grid, "grid")
-    grid = _load_json_arg(args.grid, "grid", _grid)
+def _cmd_mti_hessian(args, cost, grid):
     check = mot.mti_second_order_check(cost, grid, args.step)
     results = {"ok": check.ok}
     if not check.ok:
         results.update({"x": check.x, "y": check.y,
                         "eigenvalue_gap": check.eigenvalue_gap})
-    return {"cost": _load_json_arg(args.cost, "cost"), "grid": gobj}, \
-        results, 0 if check.ok else 2
+    return results, 0 if check.ok else 2
 
 
-def _certify_handler(args, certify):
-    f = _load_json_arg(args.f, "f", evaluator_from_json)
-    sigma = _load_json_arg(args.sigma, "sigma", modulus_from_json)
-    gobj = _load_json_arg(args.grid, "grid")
-    grid = _load_json_arg(args.grid, "grid", lambda obj: (
-        _grid(obj).points() if isinstance(obj, dict) else _points(obj)))
-    res = certify(f, sigma, grid)
-    inputs = {"f": _load_json_arg(args.f, "f"),
-              "sigma": _load_json_arg(args.sigma, "sigma"), "grid": gobj}
-    return (inputs, *_gamma_report(res))
+def _cmd_ucvx(args, f, sigma, grid):
+    return _gamma_report(mot.uniform_convexity_certify(f, sigma, grid))
 
 
-def _cmd_ucvx(args):
-    return _certify_handler(args, mot.uniform_convexity_certify)
-
-
-def _cmd_usmooth(args):
-    return _certify_handler(args, mot.uniform_smoothness_certify)
-
-
-def _echo2(mu, nu, cost_arg=None):
-    inputs = {"mu": measure_to_json(mu), "nu": measure_to_json(nu)}
-    if cost_arg is not None:
-        inputs["cost"] = _load_json_arg(cost_arg, "cost")
-    return inputs
+def _cmd_usmooth(args, f, sigma, grid):
+    return _gamma_report(mot.uniform_smoothness_certify(f, sigma, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -411,54 +357,66 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     top = p.add_subparsers(dest="group", required=True)
 
-    def leaf(group, name, handler, **arguments):
+    def leaf(group, name, handler, given=(), **flags):
+        """A leaf command. A flag given as a kind (a key of _KINDS) is a
+        required JSON argument of that kind; one given as a dict holds
+        add_argument options, and a "kind" among them makes it a JSON
+        argument. The handler also takes the JSON arguments named in
+        ``given`` as parsed."""
         sp = group.add_parser(name, parents=[common])
-        for flag, kw in arguments.items():
-            sp.add_argument("--" + flag.replace("_", "-"), **kw)
-        sp.set_defaults(handler=handler)
-        return sp
+        kinds = {}
+        for flag, spec in flags.items():
+            if isinstance(spec, str):
+                spec = {"kind": spec, "required": True}
+            spec = dict(spec)
+            if "kind" in spec:
+                kinds[flag] = spec.pop("kind")
+            sp.add_argument("--" + flag.replace("_", "-"), **spec)
+        sp.set_defaults(handler=handler, json_kinds=kinds, given=given)
 
-    req = {"required": True}
-    opt = {"default": None}
+    pair = {"mu": "measure", "nu": "measure"}
 
     g_ot = top.add_parser("ot").add_subparsers(dest="cmd", required=True)
-    leaf(g_ot, "solve", _cmd_ot_solve, mu=req, nu=req, cost=req)
-    leaf(g_ot, "dual", _cmd_ot_dual, mu=req, nu=req, cost=req)
-    leaf(g_ot, "kr", _cmd_ot_kr, mu=req, nu=req, cost=req)
+    leaf(g_ot, "solve", _cmd_ot_solve, **pair, cost="cost")
+    leaf(g_ot, "dual", _cmd_ot_dual, **pair, cost="cost")
+    leaf(g_ot, "kr", _cmd_ot_kr, **pair, cost="cost")
     leaf(g_ot, "multi", _cmd_ot_multi,
-         mu={"required": True, "action": "append",
+         mu={"kind": "measure", "required": True, "action": "append",
              "help": "one per marginal, repeatable"},
-         cost=req)
+         cost="cost")
 
     g_or = top.add_parser("order").add_subparsers(dest="cmd", required=True)
-    leaf(g_or, "check", _cmd_order_check, mu=req, nu=req)
-    leaf(g_or, "couple", _cmd_order_couple, mu=req, nu=req)
-    leaf(g_or, "decompose", _cmd_order_decompose, mu=req, nu=req, cost=opt)
+    leaf(g_or, "check", _cmd_order_check, **pair)
+    leaf(g_or, "couple", _cmd_order_couple, **pair)
+    leaf(g_or, "decompose", _cmd_order_decompose, **pair,
+         cost={"kind": "cost"})
 
     g_mot = top.add_parser("mot").add_subparsers(dest="cmd", required=True)
-    leaf(g_mot, "solve", _cmd_mot_solve, mu=req, nu=req, cost=req)
-    leaf(g_mot, "dual", _cmd_mot_dual, mu=req, nu=req, cost=req)
-    leaf(g_mot, "dual-sym", _cmd_mot_dual_sym, mu=req, nu=req, cost=req)
+    leaf(g_mot, "solve", _cmd_mot_solve, **pair, cost="cost")
+    leaf(g_mot, "dual", _cmd_mot_dual, **pair, cost="cost")
+    leaf(g_mot, "dual-sym", _cmd_mot_dual_sym, **pair, cost="cost")
 
     g_cl = top.add_parser("class").add_subparsers(dest="cmd", required=True)
-    leaf(g_cl, "check", _cmd_class_check, f1=req, f2=req, cost=req,
-         domain=req)
-    leaf(g_cl, "certify", _cmd_class_certify, f1=req, f2=req, cost=req,
-         x=req, y=req)
-    leaf(g_cl, "generate", _cmd_class_generate, atoms=req, cost=req, at=opt)
-    leaf(g_cl, "extend", _cmd_class_extend, g=req, cost=req, gamma=req,
-         targets=req, lower_bound=opt)
+    leaf(g_cl, "check", _cmd_class_check, f1="evaluator", f2="evaluator",
+         cost="cost", domain="domain")
+    leaf(g_cl, "certify", _cmd_class_certify, f1="evaluator",
+         f2="evaluator", cost="cost", x="points", y="points")
+    leaf(g_cl, "generate", _cmd_class_generate, given=("atoms", "cost"),
+         atoms="atoms", cost="cost", at={"kind": "points"})
+    leaf(g_cl, "extend", _cmd_class_extend, g="g", cost="cost",
+         gamma="points", targets="points", lower_bound={"kind": "evaluator"})
 
     g_mti = top.add_parser("mti").add_subparsers(dest="cmd", required=True)
-    leaf(g_mti, "check", _cmd_mti_check, cost=req, domain=req)
-    leaf(g_mti, "hessian", _cmd_mti_hessian, cost=req, grid=req,
+    leaf(g_mti, "check", _cmd_mti_check, cost="cost", domain="domain")
+    leaf(g_mti, "hessian", _cmd_mti_hessian, cost="cost", grid="grid",
          step={"type": float, "default": 1e-4})
 
+    certify = {"f": "evaluator", "sigma": "modulus", "grid": "nodes"}
     g_uc = top.add_parser("ucvx").add_subparsers(dest="cmd", required=True)
-    leaf(g_uc, "certify", _cmd_ucvx, f=req, sigma=req, grid=req)
+    leaf(g_uc, "certify", _cmd_ucvx, **certify)
     g_us = top.add_parser("usmooth").add_subparsers(dest="cmd",
                                                     required=True)
-    leaf(g_us, "certify", _cmd_usmooth, f=req, sigma=req, grid=req)
+    leaf(g_us, "certify", _cmd_usmooth, **certify)
     return p
 
 
@@ -496,19 +454,16 @@ def run(argv) -> int:
 
     t0 = time.perf_counter()
     try:
-        inputs, results, code = args.handler(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (NotInConvexOrder,) as e:
-        inputs, results, code = {}, {"error": str(e)}, 2
-    except NotAMetric as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        inputs, built = _read_arguments(args)
+        try:
+            results, code = args.handler(args, **built)
+        except NotInConvexOrder as e:
+            # a pair out of convex order is a verdict, reported as such
+            results, code = {"error": str(e)}, 2
     except NumericalBreakdown as e:
         print(f"error: numerical breakdown: {e}", file=sys.stderr)
         return 3
-    except TransportkitError as e:
+    except (InputError, TransportkitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     elapsed_ms = (time.perf_counter() - t0) * 1000.0

@@ -77,6 +77,10 @@ class NonVanishingDiagonal(TransportkitError):
     pass
 
 
+class NonSmoothDiagonal(TransportkitError):
+    """Cost is not twice differentiable across the diagonal x = y."""
+
+
 # --- function classes ---
 
 class EmptyAtoms(TransportkitError):

@@ -456,10 +456,6 @@ def measure_to_json(m: DiscreteMeasure) -> dict:
             "weights": m.weights.tolist()}
 
 
-def measure_from_json(obj: Mapping) -> DiscreteMeasure:
-    return new_measure(obj["dim"], obj["points"], obj["weights"])
-
-
 def cost_to_json(c: CostSpec) -> dict:
     if c.kind == "custom":
         raise ValueError("custom costs are not serializable")

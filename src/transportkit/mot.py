@@ -38,6 +38,7 @@ from .errors import (
     GammaMissing,
     GridTooCoarse,
     LowerBoundViolation,
+    NonSmoothDiagonal,
     NonVanishingDiagonal,
     NotInConvexOrder,
     NumericalBreakdown,
@@ -516,17 +517,38 @@ def mti_second_order_check(cost: CostSpec, grid: Grid, h: float) \
     dominates their truncation error, plus 32 d eps M / h^2 for the
     rounding of the cost values of size up to M that they difference (at
     h = 1e-4 and M of order 1 that rounding is already comparable to
-    10 h^2). Raises GridTooCoarse below 3 interior nodes per axis.
+    10 h^2). Raises GridTooCoarse below 3 interior nodes per axis, and
+    NonSmoothDiagonal when the Hessian at some (y, y) moves by more than
+    that tolerance from step 2h to step h and by more than it moved from
+    4h to 2h: a kink on the diagonal (as in the euclidean cost) reads as
+    a Hessian of order 1/h there, whose moves double as the step halves
+    and which would dominate every gap and pass any cost. The truncation
+    error of a smooth cost moves a quarter as much at each halving,
+    whatever the cost's scale.
     """
     if any(c - 2 < 3 for c in grid.counts):
         raise GridTooCoarse(
             "need at least 3 interior lattice nodes per axis")
     pts = grid.points()
     interior = pts[grid.interior_mask()]
-    at_diag = [_hessians_in_second(cost, y, y[None], h) for y in interior]
-    H_diag = np.concatenate([H for H, _ in at_diag])
-    diag_scale = max(m for _, m in at_diag)
     rounding = 32.0 * pts.shape[1] * np.finfo(float).eps / h ** 2
+
+    def at_diagonal(step):
+        at = [_hessians_in_second(cost, y, y[None], step) for y in interior]
+        return np.concatenate([H for H, _ in at]), max(m for _, m in at)
+
+    (H_diag, diag_scale), (H_2h, scale_2h), (H_4h, _) = (
+        at_diagonal(s * h) for s in (1.0, 2.0, 4.0))
+    moves = np.abs(H_diag - H_2h).max(axis=(1, 2))
+    kinks = np.flatnonzero(
+        (moves > 10.0 * h ** 2 + rounding * max(diag_scale, scale_2h))
+        & (moves > np.abs(H_2h - H_4h).max(axis=(1, 2))))
+    if kinks.size:
+        y = interior[kinks[0]]
+        raise NonSmoothDiagonal(
+            f"cost is not twice differentiable across the diagonal at "
+            f"y = {y.tolist()}: its Hessian there moves by "
+            f"{moves[kinks[0]]:.3e} from step 2h to h")
     for x in pts:
         H, scale = _hessians_in_second(cost, x, interior, h)
         tol = 10.0 * h ** 2 + rounding * max(scale, diag_scale)

@@ -1,3 +1,4 @@
+import builtins
 import json
 
 import numpy as np
@@ -172,6 +173,13 @@ def test_class_extend_csv(tmp_path, capsys):
     assert lines[0] == "x0,value"
     assert float(lines[1].split(",")[1]) == pytest.approx(3.0, abs=1e-3)
 
+    code, report = run(capsys, [
+        "class", "extend", "--g", g, "--cost", '{"kind":"linear","a":[0.0]}',
+        "--gamma", gamma, "--targets", "[[2.0]]"])
+    assert code == 0
+    assert report["inputs"]["gamma"] == [[-2.0 * x] for x in K]
+    assert report["inputs"]["targets"] == [[2.0]]
+
 
 def test_csv_rejected_for_structured_commands(measures, capsys):
     code = cli.main(["ot", "solve", "--mu", measures["d0"],
@@ -242,6 +250,10 @@ def test_numerical_breakdown_exits_3(measures, capsys, monkeypatch):
     (["mti", "hessian", "--cost", '{"kind":"sq_euclidean"}',
       "--grid", '{"box":[[-1.0,1.0]],"counts":[1]}'],
      "need at least two nodes per axis"),
+    # a kink on the diagonal: NonSmoothDiagonal
+    (["mti", "hessian", "--cost", '{"kind":"euclidean"}',
+      "--grid", '{"box":[[-1.0,1.0]],"counts":[9]}'],
+     "not twice differentiable across the diagonal"),
 ])
 def test_toolkit_errors_exit_1(measures, capsys, argv, message):
     code = cli.main([measures.get(a, a) for a in argv])
@@ -265,8 +277,16 @@ UCVX_GRID = '{"box":[[-1.0,1.0]],"counts":[5]}'
       "--grid", UCVX_GRID], "sigma"),
     (["mti", "hessian", "--cost", '{"kind":"sq_euclidean"}',
       "--grid", '{"box":[[0,1]]}'], "grid"),
+    (["mti", "hessian", "--cost", '{"kind":"sq_euclidean"}',
+      "--grid", "[[0.0],[0.5],[1.0]]"], "grid"),
+    (["order", "check",
+      "--mu", '{"dim":1,"points":[[0],[1,2]],"weights":[0.5,0.5]}',
+      "--nu", '{"dim":1,"points":[[0]],"weights":[1]}'], "mu/points"),
+    (["order", "check", "--mu", '{"dim":1,"points":[[0]],"weights":["a"]}',
+      "--nu", '{"dim":1,"points":[[0]],"weights":[1]}'], "mu/weights"),
 ], ids=["unknown-evaluator", "power-without-p", "empty-samples",
-        "grid-without-counts"])
+        "grid-without-counts", "grid-as-point-list", "ragged-points",
+        "non-numeric-weights"])
 def test_malformed_json_argument_exits_1(capsys, argv, label):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -353,6 +373,11 @@ def test_exit_code_2_not_in_convex_order(measures, capsys, cmd):
         "--cost", '{"kind":"euclidean"}'])
     assert code == 2
     assert report["results"]["error"] == "no martingale coupling exists"
+    # the refusal echoes the pair it refused
+    assert report["inputs"]["mu"] == {"dim": 1, "points": [[-1.0], [1.0]],
+                                      "weights": [0.5, 0.5]}
+    assert report["inputs"]["nu"] == {"dim": 1, "points": [[0.0]],
+                                      "weights": [1.0]}
 
 
 def test_out_file(measures, tmp_path, capsys):
@@ -391,3 +416,36 @@ def test_shared_parser_carries_no_option_over(capsys):
     assert alone[0][1]["results"]["samples"] == 40
     assert alone[1][1]["results"]["samples"] == 1000
     assert alone[1][1]["results"]["ok"]
+
+
+def test_each_json_argument_is_read_once(tmp_path, capsys, monkeypatch):
+    files = {
+        "mu": write(tmp_path, "mu.json",
+                    {"dim": 1, "points": [[-1.0], [1.0]],
+                     "weights": [0.5, 0.5]}),
+        "nu": write(tmp_path, "nu.json",
+                    {"dim": 1, "points": [[-2.0], [0.0], [2.0]],
+                     "weights": [0.25, 0.5, 0.25]}),
+        "cost": write(tmp_path, "cost.json", {"kind": "euclidean"}),
+        "f": write(tmp_path, "f.json",
+                   {"kind": "quadratic", "Q": [[1.0]], "b": [0.0]}),
+        "sigma": write(tmp_path, "sigma.json", {"kind": "power", "p": 2}),
+        "grid": write(tmp_path, "grid.json",
+                      {"box": [[-1.0, 1.0]], "counts": [5]}),
+    }
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    for argv in (["mot", "solve", "--mu", files["mu"], "--nu", files["nu"],
+                  "--cost", files["cost"]],
+                 ["ucvx", "certify", "--f", files["f"],
+                  "--sigma", files["sigma"], "--grid", files["grid"]]):
+        code, report = run(capsys, argv)
+        assert code == 0
+    assert {path: opened.count(path) for path in files.values()} == \
+        {path: 1 for path in files.values()}

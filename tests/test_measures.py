@@ -170,7 +170,7 @@ def test_multicost_pairwise_sum_tensor():
 def test_measure_json_roundtrip():
     m = ms.new_measure(2, [[0.0, 1.0], [1.0, 0.5]], [0.25, 0.75])
     obj = ms.measure_to_json(m)
-    back = ms.measure_from_json(json.loads(json.dumps(obj)))
+    back = ms.new_measure(**json.loads(json.dumps(obj)))
     assert np.array_equal(back.points, m.points)
     assert np.array_equal(back.weights, m.weights)
 

@@ -16,6 +16,7 @@ from transportkit.errors import (
     GammaMissing,
     GridTooCoarse,
     LowerBoundViolation,
+    NonSmoothDiagonal,
     NonVanishingDiagonal,
     NotInConvexOrder,
     ProductTooLarge,
@@ -691,6 +692,31 @@ def test_hessian_check_two_dimensional():
     # (y, y): the gap's least eigenvalue is -12 r^2 in any direction
     r2 = float(np.sum((res.x - res.y) ** 2))
     assert res.eigenvalue_gap == pytest.approx(-12.0 * r2, abs=1e-4)
+
+
+@pytest.mark.parametrize("cost, grid", [
+    # |x - y| + |x - y|^2 + |x - y|^4: mti_check refutes it, and its kink
+    # on the diagonal would read as a Hessian of 2/h that passes any gap
+    (ms.CostSpec.custom(lambda x, y: (lambda r: r + r ** 2 + r ** 4)(
+        float(np.linalg.norm(x - y)))), Grid(Box([-1.0], [1.0]), (9,))),
+    (ms.CostSpec.euclidean(), Grid(Box([-1.0, -1.0], [1.0, 1.0]), (7, 7))),
+], ids=["kinked-quartic", "euclidean-2d"])
+def test_hessian_check_refuses_kink_on_diagonal(cost, grid):
+    with pytest.raises(NonSmoothDiagonal, match="across the diagonal"):
+        mot.mti_second_order_check(cost, grid, 1e-4)
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 10.0, 1e4])
+def test_hessian_check_smooth_cost_at_any_scale(k):
+    # k (r^2 + r^4) is smooth: its diagonal Hessian moves by 6 k h^2 from
+    # step 2h to h, above 10 h^2 once k > 5/3, yet it gets a verdict
+    cost = ms.CostSpec.custom(
+        lambda x, y: k * float(np.sum((x - y) ** 2) + np.sum((x - y) ** 4)))
+    res = mot.mti_second_order_check(cost, Grid(Box([-1.0], [1.0]), (9,)),
+                                     1e-4)
+    assert not res.ok
+    expected = -12.0 * k * float((res.x[0] - res.y[0]) ** 2)
+    assert res.eigenvalue_gap == pytest.approx(expected, rel=1e-4)
 
 
 def test_hessian_grid_too_coarse():

@@ -7,7 +7,7 @@ bclass_sup, samples) is part of the CLI JSON contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,7 +95,9 @@ class FunctionEvaluator:
     set (exact-point lookup).
 
     ``on`` evaluates every kind on an (n, d) point array; a call f(x) is
-    its one-point case."""
+    its one-point case. Every kind but abs_norm and neg_quadratic is
+    defined in one dimension, that of its arrays (``dim``); points of
+    another dimension raise DimensionMismatch."""
 
     kind: str
     Q: np.ndarray | None = None
@@ -107,6 +109,7 @@ class FunctionEvaluator:
     points: np.ndarray | None = None
     values: np.ndarray | None = None
     _table: dict = None
+    dim: int | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.kind not in _EVALUATOR_KINDS:
@@ -121,6 +124,26 @@ class FunctionEvaluator:
             object.__setattr__(self, "_table",
                                {point_key(p): float(v)
                                 for p, v in zip(pts, vals)})
+        object.__setattr__(self, "dim", self._point_dim())
+
+    def _point_dim(self) -> int | None:
+        """The one dimension the kind's arrays give, or None for a kind
+        defined in every dimension; arrays that disagree raise."""
+        k = self.kind
+        if k == "quadratic":
+            sizes = {*self.Q.shape, self.b.size}
+        elif k == "max_affine":
+            sizes = {s.size for s, _ in self.pieces}
+        elif k == "bclass_sup":
+            sizes = {v.size for y, a, _ in self.atoms for v in (y, a)}
+        elif k == "samples":
+            sizes = {self.points.shape[1]}
+        else:
+            return None
+        if len(sizes) != 1:
+            raise DimensionMismatch(f"{k}: array dimensions {sorted(sizes)} "
+                                    f"disagree")
+        return sizes.pop()
 
     # -- constructors --
 
@@ -170,6 +193,9 @@ class FunctionEvaluator:
         """Values at each row of an (n, d) point array."""
         P = np.atleast_2d(np.asarray(points, dtype=float))
         k = self.kind
+        if self.dim is not None and P.shape[1] != self.dim:
+            raise DimensionMismatch(f"{k} evaluator is {self.dim}-D, got "
+                                    f"{P.shape[1]}-D points")
         if k == "quadratic":
             return np.sum((P @ self.Q) * P, axis=1) + P @ self.b + self.c
         if k == "abs_norm":

@@ -11,11 +11,15 @@ sequence ``rels`` of ``LE``/``EQ``/``GE`` and a length-m right-hand side
 builders (coupling marginals, martingale barycenters, gamma rows) form
 their rows as one array and hand it over as it is.
 
-Pivot rule: the entering column has the most negative reduced cost
-(Dantzig; ties go to the smallest index); the leaving row is chosen
-lexicographically on the ratios of [rhs | basis-inverse] rows, which breaks
-every tie without a tolerance and rules out cycling under any entering
-rule. Rows still tied on the rhs ratio are compared only on the
+Pivot rule: the entering column maximises z_j^2 / w_j over the columns
+whose reduced cost z_j is below -feas_tol (Devex pricing, Harris 1973;
+ties go to the smallest index). The reference weights w are ones when a
+pivot loop starts and after every refresh, and each pivot raises them to
+max(w, alpha_r^2 w_q) along the normalised pivot row alpha_r, so pricing
+costs O(n) per pivot and no pass over the tableau. The leaving row is
+chosen lexicographically on the ratios of [rhs | basis-inverse] rows,
+which breaks every tie without a tolerance and rules out cycling under any
+entering rule. Rows still tied on the rhs ratio are compared only on the
 basis-inverse columns that are nonzero on some tied row; a column of zeros
 there gives every tied row the same ratio, so skipping it is exact and the
 choice is the one a full column-by-column scan makes. The basis-inverse
@@ -38,22 +42,24 @@ The row duals and the Farkas ray are mapped back to the user's rows by
 the same signs.
 
 Phase 1 starts from the slack/artificial identity, or from a starting
-basis the caller passes to ``solve``: one entry per row, a user column or
--1 for an artificial on that row (the coupling LPs of ``ot`` pass their
-least-cost staircase, the martingale LPs of ``convex_order`` and ``mot``
-a staircase on their marginal rows). An artificial that a starting basis
-puts below -feas_tol enters with coefficient -1 instead of +1, so it
-starts above zero; -e_i is still an artificial for row i, and the
-Farkas ray and its validation are the same. A starting basis seeds only
-the first rung of the tolerance ladder: the later rungs start from the
-identity. Phase 1 pivots only when some artificial starts above zero
-(for a given basis: above the feasibility tolerance, as the artificials
-of redundant rows carry rounding); a feasible starting basis goes
-straight to phase 2. Phase 2 opens with a full refresh, a fresh
-lexicographic state, only if phase 1 made a pivot; otherwise the tableau
-is still the exact install of its basis and a plain refresh of rhs and
-reduced costs opens it. The primal is B^-1 b of the final basis, checked
-against the rows of M.
+basis the caller passes to ``solve``: one entry per row, a user column
+or -1 for an artificial on that row (the coupling LPs of ``ot`` pass
+their least-cost staircase, the martingale LPs of ``convex_order`` and
+``mot`` a staircase on their marginal rows). An artificial that a
+starting basis puts below -feas_tol enters with coefficient -1 instead
+of +1, so it starts above zero; -e_i is still an artificial for row i,
+and the Farkas ray and its validation are the same. The basic values
+B^-1 b alone tell which artificials to negate, so a starting basis is
+installed by one full refresh. A starting basis seeds only the first
+rung of the tolerance ladder: the later rungs start from the identity.
+Phase 1 pivots only when some artificial starts above zero (for a given
+basis: above the feasibility tolerance, as the artificials of redundant
+rows carry rounding); a feasible starting basis goes straight to
+phase 2. Phase 2 opens with a full refresh, a fresh lexicographic state,
+only if phase 1 made a pivot; otherwise the tableau is still the exact
+install of its basis and a plain refresh of rhs and reduced costs opens
+it. The primal is B^-1 b of the final basis, checked against the rows
+of M.
 
 There is one solve path. ``check_feasibility`` is ``solve`` with a zero
 objective and returns its ``LpSolution``: OPTIMAL with a feasible
@@ -254,7 +260,7 @@ def _pivot(T: np.ndarray, basis: list, r: int, j: int) -> None:
     T[r] /= T[r, j]
     col = T[:, j].copy()
     col[r] = 0.0
-    T -= np.outer(col, T[r])
+    T -= col[:, None] * T[r]
     T[:, j] = 0.0
     T[r, j] = 1.0
     basis[r] = j
@@ -305,7 +311,7 @@ def _lex_leaving(T, basis, rows, col):
     best = vals.min()
     cand = cand[vals <= best + 1e-12 * (1.0 + abs(best))]
     if cand.size > 1:
-        for k in np.flatnonzero(inv[cand].any(axis=0)):
+        for k in inv[cand].any(axis=0).nonzero()[0]:
             vals = inv[cand, k] / col[cand]
             best = vals.min()
             cand = cand[vals <= best + 1e-12 * (1.0 + abs(best))]
@@ -317,8 +323,11 @@ def _lex_leaving(T, basis, rows, col):
 
 
 def _pivot_loop(T, basis, cfg, phase, M, b, costs, fresh=None):
-    """Pivot to optimality. Entering: the standard column of most negative
-    reduced cost below -feas_tol, the smallest index on a tie. Leaving:
+    """Pivot to optimality. Entering: Devex pricing, the standard column
+    of largest z_j^2 / w_j among those with reduced cost z_j below
+    -feas_tol, the smallest index on a tie. The reference weights w are
+    ones at the start and after every refresh; a pivot on row r, column q
+    sets w = max(w, T[r]^2 w_q) from the normalised pivot row. Leaving:
     lexicographic. The tableau is rebuilt exactly from (M, b, costs) every
     ``period`` pricing passes after the start or the last plain refresh.
     When pricing finds no entering column on a tableau that has pivoted
@@ -334,6 +343,7 @@ def _pivot_loop(T, basis, cfg, phase, M, b, costs, fresh=None):
     cap = cfg.iteration_cap(m, n)
     period = max(100, 2 * m)
     it = pivots = refreshes = passes = 0
+    weights = np.ones(n)
     while True:
         it += 1
         if it > cap:
@@ -344,12 +354,14 @@ def _pivot_loop(T, basis, cfg, phase, M, b, costs, fresh=None):
             # periodic full rebuild: matrix-entry drift would otherwise
             # feed the ratio test stale pivots
             _refresh_tableau(T, basis, M, b, costs, full=True)
+            weights[:] = 1.0
         z = T[-1, :n]
-        entering = np.flatnonzero(z < -cfg.feas_tol)
+        entering = (z < -cfg.feas_tol).nonzero()[0]
         if entering.size == 0:
             if fresh is not None:
                 return (*fresh, pivots, None)
             fresh = _refresh_tableau(T, basis, M, b, costs)
+            weights[:] = 1.0
             refreshes += 1
             passes = 0
             continue
@@ -357,9 +369,10 @@ def _pivot_loop(T, basis, cfg, phase, M, b, costs, fresh=None):
             raise NumericalBreakdown(
                 f"phase {phase}: reduced costs still admit an entering "
                 f"column after {refreshes} refreshes")
-        j = int(entering[np.argmin(z[entering])])
+        zj = z[entering]
+        j = int(entering[(zj * zj / weights[entering]).argmax()])
         col = T[:-1, j]
-        rows = np.flatnonzero(col > cfg.pivot_tol)
+        rows = (col > cfg.pivot_tol).nonzero()[0]
         if rows.size == 0:
             if phase == 1:
                 # the phase-1 objective is bounded below by zero, so a
@@ -369,6 +382,9 @@ def _pivot_loop(T, basis, cfg, phase, M, b, costs, fresh=None):
             return None, None, pivots, j
         r = _lex_leaving(T, basis, rows, col)
         _pivot(T, basis, r, j)
+        # Devex update from the normalised pivot row; T[r, j] = 1 keeps
+        # the entering column's own weight
+        np.maximum(weights, T[r, :n] ** 2 * weights[j], out=weights)
         pivots += 1
         fresh = None
 
@@ -379,14 +395,14 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
     Starts from the slack/artificial identity, or from ``start``: one
     standard column per row, -1 for an artificial on that row (see
     ``_start_columns``). Row i's artificial is basis entry n + i, column
-    n + i of ``std.M``, reset to +e_i on each attempt. A starting basis is
-    installed by a full refresh against the phase-1 costs. Each artificial
-    it puts below -feas_tol (1 + |b|) is negated to -e_i in M, and the
-    basis is installed once more: the artificial then starts above zero.
-    A singular starting basis, or one with a user column below -feas_tol
-    (1 + |b|), raises ValueError. The verdict is read off the refresh that
-    confirms the pivot loop's optimum: the artificial level from its basic
-    values, the Farkas ray from its duals.
+    n + i of ``std.M``, reset to +e_i on each attempt. For a starting
+    basis, B x = b is solved for the basic values; each artificial they put
+    below -feas_tol (1 + |b|) is negated to -e_i in M, so it starts above
+    zero, and the basis is then installed by one full refresh against the
+    phase-1 costs. A singular starting basis, or one with a user column
+    below -feas_tol (1 + |b|), raises ValueError. The verdict is read off
+    the refresh that confirms the pivot loop's optimum: the artificial
+    level from its basic values, the Farkas ray from its duals.
 
     Returns (status, T, basis, farkas, pivots). Artificials stay in the
     basis at level zero when rows are redundant, so no rows are deleted.
@@ -425,14 +441,14 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
         above = std.b[art_rows].any()
     else:
         try:
-            xb, _ = _refresh_tableau(T, basis, M, std.b, c1, full=True)
             # an artificial below zero enters with coefficient -1: -e_i is
             # still an artificial for row i, and negating a basic column
-            # only negates its row of B^-1 [A | b]
+            # only negates its row of B^-1 [A | b], so the basic values
+            # alone tell which to negate before the one install
+            xb = _solve_basis(M[:, basis], std.b, "refresh")
             low = art_rows[xb[art_rows] < -tol]
-            if low.size:
-                M[low, n + low] = -1.0
-                xb, _ = _refresh_tableau(T, basis, M, std.b, c1, full=True)
+            M[low, n + low] = -1.0
+            xb, _ = _refresh_tableau(T, basis, M, std.b, c1, full=True)
         except NumericalBreakdown as e:
             raise ValueError(f"starting basis is singular: {e}") from None
         if xb.min(initial=0.0) < -tol:

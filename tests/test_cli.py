@@ -254,6 +254,17 @@ def test_numerical_breakdown_exits_3(measures, capsys, monkeypatch):
     (["mti", "hessian", "--cost", '{"kind":"euclidean"}',
       "--grid", '{"box":[[-1.0,1.0]],"counts":[9]}'],
      "not twice differentiable across the diagonal"),
+    # a 1-D quadratic on 2-D points: DimensionMismatch
+    (["ucvx", "certify", "--f", '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}',
+      "--sigma", '{"kind":"power","p":2}',
+      "--grid", '{"box":[[-1.0,1.0],[-1.0,1.0]],"counts":[3,3]}'],
+     "quadratic evaluator is 1-D, got 2-D points"),
+    (["class", "certify",
+      "--f1", '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}',
+      "--f2", '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}',
+      "--cost", '{"kind":"linear","a":[0.0]}',
+      "--x", "[[1.0,2.0]]", "--y", "[[-1.0],[0.0],[1.0]]"],
+     "quadratic evaluator is 1-D, got 2-D points"),
 ])
 def test_toolkit_errors_exit_1(measures, capsys, argv, message):
     code = cli.main([measures.get(a, a) for a in argv])

@@ -86,6 +86,33 @@ def test_evaluator_on_matches_scalar():
                 f.kind
 
 
+def test_evaluator_checks_point_dimension():
+    # each kind with arrays takes points of their one dimension only
+    plane = np.zeros((3, 2))
+    one_d = [
+        FunctionEvaluator.quadratic([[1.0]], [0.0]),
+        FunctionEvaluator.max_affine([([1.0], 0.0)]),
+        FunctionEvaluator.bclass_sup([([0.0], [0.0], 0.0)],
+                                     ms.CostSpec.euclidean()),
+        FunctionEvaluator.samples([[0.0]], [1.0]),
+    ]
+    for f in one_d:
+        assert f.dim == 1, f.kind
+        with pytest.raises(DimensionMismatch, match="1-D, got 2-D"):
+            f.on(plane)
+    assert FunctionEvaluator.abs_norm().dim is None
+    assert FunctionEvaluator.neg_quadratic().on(plane).shape == (3,)
+    # arrays of one kind that disagree are refused when built
+    for build in (lambda: FunctionEvaluator.quadratic([[1.0]], [0.0, 1.0]),
+                  lambda: FunctionEvaluator.quadratic([[1.0, 0.0]], [0.0]),
+                  lambda: FunctionEvaluator.max_affine([([1.0], 0.0),
+                                                        ([1.0, 2.0], 0.0)]),
+                  lambda: FunctionEvaluator.bclass_sup(
+                      [([0.0], [0.0, 1.0], 0.0)], ms.CostSpec.euclidean())):
+        with pytest.raises(DimensionMismatch, match="disagree"):
+            build()
+
+
 @pytest.mark.parametrize("sigma", [
     ModulusSpec.power(2, scale=0.5), ModulusSpec.power(1.5),
     ModulusSpec.zero(),

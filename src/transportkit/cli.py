@@ -261,7 +261,8 @@ def _cmd_mot_dual(args, mu, nu, cost):
 def _cmd_mot_dual_sym(args, mu, nu, cost):
     sym, value = mot.mot_dual_symmetric(mu, nu, cost)
     return {"value": value, "points": sym.points, "f": sym.f,
-            "gamma": sym.gamma}, 0
+            "gamma": sym.gamma,
+            "feasibility_margin": sym.max_violation(cost)}, 0
 
 
 def _check_report(check, gap_key):

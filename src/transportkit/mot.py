@@ -16,8 +16,10 @@ f1(x) - f2(y) <= c(x, y) + <gamma(x), y - x> on the checked sets. Uniform
 convexity certificates use the classical orientation
 f(x) + sigma(||y - x||) + <gamma(x), y - x> <= f(y).
 
-Every gamma certifier checks a point x through the Farkas alternative of
-its rows <g, y_j - x> <= r_j: one LP with d + 1 rows,
+Every gamma certifier checks a point x on its rows <g, y_j - x> <= r_j.
+Two candidate g come first, the previous point's and the linear part of
+a local quadratic fit, each accepted only when it meets every row. Else
+one LP with d + 1 rows decides the Farkas alternative,
 min sum_j lam_j r_j  s.t.  sum_j lam_j (y_j - x) = 0, sum_j lam_j <= 1,
 lam >= 0. Optimum zero: the barycenter-row multipliers are g. Negative
 optimum: the basic lam has at most d + 1 nonzeros and its support is an
@@ -91,6 +93,15 @@ class SymmetricDual:
     def objective_against(self, mu: DiscreteMeasure,
                           nu: DiscreteMeasure) -> float:
         return float(_signed_mass(mu, nu, self.points) @ self.f)
+
+    def max_violation(self, cost: CostSpec) -> float:
+        """Largest f_i - f_j + <gamma_i, z_j - z_i> - c(z_i, z_j) over
+        i != j."""
+        Z = self.points
+        excess = self.f[:, None] - self.f[None, :] - cost.pairwise(Z, Z) \
+            + self.gamma @ Z.T - np.sum(self.gamma * Z, axis=1)[:, None]
+        np.fill_diagonal(excess, -np.inf)
+        return float(np.max(excess))
 
 
 @dataclass(frozen=True)
@@ -322,7 +333,10 @@ def gamma_certify(f1, f2, X, Y, cost: CostSpec,
     """Per-point feasibility of f1(x) - f2(y) <= c(x, y) + <gamma(x), y-x>.
 
     f1, f2 may be callables, exact-point dicts, or arrays aligned with
-    X, Y. Returns the full gamma map or the first uncertifiable point.
+    X, Y. Returns the full gamma map or the first uncertifiable point,
+    through ``_certify_points``: a gamma is some certificate of its point
+    (a checked candidate or the LP's), not a particular vertex, and every
+    refutation and its binding core come from the LP.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -335,12 +349,20 @@ def _certify_points(X, Y, R, orient, config, skip_self=False) \
         -> GammaResult:
     """Gamma fields with orient * <gamma(x_i), y_j - x_i> <= orient * R[i, j]
     for every row j (j != i when ``skip_self``), point by point, or the
-    first point where none exists with its binding core."""
+    first point where none exists with its binding core.
+
+    Each point first tries the previous point's accepted gamma, then
+    ``_farkas_point``'s fitted candidate, and its LP last; every gamma is
+    checked on its rows. A returned gamma is some certificate of its
+    point, not a particular vertex of its feasible set.
+    """
     gammas = np.zeros(X.shape)
+    g = None
     for i, x in enumerate(X):
         keep = np.arange(len(Y)) != i if skip_self else slice(None)
         Yi = Y[keep]
-        g, core = _farkas_point(Yi - x, orient * R[i, keep], config)
+        g, core = _farkas_point(Yi - x, orient * R[i, keep], config,
+                                previous=g)
         if core is not None:
             binding = tuple((Yi[k].copy(), float(w)) for k, w in zip(*core))
             return GammaResult(False, X, counterexample=CounterexamplePoint(
@@ -349,8 +371,61 @@ def _certify_points(X, Y, R, orient, config, skip_self=False) \
     return GammaResult(True, X, gammas=gammas)
 
 
-def _farkas_point(D, r, config):
+def _meets_rows(D, r, g) -> bool:
+    """D @ g <= r within 1e-8 (1 + max|r|): the one acceptance test of a
+    gamma, whether a candidate or read off the LP."""
+    scale = 1.0 + np.abs(r).max(initial=0.0)
+    return np.max(D @ g - r, initial=0.0) <= 1e-8 * scale
+
+
+def _fitted_gradient(D, r):
+    """The linear part g of the least-squares quadratic model
+    r ~ D g + sum_{k <= l} q_kl D_k D_l, fitted on the nonzero rows with
+    |D_j|^2 <= 4.5 min |D_j|^2 (the factor stays above 4, so a lattice's
+    rows at twice the nearest step survive rounding and one-sided fits
+    stay determined). The normal equations are solved with D scaled by
+    the nearest distance. None when every row is zero or the fit is
+    singular."""
+    sq = np.einsum("ij,ij->i", D, D)
+    nonzero = sq > 0.0
+    if not nonzero.any():
+        return None
+    nearest = sq[nonzero].min()
+    near = nonzero & (sq <= 4.5 * nearest)
+    h = np.sqrt(nearest)
+    U = D[near] / h
+    k, l = np.triu_indices(D.shape[1])
+    M = np.hstack([U, U[:, k] * U[:, l]])
+    try:
+        coef = np.linalg.solve(M.T @ M, M.T @ r[near])
+    except np.linalg.LinAlgError:
+        return None
+    return coef[:D.shape[1]] / h
+
+
+def _farkas_point(D, r, config, previous=None):
     """A vector g with D @ g <= r, or an irreducible core proving none.
+
+    Two candidates come first: ``previous`` (a neighbouring point's g)
+    and ``_fitted_gradient``. Either is returned when it meets every row
+    (``_meets_rows``, the test the LP's g must pass too); for a smooth
+    function the fit is the discrete gradient. A candidate that passes
+    bounds the LP's optimum below by -1e-8 (1 + max|r|), so it passes
+    only where the rows are feasible to that tolerance; every refutation
+    comes from ``_farkas_lp``, and so does its core. The g returned is
+    some certificate, not a particular vertex. Returns (g, None) or
+    (None, (support, weights summing to 1)).
+    """
+    if previous is not None and _meets_rows(D, r, previous):
+        return previous, None
+    g = _fitted_gradient(D, r)
+    if g is not None and _meets_rows(D, r, g):
+        return g, None
+    return _farkas_lp(D, r, config)
+
+
+def _farkas_lp(D, r, config):
+    """The LP step of ``_farkas_point``.
 
     Solves the Farkas alternative  min r.lam  s.t.  D' lam = 0,
     sum(lam) <= 1, lam >= 0  (d + 1 rows; lam = 0 is feasible and the
@@ -368,10 +443,9 @@ def _farkas_point(D, r, config):
     if sol.status != lp.OPTIMAL:
         raise NumericalBreakdown(f"gamma certificate: LP terminated "
                                  f"{sol.status}")
-    scale = 1.0 + np.abs(r).max(initial=0.0)
-    if sol.value >= -config.feas_tol * scale:
+    if sol.value >= -config.feas_tol * (1.0 + np.abs(r).max(initial=0.0)):
         g = sol.dual[:d]
-        if np.max(D @ g - r, initial=0.0) > 1e-8 * scale:
+        if not _meets_rows(D, r, g):
             raise NumericalBreakdown("gamma certificate violates its rows")
         return g, None
     support = np.flatnonzero(sol.primal > 1e-12)

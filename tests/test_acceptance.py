@@ -266,8 +266,9 @@ def test_criterion_09_symmetric_dual_grid_refinement():
         mu = padded({-0.5: 0.5, 0.5: 0.5}, grid)
         nu = padded({-1.0: 0.25, 0.0: 0.5, 1.0: 0.25}, grid)
         _, v_gen = mot.mot_dual(mu, nu, cost)
-        _, v_sym = mot.mot_dual_symmetric(mu, nu, cost)
+        sym, v_sym = mot.mot_dual_symmetric(mu, nu, cost)
         assert v_sym <= v_gen + 1e-9, "symmetric dual exceeded the general"
+        assert sym.max_violation(cost) <= 1e-9
         gaps.append(v_gen - v_sym)
     non_increasing = all(gaps[i + 1] <= gaps[i] + 1e-9
                          for i in range(len(gaps) - 1))

@@ -125,6 +125,7 @@ def test_mot_dual_sym(measures, capsys):
         "--cost", '{"kind":"euclidean"}'])
     assert code == 0
     assert report["results"]["value"] == pytest.approx(1.0, abs=1e-9)
+    assert report["results"]["feasibility_margin"] <= 1e-9
 
 
 def test_validation_diagnostics(tmp_path, capsys):

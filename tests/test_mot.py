@@ -96,16 +96,19 @@ def test_mot_dual_symmetric_examples():
     eu = ms.CostSpec.euclidean()
     sym, v = mot.mot_dual_symmetric(ms.dirac([0.0]), pm1(), eu)
     assert v == pytest.approx(1.0, abs=1e-9)
+    assert sym.max_violation(eu) <= 1e-9
 
     mu = pm1()
-    _, v2 = mot.mot_dual_symmetric(mu, mu, eu)
+    sym2, v2 = mot.mot_dual_symmetric(mu, mu, eu)
     assert v2 == pytest.approx(0.0, abs=1e-10)
+    assert sym2.max_violation(eu) <= 1e-9
 
     # squared distance: symmetric value never exceeds the general dual
     sqc = ms.CostSpec.sq_euclidean()
-    _, vs = mot.mot_dual_symmetric(pm1(), nu3(), sqc)
+    syms, vs = mot.mot_dual_symmetric(pm1(), nu3(), sqc)
     _, vg = mot.mot_dual(pm1(), nu3(), sqc)
     assert vs <= vg + 1e-9
+    assert syms.max_violation(sqc) <= 1e-9
 
 
 def test_mot_dual_symmetric_rejects_nonvanishing_diagonal():
@@ -120,9 +123,10 @@ def test_symmetric_below_general_structural():
     eu = ms.CostSpec.euclidean()
     for _ in range(10):
         mu, nu = random_convex_order_pair(rng, 1, 6)
-        _, vs = mot.mot_dual_symmetric(mu, nu, eu)
+        sym, vs = mot.mot_dual_symmetric(mu, nu, eu)
         _, vg = mot.mot_dual(mu, nu, eu)
         assert vs <= vg + 1e-9
+        assert sym.max_violation(eu) <= 1e-9
 
 
 def _mot_dual_rows_by_loop(mu, nu, C):
@@ -222,6 +226,8 @@ def test_symmetric_dual_read_off_meets_referee_rows():
             assert sym.points.tobytes() == \
                 ms.union_points(mu.points, nu.points).tobytes()
             assert _symmetric_row_excess(sym, A, b) <= 1e-9
+            assert sym.max_violation(eu) == pytest.approx(
+                _symmetric_row_excess(sym, A, b), abs=1e-12)
             assert ref.status == lp.OPTIMAL
             assert abs(value - ref.value) <= 1e-9
             with pytest.raises(NotInConvexOrder):
@@ -278,6 +284,7 @@ def test_tie_heavy_martingale_pairs(pair):
     assert vs <= vd + 1e-9
     A, b, _ = _symmetric_referee(mu, nu, cost)
     assert _symmetric_row_excess(sym, A, b) <= 1e-9
+    assert sym.max_violation(cost) <= 1e-9
     assert co.convex_order_check(mu, nu).in_order
     assert not co.convex_order_check(nu, mu).in_order
     with pytest.raises(NotInConvexOrder):
@@ -517,8 +524,11 @@ def test_ucvx_abs_two_constraint_infeasibility():
 def _farkas_cases():
     """(D, r) systems <g, y_j - x> <= r_j at every point x of seeded 1-D
     and 2-D sets: random points under a noisy quadratic, integer lattices
-    with integer values (many exact ties), and a 5 x 5 grid whose centre
-    is raised above a uniformly convex quadratic."""
+    with integer values (many exact ties), a 5 x 5 grid whose centre is
+    raised above a uniformly convex quadratic, and a 7 x 7 quadratic grid
+    (24 of its 49 points on the boundary) under a modulus it meets and one
+    it does not. Then X = Y systems, which keep the zero row y = x: its
+    r is 0, or -0.05 where every point is refuted by that row alone."""
     rng = np.random.default_rng(20261018)
     sets = []
     for d in (1, 2):
@@ -536,11 +546,23 @@ def _farkas_cases():
     raised = (grid ** 2).sum(axis=1)
     raised[12] += 0.3
     sets.append((grid, raised, 1.0))
+    fine = Grid(Box([-1.0, -1.0], [1.0, 1.0]), (7, 7)).points()
+    quad = np.einsum("ij,jk,ik->i", fine, [[2.0, 0.5], [0.5, 1.5]], fine)
+    sets += [(fine, quad, 1.0), (fine, quad, 2.5)]
     for P, f, s in sets:
         for i, x in enumerate(P):
             D = np.delete(P, i, axis=0) - x
             r = np.delete(f, i) - f[i] - s * (D ** 2).sum(axis=1)
             yield D, r
+    xs = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
+    bclass = FunctionEvaluator.bclass_sup(
+        [([0.15], [0.5], 0.1), ([-0.4], [-0.8], 0.0)],
+        ms.CostSpec.euclidean()).on(xs)
+    for P, f, shift in ((xs, bclass, 0.0), (xs, bclass, 0.05),
+                        (lattice, np.abs(lattice).sum(axis=1), 0.0)):
+        for x, fx in zip(P, f):
+            D = P - x
+            yield D, f - fx + np.linalg.norm(D, axis=1) - shift
 
 
 def _referee_feasible(D, r):
@@ -570,29 +592,111 @@ def test_farkas_point_matches_direct_system():
     assert verdicts == {True, False}
 
 
+def _certify_systems():
+    """(X, Y, R, orient, skip_self) as the certifiers build them: 7 x 7
+    grids under sigma(t) = t^2, for the uniform convexity of x'Qx
+    (Q = AA' + I) and the uniform smoothness of -x'Qx, with one seeded
+    point (centre, corner, edge or interior) moved against the modulus or
+    none; and a 1-D bclass_sup whose kinks fall between the 41 grid
+    points, certified with X = Y under the euclidean cost (certifiable)
+    and the zero cost (refuted)."""
+    rng = np.random.default_rng(20261019)
+    grid = Grid(Box([-1.0, -1.0], [1.0, 1.0]), (7, 7)).points()
+    sq_dist = ((grid[:, None, :] - grid[None, :, :]) ** 2).sum(axis=2)
+    for moved in (None, 24, 0, 3, 16, 40):
+        A = rng.uniform(-0.5, 0.5, (2, 2))
+        f = np.einsum("ij,jk,ik->i", grid, A @ A.T + np.eye(2), grid)
+        bump = np.zeros(len(grid))
+        if moved is not None:
+            bump[moved] = rng.uniform(0.5, 1.0)
+        for h, orient in ((f + bump / 2, 1.0), (-f - bump, -1.0)):
+            yield grid, grid, h[None, :] - h[:, None] - sq_dist, orient, True
+    xs = np.linspace(-1.0, 1.0, 41).reshape(-1, 1)
+    eu = ms.CostSpec.euclidean()
+    fx = FunctionEvaluator.bclass_sup(
+        [([0.1234], [0.6], 0.0), ([-0.5321], [-0.3], 0.1),
+         ([0.8111], [1.0], -0.2)], eu).on(xs)
+    for cost in (eu, ZERO):
+        yield xs, xs, fx[:, None] - fx[None, :] - cost.pairwise(xs, xs), \
+            -1.0, False
+
+
+def _certify_by_lp(X, Y, R, orient, skip_self):
+    """The first refuted point of an LP at every point, with its binding
+    core, or None."""
+    for i, x in enumerate(X):
+        keep = np.arange(len(Y)) != i if skip_self else slice(None)
+        _, core = mot._farkas_lp(Y[keep] - x, orient * R[i, keep],
+                                 lp.DEFAULT_CONFIG)
+        if core is not None:
+            return i, [(Y[keep][k], w) for k, w in zip(*core)]
+    return None
+
+
+def test_candidates_keep_every_lp_verdict(monkeypatch):
+    farkas_lp, points, lps = mot._farkas_lp, [0], []
+
+    def spy_lp(D, r, config):
+        lps.append(len(r))
+        return farkas_lp(D, r, config)
+    monkeypatch.setattr(mot, "_farkas_lp", spy_lp)
+    verdicts = set()
+    for X, Y, R, orient, skip_self in _certify_systems():
+        res = mot._certify_points(X, Y, R, orient, lp.DEFAULT_CONFIG,
+                                  skip_self)
+        ref = _certify_by_lp(X, Y, R, orient, skip_self)
+        verdicts.add(res.ok)
+        assert res.ok == (ref is None)
+        if not res.ok:
+            index, binding = ref
+            cex = res.counterexample
+            assert cex.index == index
+            assert cex.point.tobytes() == X[index].tobytes()
+            assert len(cex.binding) == len(binding)
+            for (y, w), (y_ref, w_ref) in zip(cex.binding, binding):
+                assert y.tobytes() == y_ref.tobytes() and w == w_ref
+            points[0] += index + 1
+            continue
+        points[0] += len(X)
+        for i, x in enumerate(X):
+            keep = np.arange(len(Y)) != i if skip_self else slice(None)
+            r = orient * R[i, keep]
+            excess = orient * ((Y[keep] - x) @ res.gammas[i]) - r
+            assert excess.max() <= 1e-8 * (1.0 + np.abs(r).max())
+    assert verdicts == {True, False}
+    # the reference's own LPs are counted too: one per point it visits
+    certifier_lps = len(lps) - points[0]
+    assert 0 < certifier_lps < points[0] / 4
+
+
 def test_farkas_points_skip_phase_one(monkeypatch):
     # lam = 0 with the sum(lam) <= 1 slack is a feasible basis, and the d
     # barycenter rows have rhs 0: their artificials start at level 0, so
-    # phase 1 must not pivot
-    phases, points = [], []
-    pivot_loop, farkas_point = lp._pivot_loop, mot._farkas_point
+    # phase 1 must not pivot. The candidate gamma certifies every point of
+    # this grid without an LP, so the LP step runs on its 49 point systems
+    # directly.
+    phases, solves = [], []
+    pivot_loop, solve = lp._pivot_loop, lp.solve
     params = inspect.signature(pivot_loop)
 
     def spy_loop(*args, **kwargs):
         phases.append(params.bind(*args, **kwargs).arguments["phase"])
         return pivot_loop(*args, **kwargs)
 
-    def spy_point(D, r, config):
-        points.append(len(r))
-        return farkas_point(D, r, config)
+    def spy_solve(problem, *args, **kwargs):
+        solves.append(np.shape(problem.A))
+        return solve(problem, *args, **kwargs)
     monkeypatch.setattr(lp, "_pivot_loop", spy_loop)
-    monkeypatch.setattr(mot, "_farkas_point", spy_point)
+    monkeypatch.setattr(lp, "solve", spy_solve)
     grid = Grid(Box([-1.0, -1.0], [1.0, 1.0]), (7, 7)).points()
     f = FunctionEvaluator.quadratic(np.array([[2.0, 0.5], [0.5, 1.5]]),
                                     np.zeros(2))
-    res = mot.uniform_convexity_certify(f, ModulusSpec.power(2), grid)
-    assert res.ok
-    assert points == [48] * 49
+    pts, R = mot._modulus_rows(f, ModulusSpec.power(2), grid)
+    for i, x in enumerate(pts):
+        D = np.delete(pts, i, axis=0) - x
+        g, core = mot._farkas_lp(D, np.delete(R[i], i), lp.DEFAULT_CONFIG)
+        assert core is None
+    assert solves == [(3, 48)] * 49
     assert 1 not in phases
     assert 2 in phases
 

@@ -111,6 +111,13 @@ def test_mot_dual_symmetric_examples():
     assert syms.max_violation(sqc) <= 1e-9
 
 
+def test_symmetric_max_violation_is_over_distinct_pairs():
+    # a slack (f, gamma) reads negative: the zero diagonal is not a row
+    sym = mot.SymmetricDual(np.array([[0.0], [1.0]]), np.array([0.5, 0.0]),
+                            np.array([[0.25], [0.125]]))
+    assert sym.max_violation(ms.CostSpec.euclidean()) == -0.25
+
+
 def test_mot_dual_symmetric_rejects_nonvanishing_diagonal():
     shifted = ms.CostSpec.custom(lambda x, y: float(np.linalg.norm(x - y))
                                  + 1.0)
@@ -634,7 +641,7 @@ def _certify_by_lp(X, Y, R, orient, skip_self):
 
 
 def test_candidates_keep_every_lp_verdict(monkeypatch):
-    farkas_lp, points, lps = mot._farkas_lp, [0], []
+    farkas_lp, lps, visited = mot._farkas_lp, [], 0
 
     def spy_lp(D, r, config):
         lps.append(len(r))
@@ -655,9 +662,9 @@ def test_candidates_keep_every_lp_verdict(monkeypatch):
             assert len(cex.binding) == len(binding)
             for (y, w), (y_ref, w_ref) in zip(cex.binding, binding):
                 assert y.tobytes() == y_ref.tobytes() and w == w_ref
-            points[0] += index + 1
+            visited += index + 1
             continue
-        points[0] += len(X)
+        visited += len(X)
         for i, x in enumerate(X):
             keep = np.arange(len(Y)) != i if skip_self else slice(None)
             r = orient * R[i, keep]
@@ -665,8 +672,7 @@ def test_candidates_keep_every_lp_verdict(monkeypatch):
             assert excess.max() <= 1e-8 * (1.0 + np.abs(r).max())
     assert verdicts == {True, False}
     # the reference's own LPs are counted too: one per point it visits
-    certifier_lps = len(lps) - points[0]
-    assert 0 < certifier_lps < points[0] / 4
+    assert 0 < len(lps) - visited < visited / 4
 
 
 def test_farkas_points_skip_phase_one(monkeypatch):
@@ -694,7 +700,7 @@ def test_farkas_points_skip_phase_one(monkeypatch):
     pts, R = mot._modulus_rows(f, ModulusSpec.power(2), grid)
     for i, x in enumerate(pts):
         D = np.delete(pts, i, axis=0) - x
-        g, core = mot._farkas_lp(D, np.delete(R[i], i), lp.DEFAULT_CONFIG)
+        _, core = mot._farkas_lp(D, np.delete(R[i], i), lp.DEFAULT_CONFIG)
         assert core is None
     assert solves == [(3, 48)] * 49
     assert 1 not in phases

@@ -371,11 +371,12 @@ def _certify_points(X, Y, R, orient, config, skip_self=False) \
     return GammaResult(True, X, gammas=gammas)
 
 
-def _meets_rows(D, r, g) -> bool:
-    """D @ g <= r within 1e-8 (1 + max|r|): the one acceptance test of a
-    gamma, whether a candidate or read off the LP."""
+def _meets_rows(D, r, g, tol) -> bool:
+    """D @ g <= r within tol (1 + max|r|): the one acceptance test of a
+    gamma, whether a candidate (tol = feas_tol) or read off the LP
+    (tol = 1e-8)."""
     scale = 1.0 + np.abs(r).max(initial=0.0)
-    return np.max(D @ g - r, initial=0.0) <= 1e-8 * scale
+    return np.max(D @ g - r, initial=0.0) <= tol * scale
 
 
 def _fitted_gradient(D, r):
@@ -408,18 +409,19 @@ def _farkas_point(D, r, config, previous=None):
 
     Two candidates come first: ``previous`` (a neighbouring point's g)
     and ``_fitted_gradient``. Either is returned when it meets every row
-    (``_meets_rows``, the test the LP's g must pass too); for a smooth
-    function the fit is the discrete gradient. A candidate that passes
-    bounds the LP's optimum below by -1e-8 (1 + max|r|), so it passes
-    only where the rows are feasible to that tolerance; every refutation
-    comes from ``_farkas_lp``, and so does its core. The g returned is
-    some certificate, not a particular vertex. Returns (g, None) or
+    within the LP's own verdict threshold, feas_tol (1 + max|r|)
+    (``_meets_rows``); for a smooth function the fit is the discrete
+    gradient. Such a candidate bounds the LP's optimum r.lam below by
+    -feas_tol (1 + max|r|), where the LP certifies too, so no point the
+    LP would refute is accepted; every refutation comes from
+    ``_farkas_lp``, and so does its core. The g returned is some
+    certificate, not a particular vertex. Returns (g, None) or
     (None, (support, weights summing to 1)).
     """
-    if previous is not None and _meets_rows(D, r, previous):
+    if previous is not None and _meets_rows(D, r, previous, config.feas_tol):
         return previous, None
     g = _fitted_gradient(D, r)
-    if g is not None and _meets_rows(D, r, g):
+    if g is not None and _meets_rows(D, r, g, config.feas_tol):
         return g, None
     return _farkas_lp(D, r, config)
 
@@ -445,7 +447,7 @@ def _farkas_lp(D, r, config):
                                  f"{sol.status}")
     if sol.value >= -config.feas_tol * (1.0 + np.abs(r).max(initial=0.0)):
         g = sol.dual[:d]
-        if not _meets_rows(D, r, g):
+        if not _meets_rows(D, r, g, 1e-8):
             raise NumericalBreakdown("gamma certificate violates its rows")
         return g, None
     support = np.flatnonzero(sol.primal > 1e-12)

@@ -535,7 +535,9 @@ def _farkas_cases():
     raised above a uniformly convex quadratic, and a 7 x 7 quadratic grid
     (24 of its 49 points on the boundary) under a modulus it meets and one
     it does not. Then X = Y systems, which keep the zero row y = x: its
-    r is 0, or -0.05 where every point is refuted by that row alone."""
+    r is 0, or -0.05 where every point is refuted by that row alone. Last,
+    two systems refuted by 4e-9, inside 1e-8 (1 + max|r|) but beyond the
+    LP's feas_tol (1 + max|r|): rows -g <= r and g <= r, and a zero row."""
     rng = np.random.default_rng(20261018)
     sets = []
     for d in (1, 2):
@@ -570,6 +572,8 @@ def _farkas_cases():
         for x, fx in zip(P, f):
             D = P - x
             yield D, f - fx + np.linalg.norm(D, axis=1) - shift
+    yield np.array([[-1.0], [1.0]]), np.full(2, -4e-9)
+    yield np.array([[0.0], [-1.0], [1.0]]), np.array([-4e-9, 1.0, 1.0])
 
 
 def _referee_feasible(D, r):
@@ -604,9 +608,13 @@ def _certify_systems():
     grids under sigma(t) = t^2, for the uniform convexity of x'Qx
     (Q = AA' + I) and the uniform smoothness of -x'Qx, with one seeded
     point (centre, corner, edge or interior) moved against the modulus or
-    none; and a 1-D bclass_sup whose kinks fall between the 41 grid
-    points, certified with X = Y under the euclidean cost (certifiable)
-    and the zero cost (refuted)."""
+    none; a 1-D bclass_sup whose kinks fall between the 41 grid points,
+    certified with X = Y under the euclidean cost (certifiable) and the
+    zero cost (refuted). Last, two systems refuted by 4e-9, inside
+    1e-8 (1 + max|r|) but beyond the LP's feas_tol (1 + max|r|): the
+    midpoint of [-1, 0, 1] with values 1 - 4e-9, 0, 1 - 4e-9 under
+    sigma(t) = t^2 (its fitted slope 0 misses both rows by 4e-9), and an
+    X = Y grid whose zero rows have r = -4e-9."""
     rng = np.random.default_rng(20261019)
     grid = Grid(Box([-1.0, -1.0], [1.0, 1.0]), (7, 7)).points()
     sq_dist = ((grid[:, None, :] - grid[None, :, :]) ** 2).sum(axis=2)
@@ -626,6 +634,13 @@ def _certify_systems():
     for cost in (eu, ZERO):
         yield xs, xs, fx[:, None] - fx[None, :] - cost.pairwise(xs, xs), \
             -1.0, False
+    tri = np.array([[-1.0], [0.0], [1.0]])
+    h = np.array([1.0 - 4e-9, 0.0, 1.0 - 4e-9])
+    yield tri, tri, h[None, :] - h[:, None] - (tri - tri.T) ** 2, 1.0, True
+    line = np.linspace(-0.5, 0.5, 5).reshape(-1, 1)
+    h = 2.0 * line[:, 0] ** 2
+    R = h[None, :] - h[:, None] - (line - line.T) ** 2 - 4e-9 * np.eye(5)
+    yield line, line, R, 1.0, False
 
 
 def _certify_by_lp(X, Y, R, orient, skip_self):

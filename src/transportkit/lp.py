@@ -16,23 +16,26 @@ whose reduced cost z_j is below -feas_tol (Devex pricing, Harris 1973;
 ties go to the smallest index). The reference weights w are ones when a
 pivot loop starts and after every refresh, and each pivot raises them to
 max(w, alpha_r^2 w_q) along the normalised pivot row alpha_r, so pricing
-costs O(n) per pivot and no pass over the tableau. The leaving row is
-chosen lexicographically on the ratios of [rhs | basis-inverse] rows,
-which breaks every tie without a tolerance and rules out cycling under any
-entering rule. Rows still tied on the rhs ratio are compared only on the
-basis-inverse columns that are nonzero on some tied row; a column of zeros
-there gives every tied row the same ratio, so skipping it is exact and the
-choice is the one a full column-by-column scan makes. The basis-inverse
+costs O(n) per pivot and no pass over the tableau. A row may leave only if
+its entry in the entering column exceeds max(pivot_tol, RELATIVE_PIVOT
+times the column's largest entry), as a pivot on a sliver of its column
+takes the basis to numerical singularity (Harris 1973). Among those rows
+the leaving row is chosen lexicographically on the ratios of
+[rhs | basis-inverse] rows, which breaks every tie without a tolerance and
+rules out cycling under any entering rule. Rows still tied on the rhs
+ratio are compared only on the basis-inverse columns that are nonzero on
+some tied row; a column of zeros there gives every tied row the same
+ratio, so skipping it is exact and the choice is the one a full
+column-by-column scan makes. The basis-inverse
 block is carried in the tableau, which is rebuilt exactly from the basis
 periodically. Both phases take an optimum on basis-exact values only: when
 pricing a drifted tableau finds no entering column, the pivot loop
 refreshes rhs and reduced costs from the basis and prices again, and it
 returns once a fresh refresh prices none. The verdict, primal and duals
 are read off that refresh; a fourth refresh that still prices an entering
-column is a breakdown. On numerical breakdown the solve restarts on a
-fixed ladder of pivot tolerances, and the result names each abandoned
-rung in ``breakdowns``. ``LpSolution.iterations`` counts the pivots of
-both phases.
+column is a breakdown. A numerical breakdown raises ``NumericalBreakdown``
+out of the solve. ``LpSolution.iterations`` counts the pivots of both
+phases.
 
 Standard form negates every row whose right-hand side is negative, so
 b >= 0. Both phases, ray validation and primal extraction work on one
@@ -50,8 +53,7 @@ starting basis puts below -feas_tol enters with coefficient -1 instead
 of +1, so it starts above zero; -e_i is still an artificial for row i,
 and the Farkas ray and its validation are the same. The basic values
 B^-1 b alone tell which artificials to negate, so a starting basis is
-installed by one full refresh. A starting basis seeds only the first
-rung of the tolerance ladder: the later rungs start from the identity.
+installed by one full refresh.
 Phase 1 pivots only when some artificial starts above zero (for a given
 basis: above the feasibility tolerance, as the artificials of redundant
 rows carry rounding); a feasible starting basis goes straight to
@@ -76,7 +78,7 @@ variable direction, proving emptiness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -108,6 +110,10 @@ class SolverConfig:
 
 
 DEFAULT_CONFIG = SolverConfig()
+
+# A row may leave only if its entry in the entering column exceeds this
+# share of the column's largest entry (and pivot_tol).
+RELATIVE_PIVOT = 1e-7
 
 # Largest dense tableau a solve may build. At its peak a solve holds about
 # five arrays of the tableau's size (the user's A, the standard matrix M,
@@ -187,7 +193,6 @@ class LpSolution:
     farkas: np.ndarray | None = None
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
-    breakdowns: tuple = ()  # one message per abandoned tolerance rung
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +251,7 @@ class _Standardized:
 
 def _solve_basis(B, rhs, during: str) -> np.ndarray:
     """B^-1 rhs, or NumericalBreakdown when B is singular or the result is
-    not finite, so that the tolerance ladder retries the solve."""
+    not finite."""
     try:
         out = np.linalg.solve(B, rhs)
     except np.linalg.LinAlgError:
@@ -328,8 +333,10 @@ def _pivot_loop(T, basis, cfg, phase, M, b, costs, fresh=None):
     -feas_tol, the smallest index on a tie. The reference weights w are
     ones at the start and after every refresh; a pivot on row r, column q
     sets w = max(w, T[r]^2 w_q) from the normalised pivot row. Leaving:
-    lexicographic. The tableau is rebuilt exactly from (M, b, costs) every
-    ``period`` pricing passes after the start or the last plain refresh.
+    lexicographic among the rows whose entry exceeds max(pivot_tol,
+    RELATIVE_PIVOT times the column's largest entry). The tableau is
+    rebuilt exactly from (M, b, costs) every ``period`` pricing passes
+    after the start or the last plain refresh.
     When pricing finds no entering column on a tableau that has pivoted
     since that refresh, the loop refreshes it and prices again; ``fresh``
     is the ``(xb, y)`` of a plain refresh the tableau has just had, if
@@ -372,7 +379,10 @@ def _pivot_loop(T, basis, cfg, phase, M, b, costs, fresh=None):
         zj = z[entering]
         j = int(entering[(zj * zj / weights[entering]).argmax()])
         col = T[:-1, j]
-        rows = (col > cfg.pivot_tol).nonzero()[0]
+        # the largest positive entry sets the scale, so it stays admissible
+        # whenever pivot_tol admits it
+        rows = (col > max(cfg.pivot_tol, RELATIVE_PIVOT
+                          * col.max(initial=0.0))).nonzero()[0]
         if rows.size == 0:
             if phase == 1:
                 # the phase-1 objective is bounded below by zero, so a
@@ -395,10 +405,10 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
     Starts from the slack/artificial identity, or from ``start``: one
     standard column per row, -1 for an artificial on that row (see
     ``_start_columns``). Row i's artificial is basis entry n + i, column
-    n + i of ``std.M``, reset to +e_i on each attempt. For a starting
-    basis, B x = b is solved for the basic values; each artificial they put
-    below -feas_tol (1 + |b|) is negated to -e_i in M, so it starts above
-    zero, and the basis is then installed by one full refresh against the
+    n + i of ``std.M``, +e_i as built. For a starting basis, B x = b is
+    solved for the basic values; each artificial they put below
+    -feas_tol (1 + |b|) is negated to -e_i in M, so it starts above zero,
+    and the basis is then installed by one full refresh against the
     phase-1 costs. A singular starting basis, or one with a user column
     below -feas_tol (1 + |b|), raises ValueError. The verdict is read off
     the refresh that confirms the pivot loop's optimum: the artificial
@@ -409,8 +419,6 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
     """
     m, n = std.m, std.n_total
     M = std.M
-    # undo the negations of an earlier rung's start
-    np.fill_diagonal(M[:, n:], 1.0)
     tol = cfg.feas_tol * (1.0 + np.abs(std.b).max(initial=0.0))
 
     if start is None:
@@ -484,13 +492,13 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
             _refresh_tableau(T, basis, M, std.b, c1, full=True)
 
     # pivot leftover artificials out on honest (untouched or freshly
-    # rebuilt) entries; rows without one are redundant and keep their
-    # artificial pinned at level zero for good
+    # rebuilt) entries; rows without one (every row of an LP with no
+    # columns) are redundant and keep their artificial pinned at level
+    # zero for good
     for i in [r for r in range(m) if basis[r] >= n]:
-        row = T[i, :n]
-        j = int(np.argmax(np.abs(row)))
-        if abs(row[j]) > 1e-7:
-            _pivot(T, basis, i, j)
+        row = np.abs(T[i, :n])
+        if row.max(initial=0.0) > 1e-7:
+            _pivot(T, basis, i, int(row.argmax()))
             iterations += 1
 
     return "feasible", T, basis, None, iterations
@@ -511,8 +519,8 @@ def _phase2(T, basis, M, b, c_aug, cfg, pivoted):
 def _validate_ray(M, c_aug, basis, j, cfg) -> None:
     """Check the phase-2 unboundedness ray of entering column j on the
     original data: z_j = 1, z_B = -B^-1 A_j. A near-singular basis can hide
-    an admissible pivot below pivot_tol; such a ray fails here and the solve
-    is retried on the next rung of the tolerance ladder."""
+    an admissible pivot below pivot_tol; such a ray fails here with
+    NumericalBreakdown."""
     n_real = M.shape[1] - M.shape[0]
     w = _solve_basis(M[:, basis], M[:, j], "ray validation")
     z = np.zeros(M.shape[1])
@@ -533,8 +541,7 @@ def _extract_primal(M, b, basis, cfg, xb) -> np.ndarray:
     refresh that confirmed phase 2's optimum; without phase 2 it is None
     and solved here, and a singular basis raises. A basic value below
     -1e-6 (1 + |b|), an artificial carrying mass or a row residual above
-    max(1e-8, feas_tol) (1 + |b|) raises NumericalBreakdown, so the
-    tolerance ladder retries."""
+    max(1e-8, feas_tol) (1 + |b|) raises NumericalBreakdown."""
     n_real = M.shape[1] - M.shape[0]
     if xb is None:
         xb = _solve_basis(M[:, basis], b, "primal extraction")
@@ -555,16 +562,6 @@ def _extract_primal(M, b, basis, cfg, xb) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
-
-def _escalation(config: SolverConfig):
-    """Deterministic ladder of pivot tolerances for breakdown recovery:
-    drift-scale noise stops being an admissible pivot once the floor is
-    raised."""
-    yield config
-    for pt in (1e-9, 1e-8, 1e-7):
-        if pt > config.pivot_tol:
-            yield replace(config, pivot_tol=pt)
-
 
 def _start_columns(std: _Standardized, lp: LinearProgram, basis) \
         -> np.ndarray:
@@ -602,30 +599,9 @@ def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG,
     coefficient -1. Phase 1 then pivots only if an artificial starts
     above the feasibility tolerance.
 
-    Each rung of the tolerance ladder is tried until one returns; the
-    result's ``breakdowns`` names every abandoned rung. Only the first
-    rung starts from ``basis``; the later ones start from the identity.
-    If every rung breaks down, the last breakdown is raised."""
+    A numerical breakdown raises NumericalBreakdown."""
     std = _Standardized(lp)
     start = None if basis is None else _start_columns(std, lp, basis)
-    abandoned = []
-    for cfg in _escalation(config):
-        try:
-            sol = _solve_once(lp, std, cfg, start)
-        except NumericalBreakdown as e:
-            abandoned.append(f"pivot_tol={cfg.pivot_tol:g}: {e}")
-            last = e
-            # a start that led into a breakdown may lead there again: the
-            # later rungs start cold
-            start = None
-            continue
-        sol.breakdowns = tuple(abandoned)
-        return sol
-    raise last
-
-
-def _solve_once(lp: LinearProgram, std: _Standardized,
-                config: SolverConfig, start) -> LpSolution:
     status, T, basis, farkas, it1 = _phase1(std, config, start)
     if status == "infeasible":
         return LpSolution(status=INFEASIBLE, farkas=farkas, iterations=it1)
@@ -699,8 +675,7 @@ def check_feasibility(A, rels, b, free=None,
     """Feasibility of {A x (rels) b, x respects bounds}, as the
     zero-objective ``solve``: ``status`` is OPTIMAL with a feasible point
     in ``primal``, or INFEASIBLE with a Farkas ray in ``farkas`` proving
-    emptiness. ``basis`` is a starting basis, passed to ``solve`` as it
-    is: it seeds the first rung of the tolerance ladder only.
+    emptiness. ``basis`` is passed to ``solve`` as its starting basis.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:

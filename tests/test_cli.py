@@ -128,6 +128,20 @@ def test_mot_dual_sym(measures, capsys):
     assert report["results"]["feasibility_margin"] <= 1e-9
 
 
+def test_mot_dual_sym_one_dirac(measures, capsys):
+    # mu = nu = one Dirac: the flow LP has no columns and value 0
+    reports = {}
+    for cmd in ("dual-sym", "dual"):
+        code, report = run(capsys, [
+            "mot", cmd, "--mu", measures["d0"], "--nu", measures["d0"],
+            "--cost", '{"kind":"euclidean"}'])
+        assert code == 0, cmd
+        reports[cmd] = report["results"]
+    assert reports["dual-sym"]["value"] == 0
+    assert reports["dual-sym"]["value"] == reports["dual"]["value"]
+    assert reports["dual-sym"]["feasibility_margin"] <= 1e-9
+
+
 def test_validation_diagnostics(tmp_path, capsys):
     bad = write(tmp_path, "bad.json",
                 {"dim": 1, "points": [[0.0], [1.0]], "weights": [0.5, 0.4]})

@@ -213,7 +213,8 @@ def test_fan_decompose_terminates_with_valid_leaves():
 
 def test_breakdown_pair_52_186_is_in_order():
     # an in-order pair on which convex_order_check and choquet_represent
-    # raised NumericalBreakdown after every rung of the tolerance ladder
+    # raised NumericalBreakdown ("basis became singular during refresh")
+    # before the simplex pivoted only on rows above a relative threshold
     mu, nu = spread_pair(52, 186)
     assert co.convex_order_check(mu, nu).in_order
     rep = co.choquet_represent(mu, nu)
@@ -232,10 +233,10 @@ def _cold_value(mu, nu, cost):
 @pytest.mark.parametrize("seed, index", [(52, 168), (41, 272)])
 def test_staircase_breakdown_pairs_recover_cold(seed, index):
     # from the martingale staircase, all four in-order calls on (52, 168)
-    # abandon their first rung, and while every rung reused the start they
-    # broke down on every rung ("basis became singular during refresh");
-    # the later rungs start cold and recover. (41, 272) is a pair of the
-    # same kind that must stay solved.
+    # once broke down ("basis became singular during refresh") and were
+    # saved only by a cold restart at a looser pivot tolerance; they must
+    # solve from the staircase and give the cold solve's value. (41, 272)
+    # is a pair of the same kind that must stay solved.
     mu, nu = spread_pair(seed, index)
     eu = ms.CostSpec.euclidean()
     assert co.convex_order_check(mu, nu).in_order
@@ -246,6 +247,21 @@ def test_staircase_breakdown_pairs_recover_cold(seed, index):
     _, dual = mot.mot_dual(mu, nu, eu)
     assert abs(primal - cold) <= 1e-12
     assert abs(dual - cold) <= 1e-12
+
+
+@pytest.mark.parametrize("seed, index, kind", [
+    (1, 69, "euclidean"), (13, 12, "euclidean"), (13, 50, "euclidean"),
+    (13, 50, "sq_euclidean")])
+def test_symmetric_dual_breakdown_pairs_solve(seed, index, kind):
+    # mot_dual_symmetric raised NumericalBreakdown ("basis became singular
+    # during refresh") on these in-order pairs while pivots on a sliver of
+    # their column were admitted
+    mu, nu = spread_pair(seed, index)
+    cost = getattr(ms.CostSpec, kind)()
+    sym, value = mot.mot_dual_symmetric(mu, nu, cost)
+    _, dual = mot.mot_dual(mu, nu, cost)
+    assert abs(value - dual) <= 1e-9
+    assert sym.max_violation(cost) <= 1e-9
 
 
 @given(kernel_pairs())

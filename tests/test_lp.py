@@ -223,7 +223,6 @@ def test_martingale_pivot_ceiling(monkeypatch):
     def solve(*args, **kwargs):
         sol = real(*args, **kwargs)
         pivots.append(sol.iterations)
-        assert sol.breakdowns == ()
         return sol
     monkeypatch.setattr(lp, "solve", solve)
     mu, nu = _spread_pair(7)
@@ -261,7 +260,7 @@ def test_false_optimum_is_priced_again_on_a_refresh(monkeypatch):
     sol = lp.solve(prog)
     # the opening refresh, one after each blanked pivot, one to confirm
     assert len(blanked) == 3 and refreshes == [False] * 5
-    assert sol.status == lp.OPTIMAL and sol.breakdowns == ()
+    assert sol.status == lp.OPTIMAL
     assert sol.iterations == ref.iterations == n
     assert max(sol.residuals.values()) <= 1e-9, sol.residuals
     assert sol.value == ref.value
@@ -269,46 +268,32 @@ def test_false_optimum_is_priced_again_on_a_refresh(monkeypatch):
     assert sol.dual.tobytes() == ref.dual.tobytes()
 
 
-def test_refreshes_that_keep_an_entering_column_break_the_rung(monkeypatch):
-    # max x s.t. x <= 1. On the first rung every plain refresh of the
-    # basis {x} prices x itself at -1: entering it pivots on its own row
-    # and leaves the basis as it was, so no refresh confirms an optimum.
-    # The fourth raises inside the rung, and the next rung solves
+def test_refreshes_that_keep_an_entering_column_raise(monkeypatch):
+    # max x s.t. x <= 1. Every plain refresh of the basis {x} prices x
+    # itself at -1: entering it pivots on its own row and leaves the basis
+    # as it was, so no refresh confirms an optimum. The fourth refresh's
+    # breakdown raises out of solve, with no second attempt
     prog = lp.LinearProgram([1.0], "max", [[1.0]], [lp.LE], [1.0])
-    ref = lp.solve(prog)
-    real_once, real_loop = lp._solve_once, lp._pivot_loop
-    real_refresh = lp._refresh_tableau
-    rungs, lies, raised = [], [], []
+    real_phase1, real_refresh = lp._phase1, lp._refresh_tableau
+    phase1s, lies = [], []
 
-    def once(prog, std, cfg, start):
-        rungs.append(cfg.pivot_tol)
-        return real_once(prog, std, cfg, start)
-
-    def loop(*args, **kwargs):
-        try:
-            return real_loop(*args, **kwargs)
-        except NumericalBreakdown as e:
-            raised.append(str(e))
-            raise
+    def phase1(*args, **kwargs):
+        phase1s.append(1)
+        return real_phase1(*args, **kwargs)
 
     def refresh(T, basis, *args, full=False):
         out = real_refresh(T, basis, *args, full=full)
-        if len(rungs) == 1 and not full and basis == [0]:
-            lies.append(len(raised))
+        if not full and basis == [0]:
+            lies.append(1)
             T[-1, 0] = -1.0
         return out
-    monkeypatch.setattr(lp, "_solve_once", once)
-    monkeypatch.setattr(lp, "_pivot_loop", loop)
+    monkeypatch.setattr(lp, "_phase1", phase1)
     monkeypatch.setattr(lp, "_refresh_tableau", refresh)
-    sol = lp.solve(prog)
-    assert lies == [0, 0, 0, 0]
-    assert raised == ["phase 2: reduced costs still admit an entering "
-                      "column after 4 refreshes"]
-    assert rungs == [1e-11, 1e-9]
-    assert sol.breakdowns == (f"pivot_tol=1e-11: {raised[0]}",)
-    assert sol.status == lp.OPTIMAL and sol.value == ref.value == 1.0
-    assert sol.primal.tobytes() == ref.primal.tobytes()
-    assert sol.dual.tobytes() == ref.dual.tobytes()
+    with pytest.raises(NumericalBreakdown,
+                       match="phase 2: reduced costs still admit an entering "
+                             "column after 4 refreshes"):
+        lp.solve(prog)
+    assert len(lies) == 4 and len(phase1s) == 1
 
 
 def _lex_leaving_by_columns(T, basis, rows, col):
@@ -415,29 +400,94 @@ def test_lex_leaving_matches_column_scan_on_martingale_pair(monkeypatch):
     assert sum(tied) > 10
 
 
-def _first_rung_breaks(monkeypatch, name):
-    real = getattr(lp, name)
-
-    def once(prog, std, cfg, start):
-        if cfg.pivot_tol == lp.DEFAULT_CONFIG.pivot_tol:
-            raise NumericalBreakdown("basis became singular during refresh")
-        return real(prog, std, cfg, start)
-    monkeypatch.setattr(lp, name, once)
-
-
-def test_abandoned_rungs_are_recorded(monkeypatch):
+def test_breakdowns_raise_out_of_solve_and_check_feasibility(monkeypatch):
+    # check_feasibility is the zero-objective solve, so a singular basis
+    # met inside the solve raises out of both entry points, at once
     prog = lp.LinearProgram([1.0], "max", [[1.0]], [lp.LE], [1.0])
-    assert lp.solve(prog).breakdowns == ()
-    assert lp.check_feasibility([[1.0]], [lp.EQ], [1.0]).breakdowns == ()
-    # check_feasibility is the zero-objective solve, so one broken
-    # _solve_once rung shows in both entry points
-    _first_rung_breaks(monkeypatch, "_solve_once")
-    expected = ("pivot_tol=1e-11: basis became singular during refresh",)
+    assert lp.solve(prog).value == pytest.approx(1.0)
+    assert lp.check_feasibility([[1.0]], [lp.EQ], [1.0]).status == lp.OPTIMAL
+    calls = []
+
+    def singular(B, rhs, during):
+        calls.append(during)
+        raise NumericalBreakdown(f"basis became singular during {during}")
+    monkeypatch.setattr(lp, "_solve_basis", singular)
+    with pytest.raises(NumericalBreakdown, match="singular during refresh"):
+        lp.solve(prog)
+    assert calls == ["refresh"]
+    with pytest.raises(NumericalBreakdown, match="singular during refresh"):
+        lp.check_feasibility([[1.0]], [lp.EQ], [1.0])
+    assert calls == ["refresh"] * 2
+
+
+@pytest.mark.parametrize("rel, b", [(lp.EQ, [0.0, 2.0]),
+                                    (lp.LE, [0.0, -1.0]),
+                                    (lp.GE, [1.0, 0.0])])
+def test_lp_without_columns(rel, b):
+    # no variables: b = 0 is met by the empty point, b != 0 by none
+    A = np.zeros((2, 0))
+    sol = lp.solve(lp.LinearProgram(np.zeros(0), "min", A, [rel] * 2,
+                                    np.zeros(2)))
+    assert sol.status == lp.OPTIMAL and sol.value == 0.0
+    assert sol.primal.shape == (0,)
+    sol = lp.solve(lp.LinearProgram(np.zeros(0), "min", A, [rel] * 2, b))
+    assert sol.status == lp.INFEASIBLE
+    assert float(np.asarray(b) @ sol.farkas) > 0
+
+
+def _leaving_rows(monkeypatch):
+    """Record (rows, col) of every ratio test."""
+    real, seen = lp._lex_leaving, []
+
+    def spy(T, basis, rows, col):
+        seen.append((rows.copy(), col.copy()))
+        return real(T, basis, rows, col)
+    monkeypatch.setattr(lp, "_lex_leaving", spy)
+    return seen
+
+
+def test_sliver_of_the_column_is_no_pivot(monkeypatch):
+    # max x s.t. 1e-9 x <= 5e-10, x <= 1. x enters on the column
+    # (1e-9, 1): row 0 holds the least ratio, 0.5, but its entry lies
+    # below RELATIVE_PIVOT times the column's largest, so row 1 leaves at
+    # ratio 1 and row 0's slack ends at 5e-10 - 1e-9 = -5e-10. The answer
+    # x = 1 (exact: 0.5) meets row 0 only within the feasibility tolerance
+    prog = lp.LinearProgram([1.0], "max", [[1e-9], [1.0]], [lp.LE, lp.LE],
+                            [5e-10, 1.0])
+    seen = _leaving_rows(monkeypatch)
+    real_extract, basic = lp._extract_primal, []
+
+    def extract(M, b, basis, cfg, xb):
+        basic.append(xb.copy())
+        return real_extract(M, b, basis, cfg, xb)
+    monkeypatch.setattr(lp, "_extract_primal", extract)
     sol = lp.solve(prog)
-    assert sol.status == lp.OPTIMAL and sol.value == pytest.approx(1.0)
-    assert sol.breakdowns == expected
-    res = lp.check_feasibility([[1.0]], [lp.EQ], [1.0])
-    assert res.status == lp.OPTIMAL and res.breakdowns == expected
+    (rows, col), = seen
+    assert lp.DEFAULT_CONFIG.pivot_tol < col[0] < lp.RELATIVE_PIVOT * col[1]
+    assert rows.tolist() == [1]
+    # the negative basic value is guarded by _extract_primal: it clamps
+    # basic values at zero and accepts them above -1e-6 (1 + |b|), and
+    # the row the clamp leaves short misses by 5e-10, inside
+    # max(1e-8, feas_tol) (1 + |b|). The clamp in _lex_leaving acts only
+    # on later ratio tests, and there are none here.
+    assert basic[0].min() == pytest.approx(-5e-10, rel=1e-6)
+    assert sol.status == lp.OPTIMAL and sol.value == 1.0
+    assert sol.residuals["primal"] == pytest.approx(5e-10, rel=1e-6)
+
+
+def test_large_negative_entry_keeps_the_admissible_row(monkeypatch):
+    # max x s.t. -1e6 x <= 1, 1e-3 x <= 1: the column (-1e6, 1e-3). Its
+    # largest positive entry, not max |col|, sets the scale, so row 1 stays
+    # admissible and the solve is bounded at x = 1000
+    prog = lp.LinearProgram([1.0], "max", [[-1e6], [1e-3]], [lp.LE, lp.LE],
+                            [1.0, 1.0])
+    seen = _leaving_rows(monkeypatch)
+    sol = lp.solve(prog)
+    (rows, col), = seen
+    assert lp.RELATIVE_PIVOT * np.abs(col).max() > col[1]
+    assert rows.tolist() == [1]
+    assert sol.status == lp.OPTIMAL
+    assert sol.value == pytest.approx(1000.0, rel=1e-12)
 
 
 def _transport_2x2(free=None):
@@ -468,7 +518,7 @@ def test_starting_basis_is_used():
     prog = _transport_2x2()
     sol = lp.solve(prog, basis=[0, 1, -1, 3])
     cold = lp.solve(prog)
-    assert sol.status == lp.OPTIMAL and sol.breakdowns == ()
+    assert sol.status == lp.OPTIMAL
     assert sol.value == pytest.approx(cold.value, abs=1e-15)
     assert max(sol.residuals.values()) <= 1e-12, sol.residuals
 
@@ -593,7 +643,7 @@ def test_starting_artificial_below_zero_enters_negated():
                                                       [-1.0, -1.0]],
                               [lp.LE] * 4, [0.0, 1.0, 0.0, -1.0])
     sol = lp.solve(prog, basis=[-1, 0])
-    assert sol.status == lp.OPTIMAL and sol.breakdowns == ()
+    assert sol.status == lp.OPTIMAL
     assert sol.value == pytest.approx(
         lp_value_by_vertex_enumeration(oracle), abs=1e-12)
     assert max(sol.residuals.values()) <= 1e-12, sol.residuals
@@ -678,53 +728,6 @@ def test_artificials_stay_on_their_rows_martingale_starts(case):
         assert _assert_artificials_on_their_rows(records, *A.shape)
 
 
-def test_later_rungs_start_cold(monkeypatch):
-    # a start that led the first rung into a breakdown seeds no other rung
-    prog = _transport_2x2()
-    cold = lp.solve(prog)
-    real, starts = lp._solve_once, []
-
-    def recorded(prog, std, cfg, start):
-        starts.append(start)
-        if len(starts) < 3:
-            raise NumericalBreakdown("basis became singular during refresh")
-        return real(prog, std, cfg, start)
-    monkeypatch.setattr(lp, "_solve_once", recorded)
-    sol = lp.solve(prog, basis=[0, 1, -1, 3])
-    assert sol.status == lp.OPTIMAL and len(sol.breakdowns) == 2
-    assert sol.value == pytest.approx(cold.value, abs=1e-15)
-    assert [s is None for s in starts] == [False, True, True]
-
-
-def test_later_rungs_reset_negated_artificials(monkeypatch):
-    # the started first rung negates row 0's artificial, as in the test
-    # above, then breaks down; the cold rung after it starts from +e_0
-    prog = lp.LinearProgram([1.0, 2.0], "min", [[1.0, -1.0], [1.0, 1.0]],
-                            [lp.EQ, lp.EQ], [0.0, 1.0])
-    cold = lp.solve(prog)
-    real_once, real_phase1 = lp._solve_once, lp._phase1
-    blocks = []
-
-    def phase1(std, cfg, start=None):
-        out = real_phase1(std, cfg, start)
-        blocks.append(std.M[:, std.n_total:].copy())
-        return out
-
-    def once(prog, std, cfg, start):
-        sol = real_once(prog, std, cfg, start)
-        if len(blocks) == 1:
-            raise NumericalBreakdown("basis became singular during refresh")
-        return sol
-    monkeypatch.setattr(lp, "_phase1", phase1)
-    monkeypatch.setattr(lp, "_solve_once", once)
-    sol = lp.solve(prog, basis=[-1, 0])
-    assert sol.status == lp.OPTIMAL and len(sol.breakdowns) == 1
-    assert blocks[0].tolist() == [[-1.0, 0.0], [0.0, 1.0]]
-    assert blocks[1].tolist() == [[1.0, 0.0], [0.0, 1.0]]
-    assert sol.value == cold.value
-    assert sol.primal.tobytes() == cold.primal.tobytes()
-
-
 def test_unbounded_detection():
     sol = lp.solve(lp.LinearProgram([1.0, 0.0], "max", [[0.0, 1.0]],
                                     [lp.LE], [1.0]))
@@ -732,8 +735,8 @@ def test_unbounded_detection():
 
 
 def test_singular_basis_solve_raises():
-    # a singular or overflowing basis solve is a breakdown for the
-    # tolerance ladder, never a least-squares guess
+    # a singular or overflowing basis solve is a breakdown, never a
+    # least-squares guess
     with pytest.raises(NumericalBreakdown,
                        match="basis became singular during refresh"):
         lp._solve_basis(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    kernel_pairs,
     nu3,
     pm1,
     random_convex_order_pair,
@@ -134,6 +135,35 @@ def test_symmetric_below_general_structural():
         _, vg = mot.mot_dual(mu, nu, eu)
         assert vs <= vg + 1e-9
         assert sym.max_violation(eu) <= 1e-9
+
+
+@given(kernel_pairs())
+def test_mti_costs_give_the_two_potential_value(case):
+    # the paper's theorem: under the martingale triangle inequality the
+    # dual may be restricted to one potential, so the symmetric value is
+    # the two-potential one
+    mu, nu, _ = case
+    for cost in (ms.CostSpec.euclidean(), ms.CostSpec.sq_euclidean(),
+                 ms.CostSpec.manhattan()):
+        sym, vs = mot.mot_dual_symmetric(mu, nu, cost)
+        _, vd = mot.mot_dual(mu, nu, cost)
+        assert abs(vs - vd) <= 1e-9, cost.kind
+        assert sym.max_violation(cost) <= 1e-9
+
+
+def test_non_mti_cost_gives_a_lower_symmetric_value():
+    # |x - y|^3 fails the martingale triangle inequality: the flow LP
+    # routes mass through +-1 on its way to +-2 for 2.5, where every
+    # martingale coupling of delta_0 pays (1 + 1 + 8 + 8) / 4 = 4.5
+    cube = ms.CostSpec.custom(lambda x, y: float(np.linalg.norm(x - y)) ** 3)
+    assert not mot.mti_check(cube, Box([-2.0], [2.0]), 2000, 3).ok
+    mu = ms.dirac([0.0])
+    nu = ms.new_measure(1, [[-2.0], [-1.0], [1.0], [2.0]], [0.25] * 4)
+    sym, vs = mot.mot_dual_symmetric(mu, nu, cube)
+    _, vd = mot.mot_dual(mu, nu, cube)
+    assert vd == pytest.approx(4.5, abs=1e-9)
+    assert vs == pytest.approx(2.5, abs=1e-9)
+    assert sym.max_violation(cube) <= 1e-9
 
 
 def _mot_dual_rows_by_loop(mu, nu, C):

@@ -17,9 +17,12 @@ convexity certificates use the classical orientation
 f(x) + sigma(||y - x||) + <gamma(x), y - x> <= f(y).
 
 Every gamma certifier checks a point x on its rows <g, y_j - x> <= r_j.
-Two candidate g come first, the previous point's and the linear part of
-a local quadratic fit, each accepted only when it meets every row. Else
-one LP with d + 1 rows decides the Farkas alternative,
+All points come first, in one array pass: each point's candidate g is
+the linear part of a local quadratic fit, the fits are solved in one
+batch and accepted where they meet every row. Only the points this
+misses are visited, in order: each tries the gammas of the nearest
+accepted points before and after it, and else one LP with d + 1 rows
+decides the Farkas alternative,
 min sum_j lam_j r_j  s.t.  sum_j lam_j (y_j - x) = 0, sum_j lam_j <= 1,
 lam >= 0. Optimum zero: the barycenter-row multipliers are g. Negative
 optimum: the basic lam has at most d + 1 nonzeros and its support is an
@@ -96,8 +99,11 @@ class SymmetricDual:
 
     def max_violation(self, cost: CostSpec) -> float:
         """Largest f_i - f_j + <gamma_i, z_j - z_i> - c(z_i, z_j) over
-        i != j."""
+        i != j; 0.0 on a one-point union, which has no such pair, so the
+        margin is always finite."""
         Z = self.points
+        if len(Z) < 2:
+            return 0.0
         excess = self.f[:, None] - self.f[None, :] - cost.pairwise(Z, Z) \
             + self.gamma @ Z.T - np.sum(self.gamma * Z, axis=1)[:, None]
         np.fill_diagonal(excess, -np.inf)
@@ -348,86 +354,116 @@ def gamma_certify(f1, f2, X, Y, cost: CostSpec,
 def _certify_points(X, Y, R, orient, config, skip_self=False) \
         -> GammaResult:
     """Gamma fields with orient * <gamma(x_i), y_j - x_i> <= orient * R[i, j]
-    for every row j (j != i when ``skip_self``), point by point, or the
-    first point where none exists with its binding core.
+    for every row j (j != i when ``skip_self``), or the first point where
+    none exists with its binding core.
 
-    Each point first tries the previous point's accepted gamma, then
-    ``_farkas_point``'s fitted candidate, and its LP last; every gamma is
-    checked on its rows. A returned gamma is some certificate of its
-    point, not a particular vertex of its feasible set.
+    Every point's fitted gradient (``_fitted_gradients``) is checked on
+    its rows in one pass; for a smooth function it is the discrete
+    gradient. Only the points it misses are visited, in order: each
+    tries the gammas of the nearest accepted points before and after it
+    (the previous point's and the next fitted one's), then
+    ``_farkas_lp``. A candidate is accepted when it meets every row
+    within the LP's own verdict threshold, feas_tol (1 + max|r|)
+    (``_meets_rows``). Such a candidate bounds the LP's optimum r.lam
+    below by -feas_tol (1 + max|r|), where the LP certifies too, so no
+    point the LP would refute is accepted, and every refutation and its
+    binding core come from the LP. A returned gamma is some certificate
+    of its point, not a particular vertex of its feasible set. A
+    one-point call is the batch of one.
     """
-    gammas = np.zeros(X.shape)
-    g = None
-    for i, x in enumerate(X):
+    D, r = _point_rows(X, Y, R, orient, skip_self)
+    g, fitted = _fitted_gradients(D, r)
+    met = fitted & _meets_rows(D, r, g, config.feas_tol)
+    accepted = np.flatnonzero(met)
+    for i in np.flatnonzero(~met):
         keep = np.arange(len(Y)) != i if skip_self else slice(None)
-        Yi = Y[keep]
-        g, core = _farkas_point(Yi - x, orient * R[i, keep], config,
-                                previous=g)
-        if core is not None:
-            binding = tuple((Yi[k].copy(), float(w)) for k, w in zip(*core))
-            return GammaResult(False, X, counterexample=CounterexamplePoint(
-                x.copy(), i, binding))
-        gammas[i] = orient * g
-    return GammaResult(True, X, gammas=gammas)
+        Di, ri = D[i, keep], r[i, keep]
+        # point i - 1 is settled already; the next fitted one follows i
+        later = np.searchsorted(accepted, i)
+        tried = list(accepted[later:later + 1])
+        if i > 0:
+            tried.insert(0, i - 1)
+        meets = _meets_rows(Di, ri, g[tried], config.feas_tol)
+        if meets.any():
+            g[i] = g[tried[meets.argmax()]]
+        else:
+            gi, core = _farkas_lp(Di, ri, config)
+            if core is not None:
+                Yi = Y[keep]
+                binding = tuple((Yi[k].copy(), float(w))
+                                for k, w in zip(*core))
+                return GammaResult(False, X, counterexample=(
+                    CounterexamplePoint(X[i].copy(), int(i), binding)))
+            g[i] = gi
+    return GammaResult(True, X, gammas=orient * g)
 
 
-def _meets_rows(D, r, g, tol) -> bool:
-    """D @ g <= r within tol (1 + max|r|): the one acceptance test of a
-    gamma, whether a candidate (tol = feas_tol) or read off the LP
-    (tol = 1e-8)."""
-    scale = 1.0 + np.abs(r).max(initial=0.0)
-    return np.max(D @ g - r, initial=0.0) <= tol * scale
+def _point_rows(X, Y, R, orient, skip_self):
+    """Every point's rows <g, y_j - x_i> <= r_ij: D = y_j - x_i, shape
+    (n, m, d), and r = orient * R. Under ``skip_self`` the row j = i is
+    zeroed in both, which leaves the fit and the acceptance test as if it
+    were dropped."""
+    D = Y[None, :, :] - X[:, None, :]
+    r = orient * R
+    if skip_self:
+        diag = np.arange(len(X))
+        D[diag, diag] = 0.0
+        r[diag, diag] = 0.0
+    return D, r
 
 
-def _fitted_gradient(D, r):
-    """The linear part g of the least-squares quadratic model
-    r ~ D g + sum_{k <= l} q_kl D_k D_l, fitted on the nonzero rows with
+def _meets_rows(D, r, g, tol):
+    """D g <= r within tol (1 + max|r|), for one point's rows (D of shape
+    (m, d)) or every point's (n, m, d), with leading axes broadcast, so
+    one call also tries a stack of g (k, d) on one point: the one
+    acceptance test of a gamma, whether a candidate (tol = feas_tol) or
+    read off the LP (tol = 1e-8)."""
+    scale = 1.0 + np.abs(r).max(axis=-1, initial=0.0)
+    excess = (D @ g[..., None])[..., 0] - r
+    return excess.max(axis=-1, initial=0.0) <= tol * scale
+
+
+def _fitted_gradients(D, r):
+    """The linear part g_i of the least-squares quadratic model
+    r_i ~ D_i g + sum_{k <= l} q_kl D_ik D_il of every point i, for D of
+    shape (n, m, d) and r of shape (n, m).
+
+    Each model is fitted on its point's nonzero rows with
     |D_j|^2 <= 4.5 min |D_j|^2 (the factor stays above 4, so a lattice's
     rows at twice the nearest step survive rounding and one-sided fits
-    stay determined). The normal equations are solved with D scaled by
-    the nearest distance. None when every row is zero or the fit is
-    singular."""
-    sq = np.einsum("ij,ij->i", D, D)
-    nonzero = sq > 0.0
-    if not nonzero.any():
-        return None
-    nearest = sq[nonzero].min()
-    near = nonzero & (sq <= 4.5 * nearest)
-    h = np.sqrt(nearest)
-    U = D[near] / h
-    k, l = np.triu_indices(D.shape[1])
-    M = np.hstack([U, U[:, k] * U[:, l]])
-    try:
-        coef = np.linalg.solve(M.T @ M, M.T @ r[near])
-    except np.linalg.LinAlgError:
-        return None
-    return coef[:D.shape[1]] / h
-
-
-def _farkas_point(D, r, config, previous=None):
-    """A vector g with D @ g <= r, or an irreducible core proving none.
-
-    Two candidates come first: ``previous`` (a neighbouring point's g)
-    and ``_fitted_gradient``. Either is returned when it meets every row
-    within the LP's own verdict threshold, feas_tol (1 + max|r|)
-    (``_meets_rows``); for a smooth function the fit is the discrete
-    gradient. Such a candidate bounds the LP's optimum r.lam below by
-    -feas_tol (1 + max|r|), where the LP certifies too, so no point the
-    LP would refute is accepted; every refutation comes from
-    ``_farkas_lp``, and so does its core. The g returned is some
-    certificate, not a particular vertex. Returns (g, None) or
-    (None, (support, weights summing to 1)).
+    stay determined), with D scaled by the nearest distance. The near
+    rows are padded with zero rows to the largest near count, and the n
+    normal equations are solved in one batch. Returns (g, fitted). A
+    point is not fitted, and its row of g means nothing, when its normal
+    matrix is singular to working precision: its reciprocal 1-norm
+    condition number is at most K p eps, for K near rows and p features
+    (as when its rows are all zero, fewer than p, or on one line).
     """
-    if previous is not None and _meets_rows(D, r, previous, config.feas_tol):
-        return previous, None
-    g = _fitted_gradient(D, r)
-    if g is not None and _meets_rows(D, r, g, config.feas_tol):
-        return g, None
-    return _farkas_lp(D, r, config)
+    d = D.shape[2]
+    sq = np.einsum("ijk,ijk->ij", D, D)
+    nonzero = sq > 0.0
+    nearest = np.where(nonzero, sq, np.inf).min(axis=1, initial=np.inf)
+    near = nonzero & (sq <= 4.5 * nearest[:, None])
+    count = near.sum(axis=1)
+    point = np.arange(len(D))[:, None]
+    rows = np.argsort(~near, axis=1, kind="stable")[:, :count.max(initial=0)]
+    live = near[point, rows]
+    h = np.sqrt(nearest)[:, None]
+    U = D[point, rows] * (live / h)[..., None]
+    k, l = np.triu_indices(d)
+    M = np.concatenate([U, U[..., k] * U[..., l]], axis=2)
+    Mt = M.transpose(0, 2, 1)
+    normal = Mt @ M
+    fitted = 1.0 / np.linalg.cond(normal, 1) \
+        > count * M.shape[2] * np.finfo(float).eps
+    normal[~fitted] = np.eye(M.shape[2])
+    rhs = Mt @ np.where(live, r[point, rows], 0.0)[..., None]
+    return np.linalg.solve(normal, rhs)[:, :d, 0] / h, fitted
 
 
 def _farkas_lp(D, r, config):
-    """The LP step of ``_farkas_point``.
+    """A vector g with D @ g <= r, or an irreducible core proving none:
+    the LP step of ``_certify_points``.
 
     Solves the Farkas alternative  min r.lam  s.t.  D' lam = 0,
     sum(lam) <= 1, lam >= 0  (d + 1 rows; lam = 0 is feasible and the

@@ -139,7 +139,7 @@ def test_mot_dual_sym_one_dirac(measures, capsys):
         reports[cmd] = report["results"]
     assert reports["dual-sym"]["value"] == 0
     assert reports["dual-sym"]["value"] == reports["dual"]["value"]
-    assert reports["dual-sym"]["feasibility_margin"] <= 1e-9
+    assert reports["dual-sym"]["feasibility_margin"] == 0.0
 
 
 def test_validation_diagnostics(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """HiGHS as an outside referee: the package's LP values on seeded cases
-against scipy's ``linprog(method="highs")`` on the same rows and costs.
+against scipy's ``linprog(method="highs")`` on the same rows and costs,
+or, for the symmetric MOT dual, on its dual rows built here pair by pair.
 
 scipy is not a package dependency; the module is skipped without it.
 """
@@ -9,7 +10,7 @@ import pytest
 
 from transportkit import convex_order, ot
 from transportkit.measures import CostSpec, MultiCost, new_measure
-from transportkit.mot import mot_primal
+from transportkit.mot import mot_dual_symmetric, mot_primal
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -81,3 +82,34 @@ def test_multimarginal_primal_matches_highs(seed):
     A, b = ot._marginal_rows(measures)
     C = cost.tensor([m.points for m in measures])
     assert value == pytest.approx(highs_value(C, A, b), abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", sorted(OT_COSTS))
+def test_mot_dual_symmetric_matches_highs(kind, seed):
+    # the symmetric dual LP solved directly on the support union Z:
+    # max sum_i f_i (mu - nu)_i  s.t.  for every pair i != j,
+    # f_i - f_j + <gamma_i, z_j - z_i> <= c(z_i, z_j), f and gamma free
+    mu, nu = spread_pair(np.random.default_rng([18, 3, seed]), 2 + seed)
+    cost = OT_COSTS[kind]
+    _, value = mot_dual_symmetric(mu, nu, cost)
+    Z = np.unique(np.vstack([mu.points, nu.points]), axis=0)
+    u, d = Z.shape
+    mass = np.zeros(u)
+    for measure, sign in ((mu, 1.0), (nu, -1.0)):
+        for p, w in zip(measure.points, measure.weights):
+            mass[np.flatnonzero((Z == p).all(axis=1))[0]] += sign * w
+    rows, rhs = [], []
+    for i in range(u):
+        for j in range(u):
+            if i != j:
+                row = np.zeros(u * (1 + d))
+                row[i] += 1.0
+                row[j] -= 1.0
+                row[u + i * d:u + (i + 1) * d] = Z[j] - Z[i]
+                rows.append(row)
+                rhs.append(cost(Z[i], Z[j]))
+    res = linprog(-np.concatenate([mass, np.zeros(u * d)]), A_ub=rows,
+                  b_ub=rhs, bounds=(None, None), method="highs")
+    assert res.status == 0, res.message
+    assert value == pytest.approx(-res.fun, abs=1e-9)

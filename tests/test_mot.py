@@ -117,6 +117,9 @@ def test_symmetric_max_violation_is_over_distinct_pairs():
     sym = mot.SymmetricDual(np.array([[0.0], [1.0]]), np.array([0.5, 0.0]),
                             np.array([[0.25], [0.125]]))
     assert sym.max_violation(ms.CostSpec.euclidean()) == -0.25
+    # a one-point union has no pair i != j: the margin is 0, not -inf
+    one = mot.SymmetricDual(np.array([[0.0]]), np.zeros(1), np.zeros((1, 1)))
+    assert one.max_violation(ms.CostSpec.euclidean()) == 0.0
 
 
 def test_mot_dual_symmetric_rejects_nonvanishing_diagonal():
@@ -614,10 +617,24 @@ def _referee_feasible(D, r):
         == lp.OPTIMAL
 
 
+def _certify_one_point(D, r):
+    """``_certify_points`` on the one-point system D g <= r (x = 0, so
+    Y = D): (g, None), or (None, (row indices, weights)) of the binding
+    core, its points located among the rows of D."""
+    res = mot._certify_points(np.zeros((1, D.shape[1])), D, r[None], 1.0,
+                              lp.DEFAULT_CONFIG)
+    if res.ok:
+        return res.gammas[0], None
+    binding = res.counterexample.binding
+    idx = np.array([np.flatnonzero((D == y).all(axis=1))[0]
+                    for y, _ in binding])
+    return None, (idx, np.array([w for _, w in binding]))
+
+
 def test_farkas_point_matches_direct_system():
     verdicts = set()
     for D, r in _farkas_cases():
-        g, core = mot._farkas_point(D, r, lp.DEFAULT_CONFIG)
+        g, core = _certify_one_point(D, r)
         assert (core is None) == _referee_feasible(D, r)
         verdicts.add(core is None)
         if core is None:
@@ -640,7 +657,9 @@ def _certify_systems():
     point (centre, corner, edge or interior) moved against the modulus or
     none; a 1-D bclass_sup whose kinks fall between the 41 grid points,
     certified with X = Y under the euclidean cost (certifiable) and the
-    zero cost (refuted). Last, two systems refuted by 4e-9, inside
+    zero cost (refuted); a 4 x 4 x 4 grid, whose fits have p = 9
+    features, for the uniform convexity of x'Qx, as it is and with its
+    point 21 raised by 1. Last, two systems refuted by 4e-9, inside
     1e-8 (1 + max|r|) but beyond the LP's feas_tol (1 + max|r|): the
     midpoint of [-1, 0, 1] with values 1 - 4e-9, 0, 1 - 4e-9 under
     sigma(t) = t^2 (its fitted slope 0 misses both rows by 4e-9), and an
@@ -664,6 +683,14 @@ def _certify_systems():
     for cost in (eu, ZERO):
         yield xs, xs, fx[:, None] - fx[None, :] - cost.pairwise(xs, xs), \
             -1.0, False
+    cube = Grid(Box([-1.0] * 3, [1.0] * 3), (4, 4, 4)).points()
+    A = rng.uniform(-0.5, 0.5, (3, 3))
+    f = np.einsum("ij,jk,ik->i", cube, A @ A.T + np.eye(3), cube)
+    bump = np.zeros(len(cube))
+    bump[21] = 1.0
+    sq_dist = ((cube[:, None, :] - cube[None, :, :]) ** 2).sum(axis=2)
+    for h in (f, f + bump):
+        yield cube, cube, h[None, :] - h[:, None] - sq_dist, 1.0, True
     tri = np.array([[-1.0], [0.0], [1.0]])
     h = np.array([1.0 - 4e-9, 0.0, 1.0 - 4e-9])
     yield tri, tri, h[None, :] - h[:, None] - (tri - tri.T) ** 2, 1.0, True
@@ -718,6 +745,85 @@ def test_candidates_keep_every_lp_verdict(monkeypatch):
     assert verdicts == {True, False}
     # the reference's own LPs are counted too: one per point it visits
     assert 0 < len(lps) - visited < visited / 4
+
+
+def _fit_systems():
+    """(X, Y, R, orient, skip_self) for the batched fit: smooth functions
+    on a 9-point line, a 5 x 5 lattice (with and without its self rows,
+    and jittered by 1 % of its step) and a 4 x 4 x 4 grid; X = Y systems
+    whose zero rows are kept with r = -0.05 there; the 5 x 5 lattice
+    against a 9 x 9 one through its points. Then six random points
+    against the 5 x 5 lattice, each with fewer than p = 5 near rows; two
+    points, one whose rows are all zero and one with three equal rows;
+    and the lattice with seven far points on a line, whose near rows are
+    collinear (six of them at its first point, at 0.5 to 1 from it)."""
+    rng = np.random.default_rng(20261020)
+    line = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
+    square = Grid(Box([-1.0, -1.0], [1.0, 1.0]), (5, 5)).points()
+    cube = Grid(Box([-1.0] * 3, [1.0] * 3), (4, 4, 4)).points()
+    jitter = square + rng.uniform(-0.005, 0.005, square.shape)
+    smooth = [(line, np.exp(line[:, 0]) + np.sin(3.0 * line[:, 0])),
+              (square, np.cos(square @ [1.0, 0.5]) + (square ** 2).sum(1)),
+              (jitter, np.exp(jitter @ [0.3, -0.7])),
+              (cube, np.cos(cube @ [0.4, -0.2, 0.9]) + (cube ** 3).sum(1))]
+    for P, f in smooth:
+        R = f[None, :] - f[:, None] - 0.5 * ((P[:, None] - P) ** 2).sum(2)
+        yield P, P, R, 1.0, True
+        yield P, P, R - 0.05 * np.eye(len(P)), -1.0, False
+    fine = Grid(Box([-1.0, -1.0], [1.0, 1.0]), (9, 9)).points()
+    R = np.cos(fine @ [1.0, 0.5])[None, :] - np.cos(square @ [1.0, 0.5])[
+        :, None]
+    yield square, fine, R, 1.0, False
+    X = rng.uniform(-0.9, 0.9, (6, 2))
+    R = np.cos(square @ [1.0, 0.5])[None, :] - X.sum(1)[:, None]
+    yield X, square, R, 1.0, False
+    X = np.array([[0.3, -0.2], [1.3, -0.2]])
+    yield X, X[[0, 0, 0]], np.zeros((2, 3)), 1.0, False
+    t = np.array([0.0, -1.0, -0.75, -0.5, 0.5, 0.6, 1.0])[:, None]
+    P = np.vstack([square, [3.1, 0.2] + t * [0.6, 0.8]])
+    f = (P ** 2).sum(1)
+    yield P, P, f[None, :] - f[:, None], -1.0, True
+
+
+def _lstsq_gradient(D, r):
+    """One point's fit by np.linalg.lstsq: the quadratic model on its
+    nonzero rows with |D_j|^2 <= 4.5 min |D_j|^2, scaled by the nearest
+    distance; its linear part, or None when the rows are all zero or do
+    not determine the model."""
+    sq = (D ** 2).sum(axis=1)
+    if not (sq > 0).any():
+        return None
+    nearest = sq[sq > 0].min()
+    near = (sq > 0) & (sq <= 4.5 * nearest)
+    U = D[near] / np.sqrt(nearest)
+    d = D.shape[1]
+    M = np.column_stack([U] + [U[:, a] * U[:, b] for a in range(d)
+                               for b in range(a, d)])
+    coef, _, rank, _ = np.linalg.lstsq(M, r[near], rcond=None)
+    return coef[:d] / np.sqrt(nearest) if rank == M.shape[1] else None
+
+
+def test_batched_fit_matches_lstsq_per_point():
+    dims, unfitted = set(), 0
+    for X, Y, R, orient, skip_self in _fit_systems():
+        D, r = mot._point_rows(X, Y, R, orient, skip_self)
+        g, fitted = mot._fitted_gradients(D, r)
+        for i, x in enumerate(X):
+            keep = np.arange(len(Y)) != i if skip_self else slice(None)
+            ref = _lstsq_gradient(Y[keep] - x, orient * R[i, keep])
+            assert fitted[i] == (ref is not None)
+            if ref is None:
+                unfitted += 1
+                continue
+            np.testing.assert_allclose(g[i], ref, rtol=1e-9, atol=1e-12)
+            dims.add(X.shape[1])
+        res = mot._certify_points(X, Y, R, orient, lp.DEFAULT_CONFIG,
+                                  skip_self)
+        assert res.ok == (_certify_by_lp(X, Y, R, orient, skip_self) is None)
+    assert dims == {1, 2, 3}
+    # the six random points, the all-zero point, the equal rows and the
+    # seven points of the line
+    assert unfitted == 15
 
 
 def test_farkas_points_skip_phase_one(monkeypatch):

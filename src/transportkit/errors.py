@@ -81,6 +81,11 @@ class NonSmoothDiagonal(TransportkitError):
     """Cost is not twice differentiable across the diagonal x = y."""
 
 
+class BadCheckParameter(TransportkitError):
+    """A sampled check with no samples, or a differenced one whose step is
+    not finite and positive: either would pass any cost unexamined."""
+
+
 # --- function classes ---
 
 class EmptyAtoms(TransportkitError):

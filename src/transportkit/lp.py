@@ -1,15 +1,15 @@
 """Dense two-phase simplex with anti-cycling pivoting.
 
 Self-contained: no external LP dependency. Designed for desk-scale problems
-(a few thousand variables) where auditability beats speed. Free variables
-are split into differences of nonnegative parts internally; the split is
-invisible to callers.
+(a few thousand variables) where auditability beats speed.
 
-Constraints come in matrix form only: an (m, n) array ``A``, a length-m
-sequence ``rels`` of ``LE``/``EQ``/``GE`` and a length-m right-hand side
-``b``, read row by row as ``A[i] @ x  rels[i]  b[i]``. The problem
-builders (coupling marginals, martingale barycenters, gamma rows) form
-their rows as one array and hand it over as it is.
+Every LP has one form: minimise c.x over x >= 0 subject to rows in matrix
+form, an (m, n) array ``A``, a length-m sequence ``rels`` of
+``LE``/``EQ``/``GE`` and a length-m right-hand side ``b``, read row by row
+as ``A[i] @ x  rels[i]  b[i]``. The problem builders (coupling marginals,
+martingale barycenters, gamma rows) form their rows as one array and hand
+it over as it is. A maximisation is the minimisation of -c, and a free
+variable the difference of two nonnegative columns.
 
 Pivot rule: the entering column maximises z_j^2 / w_j over the columns
 whose reduced cost z_j is below -feas_tol (Devex pricing, Harris 1973;
@@ -37,12 +37,13 @@ column is a breakdown. A numerical breakdown raises ``NumericalBreakdown``
 out of the solve. ``LpSolution.iterations`` counts the pivots of both
 phases.
 
-Standard form negates every row whose right-hand side is negative, so
-b >= 0. Both phases, ray validation and primal extraction work on one
-matrix M = [A | I], built once per solve: column n + i is the artificial
-of row i, a basis entry that never enters and so has no tableau column.
-The row duals and the Farkas ray are mapped back to the user's rows by
-the same signs.
+Standard form adds one slack column per inequality row and negates every
+row whose right-hand side is negative, so b >= 0. Both phases, ray
+validation and primal extraction work on one matrix M = [A | S | I], built
+once per solve: the i-th of the last m columns is the artificial of row
+i, a basis entry that never enters and so has no tableau column. The
+primal is the first n entries of the standard solution, and the row duals
+and the Farkas ray are mapped back to the user's rows by the row signs.
 
 Phase 1 starts from the slack/artificial identity, or from a starting
 basis the caller passes to ``solve``: one entry per row, a user column
@@ -68,17 +69,18 @@ objective and returns its ``LpSolution``: OPTIMAL with a feasible
 ``primal``, or INFEASIBLE with a Farkas ray in ``farkas``. A zero
 objective is optimal at every feasible basis, so it runs no phase 2.
 
-Conventions for the reported dual vector y (one multiplier per constraint):
-  sense=min: value = b.y, y <= 0 on "<=" rows, y >= 0 on ">=" rows;
-  sense=max: value = b.y, y >= 0 on "<=" rows, y <= 0 on ">=" rows.
-Equality rows are unrestricted. When infeasible, ``farkas`` holds a ray y
-with b.y > 0 whose combination of rows is nonpositive on every admissible
-variable direction, proving emptiness.
+The reported dual vector y has one multiplier per row: value = b.y,
+y <= 0 on "<=" rows, y >= 0 on ">=" rows, unrestricted on "==" rows, and
+c - A^T y >= 0. When infeasible, ``farkas`` holds a ray y with the same
+signs, b.y > 0 and A^T y <= 0, proving emptiness. ``residual_report``
+measures the primal, dual, gap and complementary-slackness residuals of an
+optimal solution on the user's data when asked; ``solve`` itself checks
+only that its primal meets the rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -137,22 +139,18 @@ def check_size(n_rows: int, n_cols: int) -> None:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max/min c.x subject to A x (rels) b row by row; x_j >= 0 unless
-    free. The arrays are stored as given (as floats); do not mutate them."""
+    """min c.x subject to A x (rels) b row by row and x >= 0. The arrays
+    are stored as given (as floats); do not mutate them."""
 
     objective: np.ndarray
-    sense: str
     A: np.ndarray
     rels: Sequence[str]
     b: np.ndarray
-    free: np.ndarray | None = None  # bool mask; default all False
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
         if c.ndim != 1:
             raise ValueError("objective must be a vector")
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"sense must be min or max, got {self.sense!r}")
         A = np.asarray(self.A, dtype=float)
         rels = np.asarray(self.rels, dtype=str)
         b = np.asarray(self.b, dtype=float)
@@ -167,12 +165,8 @@ class LinearProgram:
             raise ValueError(f"relation must be one of {_RELATIONS}")
         if not np.isfinite(b).all():
             raise ValueError("rhs must be finite")
-        fr = np.zeros(c.size, dtype=bool) if self.free is None \
-            else np.asarray(self.free, dtype=bool)
-        if fr.shape != c.shape:
-            raise ValueError("free mask length mismatch")
         for name, value in (("objective", c), ("A", A), ("rels", rels),
-                            ("b", b), ("free", fr)):
+                            ("b", b)):
             object.__setattr__(self, name, value)
 
     @property
@@ -191,7 +185,6 @@ class LpSolution:
     primal: np.ndarray | None = None
     dual: np.ndarray | None = None
     farkas: np.ndarray | None = None
-    residuals: dict = field(default_factory=dict)
     iterations: int = 0
 
 
@@ -202,43 +195,29 @@ class LpSolution:
 class _Standardized:
     """User LP rewritten as  min c.z  s.t.  A z = b, z >= 0, with b >= 0.
 
-    Column order: user variable j gives column +j, followed at once by
-    -j when j is free; then one slack column per inequality row, in row
-    order (+1 on "<=" rows, -1 on ">=" rows). Every row whose b is
-    negative is then negated, slack included; ``row_sign`` is -1 on those
-    rows and +1 elsewhere, so a row dual here times ``row_sign`` is the
-    dual of the user's row. ``M`` is ``A`` followed by one unit column per
-    row, the artificials; ``A`` is a view of M's first columns."""
+    Column order: the n user columns, then one slack column per inequality
+    row, in row order (+1 on "<=" rows, -1 on ">=" rows). Every row whose
+    b is negative is then negated, slack included; ``row_sign`` is -1 on
+    those rows and +1 elsewhere, so a row dual here times ``row_sign`` is
+    the dual of the user's row. ``M`` is ``A`` followed by one unit column
+    per row, the artificials; ``A`` is a view of M's first columns."""
 
     def __init__(self, lp: LinearProgram):
         A, b = lp.A, lp.b
         m, n = A.shape
-        sign = -1.0 if lp.sense == "max" else 1.0
-        reps = np.where(lp.free, 2, 1)
-        self.var_of = np.repeat(np.arange(n), reps)  # user var per column
-        self.var_sign = np.ones(self.var_of.size)
-        self.var_sign[(np.cumsum(reps) - 1)[lp.free]] = -1.0
-        self.n_struct = self.var_of.size
         self.slack_row = np.flatnonzero(lp.rels != EQ)
         S = np.zeros((m, self.slack_row.size))
         S[self.slack_row, np.arange(self.slack_row.size)] = \
             np.where(lp.rels[self.slack_row] == LE, 1.0, -1.0)
         self.row_sign = np.where(b < 0, -1.0, 1.0)
-        self.M = np.hstack([A[:, self.var_of] * self.var_sign, S,
-                            np.eye(m)])
+        self.M = np.hstack([A, S, np.eye(m)])
         self.n_total = self.M.shape[1] - m
         self.A = self.M[:, :self.n_total]
         self.A *= self.row_sign[:, None]
-        self.c = np.concatenate([sign * lp.objective[self.var_of]
-                                 * self.var_sign, np.zeros(S.shape[1])])
+        self.c = np.concatenate([lp.objective, np.zeros(S.shape[1])])
         self.b = b * self.row_sign
         self.m = m
         self.n_user = n
-
-    def user_primal(self, z: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.n_user)
-        np.add.at(x, self.var_of, self.var_sign * z[:self.n_struct])
-        return x
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +404,7 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
         # a slack column with +1 coefficient can seed the basis; every
         # other row gets an artificial
         basis = np.full(m, -1)
-        slack_col = std.n_struct + np.arange(std.slack_row.size)
+        slack_col = std.n_user + np.arange(std.slack_row.size)
         seeds = std.A[std.slack_row, slack_col] > 0
         basis[std.slack_row[seeds]] = slack_col[seeds]
     else:
@@ -568,7 +547,7 @@ def _start_columns(std: _Standardized, lp: LinearProgram, basis) \
     """A caller's starting basis as standard columns: entry i names the
     user column basic on row i, or -1 for an artificial on that row.
     Refuses with ValueError a basis of the wrong length, an entry that is
-    no user column, a repeated column and a free variable."""
+    no user column and a repeated column."""
     start = np.asarray(basis)
     if start.shape != (std.m,):
         raise ValueError(f"basis needs one entry per row ({std.m}), got "
@@ -581,10 +560,8 @@ def _start_columns(std: _Standardized, lp: LinearProgram, basis) \
     named = start[start >= 0]
     if len(set(named.tolist())) != named.size:
         raise ValueError("basis repeats a column")
-    if lp.free[named].any():
-        raise ValueError("basis names a free variable")
-    # a variable that is not free has exactly one standard column
-    return np.where(start >= 0, np.searchsorted(std.var_of, start), -1)
+    # user column j is standard column j
+    return start.astype(int)
 
 
 def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG,
@@ -593,11 +570,11 @@ def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG,
 
     ``basis``, if given, is the starting basis of phase 1: one entry per
     row, the user column basic on that row or -1 for an artificial there.
-    It must be nonsingular, with no repeated column and no free variable,
-    and its user columns feasible (basic values >= -feas_tol (1 + |b|));
-    otherwise ValueError. An artificial below that bound enters with
-    coefficient -1. Phase 1 then pivots only if an artificial starts
-    above the feasibility tolerance.
+    It must be nonsingular, with no repeated column, and its user columns
+    feasible (basic values >= -feas_tol (1 + |b|)); otherwise ValueError.
+    An artificial below that bound enters with coefficient -1. Phase 1
+    then pivots only if an artificial starts above the feasibility
+    tolerance.
 
     A numerical breakdown raises NumericalBreakdown."""
     std = _Standardized(lp)
@@ -621,45 +598,29 @@ def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG,
     # drift-free data
     z = _extract_primal(std.M, std.b, basis, config, xb)
     # a negated row's dual changes sign with it
-    y = std.row_sign * y
-    value_int = float(std.c @ z)
-
-    x_user = std.user_primal(z)
-    if lp.sense == "max":
-        value = -value_int
-        y_user = -y
-    else:
-        value = value_int
-        y_user = y
-
-    sol = LpSolution(status=OPTIMAL, value=value, primal=x_user,
-                     dual=y_user, iterations=it1 + it2)
-    sol.residuals = residual_report(lp, sol)
-    return sol
+    return LpSolution(status=OPTIMAL, value=float(std.c @ z),
+                      primal=z[:std.n_user], dual=std.row_sign * y,
+                      iterations=it1 + it2)
 
 
 def residual_report(lp: LinearProgram, sol: LpSolution) -> dict:
     """Primal/dual feasibility, duality-gap and complementary-slackness
-    residuals of an optimal solution, measured on the user-level data."""
-    x, y, free = sol.primal, sol.dual, lp.free
+    residuals of an optimal solution on the user's data, when asked."""
+    x, y = sol.primal, sol.dual
     le, ge = lp.rels == LE, lp.rels == GE
     gap = lp.A @ x - lp.b
     row_viol = np.where(le, gap, np.where(ge, -gap, np.abs(gap)))
     primal = max(0.0, float(row_viol.max(initial=0.0)),
-                 float(np.max(-x[~free], initial=0.0)))
-    # dual signs: y <= 0 on "<=" rows and y >= 0 on ">=" rows (min)
-    y_min = -y if lp.sense == "max" else y
-    dual_sign = max(0.0, float(y_min[le].max(initial=0.0)),
-                    float((-y_min[ge]).max(initial=0.0)))
+                 float(np.max(-x, initial=0.0)))
+    # dual signs: y <= 0 on "<=" rows and y >= 0 on ">=" rows
+    dual_sign = max(0.0, float(y[le].max(initial=0.0)),
+                    float((-y[ge]).max(initial=0.0)))
     cs_rows = float(np.abs(y * gap).max(initial=0.0))
 
-    # reduced costs: r = c - A^T y (min) must be >= 0 on x >= 0, = 0 on free
+    # reduced costs r = c - A^T y must be >= 0
     r = lp.objective - lp.A.T @ y
-    if lp.sense == "max":
-        r = -r
-    dual_red = max(0.0, float(np.abs(r[free]).max(initial=0.0)),
-                   float((-r[~free]).max(initial=0.0)))
-    cs_vars = float(np.abs(x * r)[~free].max(initial=0.0))
+    dual_red = float((-r).max(initial=0.0))
+    cs_vars = float(np.abs(x * r).max(initial=0.0))
     gap = abs(float(lp.objective @ x) - float(lp.b @ y))
     return {
         "primal": primal,
@@ -669,10 +630,9 @@ def residual_report(lp: LinearProgram, sol: LpSolution) -> dict:
     }
 
 
-def check_feasibility(A, rels, b, free=None,
-                      config: SolverConfig = DEFAULT_CONFIG,
+def check_feasibility(A, rels, b, config: SolverConfig = DEFAULT_CONFIG,
                       basis=None) -> LpSolution:
-    """Feasibility of {A x (rels) b, x respects bounds}, as the
+    """Feasibility of {A x (rels) b, x >= 0}, as the
     zero-objective ``solve``: ``status`` is OPTIMAL with a feasible point
     in ``primal``, or INFEASIBLE with a Farkas ray in ``farkas`` proving
     emptiness. ``basis`` is passed to ``solve`` as its starting basis.
@@ -680,5 +640,5 @@ def check_feasibility(A, rels, b, free=None,
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"A must be a matrix, got shape {A.shape}")
-    return solve(LinearProgram(np.zeros(A.shape[1]), "min", A, rels, b,
-                               free), config, basis)
+    return solve(LinearProgram(np.zeros(A.shape[1]), A, rels, b), config,
+                 basis)

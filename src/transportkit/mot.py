@@ -39,6 +39,7 @@ import numpy as np
 from . import lp
 from .convex_order import _martingale_rows, _martingale_start
 from .errors import (
+    BadCheckParameter,
     DimensionMismatch,
     GammaMissing,
     GridTooCoarse,
@@ -180,7 +181,7 @@ def _solve_martingale(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
     A, rels, b = _martingale_rows(mu, nu)
     C = cost.pairwise(mu.points, nu.points)
-    sol = lp.solve(lp.LinearProgram(C.ravel(), "min", A, rels, b), config,
+    sol = lp.solve(lp.LinearProgram(C.ravel(), A, rels, b), config,
                    basis=_martingale_start(mu, nu))
     if sol.status == lp.INFEASIBLE:
         raise NotInConvexOrder("no martingale coupling exists")
@@ -253,7 +254,7 @@ def mot_dual_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure,
     A[J, cols] = -1.0
     A[u + I[:, None] * d + np.arange(d), cols[:, None]] = Z[J] - Z[I]
     b = np.concatenate([_signed_mass(mu, nu, Z), np.zeros(u * d)])
-    sol = lp.solve(lp.LinearProgram(C[I, J], "min", A, (lp.EQ,) * len(b), b),
+    sol = lp.solve(lp.LinearProgram(C[I, J], A, (lp.EQ,) * len(b), b),
                    config)
     if sol.status == lp.INFEASIBLE:
         raise NotInConvexOrder(
@@ -290,6 +291,12 @@ def mti_violation(cost: CostSpec, base, atoms, lambdas) -> float:
     return float(lam @ from_base - cost(base, bary) - lam @ from_bary)
 
 
+def _check_samples(n_samples: int) -> None:
+    if n_samples < 1:
+        raise BadCheckParameter(f"need at least one sample, got "
+                                f"{n_samples}")
+
+
 def _sample_tuple(box: Box, seed: int, index: int, with_base: bool):
     # per-sample generator so serial and parallel runs agree; the pair
     # (seed, index) is hashed whole so distinct pairs draw distinct tuples
@@ -305,7 +312,8 @@ def simplex_inequality_check(f1, f2, cost: CostSpec, domain: Box,
                              tol: float = VIOLATION_TOL) -> SampledCheck:
     """Sample simplex tuples (atoms uniform in the box, flat Dirichlet
     weights); report the first violation above tol, or Ok with the largest
-    violation seen."""
+    violation seen. Fewer than one sample raises BadCheckParameter."""
+    _check_samples(n_samples)
     worst = -np.inf
     for i in range(n_samples):
         atoms, lam, _ = _sample_tuple(domain, seed, i, with_base=False)
@@ -320,7 +328,8 @@ def simplex_inequality_check(f1, f2, cost: CostSpec, domain: Box,
 def mti_check(cost: CostSpec, domain: Box, n_samples: int, seed: int,
               tol: float = VIOLATION_TOL) -> SampledCheck:
     """Sampled martingale triangle inequality with an independent base
-    point per tuple."""
+    point per tuple. Fewer than one sample raises BadCheckParameter."""
+    _check_samples(n_samples)
     worst = -np.inf
     for i in range(n_samples):
         atoms, lam, base = _sample_tuple(domain, seed, i, with_base=True)
@@ -351,7 +360,7 @@ def gamma_certify(f1, f2, X, Y, cost: CostSpec,
     return _certify_points(X, Y, R, -1.0, config)
 
 
-def _certify_points(X, Y, R, orient, config, skip_self=False) \
+def _certify_points(X, Y, R, orient, config, skip_self=False, D=None) \
         -> GammaResult:
     """Gamma fields with orient * <gamma(x_i), y_j - x_i> <= orient * R[i, j]
     for every row j (j != i when ``skip_self``), or the first point where
@@ -369,9 +378,10 @@ def _certify_points(X, Y, R, orient, config, skip_self=False) \
     point the LP would refute is accepted, and every refutation and its
     binding core come from the LP. A returned gamma is some certificate
     of its point, not a particular vertex of its feasible set. A
-    one-point call is the batch of one.
+    one-point call is the batch of one. ``D``, if given, is the array of
+    differences y_j - x_i that ``_point_rows`` would build.
     """
-    D, r = _point_rows(X, Y, R, orient, skip_self)
+    D, r = _point_rows(X, Y, R, orient, skip_self, D)
     g, fitted = _fitted_gradients(D, r)
     met = fitted & _meets_rows(D, r, g, config.feas_tol)
     accepted = np.flatnonzero(met)
@@ -398,12 +408,13 @@ def _certify_points(X, Y, R, orient, config, skip_self=False) \
     return GammaResult(True, X, gammas=orient * g)
 
 
-def _point_rows(X, Y, R, orient, skip_self):
+def _point_rows(X, Y, R, orient, skip_self, D=None):
     """Every point's rows <g, y_j - x_i> <= r_ij: D = y_j - x_i, shape
-    (n, m, d), and r = orient * R. Under ``skip_self`` the row j = i is
-    zeroed in both, which leaves the fit and the acceptance test as if it
-    were dropped."""
-    D = Y[None, :, :] - X[:, None, :]
+    (n, m, d), built here unless given, and r = orient * R. Under
+    ``skip_self`` the row j = i is zeroed in both, which leaves the fit
+    and the acceptance test as if it were dropped."""
+    if D is None:
+        D = Y[None, :, :] - X[:, None, :]
     r = orient * R
     if skip_self:
         diag = np.arange(len(X))
@@ -476,7 +487,7 @@ def _farkas_lp(D, r, config):
     """
     n, d = D.shape
     A = np.vstack([D.T, np.ones(n)])
-    sol = lp.solve(lp.LinearProgram(r, "min", A, (lp.EQ,) * d + (lp.LE,),
+    sol = lp.solve(lp.LinearProgram(r, A, (lp.EQ,) * d + (lp.LE,),
                                     np.append(np.zeros(d), 1.0)), config)
     if sol.status != lp.OPTIMAL:
         raise NumericalBreakdown(f"gamma certificate: LP terminated "
@@ -570,13 +581,16 @@ def _grid_points(grid):
 
 
 def _modulus_rows(f, sigma: ModulusSpec, grid):
-    """Grid points and R[i, j] = f(y_j) - f(x_i) - sigma(||y_j - x_i||)."""
+    """Grid points, their differences D[i, j] = y_j - x_i (the rows of
+    ``_point_rows``, built once) and R[i, j] = f(y_j) - f(x_i) -
+    sigma(||y_j - x_i||)."""
     pts = _grid_points(grid)
     if abs(sigma(0.0)) > 0.0:
         raise ValueError("modulus must vanish at zero")
     fvals = values_on(pts, f)
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    return pts, fvals[None, :] - fvals[:, None] - sigma(dist)
+    D = pts[None, :, :] - pts[:, None, :]
+    return pts, D, fvals[None, :] - fvals[:, None] \
+        - sigma(np.linalg.norm(D, axis=2))
 
 
 def uniform_convexity_certify(f, sigma: ModulusSpec, grid,
@@ -584,8 +598,8 @@ def uniform_convexity_certify(f, sigma: ModulusSpec, grid,
         -> GammaResult:
     """Per-point gamma with f(x) + sigma(||y-x||) + <gamma(x), y-x> <= f(y)
     over the grid, or the first point where none exists."""
-    pts, R = _modulus_rows(f, sigma, grid)
-    return _certify_points(pts, pts, R, 1.0, config, skip_self=True)
+    pts, D, R = _modulus_rows(f, sigma, grid)
+    return _certify_points(pts, pts, R, 1.0, config, skip_self=True, D=D)
 
 
 def uniform_smoothness_certify(f, sigma: ModulusSpec, grid,
@@ -593,8 +607,8 @@ def uniform_smoothness_certify(f, sigma: ModulusSpec, grid,
         -> GammaResult:
     """Mirror of uniform_convexity_certify:
     f(x) + sigma(||y-x||) + <gamma(x), y-x> >= f(y) over the grid."""
-    pts, R = _modulus_rows(f, sigma, grid)
-    return _certify_points(pts, pts, R, -1.0, config, skip_self=True)
+    pts, D, R = _modulus_rows(f, sigma, grid)
+    return _certify_points(pts, pts, R, -1.0, config, skip_self=True, D=D)
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +650,12 @@ def mti_second_order_check(cost: CostSpec, grid: Grid, h: float) \
     a Hessian of order 1/h there, whose moves double as the step halves
     and which would dominate every gap and pass any cost. The truncation
     error of a smooth cost moves a quarter as much at each halving,
-    whatever the cost's scale.
+    whatever the cost's scale. A step h that is not finite and positive
+    raises BadCheckParameter.
     """
+    if not (np.isfinite(h) and h > 0):
+        raise BadCheckParameter(f"step h must be finite and positive, got "
+                                f"{h}")
     if any(c - 2 < 3 for c in grid.counts):
         raise GridTooCoarse(
             "need at least 3 interior lattice nodes per axis")

@@ -185,7 +185,7 @@ def _solve_couplings(measures, C, what, config) -> lp.LpSolution:
     least-cost staircase (``_least_cost_basis``), so phase 1 has nothing
     to pivot; its marginal-row multipliers are the dual potentials."""
     A, b = _marginal_rows(measures)
-    prog = lp.LinearProgram(C.ravel(), "min", A, (lp.EQ,) * len(b), b)
+    prog = lp.LinearProgram(C.ravel(), A, (lp.EQ,) * len(b), b)
     start = _least_cost_basis(C, [m.weights for m in measures])
     return _require_optimal(lp.solve(prog, config, basis=start), what)
 

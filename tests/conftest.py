@@ -84,26 +84,37 @@ def traced_refusal_peak(error, call) -> int:
 def random_bounded_lp(rng: np.random.Generator, max_vars: int,
                       max_rows: int) -> lp.LinearProgram:
     """Feasible bounded LP: random <= rows through a nonnegative point,
-    entries in [-1, 1], plus a simplex cap guaranteeing boundedness."""
+    entries in [-1, 1], plus a simplex cap guaranteeing boundedness. The
+    objective is min -c, so its value is minus the maximum of c.x."""
     n = int(rng.integers(2, max_vars + 1))
     m = int(rng.integers(1, max_rows))
     A = rng.uniform(-1.0, 1.0, size=(m, n))
     x0 = rng.uniform(0.0, 1.0, size=n)
     b = A @ x0 + rng.uniform(0.1, 1.0, size=m)
     c = rng.uniform(-1.0, 1.0, size=n)
-    return lp.LinearProgram(c, "max", np.vstack([A, np.ones(n)]),
+    return lp.LinearProgram(-c, np.vstack([A, np.ones(n)]),
                             (lp.LE,) * (m + 1), np.append(b, n + 1.0))
+
+
+def split_free(A, free):
+    """Free variables as differences of nonnegative ones: every column j of
+    A with free[j] is followed at once by its negation. Returns the wider
+    matrix and, per column, the user variable it stands for and its sign,
+    so objective[var] * sign is the matching objective."""
+    var = np.repeat(np.arange(A.shape[1]), np.where(free, 2, 1))
+    sign = np.ones(var.size)
+    sign[1:][var[1:] == var[:-1]] = -1.0
+    return A[:, var] * sign, var, sign
 
 
 def lp_value_by_vertex_enumeration(prog: lp.LinearProgram) -> float:
     """Independent oracle: convert to standard equality form with slacks
-    and take the best objective over all feasible basic solutions."""
+    and take the least objective over all feasible basic solutions."""
     A, rels, b = prog.A, prog.rels, prog.b
     m, n = A.shape
-    assert all(r == lp.LE for r in rels) and not prog.free.any(), \
-        "oracle handles <= rows with nonnegative variables"
+    assert all(r == lp.LE for r in rels), "oracle handles <= rows"
     M = np.hstack([A, np.eye(m)])
-    best = -np.inf if prog.sense == "max" else np.inf
+    best = np.inf
     cost = np.concatenate([prog.objective, np.zeros(m)])
     for basis in itertools.combinations(range(n + m), m):
         B = M[:, basis]
@@ -116,7 +127,7 @@ def lp_value_by_vertex_enumeration(prog: lp.LinearProgram) -> float:
         if abs(np.linalg.det(B)) < 1e-12:
             continue
         val = float(cost[list(basis)] @ xb)
-        best = max(best, val) if prog.sense == "max" else min(best, val)
+        best = min(best, val)
     return best
 
 

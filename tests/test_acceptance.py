@@ -395,8 +395,8 @@ def test_criterion_14_lp_oracle():
         oracle = lp_value_by_vertex_enumeration(prog)
         worst_val = max(worst_val,
                         abs(sol.value - oracle) / (1.0 + abs(oracle)))
-        worst_cs = max(worst_cs,
-                       sol.residuals["complementary_slackness"])
+        worst_cs = max(worst_cs, lp.residual_report(
+            prog, sol)["complementary_slackness"])
     ok = worst_val <= 1e-7 and worst_cs <= 1e-8
     _report(14, "LP oracle equivalence and complementary slackness", ok,
             f"max value gap {worst_val:.2e}, max CS residual "

@@ -280,6 +280,19 @@ def test_numerical_breakdown_exits_3(measures, capsys, monkeypatch):
       "--cost", '{"kind":"linear","a":[0.0]}',
       "--x", "[[1.0,2.0]]", "--y", "[[-1.0],[0.0],[1.0]]"],
      "quadratic evaluator is 1-D, got 2-D points"),
+    # no samples, or a difference step that is not positive:
+    # BadCheckParameter
+    (["mti", "check", "--cost", '{"kind":"euclidean"}',
+      "--domain", "[[-1.0,1.0]]", "--samples", "0"],
+     "need at least one sample, got 0"),
+    (["class", "check", "--f1", '{"kind":"neg_quadratic"}',
+      "--f2", '{"kind":"neg_quadratic"}',
+      "--cost", '{"kind":"linear","a":[0.0]}',
+      "--domain", "[[-1.0,1.0]]", "--samples", "-3"],
+     "need at least one sample, got -3"),
+    (["mti", "hessian", "--cost", '{"kind":"sq_euclidean"}',
+      "--grid", '{"box":[[-1.0,1.0]],"counts":[9]}', "--step", "0"],
+     "step h must be finite and positive, got 0.0"),
 ])
 def test_toolkit_errors_exit_1(measures, capsys, argv, message):
     code = cli.main([measures.get(a, a) for a in argv])

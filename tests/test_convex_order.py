@@ -227,7 +227,7 @@ def _cold_value(mu, nu, cost):
     """The martingale LP's value from the slack/artificial identity."""
     A, rels, b = co._martingale_rows(mu, nu)
     C = cost.pairwise(mu.points, nu.points).ravel()
-    return lp.solve(lp.LinearProgram(C, "min", A, rels, b)).value
+    return lp.solve(lp.LinearProgram(C, A, rels, b)).value
 
 
 @pytest.mark.parametrize("seed, index", [(52, 168), (41, 272)])
@@ -280,8 +280,10 @@ def test_martingale_start_matches_cold_solve(case):
             assert cert.witness.integral_gap(p, q) > 1e-10
             continue
         C = cost.pairwise(p.points, q.points).ravel()
-        sol = lp.solve(lp.LinearProgram(C, "min", A, rels, b), basis=start)
-        assert max(sol.residuals.values()) <= 1e-9, sol.residuals
+        prog = lp.LinearProgram(C, A, rels, b)
+        sol = lp.solve(prog, basis=start)
+        res = lp.residual_report(prog, sol)
+        assert max(res.values()) <= 1e-9, res
         cold_value = _cold_value(p, q, cost)
         assert abs(sol.value - cold_value) <= 1e-12
         assert abs(mot.mot_primal(p, q, cost)[1] - cold_value) <= 1e-12

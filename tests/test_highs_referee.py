@@ -1,6 +1,9 @@
 """HiGHS as an outside referee: the package's LP values on seeded cases
-against scipy's ``linprog(method="highs")`` on the same rows and costs,
-or, for the symmetric MOT dual, on its dual rows built here pair by pair.
+against scipy's ``linprog(method="highs")`` on the same rows and costs.
+A dual value is refereed by the dual LP of its primal's rows, max b.y
+over A^T y <= C with y free; the KR and symmetric MOT duals by their
+own rows, and the symmetric MOT dual also by its flow LP, built here pair
+by pair.
 
 scipy is not a package dependency; the module is skipped without it.
 """
@@ -10,7 +13,7 @@ import pytest
 
 from transportkit import convex_order, ot
 from transportkit.measures import CostSpec, MultiCost, new_measure
-from transportkit.mot import mot_dual_symmetric, mot_primal
+from transportkit.mot import mot_dual, mot_dual_symmetric, mot_primal
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -25,6 +28,25 @@ def highs_value(C, A, b):
                   method="highs")
     assert res.status == 0, res.message
     return res.fun
+
+
+def highs_dual_value(C, A, b):
+    """max b.y over A^T y <= C with y free, solved by HiGHS: the dual of
+    ``highs_value`` on the same rows."""
+    res = linprog(-np.asarray(b), A_ub=np.asarray(A).T, b_ub=np.ravel(C),
+                  bounds=(None, None), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def union_mass(mu, nu):
+    """The support union Z in sorted order and (mu - nu) on it."""
+    Z = np.unique(np.vstack([mu.points, nu.points]), axis=0)
+    mass = np.zeros(len(Z))
+    for measure, sign in ((mu, 1.0), (nu, -1.0)):
+        for p, w in zip(measure.points, measure.weights):
+            mass[np.flatnonzero((Z == p).all(axis=1))[0]] += sign * w
+    return Z, mass
 
 
 def weights(rng, n):
@@ -73,6 +95,59 @@ def test_mot_primal_matches_highs(kind, seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", sorted(OT_COSTS))
+def test_kantorovich_dual_matches_highs(kind, seed):
+    rng = np.random.default_rng([18, 4, seed])
+    mu = new_measure(2, rng.uniform(-1, 1, (10, 2)), weights(rng, 10))
+    nu = new_measure(2, rng.uniform(-1, 1, (12, 2)), weights(rng, 12))
+    cost = OT_COSTS[kind]
+    _, value = ot.kantorovich_dual(mu, nu, cost)
+    A, b = ot._marginal_rows((mu, nu))
+    C = cost.pairwise(mu.points, nu.points)
+    assert value == pytest.approx(highs_dual_value(C, A, b), abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+def test_kr_dual_matches_highs(kind, seed):
+    # max sum_k f_k (mu - nu)_k over f on the support union Z with
+    # f_i - f_j <= d(z_i, z_j) for every pair i != j
+    rng = np.random.default_rng([18, 5, seed])
+    X = rng.uniform(-1, 1, (8, 2))
+    # two atoms of nu sit on atoms of mu, so the union merges them
+    Y = np.vstack([X[:2], rng.uniform(-1, 1, (6, 2))])
+    mu = new_measure(2, X, weights(rng, 8))
+    nu = new_measure(2, Y, weights(rng, 8))
+    cost = OT_COSTS[kind]
+    _, value = ot.kr_dual(mu, nu, cost)
+    Z, mass = union_mass(mu, nu)
+    u = len(Z)
+    rows, rhs = [], []
+    for i in range(u):
+        for j in range(u):
+            if i != j:
+                row = np.zeros(u)
+                row[i], row[j] = 1.0, -1.0
+                rows.append(row)
+                rhs.append(cost(Z[i], Z[j]))
+    res = linprog(-mass, A_ub=rows, b_ub=rhs, bounds=(None, None),
+                  method="highs")
+    assert res.status == 0, res.message
+    assert value == pytest.approx(-res.fun, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["euclidean", "sq_euclidean"])
+def test_mot_dual_matches_highs(kind, seed):
+    mu, nu = spread_pair(np.random.default_rng([18, 6, seed]), 6)
+    cost = OT_COSTS[kind]
+    _, value = mot_dual(mu, nu, cost)
+    A, _, b = convex_order._martingale_rows(mu, nu)
+    C = cost.pairwise(mu.points, nu.points)
+    assert value == pytest.approx(highs_dual_value(C, A, b), abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(3))
 def test_multimarginal_primal_matches_highs(seed):
     rng = np.random.default_rng([18, 2, seed])
     measures = [new_measure(1, rng.uniform(-1, 1, (5, 1)), weights(rng, 5))
@@ -85,6 +160,40 @@ def test_multimarginal_primal_matches_highs(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
+def test_multimarginal_dual_matches_highs(seed):
+    rng = np.random.default_rng([18, 7, seed])
+    measures = [new_measure(1, rng.uniform(-1, 1, (5, 1)), weights(rng, 5))
+                for _ in range(3)]
+    cost = MultiCost.pairwise_sum(CostSpec.euclidean())
+    _, value = ot.multimarginal_dual(measures, cost)
+    A, b = ot._marginal_rows(measures)
+    C = cost.tensor([m.points for m in measures])
+    assert value == pytest.approx(highs_dual_value(C, A, b), abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", sorted(OT_COSTS))
+def test_mot_dual_symmetric_flow_lp_matches_highs(kind, seed):
+    # the symmetric dual's primal twin on the support union Z: flows
+    # pi_ij >= 0 (i != j) with sum_j pi_kj - sum_i pi_ik = (mu - nu)_k and
+    # sum_j pi_kj (z_j - z_k) = 0 for every k, at least cost
+    mu, nu = spread_pair(np.random.default_rng([18, 8, seed]), 2 + seed)
+    cost = OT_COSTS[kind]
+    _, value = mot_dual_symmetric(mu, nu, cost)
+    Z, mass = union_mass(mu, nu)
+    u, d = Z.shape
+    pairs = [(i, j) for i in range(u) for j in range(u) if i != j]
+    A = np.zeros((u * (1 + d), len(pairs)))
+    for col, (i, j) in enumerate(pairs):
+        A[i, col] += 1.0
+        A[j, col] -= 1.0
+        A[u + i * d:u + (i + 1) * d, col] = Z[j] - Z[i]
+    C = [cost(Z[i], Z[j]) for i, j in pairs]
+    b = np.concatenate([mass, np.zeros(u * d)])
+    assert value == pytest.approx(highs_value(C, A, b), abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("kind", sorted(OT_COSTS))
 def test_mot_dual_symmetric_matches_highs(kind, seed):
     # the symmetric dual LP solved directly on the support union Z:
@@ -93,12 +202,8 @@ def test_mot_dual_symmetric_matches_highs(kind, seed):
     mu, nu = spread_pair(np.random.default_rng([18, 3, seed]), 2 + seed)
     cost = OT_COSTS[kind]
     _, value = mot_dual_symmetric(mu, nu, cost)
-    Z = np.unique(np.vstack([mu.points, nu.points]), axis=0)
+    Z, mass = union_mass(mu, nu)
     u, d = Z.shape
-    mass = np.zeros(u)
-    for measure, sign in ((mu, 1.0), (nu, -1.0)):
-        for p, w in zip(measure.points, measure.weights):
-            mass[np.flatnonzero((Z == p).all(axis=1))[0]] += sign * w
     rows, rhs = [], []
     for i in range(u):
         for j in range(u):

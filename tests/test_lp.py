@@ -9,6 +9,7 @@ from conftest import (
     kernel_pairs,
     lp_value_by_vertex_enumeration,
     random_bounded_lp,
+    split_free,
     transport_value_by_vertex_enumeration,
 )
 from transportkit import lp
@@ -24,14 +25,15 @@ from transportkit.ot import kantorovich_primal
 
 
 def test_max_bounded_by_one():
-    sol = lp.solve(lp.LinearProgram([1.0], "max", [[1.0]], [lp.LE], [1.0]))
+    # max x s.t. x <= 1 is min -x, of value -1
+    sol = lp.solve(lp.LinearProgram([-1.0], [[1.0]], [lp.LE], [1.0]))
     assert sol.status == lp.OPTIMAL
-    assert sol.value == pytest.approx(1.0)
+    assert sol.value == pytest.approx(-1.0)
     assert sol.primal[0] == pytest.approx(1.0)
 
 
 def test_infeasible_with_farkas():
-    sol = lp.solve(lp.LinearProgram([1.0], "max", [[1.0]], [lp.LE], [-1.0]))
+    sol = lp.solve(lp.LinearProgram([-1.0], [[1.0]], [lp.LE], [-1.0]))
     assert sol.status == lp.INFEASIBLE
     y = sol.farkas
     # certificate: y on <= row is <= 0, combination nonpositive on x >= 0,
@@ -48,7 +50,7 @@ def test_transport_2x2_matches_enumeration():
         [0.5, 0.5], [0.5, 0.5], C)
     assert oracle == pytest.approx(1.0)
     A = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]]
-    sol = lp.solve(lp.LinearProgram(C.ravel(), "min", A, [lp.EQ] * 4,
+    sol = lp.solve(lp.LinearProgram(C.ravel(), A, [lp.EQ] * 4,
                                     [0.5, 0.5, 0.5, 0.5]))
     assert sol.status == lp.OPTIMAL
     assert sol.value == pytest.approx(oracle, abs=1e-10)
@@ -89,9 +91,10 @@ def test_strong_duality_on_random_lps():
         assert sol.status == lp.OPTIMAL
         dual_obj = float(prog.b @ sol.dual)
         assert abs(sol.value - dual_obj) <= 1e-8 * (1 + abs(sol.value))
-        assert sol.residuals["primal"] <= 1e-8
-        assert sol.residuals["dual"] <= 1e-8
-        assert sol.residuals["complementary_slackness"] <= 1e-8
+        res = lp.residual_report(prog, sol)
+        assert res["primal"] <= 1e-8
+        assert res["dual"] <= 1e-8
+        assert res["complementary_slackness"] <= 1e-8
 
 
 def test_oracle_equivalence_small_lps():
@@ -118,18 +121,20 @@ def _beale_lp():
     A = [[0.25, -8.0, -1.0, 9.0],
          [0.5, -12.0, -0.5, 3.0],
          [0.0, 0.0, 1.0, 0.0]]
-    return lp.LinearProgram(c, "min", A, [lp.LE] * 3, [0.0, 0.0, 1.0])
+    return lp.LinearProgram(c, A, [lp.LE] * 3, [0.0, 0.0, 1.0])
 
 
 def test_beale_cycling_lp():
     # Beale (1955): most-negative-reduced-cost entering with a smallest-index
     # tie-break among the tied ratios cycles forever from the slack basis;
     # the lexicographic leaving rule must reach the optimum instead
-    sol = lp.solve(_beale_lp())
+    prog = _beale_lp()
+    sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
     assert sol.value == -1.25
     assert sol.primal.tolist() == [1.0, 0.0, 1.0, 0.0]
-    assert all(v == 0.0 for v in sol.residuals.values()), sol.residuals
+    res = lp.residual_report(prog, sol)
+    assert all(v == 0.0 for v in res.values()), res
 
 
 @st.composite
@@ -137,7 +142,8 @@ def tie_heavy_lps(draw):
     """Small <= LPs with many ties: integer-lattice coefficients, costs
     all equal or on a lattice, duplicated (redundant) rows, and a simplex
     cap that keeps them bounded. Some rhs are negative, so phase 1 pivots
-    and some instances are infeasible."""
+    and some instances are infeasible. Half the objectives are negated:
+    min -c is the maximum of c."""
     n = draw(st.integers(2, 4))
     rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n,
                                   max_size=n), min_size=1, max_size=3))
@@ -152,8 +158,8 @@ def tie_heavy_lps(draw):
         c = [draw(st.sampled_from([-1, 1]))] * n
     else:
         c = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-    return lp.LinearProgram(np.array(c, dtype=float),
-                            draw(st.sampled_from(["min", "max"])),
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return lp.LinearProgram(sign * np.array(c, dtype=float),
                             np.array(rows, dtype=float), [lp.LE] * len(rows),
                             np.array(rhs, dtype=float))
 
@@ -175,7 +181,8 @@ def test_tie_heavy_lps_match_vertex_enumeration(prog):
     assert sol.status == lp.OPTIMAL
     assert abs(sol.value - oracle) <= 1e-9 * (1 + abs(oracle))
     assert abs(sol.value - prog.b @ sol.dual) <= 1e-9 * (1 + abs(oracle))
-    assert max(sol.residuals.values()) <= 1e-9, sol.residuals
+    res = lp.residual_report(prog, sol)
+    assert max(res.values()) <= 1e-9, res
     assert sol.value == again.value
     assert sol.primal.tobytes() == again.primal.tobytes()
     assert sol.dual.tobytes() == again.dual.tobytes()
@@ -187,7 +194,7 @@ def test_iterations_count_pivots():
     # x1 = x2 = x3 starts feasible with two artificials at level 0; the
     # two pivots that drive them out are the only pivots of the solve
     sol = lp.solve(lp.LinearProgram(
-        [1.0, 1.0, 1.0], "min", [[1, -1, 0], [0, 1, -1], [1, 1, 1]],
+        [1.0, 1.0, 1.0], [[1, -1, 0], [0, 1, -1], [1, 1, 1]],
         [lp.EQ, lp.EQ, lp.LE], [0.0, 0.0, 1.0]))
     assert sol.status == lp.OPTIMAL and sol.value == 0.0
     assert sol.iterations == 2
@@ -199,7 +206,7 @@ def test_devex_tie_goes_to_smallest_index(monkeypatch):
     # has -2 under x1, so x1's reference weight becomes 4. Then x0 prices
     # (-1)^2 / 1 and x1 prices (-2)^2 / 4: a tie, which the smaller index
     # wins, where the most negative reduced cost would take x1
-    prog = lp.LinearProgram([-1.0, 4.0, -3.0], "min",
+    prog = lp.LinearProgram([-1.0, 4.0, -3.0],
                             [[0.0, -2.0, 1.0], [1.0, 1.0, 0.0]],
                             [lp.LE, lp.LE], [1.0, 1.0])
     real, entered = lp._pivot, []
@@ -233,13 +240,13 @@ def test_martingale_pivot_ceiling(monkeypatch):
 
 
 def test_false_optimum_is_priced_again_on_a_refresh(monkeypatch):
-    # max sum (j+1) x_j s.t. (j+2) x_j <= 1 has one optimal basis, six
+    # min -sum (j+1) x_j s.t. (j+2) x_j <= 1 has one optimal basis, six
     # pivots from the slack basis. The first three pivots blank the
     # reduced costs, so each time the loop sees no entering column on a
     # drifted tableau: it must refresh, price the columns still to enter
     # and pivot on to the primal and duals of an unpatched solve
     n = 6
-    prog = lp.LinearProgram(np.arange(1.0, n + 1), "max",
+    prog = lp.LinearProgram(-np.arange(1.0, n + 1),
                             np.diag(np.arange(2.0, n + 2)), [lp.LE] * n,
                             np.ones(n))
     ref = lp.solve(prog)
@@ -262,18 +269,19 @@ def test_false_optimum_is_priced_again_on_a_refresh(monkeypatch):
     assert len(blanked) == 3 and refreshes == [False] * 5
     assert sol.status == lp.OPTIMAL
     assert sol.iterations == ref.iterations == n
-    assert max(sol.residuals.values()) <= 1e-9, sol.residuals
+    res = lp.residual_report(prog, sol)
+    assert max(res.values()) <= 1e-9, res
     assert sol.value == ref.value
     assert sol.primal.tobytes() == ref.primal.tobytes()
     assert sol.dual.tobytes() == ref.dual.tobytes()
 
 
 def test_refreshes_that_keep_an_entering_column_raise(monkeypatch):
-    # max x s.t. x <= 1. Every plain refresh of the basis {x} prices x
+    # min -x s.t. x <= 1. Every plain refresh of the basis {x} prices x
     # itself at -1: entering it pivots on its own row and leaves the basis
     # as it was, so no refresh confirms an optimum. The fourth refresh's
     # breakdown raises out of solve, with no second attempt
-    prog = lp.LinearProgram([1.0], "max", [[1.0]], [lp.LE], [1.0])
+    prog = lp.LinearProgram([-1.0], [[1.0]], [lp.LE], [1.0])
     real_phase1, real_refresh = lp._phase1, lp._refresh_tableau
     phase1s, lies = [], []
 
@@ -403,8 +411,8 @@ def test_lex_leaving_matches_column_scan_on_martingale_pair(monkeypatch):
 def test_breakdowns_raise_out_of_solve_and_check_feasibility(monkeypatch):
     # check_feasibility is the zero-objective solve, so a singular basis
     # met inside the solve raises out of both entry points, at once
-    prog = lp.LinearProgram([1.0], "max", [[1.0]], [lp.LE], [1.0])
-    assert lp.solve(prog).value == pytest.approx(1.0)
+    prog = lp.LinearProgram([-1.0], [[1.0]], [lp.LE], [1.0])
+    assert lp.solve(prog).value == pytest.approx(-1.0)
     assert lp.check_feasibility([[1.0]], [lp.EQ], [1.0]).status == lp.OPTIMAL
     calls = []
 
@@ -426,11 +434,10 @@ def test_breakdowns_raise_out_of_solve_and_check_feasibility(monkeypatch):
 def test_lp_without_columns(rel, b):
     # no variables: b = 0 is met by the empty point, b != 0 by none
     A = np.zeros((2, 0))
-    sol = lp.solve(lp.LinearProgram(np.zeros(0), "min", A, [rel] * 2,
-                                    np.zeros(2)))
+    sol = lp.solve(lp.LinearProgram(np.zeros(0), A, [rel] * 2, np.zeros(2)))
     assert sol.status == lp.OPTIMAL and sol.value == 0.0
     assert sol.primal.shape == (0,)
-    sol = lp.solve(lp.LinearProgram(np.zeros(0), "min", A, [rel] * 2, b))
+    sol = lp.solve(lp.LinearProgram(np.zeros(0), A, [rel] * 2, b))
     assert sol.status == lp.INFEASIBLE
     assert float(np.asarray(b) @ sol.farkas) > 0
 
@@ -447,12 +454,12 @@ def _leaving_rows(monkeypatch):
 
 
 def test_sliver_of_the_column_is_no_pivot(monkeypatch):
-    # max x s.t. 1e-9 x <= 5e-10, x <= 1. x enters on the column
+    # min -x s.t. 1e-9 x <= 5e-10, x <= 1. x enters on the column
     # (1e-9, 1): row 0 holds the least ratio, 0.5, but its entry lies
     # below RELATIVE_PIVOT times the column's largest, so row 1 leaves at
     # ratio 1 and row 0's slack ends at 5e-10 - 1e-9 = -5e-10. The answer
     # x = 1 (exact: 0.5) meets row 0 only within the feasibility tolerance
-    prog = lp.LinearProgram([1.0], "max", [[1e-9], [1.0]], [lp.LE, lp.LE],
+    prog = lp.LinearProgram([-1.0], [[1e-9], [1.0]], [lp.LE, lp.LE],
                             [5e-10, 1.0])
     seen = _leaving_rows(monkeypatch)
     real_extract, basic = lp._extract_primal, []
@@ -471,15 +478,16 @@ def test_sliver_of_the_column_is_no_pivot(monkeypatch):
     # max(1e-8, feas_tol) (1 + |b|). The clamp in _lex_leaving acts only
     # on later ratio tests, and there are none here.
     assert basic[0].min() == pytest.approx(-5e-10, rel=1e-6)
-    assert sol.status == lp.OPTIMAL and sol.value == 1.0
-    assert sol.residuals["primal"] == pytest.approx(5e-10, rel=1e-6)
+    assert sol.status == lp.OPTIMAL and sol.value == -1.0
+    assert lp.residual_report(prog, sol)["primal"] == \
+        pytest.approx(5e-10, rel=1e-6)
 
 
 def test_large_negative_entry_keeps_the_admissible_row(monkeypatch):
-    # max x s.t. -1e6 x <= 1, 1e-3 x <= 1: the column (-1e6, 1e-3). Its
+    # min -x s.t. -1e6 x <= 1, 1e-3 x <= 1: the column (-1e6, 1e-3). Its
     # largest positive entry, not max |col|, sets the scale, so row 1 stays
     # admissible and the solve is bounded at x = 1000
-    prog = lp.LinearProgram([1.0], "max", [[-1e6], [1e-3]], [lp.LE, lp.LE],
+    prog = lp.LinearProgram([-1.0], [[-1e6], [1e-3]], [lp.LE, lp.LE],
                             [1.0, 1.0])
     seen = _leaving_rows(monkeypatch)
     sol = lp.solve(prog)
@@ -487,14 +495,18 @@ def test_large_negative_entry_keeps_the_admissible_row(monkeypatch):
     assert lp.RELATIVE_PIVOT * np.abs(col).max() > col[1]
     assert rows.tolist() == [1]
     assert sol.status == lp.OPTIMAL
-    assert sol.value == pytest.approx(1000.0, rel=1e-12)
+    assert sol.value == pytest.approx(-1000.0, rel=1e-12)
 
 
 def _transport_2x2(free=None):
-    # cells (0,0), (0,1), (1,0), (1,1); rows r0, r1, c0, c1
-    A = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]]
-    return lp.LinearProgram([1.0, 2.0, 3.0, 1.0], "min", A, [lp.EQ] * 4,
-                            [0.5, 0.5, 0.3, 0.7], free)
+    # cells (0,0), (0,1), (1,0), (1,1); rows r0, r1, c0, c1. A free cell
+    # is split into the column pair [+j, -j]
+    A = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]])
+    c = np.array([1.0, 2.0, 3.0, 1.0])
+    if free is not None:
+        A, var, sign = split_free(A, free)
+        c = c[var] * sign
+    return lp.LinearProgram(c, A, [lp.EQ] * 4, [0.5, 0.5, 0.3, 0.7])
 
 
 @pytest.mark.parametrize("basis, free, reason", [
@@ -502,7 +514,8 @@ def _transport_2x2(free=None):
     ([0.0, 1.0, 3.0, -1.0], None, "integers"),
     ([0, 1, 4, -1], None, "must lie in"),
     ([0, 0, 3, -1], None, "repeats a column"),
-    ([0, 1, 3, -1], [True, False, False, False], "free variable"),
+    # the two halves of a split free cell are parallel columns
+    ([0, 1, 3, -1], [True, False, False, False], "singular"),
     ([0, 1, 2, 3], None, "singular"),
     # x00 = 0.5 leaves x10 = 0.3 - 0.5 on row c0
     ([0, 3, 2, -1], None, "infeasible"),
@@ -520,13 +533,14 @@ def test_starting_basis_is_used():
     cold = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
     assert sol.value == pytest.approx(cold.value, abs=1e-15)
-    assert max(sol.residuals.values()) <= 1e-12, sol.residuals
+    res = lp.residual_report(prog, sol)
+    assert max(res.values()) <= 1e-12, res
 
 
 def test_starting_artificial_above_zero_runs_phase_one(monkeypatch):
     # x1 = 1 on the second row leaves the first row's artificial at 1, so
     # phase 1 must pivot from this basis before phase 2 can start
-    prog = lp.LinearProgram([1.0, 2.0], "max", [[1.0, 1.0], [0.0, 1.0]],
+    prog = lp.LinearProgram([-1.0, -2.0], [[1.0, 1.0], [0.0, 1.0]],
                             [lp.LE, lp.LE], [2.0, 1.0])
     real, phases = lp._pivot_loop, []
     params = inspect.signature(real)
@@ -540,7 +554,8 @@ def test_starting_artificial_above_zero_runs_phase_one(monkeypatch):
     assert sol.status == lp.OPTIMAL
     assert sol.value == pytest.approx(lp_value_by_vertex_enumeration(prog),
                                       abs=1e-12)
-    assert max(sol.residuals.values()) <= 1e-12, sol.residuals
+    res = lp.residual_report(prog, sol)
+    assert max(res.values()) <= 1e-12, res
 
 
 def test_zero_objective_runs_no_phase_two(monkeypatch):
@@ -636,17 +651,16 @@ def test_starting_artificial_below_zero_enters_negated():
     # x1 = 1 on the second row leaves the first row's artificial at
     # 0 - 1 = -1; it enters as -e_0, starts at +1 and phase 1 pivots it out
     A = [[1.0, -1.0], [1.0, 1.0]]
-    prog = lp.LinearProgram([1.0, 2.0], "min", A, [lp.EQ, lp.EQ],
-                            [0.0, 1.0])
+    prog = lp.LinearProgram([1.0, 2.0], A, [lp.EQ, lp.EQ], [0.0, 1.0])
     # the same rows as pairs of "<=" rows, for the oracle
-    oracle = lp.LinearProgram([1.0, 2.0], "min", A + [[-1.0, 1.0],
-                                                      [-1.0, -1.0]],
+    oracle = lp.LinearProgram([1.0, 2.0], A + [[-1.0, 1.0], [-1.0, -1.0]],
                               [lp.LE] * 4, [0.0, 1.0, 0.0, -1.0])
     sol = lp.solve(prog, basis=[-1, 0])
     assert sol.status == lp.OPTIMAL
     assert sol.value == pytest.approx(
         lp_value_by_vertex_enumeration(oracle), abs=1e-12)
-    assert max(sol.residuals.values()) <= 1e-12, sol.residuals
+    res = lp.residual_report(prog, sol)
+    assert max(res.values()) <= 1e-12, res
 
 
 def _artificial_records(call):
@@ -723,13 +737,13 @@ def test_artificials_stay_on_their_rows_martingale_starts(case):
         A, rels, b = _martingale_rows(p, q)
         start = _martingale_start(p, q)
         C = cost.pairwise(p.points, q.points).ravel()
-        prog = lp.LinearProgram(C, "min", A, rels, b)
+        prog = lp.LinearProgram(C, A, rels, b)
         records = _artificial_records(lambda: lp.solve(prog, basis=start))
         assert _assert_artificials_on_their_rows(records, *A.shape)
 
 
 def test_unbounded_detection():
-    sol = lp.solve(lp.LinearProgram([1.0, 0.0], "max", [[0.0, 1.0]],
+    sol = lp.solve(lp.LinearProgram([-1.0, 0.0], [[0.0, 1.0]],
                                     [lp.LE], [1.0]))
     assert sol.status == lp.UNBOUNDED
 
@@ -818,18 +832,6 @@ def test_solve_peak_memory_is_bounded_by_tableau():
     assert peak <= 5.5 * tableau, peak / tableau
 
 
-def test_free_variables_hidden_split():
-    # x is free, so min 2x + y with x + y = 3 drives x down to its row
-    # bound x >= -2; the internal positive split must stay invisible
-    sol = lp.solve(lp.LinearProgram([2.0, 1.0], "min",
-                                    [[1.0, 1.0], [1.0, 0.0]],
-                                    [lp.EQ, lp.GE], [3.0, -2.0],
-                                    free=[True, False]))
-    assert sol.status == lp.OPTIMAL
-    assert sol.primal[0] == pytest.approx(-2.0)
-    assert sol.primal[1] == pytest.approx(5.0)
-
-
 def test_iteration_cap_raises_breakdown():
     rng = np.random.default_rng(31)
     prog = random_bounded_lp(rng, max_vars=8, max_rows=8)
@@ -842,7 +844,7 @@ def test_equality_redundancy_is_tolerated():
     # row sums and column sums of a transport polytope are linearly
     # dependent; the solver must drop the redundant row, not fail
     A = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]]
-    sol = lp.solve(lp.LinearProgram([0.0, 1.0, 1.0, 0.0], "min", A,
+    sol = lp.solve(lp.LinearProgram([0.0, 1.0, 1.0, 0.0], A,
                                     [lp.EQ] * 4, [0.5, 0.5, 0.4, 0.6]))
     assert sol.status == lp.OPTIMAL
     # diagonal keeps min(.5,.4) + min(.5,.6); 0.1 must move off-diagonal
@@ -875,8 +877,7 @@ def test_farkas_certificate_properties_random():
     assert checked > 10
 
 
-_GOOD = {"A": np.ones((2, 4)), "rels": [lp.LE, lp.GE], "b": [1.0, 0.0],
-         "free": None}
+_GOOD = {"A": np.ones((2, 4)), "rels": [lp.LE, lp.GE], "b": [1.0, 0.0]}
 _BAD_INPUTS = {
     "b_longer_than_A_and_rels": {"b": [1.0, 0.0, 2.0]},
     "rels_longer_than_A_and_b": {"rels": [lp.LE, lp.GE, lp.EQ]},
@@ -884,7 +885,6 @@ _BAD_INPUTS = {
     "unknown_relation": {"rels": [lp.LE, "<"]},
     "nan_rhs": {"b": [1.0, np.nan]},
     "infinite_rhs": {"b": [np.inf, 0.0]},
-    "free_mask_too_short": {"free": [True, False, False]},
     "transposed_single_row": {"A": np.ones((4, 1)), "rels": [lp.LE],
                               "b": [1.0]},
     "flat_row": {"A": np.ones(4), "rels": [lp.LE], "b": [1.0]},
@@ -895,22 +895,20 @@ _BAD_INPUTS = {
 def test_bad_matrix_inputs_raise(case):
     bad = {**_GOOD, **_BAD_INPUTS[case]}
     with pytest.raises(ValueError):
-        lp.LinearProgram(np.zeros(4), "min", bad["A"], bad["rels"],
-                         bad["b"], bad["free"])
+        lp.LinearProgram(np.zeros(4), bad["A"], bad["rels"], bad["b"])
     with pytest.raises(ValueError):
-        lp.check_feasibility(bad["A"], bad["rels"], bad["b"], bad["free"])
+        lp.check_feasibility(bad["A"], bad["rels"], bad["b"])
 
 
 def test_matrix_of_right_size_but_wrong_shape_raises():
     # 2 x 2 holds the 4 entries of a 1 x 4 row; reshaping it would hide
     # the mistake, so the shape must match exactly
     with pytest.raises(ValueError):
-        lp.LinearProgram(np.zeros(4), "min", np.ones((2, 2)), [lp.LE],
-                         [1.0])
+        lp.LinearProgram(np.zeros(4), np.ones((2, 2)), [lp.LE], [1.0])
     with pytest.raises(ValueError):
-        lp.LinearProgram(np.zeros(4), "min", np.ones((2, 2)),
-                         [lp.LE, lp.LE], [1.0, 1.0])
-    prog = lp.LinearProgram(np.zeros(4), "min", _GOOD["A"], _GOOD["rels"],
+        lp.LinearProgram(np.zeros(4), np.ones((2, 2)), [lp.LE, lp.LE],
+                         [1.0, 1.0])
+    prog = lp.LinearProgram(np.zeros(4), _GOOD["A"], _GOOD["rels"],
                             _GOOD["b"])
     assert (prog.n_rows, prog.n_vars) == (2, 4)
 
@@ -921,29 +919,23 @@ def _residual_report_by_loops(prog, sol):
     x, y = sol.primal, sol.dual
     ax = A @ x
     primal = dual_sign = cs_rows = 0.0
-    sense_max = prog.sense == "max"
     for i, rel in enumerate(rels):
         gap = ax[i] - b[i]
         if rel == lp.LE:
             primal = max(primal, gap)
-            dual_sign = max(dual_sign, y[i] if not sense_max else -y[i])
+            dual_sign = max(dual_sign, y[i])
         elif rel == lp.GE:
             primal = max(primal, -gap)
-            dual_sign = max(dual_sign, -y[i] if not sense_max else y[i])
+            dual_sign = max(dual_sign, -y[i])
         else:
             primal = max(primal, abs(gap))
         cs_rows = max(cs_rows, abs(y[i] * gap))
-    primal = max(primal, float(np.max(-x[~prog.free], initial=0.0)))
+    primal = max(primal, float(np.max(-x, initial=0.0)))
     r = prog.objective - A.T @ y
-    if sense_max:
-        r = -r
     dual_red = cs_vars = 0.0
     for j in range(prog.n_vars):
-        if prog.free[j]:
-            dual_red = max(dual_red, abs(r[j]))
-        else:
-            dual_red = max(dual_red, -r[j])
-            cs_vars = max(cs_vars, abs(x[j] * r[j]))
+        dual_red = max(dual_red, -r[j])
+        cs_vars = max(cs_vars, abs(x[j] * r[j]))
     gap = abs(float(prog.objective @ x) - float(b @ y))
     return {"primal": float(primal), "dual": float(max(dual_sign, dual_red)),
             "gap": float(gap),
@@ -951,6 +943,7 @@ def _residual_report_by_loops(prog, sol):
 
 
 def test_residual_report_matches_row_loops():
+    # min or max (min -c), with free variables split into column pairs
     rng = np.random.default_rng(2024)
     solved = 0
     for _ in range(200):
@@ -964,16 +957,18 @@ def test_residual_report_matches_row_loops():
         slack = rng.uniform(0.0, 1.0, size=m)
         b = A @ x0 + np.where(rels == lp.LE, slack,
                               np.where(rels == lp.GE, -slack, 0.0))
-        prog = lp.LinearProgram(rng.uniform(-1.0, 1.0, size=n),
-                                str(rng.choice(["min", "max"])), A, rels, b,
-                                free)
+        c = rng.uniform(-1.0, 1.0, size=n)
+        sign = rng.choice([1.0, -1.0])
+        A, var, col_sign = split_free(A, free)
+        prog = lp.LinearProgram(sign * c[var] * col_sign, A, rels, b)
         # arbitrary points reach every branch with nonzero residuals
-        probe = lp.LpSolution(lp.OPTIMAL, primal=rng.normal(size=n),
+        probe = lp.LpSolution(lp.OPTIMAL, primal=rng.normal(size=var.size),
                               dual=rng.normal(size=m))
         assert lp.residual_report(prog, probe) == \
             _residual_report_by_loops(prog, probe)
         sol = lp.solve(prog)
         if sol.status == lp.OPTIMAL:
             solved += 1
-            assert sol.residuals == _residual_report_by_loops(prog, sol)
+            assert lp.residual_report(prog, sol) == \
+                _residual_report_by_loops(prog, sol)
     assert solved > 50

@@ -9,10 +9,12 @@ from conftest import (
     nu3,
     pm1,
     random_convex_order_pair,
+    split_free,
     traced_refusal_peak,
 )
 from transportkit import convex_order as co, lp, measures as ms, mot
 from transportkit.errors import (
+    BadCheckParameter,
     EmptyAtoms,
     GammaMissing,
     GridTooCoarse,
@@ -207,16 +209,19 @@ def _symmetric_rows_by_loop(Z, C):
 
 def _symmetric_referee(mu, nu, cost):
     """The u (u - 1)-row dual LP of the symmetric dual, solved directly:
-    max sum_k (mu - nu)_k f_k over (f, gamma) meeting every pair row.
-    Returns the rows (A, b) and the solution."""
+    max sum_k (mu - nu)_k f_k over (f, gamma) meeting every pair row, as
+    min -sum_k (mu - nu)_k f_k with every variable split into a column
+    pair. Returns the rows (A, b) and the solution, whose value is minus
+    the dual's."""
     Z = ms.union_points(mu.points, nu.points)
     A, b = _symmetric_rows_by_loop(Z, cost.pairwise(Z, Z))
     mu_d, nu_d = mu.as_dict(), nu.as_dict()
     signed = np.array([mu_d.get(ms.point_key(p), 0.0)
                        - nu_d.get(ms.point_key(p), 0.0) for p in Z])
     objective = np.concatenate([signed, np.zeros(A.shape[1] - len(Z))])
-    sol = lp.solve(lp.LinearProgram(objective, "max", A, (lp.LE,) * len(b),
-                                    b, np.ones(A.shape[1], dtype=bool)))
+    split, var, sign = split_free(A, np.ones(A.shape[1], dtype=bool))
+    sol = lp.solve(lp.LinearProgram(-objective[var] * sign, split,
+                                    (lp.LE,) * len(b), b))
     return A, b, sol
 
 
@@ -239,13 +244,15 @@ def test_gamma_dual_read_off_meets_referee_rows():
             objective = np.concatenate([mu.weights, -nu.weights,
                                         np.zeros(A.shape[1] - len(mu)
                                                  - len(nu))])
+            # max objective.x over free x, as min -objective.x over
+            # column pairs
+            split, var, sign = split_free(A, np.ones(A.shape[1], dtype=bool))
             ref = lp.solve(lp.LinearProgram(
-                objective, "max", A, (lp.LE,) * len(b), b,
-                np.ones(A.shape[1], dtype=bool)))
+                -objective[var] * sign, split, (lp.LE,) * len(b), b))
             x = np.concatenate([dual.u, dual.v, dual.gamma.ravel()])
             assert float(np.max(A @ x - b)) <= 1e-9
             assert ref.status == lp.OPTIMAL
-            assert abs(value - ref.value) <= 1e-9
+            assert abs(value + ref.value) <= 1e-9
             with pytest.raises(NotInConvexOrder):
                 mot.mot_dual(nu, mu, eu)
             checked += 1
@@ -269,7 +276,7 @@ def test_symmetric_dual_read_off_meets_referee_rows():
             assert sym.max_violation(eu) == pytest.approx(
                 _symmetric_row_excess(sym, A, b), abs=1e-12)
             assert ref.status == lp.OPTIMAL
-            assert abs(value - ref.value) <= 1e-9
+            assert abs(value + ref.value) <= 1e-9
             with pytest.raises(NotInConvexOrder):
                 mot.mot_dual_symmetric(nu, mu, eu)
             checked += 1
@@ -344,6 +351,17 @@ def test_simplex_check_jensen():
     box = Box([-1.0], [1.0])
     res = mot.simplex_inequality_check(sq, sq, ZERO, box, 500, seed=7)
     assert res.ok
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_sampled_checks_refuse_no_samples(n):
+    # no sample would report ok with a largest violation of -inf
+    box = Box([-1.0], [1.0])
+    with pytest.raises(BadCheckParameter, match="at least one sample"):
+        mot.simplex_inequality_check(neg_sq, neg_sq, ZERO, box, n, seed=7)
+    with pytest.raises(BadCheckParameter, match="at least one sample"):
+        mot.mti_check(ms.CostSpec.custom(lambda x, y: -abs(x - y)[0]), box,
+                      n, 3)
 
 
 def test_simplex_check_concave_witness():
@@ -610,10 +628,10 @@ def _farkas_cases():
 
 
 def _referee_feasible(D, r):
-    """The (n - 1)-row system solved directly for g."""
-    d = D.shape[1]
-    return lp.check_feasibility(D, (lp.LE,) * len(r), r,
-                                free=np.ones(d, dtype=bool)).status \
+    """The (n - 1)-row system solved directly for g, each component of g
+    split into a column pair."""
+    split, _, _ = split_free(D, np.ones(D.shape[1], dtype=bool))
+    return lp.check_feasibility(split, (lp.LE,) * len(r), r).status \
         == lp.OPTIMAL
 
 
@@ -848,7 +866,7 @@ def test_farkas_points_skip_phase_one(monkeypatch):
     grid = Grid(Box([-1.0, -1.0], [1.0, 1.0]), (7, 7)).points()
     f = FunctionEvaluator.quadratic(np.array([[2.0, 0.5], [0.5, 1.5]]),
                                     np.zeros(2))
-    pts, R = mot._modulus_rows(f, ModulusSpec.power(2), grid)
+    pts, _, R = mot._modulus_rows(f, ModulusSpec.power(2), grid)
     for i, x in enumerate(pts):
         D = np.delete(pts, i, axis=0) - x
         _, core = mot._farkas_lp(D, np.delete(R[i], i), lp.DEFAULT_CONFIG)
@@ -984,6 +1002,17 @@ def test_hessian_grid_too_coarse():
     grid = Grid(Box([-1.0], [1.0]), (4,))
     with pytest.raises(GridTooCoarse):
         mot.mti_second_order_check(ms.CostSpec.sq_euclidean(), grid, 1e-4)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
+def test_hessian_check_refuses_a_bad_step(h):
+    # |x - y|^3 fails the check at h = 1e-4; a step that is not finite and
+    # positive must not give it a verdict at all
+    cube = ms.CostSpec.custom(lambda x, y: float(np.sum(np.abs(x - y) ** 3)))
+    grid = Grid(Box([-1.0], [1.0]), (9,))
+    assert not mot.mti_second_order_check(cube, grid, 1e-4).ok
+    with pytest.raises(BadCheckParameter, match="finite and positive"):
+        mot.mti_second_order_check(cube, grid, h)
 
 
 # --- one-dimensional slope bounds ----------------------------------------------

@@ -355,11 +355,12 @@ def test_least_cost_basis_is_a_feasible_start(case):
     x = np.linalg.solve(B, b)
     assert x.min() >= -1e-15
     assert np.abs(x[~named]).max() <= 1e-15
-    prog = lp.LinearProgram(C.ravel(), "min", A, [lp.EQ] * b.size, b)
+    prog = lp.LinearProgram(C.ravel(), A, [lp.EQ] * b.size, b)
     warm, cold = lp.solve(prog, basis=basis), lp.solve(prog)
     assert abs(warm.value - cold.value) <= 1e-12
     for sol in (warm, cold):
-        assert max(sol.residuals.values()) <= 1e-9, sol.residuals
+        res = lp.residual_report(prog, sol)
+        assert max(res.values()) <= 1e-9, res
 
 
 def test_coupling_lps_run_no_phase_one(monkeypatch):

@@ -159,12 +159,59 @@ class OrderCertificate:
     witness: ConvexWitness | None = None
 
 
+def _check_martingale_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) \
+        -> None:
+    """Refuse a pair of unequal dimensions, or whose martingale LP is over
+    ``lp.check_size``'s budget, from the sizes alone: before the (m, n)
+    product of ``_hull_witness`` and before the rows are built."""
+    if mu.dim != nu.dim:
+        raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
+    lp.check_size(len(mu) + len(nu) + len(mu) * mu.dim, len(mu) * len(nu))
+
+
+def _hull_witness(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                  config: lp.SolverConfig) -> ConvexWitness | None:
+    """A two-piece witness max(0, <s, z> - h) when an atom of mu lies
+    outside the convex hull of nu's support by more than the martingale
+    LP's tolerance; None otherwise, and then the LP decides.
+
+    Each atom x_k is held against nu's support function along s_k = x_k -
+    bary(nu), in one (m, n) product: its excess is (<s_k, x_k> - max_j
+    <s_k, y_j>) / |s_k|. The atom of largest excess gives the unit s and
+    h = max_j <s, y_j>, so phi(z) = max(0, <s, z> - h) is convex, vanishes
+    on nu and not on mu (Strassen 1965). phi is also a Farkas ray of
+    ``_martingale_rows``: u_i = phi(x_i), v_j = phi(y_j), gamma_i in the
+    subdifferential of phi at x_i. Its sup-norm is max(1, max_i phi(x_i)),
+    so the integral gap divided by that norm bounds phase 1's least
+    artificial level from below. The witness is returned only when that
+    bound exceeds 1e3 feas_tol (1 + max nu weight): a pair refused here is
+    one the LP refuses above its own tolerance too."""
+    S = mu.points - barycenter(nu)
+    norms = np.linalg.norm(S, axis=1)
+    support = (S @ nu.points.T).max(axis=1)
+    # an atom at nu's barycenter has S_k = 0 and no direction: excess 0
+    excess = (np.einsum("id,id->i", S, mu.points) - support) \
+        / np.where(norms > 0.0, norms, np.inf)
+    k = int(np.argmax(excess))
+    if excess[k] <= 0.0:
+        return None
+    s = S[k] / norms[k]
+    h = float(np.max(nu.points @ s))
+    witness = ConvexWitness(slopes=np.vstack([np.zeros_like(s), s]),
+                            intercepts=np.array([0.0, -h]))
+    norm = max(1.0, float(np.max(mu.points @ s)) - h)
+    if witness.integral_gap(mu, nu) / norm \
+            <= 1e3 * config.feas_tol * (1.0 + float(nu.weights.max())):
+        return None
+    return witness
+
+
 def _martingale_rows(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Equality system (A, rels, b) of the martingale transport polytope,
     in the fixed row order: m row sums, n column sums, then d barycenter
-    rows per source point."""
+    rows per source point. Callers check the sizes first
+    (``_check_martingale_pair``)."""
     m, n, d = len(mu), len(nu), mu.dim
-    lp.check_size(m + n + m * d, m * n)
     bary = np.zeros((m, d, m, n))
     # row (i, axis) holds y_j[axis] - x_i[axis] on the columns of source i
     bary[np.arange(m), :, np.arange(m), :] = \
@@ -196,33 +243,44 @@ def _martingale_start(mu: DiscreteMeasure, nu: DiscreteMeasure) \
                            np.full(len(mu) * mu.dim, -1)])
 
 
+def _farkas_witness(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                    farkas: np.ndarray) -> ConvexWitness:
+    """The convex witness of a Farkas ray of ``_martingale_rows(mu, nu)``:
+    the barycenter-row multipliers gamma_i become slopes, and the
+    source-row multipliers u_i intercepts u_i - <gamma_i, x_i>."""
+    m, n, d = len(mu), len(nu), mu.dim
+    gamma = farkas[m + n:].reshape(m, d)
+    return ConvexWitness(
+        slopes=gamma.copy(),
+        intercepts=farkas[:m] - np.einsum("id,id->i", gamma, mu.points))
+
+
 def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
                        config: lp.SolverConfig = lp.DEFAULT_CONFIG) \
         -> OrderCertificate:
     """Decide mu precedes nu in convex order.
 
     InOrder returns a martingale coupling. NotInOrder returns a convex
-    piecewise-affine witness assembled from the Farkas certificate of the
-    infeasible coupling system: dual values of the barycenter rows become
-    slopes, those of the source-marginal rows become intercepts. The
-    feasibility LP starts from ``_martingale_start``.
+    piecewise-affine witness. When an atom of mu lies outside the convex
+    hull of nu's support, that is the two-piece support-function witness
+    of ``_hull_witness``, and no LP is solved. Otherwise the feasibility
+    LP, started from ``_martingale_start``, decides, and a refusal's
+    witness is assembled from its Farkas certificate
+    (``_farkas_witness``): dual values of the barycenter rows become
+    slopes, those of the source-marginal rows become intercepts.
     """
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
-    m, n, d = len(mu), len(nu), mu.dim
+    _check_martingale_pair(mu, nu)
+    witness = _hull_witness(mu, nu, config)
+    if witness is not None:
+        return OrderCertificate(in_order=False, witness=witness)
     res = lp.check_feasibility(*_martingale_rows(mu, nu), config=config,
                                basis=_martingale_start(mu, nu))
     if res.status == lp.OPTIMAL:
-        mass = res.primal.reshape(m, n)
+        mass = res.primal.reshape(len(mu), len(nu))
         coupling = Coupling(mu, nu, mass / mass.sum(),
                             marginal_consistent=True)
         return OrderCertificate(in_order=True, coupling=coupling)
-    y = res.farkas
-    u = y[:m]
-    gamma = y[m + n:].reshape(m, d)
-    witness = ConvexWitness(
-        slopes=gamma.copy(),
-        intercepts=u - np.einsum("id,id->i", gamma, mu.points))
+    witness = _farkas_witness(mu, nu, res.farkas)
     gap = witness.integral_gap(mu, nu)
     if gap <= 1e-10:
         raise NumericalBreakdown(

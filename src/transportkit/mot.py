@@ -37,7 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .convex_order import _martingale_rows, _martingale_start
+from .convex_order import (
+    _check_martingale_pair,
+    _hull_witness,
+    _martingale_rows,
+    _martingale_start,
+)
 from .errors import (
     BadCheckParameter,
     DimensionMismatch,
@@ -176,9 +181,14 @@ def _solve_martingale(mu: DiscreteMeasure, nu: DiscreteMeasure,
                       cost: CostSpec, what: str, config) -> lp.LpSolution:
     """The LP over martingale couplings, started from
     ``_martingale_start``, whose row multipliers are the dual (u, -v,
-    gamma); raises unless it is optimal."""
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
+    gamma); raises unless it is optimal. A pair out of convex order
+    raises NotInConvexOrder: at once, before any row is built, when the
+    support-function witness of ``convex_order._hull_witness`` refutes
+    it, and otherwise when the LP is infeasible (its Farkas ray is the
+    witness)."""
+    _check_martingale_pair(mu, nu)
+    if _hull_witness(mu, nu, config) is not None:
+        raise NotInConvexOrder("no martingale coupling exists")
     A, rels, b = _martingale_rows(mu, nu)
     C = cost.pairwise(mu.points, nu.points)
     sol = lp.solve(lp.LinearProgram(C.ravel(), A, rels, b), config,
@@ -205,7 +215,10 @@ def mot_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
 
     u, -v and gamma are the multipliers of the martingale primal's source,
     target and barycenter rows; they meet one row per pair (i, j):
-    u_i - v_j + <gamma_i, y_j - x_i> <= c(x_i, y_j).
+    u_i - v_j + <gamma_i, y_j - x_i> <= c(x_i, y_j). A pair out of convex
+    order raises NotInConvexOrder, refused by the support-function
+    witness when an atom of mu lies outside the hull of nu's support, and
+    otherwise by the LP's Farkas ray.
     """
     sol = _solve_martingale(mu, nu, cost, "mot_dual", config)
     m, n, y = len(mu), len(nu), sol.dual
@@ -235,7 +248,10 @@ def mot_dual_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure,
     and sum_j pi_ij (z_j - z_i) = 0, with u (1 + d) rows. Its row duals are
     (f, gamma). The primal is feasible exactly when mu precedes nu in
     convex order. The value never exceeds the two-potential dual (the
-    feasible set restricts).
+    feasible set restricts). A pair out of convex order raises
+    NotInConvexOrder: before the flow LP is built when the
+    support-function witness of ``convex_order._hull_witness`` refutes
+    it, and otherwise when the flow LP is infeasible (its Farkas ray).
     """
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
@@ -247,6 +263,9 @@ def mot_dual_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure,
     if diag > 1e-12:
         raise NonVanishingDiagonal(
             f"|c(z, z)| reaches {diag:.3e} on the union")
+    if _hull_witness(mu, nu, config) is not None:
+        raise NotInConvexOrder(
+            "no flow-and-barycenter plan: the pair is not in convex order")
     I, J = np.nonzero(~np.eye(u, dtype=bool))
     cols = np.arange(I.size)
     A = np.zeros((u * (1 + d), I.size))

@@ -62,6 +62,39 @@ def mean_preserving_spread(rng: np.random.Generator, m: DiscreteMeasure,
     return DiscreteMeasure(m.dim, pts, w / w.sum())
 
 
+def planar_spread_pair(seed):
+    """8 atoms in [-1, 1]^2, each split along a random direction into two
+    atoms with the same barycenter: an 8 x 16 pair in convex order."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, (8, 2))
+    w = rng.uniform(0.5, 1.5, 8)
+    pts, wts = [], []
+    for x, wx in zip(X, w / w.sum()):
+        ang = rng.uniform(0, 2 * np.pi)
+        u = np.array([np.cos(ang), np.sin(ang)])
+        s1, s2 = rng.uniform(0.1, 0.5, size=2)
+        pts += [x + s1 * u, x - s2 * u]
+        wts += [wx * s2 / (s1 + s2), wx * s1 / (s1 + s2)]
+    wts = np.asarray(wts)
+    return (new_measure(2, X, w / w.sum()),
+            new_measure(2, np.asarray(pts), wts / wts.sum()))
+
+
+def kernel_pair(rng: np.random.Generator, m: int, n: int):
+    """A 1-D m x n pair in convex order: nu has n standard normal atoms
+    with weights U(0.5, 1.5), normalised; K = U(0, 1)^4 is m x n with its
+    columns scaled to nu's weights, and mu puts the row sums of K on the
+    row barycenters."""
+    Y = rng.standard_normal((n, 1))
+    b = rng.uniform(0.5, 1.5, n)
+    b /= b.sum()
+    K = rng.uniform(0.0, 1.0, (m, n)) ** 4
+    K *= b / K.sum(axis=0)
+    a = K.sum(axis=1)
+    return (new_measure(1, (K @ Y) / a[:, None], a / a.sum()),
+            new_measure(1, Y, b))
+
+
 def random_convex_order_pair(rng: np.random.Generator, dim: int,
                              max_support: int, max_spreads: int = 5):
     mu = random_measure(rng, dim, max_support)
@@ -79,6 +112,18 @@ def traced_refusal_peak(error, call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def count_solves(monkeypatch) -> list:
+    """Patch ``lp.solve`` to count its calls; the returned list gets one
+    entry per call (``check_feasibility`` goes through ``solve`` too)."""
+    calls, real = [], lp.solve
+
+    def solve(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(lp, "solve", solve)
+    return calls
 
 
 def random_bounded_lp(rng: np.random.Generator, max_vars: int,

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import kernel_pairs, mean_preserving_spread, nu3, pm1, \
-    random_convex_order_pair, random_measure
+from conftest import count_solves, kernel_pairs, mean_preserving_spread, \
+    nu3, planar_spread_pair, pm1, random_convex_order_pair, random_measure
 from transportkit import convex_order as co, lp, measures as ms, mot
 from transportkit.errors import BarycenterMismatch, NotInConvexOrder
 
@@ -104,6 +104,76 @@ def test_unbounded_verdict_is_validated():
     assert abs(primal - dual) <= 1e-9
     with pytest.raises(NotInConvexOrder):
         mot.mot_dual(nu, mu, cost)
+
+
+SQUARE = [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]
+
+
+@pytest.mark.parametrize("mu, nu", [
+    # 1-D, equal hulls: nu puts half of mu's mass on the shared barycenter
+    (pm1(), ms.new_measure(1, [[-1.0], [0.0], [1.0]], [0.25, 0.5, 0.25])),
+    # the 2-D analogue on the corners of a square
+    (ms.new_measure(2, SQUARE, [0.25] * 4),
+     ms.new_measure(2, SQUARE + [[0.0, 0.0]], [0.125] * 4 + [0.5])),
+    # a mean shift inside a shared hull
+    (pm1(), ms.new_measure(1, [[-1.0], [1.0]], [0.75, 0.25])),
+], ids=["equal-hulls-1d", "equal-hulls-2d", "mean-shift-in-hull"])
+def test_refusals_inside_the_hull_come_from_the_lp(mu, nu, monkeypatch):
+    # every atom of mu lies in the hull of nu's support, so the support
+    # function refutes nothing: the LP runs and its Farkas ray separates
+    assert co._hull_witness(mu, nu, lp.DEFAULT_CONFIG) is None
+    calls = count_solves(monkeypatch)
+    cert = co.convex_order_check(mu, nu)
+    assert not cert.in_order and len(calls) == 1
+    assert cert.witness.integral_gap(mu, nu) > 1e-10
+
+
+def test_hull_refusals_solve_no_lp(monkeypatch):
+    # the reversed 8 x 16 pair: each of nu's atoms lies outside the hull of
+    # mu's, and the two-piece witness max(0, <s, z> - h) separates
+    mu, nu = planar_spread_pair(7)
+    calls = count_solves(monkeypatch)
+    cert = co.convex_order_check(nu, mu)
+    assert not cert.in_order
+    assert cert.witness.slopes.shape == (2, 2)
+    assert cert.witness.integral_gap(nu, mu) > 1e-10
+    with pytest.raises(NotInConvexOrder):
+        co.choquet_represent(nu, mu)
+    with pytest.raises(NotInConvexOrder):
+        mot.mot_dual(nu, mu, ms.CostSpec.euclidean())
+    assert calls == []
+
+
+@st.composite
+def shifted_order_pairs(draw):
+    """(mu, nu, shift): a pair in convex order, from ``kernel_pairs``
+    (ties on the integer lattice) or ``random_convex_order_pair``, and a
+    shift of nu's support in [-1, 1]^d."""
+    if draw(st.booleans()):
+        mu, nu, _ = draw(kernel_pairs())
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        mu, nu = random_convex_order_pair(rng, draw(st.sampled_from([1, 2])),
+                                          6)
+    shift = draw(st.lists(st.floats(-1.0, 1.0), min_size=mu.dim,
+                          max_size=mu.dim))
+    return mu, nu, np.asarray(shift)
+
+
+@given(shifted_order_pairs())
+def test_hull_witness_never_contradicts_the_lp(case):
+    mu, nu, shift = case
+    cfg = lp.DEFAULT_CONFIG
+    assert co._hull_witness(mu, nu, cfg) is None
+    shifted = ms.DiscreteMeasure(nu.dim, nu.points + shift, nu.weights)
+    for a, b in ((nu, mu), (mu, shifted), (shifted, mu)):
+        witness = co._hull_witness(a, b, cfg)
+        if witness is None:
+            continue
+        assert witness.integral_gap(a, b) > 1e-10
+        res = lp.check_feasibility(*co._martingale_rows(a, b),
+                                   basis=co._martingale_start(a, b))
+        assert res.status == lp.INFEASIBLE
 
 
 # --- strassen_coupling / disintegrate ----------------------------------------

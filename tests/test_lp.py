@@ -8,12 +8,14 @@ from hypothesis import given, strategies as st
 from conftest import (
     kernel_pairs,
     lp_value_by_vertex_enumeration,
+    planar_spread_pair,
     random_bounded_lp,
     split_free,
     transport_value_by_vertex_enumeration,
 )
 from transportkit import lp
 from transportkit.convex_order import (
+    _farkas_witness,
     _martingale_rows,
     _martingale_start,
     convex_order_check,
@@ -221,8 +223,17 @@ def test_devex_tie_goes_to_smallest_index(monkeypatch):
     assert sol.primal.tolist() == [0.0, 1.0, 3.0]
 
 
+def _reversed_martingale_lp(nu, mu):
+    """The infeasible feasibility LP of the reversed pair, from the start
+    ``convex_order_check`` would give it. The order check refuses such a
+    pair by its hull witness before any LP, so the Farkas path is reached
+    on the same rows directly."""
+    return lp.check_feasibility(*_martingale_rows(nu, mu),
+                                basis=_martingale_start(nu, mu))
+
+
 def test_martingale_pivot_ceiling(monkeypatch):
-    # the forward and reversed order checks and the euclidean MOT primal
+    # the forward and reversed order LPs and the euclidean MOT primal
     # of one 8 x 16 pair: 105 pivots with Devex pricing, 130 with the most
     # negative reduced cost
     real, pivots = lp.solve, []
@@ -232,9 +243,9 @@ def test_martingale_pivot_ceiling(monkeypatch):
         pivots.append(sol.iterations)
         return sol
     monkeypatch.setattr(lp, "solve", solve)
-    mu, nu = _spread_pair(7)
+    mu, nu = planar_spread_pair(7)
     assert convex_order_check(mu, nu).in_order
-    assert not convex_order_check(nu, mu).in_order
+    assert _reversed_martingale_lp(nu, mu).status == lp.INFEASIBLE
     mot_primal(mu, nu, cost_from_json({"kind": "euclidean"}))
     assert len(pivots) == 3 and sum(pivots) <= 110
 
@@ -367,24 +378,6 @@ def test_lex_leaving_matches_column_scan(case):
         _lex_leaving_by_columns(T, basis, rows, col)
 
 
-def _spread_pair(seed):
-    """8 atoms in [-1, 1]^2, each split along a random direction into two
-    atoms with the same barycenter: an 8 x 16 pair in convex order."""
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-1, 1, (8, 2))
-    w = rng.uniform(0.5, 1.5, 8)
-    pts, wts = [], []
-    for x, wx in zip(X, w / w.sum()):
-        ang = rng.uniform(0, 2 * np.pi)
-        u = np.array([np.cos(ang), np.sin(ang)])
-        s1, s2 = rng.uniform(0.1, 0.5, size=2)
-        pts += [x + s1 * u, x - s2 * u]
-        wts += [wx * s2 / (s1 + s2), wx * s1 / (s1 + s2)]
-    wts = np.asarray(wts)
-    return (new_measure(2, X, w / w.sum()),
-            new_measure(2, np.asarray(pts), wts / wts.sum()))
-
-
 def test_lex_leaving_matches_column_scan_on_martingale_pair(monkeypatch):
     real = lp._lex_leaving
     choices, tied = [], []
@@ -397,9 +390,9 @@ def test_lex_leaving_matches_column_scan_on_martingale_pair(monkeypatch):
         tied.append(np.sum(vals <= best + 1e-12 * (1.0 + abs(best))) > 1)
         return r
     monkeypatch.setattr(lp, "_lex_leaving", refereed)
-    mu, nu = _spread_pair(7)
+    mu, nu = planar_spread_pair(7)
     assert convex_order_check(mu, nu).in_order
-    assert not convex_order_check(nu, mu).in_order
+    assert _reversed_martingale_lp(nu, mu).status == lp.INFEASIBLE
     _, value = mot_primal(mu, nu, cost_from_json({"kind": "euclidean"}))
     assert value > 0
     assert len(choices) > 100 and all(choices)
@@ -625,7 +618,7 @@ def test_infeasible_verdict_takes_one_refresh(monkeypatch):
     # the reversed pair is not in convex order: from the identity, one
     # phase-1 loop whose one plain refresh confirms its optimum and gives
     # the artificials and the Farkas ray
-    mu, nu = _spread_pair(7)
+    mu, nu = planar_spread_pair(7)
     A, rels, b = _martingale_rows(nu, mu)
     steps = _record_solve_steps(monkeypatch)
     res = lp.check_feasibility(A, rels, b)
@@ -636,15 +629,15 @@ def test_infeasible_verdict_takes_one_refresh(monkeypatch):
 
 
 def test_started_infeasible_verdict_takes_one_refresh(monkeypatch):
-    # convex_order_check starts from the martingale staircase: one install,
-    # with the barycenter artificials that start below zero already
-    # negated, then the same loop and its confirming plain refresh
-    mu, nu = _spread_pair(7)
+    # the martingale LP started from its staircase: one install, with the
+    # barycenter artificials that start below zero already negated, then
+    # the same loop and its confirming plain refresh
+    mu, nu = planar_spread_pair(7)
     steps = _record_solve_steps(monkeypatch)
-    cert = convex_order_check(nu, mu)
-    assert not cert.in_order
+    res = _reversed_martingale_lp(nu, mu)
+    assert res.status == lp.INFEASIBLE
     assert steps == ["full", "phase 1 loop", "plain"]
-    assert cert.witness.integral_gap(nu, mu) > 1e-10
+    assert _farkas_witness(nu, mu, res.farkas).integral_gap(nu, mu) > 1e-10
 
 
 def test_starting_artificial_below_zero_enters_negated():

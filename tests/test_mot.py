@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    count_solves,
+    kernel_pair,
     kernel_pairs,
     nu3,
     pm1,
@@ -122,6 +124,19 @@ def test_symmetric_max_violation_is_over_distinct_pairs():
     # a one-point union has no pair i != j: the margin is 0, not -inf
     one = mot.SymmetricDual(np.array([[0.0]]), np.zeros(1), np.zeros((1, 1)))
     assert one.max_violation(ms.CostSpec.euclidean()) == 0.0
+
+
+def test_mot_dual_symmetric_hull_refusal_solves_no_lp(monkeypatch):
+    # the 1-D kernel pairs reversed: an atom of nu lies outside the hull
+    # of mu's support, so the pair is refused before the u (1 + d)-row
+    # flow LP is built (0.1-1.2 s of solving per pair without the test)
+    rng = np.random.default_rng(5)
+    pairs = [kernel_pair(rng, m, 2 * m) for m in (16, 24, 32)]
+    calls = count_solves(monkeypatch)
+    for mu, nu in pairs:
+        with pytest.raises(NotInConvexOrder):
+            mot.mot_dual_symmetric(nu, mu, ms.CostSpec.euclidean())
+    assert calls == []
 
 
 def test_mot_dual_symmetric_rejects_nonvanishing_diagonal():

@@ -23,7 +23,6 @@ from .measures import (  # noqa: F401
 from .lp import (  # noqa: F401
     LinearProgram,
     LpSolution,
-    SolverConfig,
     check_feasibility,
     solve,
 )

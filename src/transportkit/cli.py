@@ -14,7 +14,7 @@ it, or its field (``mu/weights``). Each run emits a RunReport:
 ``inputs`` echoes every JSON argument given as parsed, with measures
 normalised. Reports embed the full certificates (couplings, potentials,
 gamma maps) so every numeric claim can be re-verified externally. Exit
-codes: 0 success, 1 input/validation error, 2 negative verdict
+codes: 0 success, 1 usage, input or validation error, 2 negative verdict
 (infeasible pair, failed certification, violation witness; report still
 emitted), 3 numerical breakdown.
 """
@@ -345,10 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args reads it
     and leaves it unchanged, so every call may share it."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the command's check tolerance")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=1000)
     common.add_argument("--out", default=None,
                         help="write the report here instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default="json")
@@ -376,11 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=handler, json_kinds=kinds, given=given)
 
     pair = {"mu": "measure", "nu": "measure"}
+    tol = {"type": float, "default": None,
+           "help": "override the command's check tolerance"}
+    samples = {"type": int, "default": 1000}
 
     g_ot = top.add_parser("ot").add_subparsers(dest="cmd", required=True)
     leaf(g_ot, "solve", _cmd_ot_solve, **pair, cost="cost")
     leaf(g_ot, "dual", _cmd_ot_dual, **pair, cost="cost")
-    leaf(g_ot, "kr", _cmd_ot_kr, **pair, cost="cost")
+    leaf(g_ot, "kr", _cmd_ot_kr, **pair, cost="cost", tol=tol)
     leaf(g_ot, "multi", _cmd_ot_multi,
          mu={"kind": "measure", "required": True, "action": "append",
              "help": "one per marginal, repeatable"},
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g_cl = top.add_parser("class").add_subparsers(dest="cmd", required=True)
     leaf(g_cl, "check", _cmd_class_check, f1="evaluator", f2="evaluator",
-         cost="cost", domain="domain")
+         cost="cost", domain="domain", tol=tol, samples=samples)
     leaf(g_cl, "certify", _cmd_class_certify, f1="evaluator",
          f2="evaluator", cost="cost", x="points", y="points")
     leaf(g_cl, "generate", _cmd_class_generate, given=("atoms", "cost"),
@@ -408,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
          gamma="points", targets="points", lower_bound={"kind": "evaluator"})
 
     g_mti = top.add_parser("mti").add_subparsers(dest="cmd", required=True)
-    leaf(g_mti, "check", _cmd_mti_check, cost="cost", domain="domain")
+    leaf(g_mti, "check", _cmd_mti_check, cost="cost", domain="domain",
+         tol=tol, samples=samples)
     leaf(g_mti, "hessian", _cmd_mti_hessian, cost="cost", grid="grid",
          step={"type": float, "default": 1e-4})
 
@@ -445,7 +446,14 @@ def _to_csv(command: str, results: dict) -> str:
 
 
 def run(argv) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        if e.code == 0:
+            # --help and --version
+            raise
+        # a usage error, whose message argparse has written to stderr
+        return 1
     command = args.group + (f" {args.cmd}" if getattr(args, "cmd", None)
                             else "")
     if args.format == "csv" and command not in _CSV_COMMANDS:

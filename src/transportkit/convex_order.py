@@ -169,8 +169,8 @@ def _check_martingale_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) \
     lp.check_size(len(mu) + len(nu) + len(mu) * mu.dim, len(mu) * len(nu))
 
 
-def _hull_witness(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                  config: lp.SolverConfig) -> ConvexWitness | None:
+def _hull_witness(mu: DiscreteMeasure, nu: DiscreteMeasure) \
+        -> ConvexWitness | None:
     """A two-piece witness max(0, <s, z> - h) when an atom of mu lies
     outside the convex hull of nu's support by more than the martingale
     LP's tolerance; None otherwise, and then the LP decides.
@@ -184,8 +184,8 @@ def _hull_witness(mu: DiscreteMeasure, nu: DiscreteMeasure,
     subdifferential of phi at x_i. Its sup-norm is max(1, max_i phi(x_i)),
     so the integral gap divided by that norm bounds phase 1's least
     artificial level from below. The witness is returned only when that
-    bound exceeds 1e3 feas_tol (1 + max nu weight): a pair refused here is
-    one the LP refuses above its own tolerance too."""
+    bound exceeds 1e3 ``lp.FEAS_TOL`` (1 + max nu weight): a pair refused
+    here is one the LP refuses above its own tolerance too."""
     S = mu.points - barycenter(nu)
     norms = np.linalg.norm(S, axis=1)
     support = (S @ nu.points.T).max(axis=1)
@@ -201,7 +201,7 @@ def _hull_witness(mu: DiscreteMeasure, nu: DiscreteMeasure,
                             intercepts=np.array([0.0, -h]))
     norm = max(1.0, float(np.max(mu.points @ s)) - h)
     if witness.integral_gap(mu, nu) / norm \
-            <= 1e3 * config.feas_tol * (1.0 + float(nu.weights.max())):
+            <= 1e3 * lp.FEAS_TOL * (1.0 + float(nu.weights.max())):
         return None
     return witness
 
@@ -255,8 +255,7 @@ def _farkas_witness(mu: DiscreteMeasure, nu: DiscreteMeasure,
         intercepts=farkas[:m] - np.einsum("id,id->i", gamma, mu.points))
 
 
-def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                       config: lp.SolverConfig = lp.DEFAULT_CONFIG) \
+def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure) \
         -> OrderCertificate:
     """Decide mu precedes nu in convex order.
 
@@ -270,10 +269,10 @@ def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
     slopes, those of the source-marginal rows become intercepts.
     """
     _check_martingale_pair(mu, nu)
-    witness = _hull_witness(mu, nu, config)
+    witness = _hull_witness(mu, nu)
     if witness is not None:
         return OrderCertificate(in_order=False, witness=witness)
-    res = lp.check_feasibility(*_martingale_rows(mu, nu), config=config,
+    res = lp.check_feasibility(*_martingale_rows(mu, nu),
                                basis=_martingale_start(mu, nu))
     if res.status == lp.OPTIMAL:
         mass = res.primal.reshape(len(mu), len(nu))
@@ -288,12 +287,11 @@ def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
     return OrderCertificate(in_order=False, witness=witness)
 
 
-def strassen_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                      config: lp.SolverConfig = lp.DEFAULT_CONFIG) \
+def strassen_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) \
         -> Coupling:
     """A coupling with marginals (mu, nu) and source-wise barycenter
     identities (a one-step martingale)."""
-    cert = convex_order_check(mu, nu, config)
+    cert = convex_order_check(mu, nu)
     if not cert.in_order:
         raise NotInConvexOrder("the pair admits no martingale coupling")
     return cert.coupling
@@ -384,13 +382,12 @@ def fan_decompose(center, nu: DiscreteMeasure) -> FanRepresentation:
     return FanRepresentation(tuple(entries))
 
 
-def choquet_represent(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                      config: lp.SolverConfig = lp.DEFAULT_CONFIG) \
+def choquet_represent(mu: DiscreteMeasure, nu: DiscreteMeasure) \
         -> FanRepresentation:
     """Mixture of fans representing the pair: couple, disintegrate, and
     decompose every fiber. Entry weights are mu(x) times the fiber fan
     weights, ordered by source index."""
-    coupling = strassen_coupling(mu, nu, config)
+    coupling = strassen_coupling(mu, nu)
     entries = []
     for x, mass, fiber in disintegrate(coupling):
         rep = fan_decompose(x, fiber)

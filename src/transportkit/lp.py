@@ -9,15 +9,18 @@ form, an (m, n) array ``A``, a length-m sequence ``rels`` of
 as ``A[i] @ x  rels[i]  b[i]``. The problem builders (coupling marginals,
 martingale barycenters, gamma rows) form their rows as one array and hand
 it over as it is. A maximisation is the minimisation of -c, and a free
-variable the difference of two nonnegative columns.
+variable the difference of two nonnegative columns. The solver has no
+settings: its tolerances are the module constants ``FEAS_TOL``,
+``PIVOT_TOL`` and ``RELATIVE_PIVOT``, and its iteration cap is derived
+from the problem size.
 
 Pivot rule: the entering column maximises z_j^2 / w_j over the columns
-whose reduced cost z_j is below -feas_tol (Devex pricing, Harris 1973;
+whose reduced cost z_j is below -FEAS_TOL (Devex pricing, Harris 1973;
 ties go to the smallest index). The reference weights w are ones when a
 pivot loop starts and after every refresh, and each pivot raises them to
 max(w, alpha_r^2 w_q) along the normalised pivot row alpha_r, so pricing
 costs O(n) per pivot and no pass over the tableau. A row may leave only if
-its entry in the entering column exceeds max(pivot_tol, RELATIVE_PIVOT
+its entry in the entering column exceeds max(PIVOT_TOL, RELATIVE_PIVOT
 times the column's largest entry), as a pivot on a sliver of its column
 takes the basis to numerical singularity (Harris 1973). Among those rows
 the leaving row is chosen lexicographically on the ratios of
@@ -33,9 +36,10 @@ pricing a drifted tableau finds no entering column, the pivot loop
 refreshes rhs and reduced costs from the basis and prices again, and it
 returns once a fresh refresh prices none. The verdict, primal and duals
 are read off that refresh; a fourth refresh that still prices an entering
-column is a breakdown. A numerical breakdown raises ``NumericalBreakdown``
-out of the solve. ``LpSolution.iterations`` counts the pivots of both
-phases.
+column is a breakdown, and so is a pivot loop that runs past its
+size-derived iteration cap. A numerical breakdown raises
+``NumericalBreakdown`` out of the solve. ``LpSolution.iterations``
+counts the pivots of both phases.
 
 Standard form adds one slack column per inequality row and negates every
 row whose right-hand side is negative, so b >= 0. Both phases, ray
@@ -50,7 +54,7 @@ basis the caller passes to ``solve``: one entry per row, a user column
 or -1 for an artificial on that row (the coupling LPs of ``ot`` pass
 their least-cost staircase, the martingale LPs of ``convex_order`` and
 ``mot`` a staircase on their marginal rows). An artificial that a
-starting basis puts below -feas_tol enters with coefficient -1 instead
+starting basis puts below -FEAS_TOL enters with coefficient -1 instead
 of +1, so it starts above zero; -e_i is still an artificial for row i,
 and the Farkas ray and its validation are the same. The basic values
 B^-1 b alone tell which artificials to negate, so a starting basis is
@@ -59,10 +63,10 @@ Phase 1 pivots only when some artificial starts above zero (for a given
 basis: above the feasibility tolerance, as the artificials of redundant
 rows carry rounding); a feasible starting basis goes straight to
 phase 2. Phase 2 opens with a full refresh, a fresh lexicographic state,
-only if phase 1 made a pivot; otherwise the tableau is still the exact
-install of its basis and a plain refresh of rhs and reduced costs opens
-it. The primal is B^-1 b of the final basis, checked against the rows
-of M.
+only if phase 1 pivoted since its last full refresh; otherwise the
+tableau is still the exact install of its basis and a plain refresh of
+rhs and reduced costs opens it. The primal is B^-1 b of the final
+basis, checked against the rows of M.
 
 There is one solve path. ``check_feasibility`` is ``solve`` with a zero
 objective and returns its ``LpSolution``: OPTIMAL with a feasible
@@ -95,27 +99,20 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Numerical knobs threaded through every LP-backed operation."""
-
-    pivot_tol: float = 1e-11   # smallest admissible pivot magnitude
-    feas_tol: float = 1e-9     # feasibility / reduced-cost threshold
-    max_iterations: int = 0    # 0 = automatic cap from problem size
-
-    def iteration_cap(self, m: int, n: int) -> int:
-        """Pricing passes per pivot loop on m rows over n standard
-        columns; the artificials never enter and are not counted."""
-        if self.max_iterations:
-            return self.max_iterations
-        return 2000 + 200 * m + 20 * n
-
-
-DEFAULT_CONFIG = SolverConfig()
-
+# Smallest admissible pivot magnitude.
+PIVOT_TOL = 1e-11
+# Feasibility and reduced-cost threshold.
+FEAS_TOL = 1e-9
 # A row may leave only if its entry in the entering column exceeds this
-# share of the column's largest entry (and pivot_tol).
+# share of the column's largest entry (and PIVOT_TOL).
 RELATIVE_PIVOT = 1e-7
+
+
+def _iteration_cap(m: int, n: int) -> int:
+    """Pricing passes per pivot loop on m rows over n standard columns;
+    the artificials never enter and are not counted."""
+    return 2000 + 200 * m + 20 * n
+
 
 # Largest dense tableau a solve may build. At its peak a solve holds about
 # five arrays of the tableau's size (the user's A, the standard matrix M,
@@ -306,13 +303,13 @@ def _lex_leaving(T, basis, rows, col):
     return int(cand[0])
 
 
-def _pivot_loop(T, basis, cfg, phase, M, b, costs, fresh=None):
+def _pivot_loop(T, basis, phase, M, b, costs, fresh=None):
     """Pivot to optimality. Entering: Devex pricing, the standard column
     of largest z_j^2 / w_j among those with reduced cost z_j below
-    -feas_tol, the smallest index on a tie. The reference weights w are
+    -FEAS_TOL, the smallest index on a tie. The reference weights w are
     ones at the start and after every refresh; a pivot on row r, column q
     sets w = max(w, T[r]^2 w_q) from the normalised pivot row. Leaving:
-    lexicographic among the rows whose entry exceeds max(pivot_tol,
+    lexicographic among the rows whose entry exceeds max(PIVOT_TOL,
     RELATIVE_PIVOT times the column's largest entry). The tableau is
     rebuilt exactly from (M, b, costs) every ``period`` pricing passes
     after the start or the last plain refresh.
@@ -322,11 +319,11 @@ def _pivot_loop(T, basis, cfg, phase, M, b, costs, fresh=None):
     any. If the fourth refresh still prices an entering column,
     NumericalBreakdown.
     Returns (xb, y, pivots, entering): the confirming refresh's values and
-    None, or None, None and the column of an unboundedness ray. The
-    iteration cap bounds the pricing passes."""
+    None, or None, None and the column of an unboundedness ray.
+    ``_iteration_cap`` bounds the pricing passes."""
     m = len(basis)
     n = T.shape[1] - m - 1
-    cap = cfg.iteration_cap(m, n)
+    cap = _iteration_cap(m, n)
     period = max(100, 2 * m)
     it = pivots = refreshes = passes = 0
     weights = np.ones(n)
@@ -342,7 +339,7 @@ def _pivot_loop(T, basis, cfg, phase, M, b, costs, fresh=None):
             _refresh_tableau(T, basis, M, b, costs, full=True)
             weights[:] = 1.0
         z = T[-1, :n]
-        entering = (z < -cfg.feas_tol).nonzero()[0]
+        entering = (z < -FEAS_TOL).nonzero()[0]
         if entering.size == 0:
             if fresh is not None:
                 return (*fresh, pivots, None)
@@ -359,8 +356,8 @@ def _pivot_loop(T, basis, cfg, phase, M, b, costs, fresh=None):
         j = int(entering[(zj * zj / weights[entering]).argmax()])
         col = T[:-1, j]
         # the largest positive entry sets the scale, so it stays admissible
-        # whenever pivot_tol admits it
-        rows = (col > max(cfg.pivot_tol, RELATIVE_PIVOT
+        # whenever PIVOT_TOL admits it
+        rows = (col > max(PIVOT_TOL, RELATIVE_PIVOT
                           * col.max(initial=0.0))).nonzero()[0]
         if rows.size == 0:
             if phase == 1:
@@ -378,7 +375,7 @@ def _pivot_loop(T, basis, cfg, phase, M, b, costs, fresh=None):
         fresh = None
 
 
-def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
+def _phase1(std: _Standardized, start=None):
     """Find a basic feasible point or a Farkas certificate.
 
     Starts from the slack/artificial identity, or from ``start``: one
@@ -386,19 +383,21 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
     ``_start_columns``). Row i's artificial is basis entry n + i, column
     n + i of ``std.M``, +e_i as built. For a starting basis, B x = b is
     solved for the basic values; each artificial they put below
-    -feas_tol (1 + |b|) is negated to -e_i in M, so it starts above zero,
+    -FEAS_TOL (1 + |b|) is negated to -e_i in M, so it starts above zero,
     and the basis is then installed by one full refresh against the
     phase-1 costs. A singular starting basis, or one with a user column
-    below -feas_tol (1 + |b|), raises ValueError. The verdict is read off
+    below -FEAS_TOL (1 + |b|), raises ValueError. The verdict is read off
     the refresh that confirms the pivot loop's optimum: the artificial
     level from its basic values, the Farkas ray from its duals.
 
-    Returns (status, T, basis, farkas, pivots). Artificials stay in the
+    Returns (status, T, basis, farkas, pivots, exact), where ``exact``
+    tells that no pivot followed the tableau's last full install, so it
+    is still the exact tableau of ``basis``. Artificials stay in the
     basis at level zero when rows are redundant, so no rows are deleted.
     """
     m, n = std.m, std.n_total
     M = std.M
-    tol = cfg.feas_tol * (1.0 + np.abs(std.b).max(initial=0.0))
+    tol = FEAS_TOL * (1.0 + np.abs(std.b).max(initial=0.0))
 
     if start is None:
         # a slack column with +1 coefficient can seed the basis; every
@@ -445,11 +444,11 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
         # rounding, which is no reason to pivot
         above = (xb[art_rows] > tol).any()
 
-    iterations = 0
+    iterations = installed = 0
     # artificials that all start at level zero already sit in a feasible
     # basis: no pivot loop runs, and the untouched tableau stays exact
     if above:
-        xb, y, iterations, _ = _pivot_loop(T, basis, cfg, 1, M, std.b, c1)
+        xb, y, iterations, _ = _pivot_loop(T, basis, 1, M, std.b, c1)
         art_level = sum(max(float(xb[i]), 0.0)
                         for i in range(m) if basis[i] >= n)
         if art_level > tol:
@@ -465,10 +464,11 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
                 raise NumericalBreakdown(
                     "infeasibility certificate failed validation")
             return "infeasible", None, None, std.row_sign * y / viol, \
-                iterations
+                iterations, False
 
         if any(basis[i] >= n for i in range(m)):
             _refresh_tableau(T, basis, M, std.b, c1, full=True)
+            installed = iterations
 
     # pivot leftover artificials out on honest (untouched or freshly
     # rebuilt) entries; rows without one (every row of an LP with no
@@ -480,25 +480,24 @@ def _phase1(std: _Standardized, cfg: SolverConfig, start=None):
             _pivot(T, basis, i, int(row.argmax()))
             iterations += 1
 
-    return "feasible", T, basis, None, iterations
+    return "feasible", T, basis, None, iterations, iterations == installed
 
 
-def _phase2(T, basis, M, b, c_aug, cfg, pivoted):
+def _phase2(T, basis, M, b, c_aug, exact):
     """Pivot from the phase-1 basis to optimality; ``c_aug`` gives every
     column of M its cost, zero on the artificials. The opening refresh is
-    full, installing a fresh lexicographic state, only if phase 1 made a
-    pivot (``pivoted``); otherwise the tableau is still the exact install
-    of this basis, or the untouched identity, and a plain opening refresh
-    can confirm an optimum at once. Returns what ``_pivot_loop`` does."""
-    fresh = _refresh_tableau(T, basis, M, b, c_aug, full=pivoted)
-    return _pivot_loop(T, basis, cfg, 2, M, b, c_aug,
-                       None if pivoted else fresh)
+    full, installing a fresh lexicographic state, unless phase 1 left the
+    tableau the exact install of this basis, or the untouched identity
+    (``exact``); then a plain opening refresh can confirm an optimum at
+    once. Returns what ``_pivot_loop`` does."""
+    fresh = _refresh_tableau(T, basis, M, b, c_aug, full=not exact)
+    return _pivot_loop(T, basis, 2, M, b, c_aug, fresh if exact else None)
 
 
-def _validate_ray(M, c_aug, basis, j, cfg) -> None:
+def _validate_ray(M, c_aug, basis, j) -> None:
     """Check the phase-2 unboundedness ray of entering column j on the
     original data: z_j = 1, z_B = -B^-1 A_j. A near-singular basis can hide
-    an admissible pivot below pivot_tol; such a ray fails here with
+    an admissible pivot below PIVOT_TOL; such a ray fails here with
     NumericalBreakdown."""
     n_real = M.shape[1] - M.shape[0]
     w = _solve_basis(M[:, basis], M[:, j], "ray validation")
@@ -508,24 +507,24 @@ def _validate_ray(M, c_aug, basis, j, cfg) -> None:
     # artificial columns carry no mass in the real system, so the residual
     # is taken over the real columns only
     resid = np.abs(M[:, :n_real] @ z[:n_real]).max(initial=0.0)
-    if w.max(initial=0.0) > cfg.pivot_tol or resid > cfg.feas_tol \
-            or not c_aug @ z < -cfg.feas_tol:
+    if w.max(initial=0.0) > PIVOT_TOL or resid > FEAS_TOL \
+            or not c_aug @ z < -FEAS_TOL:
         raise NumericalBreakdown("unboundedness ray failed validation")
 
 
-def _extract_primal(M, b, basis, cfg, xb) -> np.ndarray:
+def _extract_primal(M, b, basis, xb) -> np.ndarray:
     """Basic solution B^-1 b of the final basis, solved on the original,
     drift-free data, validated on the standard system and truncated to the
     real columns (all but the m artificials). ``xb`` is B^-1 b from the
     refresh that confirmed phase 2's optimum; without phase 2 it is None
     and solved here, and a singular basis raises. A basic value below
     -1e-6 (1 + |b|), an artificial carrying mass or a row residual above
-    max(1e-8, feas_tol) (1 + |b|) raises NumericalBreakdown."""
+    max(1e-8, FEAS_TOL) (1 + |b|) raises NumericalBreakdown."""
     n_real = M.shape[1] - M.shape[0]
     if xb is None:
         xb = _solve_basis(M[:, basis], b, "primal extraction")
     scale = 1.0 + np.abs(b).max(initial=0.0)
-    thresh = max(1e-8, cfg.feas_tol) * scale
+    thresh = max(1e-8, FEAS_TOL) * scale
     z = np.zeros(M.shape[1])
     z[basis] = np.maximum(xb, 0.0)
     # artificial columns must carry no mass: they are bookkeeping, not
@@ -564,14 +563,13 @@ def _start_columns(std: _Standardized, lp: LinearProgram, basis) \
     return start.astype(int)
 
 
-def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG,
-          basis=None) -> LpSolution:
+def solve(lp: LinearProgram, basis=None) -> LpSolution:
     """Solve the LP; deterministic for identical inputs.
 
     ``basis``, if given, is the starting basis of phase 1: one entry per
     row, the user column basic on that row or -1 for an artificial there.
     It must be nonsingular, with no repeated column, and its user columns
-    feasible (basic values >= -feas_tol (1 + |b|)); otherwise ValueError.
+    feasible (basic values >= -FEAS_TOL (1 + |b|)); otherwise ValueError.
     An artificial below that bound enters with coefficient -1. Phase 1
     then pivots only if an artificial starts above the feasibility
     tolerance.
@@ -579,16 +577,15 @@ def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG,
     A numerical breakdown raises NumericalBreakdown."""
     std = _Standardized(lp)
     start = None if basis is None else _start_columns(std, lp, basis)
-    status, T, basis, farkas, it1 = _phase1(std, config, start)
+    status, T, basis, farkas, it1, exact = _phase1(std, start)
     if status == "infeasible":
         return LpSolution(status=INFEASIBLE, farkas=farkas, iterations=it1)
 
     c_aug = np.concatenate([std.c, np.zeros(std.m)])
     if std.c.any():
-        xb, y, it2, j = _phase2(T, basis, std.M, std.b, c_aug, config,
-                                it1 > 0)
+        xb, y, it2, j = _phase2(T, basis, std.M, std.b, c_aug, exact)
         if j is not None:
-            _validate_ray(std.M, c_aug, basis, j, config)
+            _validate_ray(std.M, c_aug, basis, j)
             return LpSolution(status=UNBOUNDED, iterations=it1 + it2)
     else:
         # a zero objective is optimal at the phase-1 basis, with zero duals
@@ -596,7 +593,7 @@ def solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG,
 
     # primal and dual values of the final basis on the original,
     # drift-free data
-    z = _extract_primal(std.M, std.b, basis, config, xb)
+    z = _extract_primal(std.M, std.b, basis, xb)
     # a negated row's dual changes sign with it
     return LpSolution(status=OPTIMAL, value=float(std.c @ z),
                       primal=z[:std.n_user], dual=std.row_sign * y,
@@ -630,8 +627,7 @@ def residual_report(lp: LinearProgram, sol: LpSolution) -> dict:
     }
 
 
-def check_feasibility(A, rels, b, config: SolverConfig = DEFAULT_CONFIG,
-                      basis=None) -> LpSolution:
+def check_feasibility(A, rels, b, basis=None) -> LpSolution:
     """Feasibility of {A x (rels) b, x >= 0}, as the
     zero-objective ``solve``: ``status`` is OPTIMAL with a feasible point
     in ``primal``, or INFEASIBLE with a Farkas ray in ``farkas`` proving
@@ -640,5 +636,4 @@ def check_feasibility(A, rels, b, config: SolverConfig = DEFAULT_CONFIG,
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"A must be a matrix, got shape {A.shape}")
-    return solve(LinearProgram(np.zeros(A.shape[1]), A, rels, b), config,
-                 basis)
+    return solve(LinearProgram(np.zeros(A.shape[1]), A, rels, b), basis)

@@ -162,24 +162,30 @@ def marginals(c: Coupling) -> tuple[DiscreteMeasure, DiscreteMeasure]:
 
 @dataclass(frozen=True)
 class MultiCoupling:
-    """Joint mass tensor over a product of k supports."""
+    """Joint mass tensor over the product of k measures' supports; the
+    sums along each axis are its measure's weights within
+    ``DERIVED_MASS_TOL``."""
 
-    supports: tuple  # k arrays of shape (m_i, dim)
+    measures: tuple  # k DiscreteMeasures
     mass: np.ndarray  # k-dimensional tensor
-    marginal_consistent: bool = False
 
     def __post_init__(self):
-        sups = tuple(_freeze(np.atleast_2d(np.asarray(s, dtype=float)))
-                     for s in self.supports)
+        measures = tuple(self.measures)
         t = np.asarray(self.mass, dtype=float)
-        if t.shape != tuple(s.shape[0] for s in sups):
+        if t.shape != tuple(len(m) for m in measures):
             raise DimensionMismatch(
-                f"tensor shape {t.shape} does not match supports")
+                f"tensor shape {t.shape} does not match the measures")
         if np.any(t < 0):
             raise NegativeWeight(f"negative mass entry {t.min()}")
         if abs(t.sum() - 1.0) > MASS_TOL:
             raise MassNotOne(f"total mass {t.sum()!r}")
-        object.__setattr__(self, "supports", sups)
+        for i, m in enumerate(measures):
+            others = tuple(k for k in range(t.ndim) if k != i)
+            err = np.max(np.abs(t.sum(axis=others) - m.weights))
+            if err > DERIVED_MASS_TOL:
+                raise MassNotOne(f"marginal {i} residual {err:.3e} "
+                                 f"exceeds {DERIVED_MASS_TOL}")
+        object.__setattr__(self, "measures", measures)
         object.__setattr__(self, "mass", _freeze(t))
 
 

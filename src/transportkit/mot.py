@@ -178,7 +178,7 @@ class ExtendResult:
 # ---------------------------------------------------------------------------
 
 def _solve_martingale(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                      cost: CostSpec, what: str, config) -> lp.LpSolution:
+                      cost: CostSpec, what: str) -> lp.LpSolution:
     """The LP over martingale couplings, started from
     ``_martingale_start``, whose row multipliers are the dual (u, -v,
     gamma); raises unless it is optimal. A pair out of convex order
@@ -187,11 +187,11 @@ def _solve_martingale(mu: DiscreteMeasure, nu: DiscreteMeasure,
     it, and otherwise when the LP is infeasible (its Farkas ray is the
     witness)."""
     _check_martingale_pair(mu, nu)
-    if _hull_witness(mu, nu, config) is not None:
+    if _hull_witness(mu, nu) is not None:
         raise NotInConvexOrder("no martingale coupling exists")
     A, rels, b = _martingale_rows(mu, nu)
     C = cost.pairwise(mu.points, nu.points)
-    sol = lp.solve(lp.LinearProgram(C.ravel(), A, rels, b), config,
+    sol = lp.solve(lp.LinearProgram(C.ravel(), A, rels, b),
                    basis=_martingale_start(mu, nu))
     if sol.status == lp.INFEASIBLE:
         raise NotInConvexOrder("no martingale coupling exists")
@@ -200,17 +200,15 @@ def _solve_martingale(mu: DiscreteMeasure, nu: DiscreteMeasure,
     return sol
 
 
-def mot_primal(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
-               config: lp.SolverConfig = lp.DEFAULT_CONFIG):
+def mot_primal(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
     """Cheapest martingale coupling; returns (Coupling, value)."""
-    sol = _solve_martingale(mu, nu, cost, "mot_primal", config)
+    sol = _solve_martingale(mu, nu, cost, "mot_primal")
     mass = sol.primal.reshape(len(mu), len(nu))
     return Coupling(mu, nu, mass / mass.sum(), marginal_consistent=True), \
         float(sol.value)
 
 
-def mot_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
-             config: lp.SolverConfig = lp.DEFAULT_CONFIG):
+def mot_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
     """Optimal (u, v, gamma); value matches mot_primal by LP duality.
 
     u, -v and gamma are the multipliers of the martingale primal's source,
@@ -220,7 +218,7 @@ def mot_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     witness when an atom of mu lies outside the hull of nu's support, and
     otherwise by the LP's Farkas ray.
     """
-    sol = _solve_martingale(mu, nu, cost, "mot_dual", config)
+    sol = _solve_martingale(mu, nu, cost, "mot_dual")
     m, n, y = len(mu), len(nu), sol.dual
     dual = GammaDual(mu.points, nu.points, y[:m], -y[m:m + n],
                      y[m + n:].reshape(m, mu.dim))
@@ -237,8 +235,7 @@ def _signed_mass(mu: DiscreteMeasure, nu: DiscreteMeasure, points) \
 
 
 def mot_dual_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                       cost: CostSpec,
-                       config: lp.SolverConfig = lp.DEFAULT_CONFIG):
+                       cost: CostSpec):
     """Single-potential dual on the support union Z, read off its primal.
 
     Requires the cost to vanish on the diagonal of the union. The dual
@@ -263,7 +260,7 @@ def mot_dual_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure,
     if diag > 1e-12:
         raise NonVanishingDiagonal(
             f"|c(z, z)| reaches {diag:.3e} on the union")
-    if _hull_witness(mu, nu, config) is not None:
+    if _hull_witness(mu, nu) is not None:
         raise NotInConvexOrder(
             "no flow-and-barycenter plan: the pair is not in convex order")
     I, J = np.nonzero(~np.eye(u, dtype=bool))
@@ -273,8 +270,7 @@ def mot_dual_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure,
     A[J, cols] = -1.0
     A[u + I[:, None] * d + np.arange(d), cols[:, None]] = Z[J] - Z[I]
     b = np.concatenate([_signed_mass(mu, nu, Z), np.zeros(u * d)])
-    sol = lp.solve(lp.LinearProgram(C[I, J], A, (lp.EQ,) * len(b), b),
-                   config)
+    sol = lp.solve(lp.LinearProgram(C[I, J], A, (lp.EQ,) * len(b), b))
     if sol.status == lp.INFEASIBLE:
         raise NotInConvexOrder(
             "no flow-and-barycenter plan: the pair is not in convex order")
@@ -361,9 +357,7 @@ def mti_check(cost: CostSpec, domain: Box, n_samples: int, seed: int,
     return SampledCheck(True, None, n_samples, worst)
 
 
-def gamma_certify(f1, f2, X, Y, cost: CostSpec,
-                  config: lp.SolverConfig = lp.DEFAULT_CONFIG) \
-        -> GammaResult:
+def gamma_certify(f1, f2, X, Y, cost: CostSpec) -> GammaResult:
     """Per-point feasibility of f1(x) - f2(y) <= c(x, y) + <gamma(x), y-x>.
 
     f1, f2 may be callables, exact-point dicts, or arrays aligned with
@@ -376,10 +370,10 @@ def gamma_certify(f1, f2, X, Y, cost: CostSpec,
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     R = values_on(X, f1)[:, None] - values_on(Y, f2)[None, :] \
         - cost.pairwise(X, Y)
-    return _certify_points(X, Y, R, -1.0, config)
+    return _certify_points(X, Y, R, -1.0)
 
 
-def _certify_points(X, Y, R, orient, config, skip_self=False, D=None) \
+def _certify_points(X, Y, R, orient, skip_self=False, D=None) \
         -> GammaResult:
     """Gamma fields with orient * <gamma(x_i), y_j - x_i> <= orient * R[i, j]
     for every row j (j != i when ``skip_self``), or the first point where
@@ -391,9 +385,9 @@ def _certify_points(X, Y, R, orient, config, skip_self=False, D=None) \
     tries the gammas of the nearest accepted points before and after it
     (the previous point's and the next fitted one's), then
     ``_farkas_lp``. A candidate is accepted when it meets every row
-    within the LP's own verdict threshold, feas_tol (1 + max|r|)
+    within the LP's own verdict threshold, ``lp.FEAS_TOL`` (1 + max|r|)
     (``_meets_rows``). Such a candidate bounds the LP's optimum r.lam
-    below by -feas_tol (1 + max|r|), where the LP certifies too, so no
+    below by -FEAS_TOL (1 + max|r|), where the LP certifies too, so no
     point the LP would refute is accepted, and every refutation and its
     binding core come from the LP. A returned gamma is some certificate
     of its point, not a particular vertex of its feasible set. A
@@ -402,7 +396,7 @@ def _certify_points(X, Y, R, orient, config, skip_self=False, D=None) \
     """
     D, r = _point_rows(X, Y, R, orient, skip_self, D)
     g, fitted = _fitted_gradients(D, r)
-    met = fitted & _meets_rows(D, r, g, config.feas_tol)
+    met = fitted & _meets_rows(D, r, g, lp.FEAS_TOL)
     accepted = np.flatnonzero(met)
     for i in np.flatnonzero(~met):
         keep = np.arange(len(Y)) != i if skip_self else slice(None)
@@ -412,11 +406,11 @@ def _certify_points(X, Y, R, orient, config, skip_self=False, D=None) \
         tried = list(accepted[later:later + 1])
         if i > 0:
             tried.insert(0, i - 1)
-        meets = _meets_rows(Di, ri, g[tried], config.feas_tol)
+        meets = _meets_rows(Di, ri, g[tried], lp.FEAS_TOL)
         if meets.any():
             g[i] = g[tried[meets.argmax()]]
         else:
-            gi, core = _farkas_lp(Di, ri, config)
+            gi, core = _farkas_lp(Di, ri)
             if core is not None:
                 Yi = Y[keep]
                 binding = tuple((Yi[k].copy(), float(w))
@@ -446,7 +440,7 @@ def _meets_rows(D, r, g, tol):
     """D g <= r within tol (1 + max|r|), for one point's rows (D of shape
     (m, d)) or every point's (n, m, d), with leading axes broadcast, so
     one call also tries a stack of g (k, d) on one point: the one
-    acceptance test of a gamma, whether a candidate (tol = feas_tol) or
+    acceptance test of a gamma, whether a candidate (tol = FEAS_TOL) or
     read off the LP (tol = 1e-8)."""
     scale = 1.0 + np.abs(r).max(axis=-1, initial=0.0)
     excess = (D @ g[..., None])[..., 0] - r
@@ -491,7 +485,7 @@ def _fitted_gradients(D, r):
     return np.linalg.solve(normal, rhs)[:, :d, 0] / h, fitted
 
 
-def _farkas_lp(D, r, config):
+def _farkas_lp(D, r):
     """A vector g with D @ g <= r, or an irreducible core proving none:
     the LP step of ``_certify_points``.
 
@@ -507,11 +501,11 @@ def _farkas_lp(D, r, config):
     n, d = D.shape
     A = np.vstack([D.T, np.ones(n)])
     sol = lp.solve(lp.LinearProgram(r, A, (lp.EQ,) * d + (lp.LE,),
-                                    np.append(np.zeros(d), 1.0)), config)
+                                    np.append(np.zeros(d), 1.0)))
     if sol.status != lp.OPTIMAL:
         raise NumericalBreakdown(f"gamma certificate: LP terminated "
                                  f"{sol.status}")
-    if sol.value >= -config.feas_tol * (1.0 + np.abs(r).max(initial=0.0)):
+    if sol.value >= -lp.FEAS_TOL * (1.0 + np.abs(r).max(initial=0.0)):
         g = sol.dual[:d]
         if not _meets_rows(D, r, g, 1e-8):
             raise NumericalBreakdown("gamma certificate violates its rows")
@@ -612,22 +606,19 @@ def _modulus_rows(f, sigma: ModulusSpec, grid):
         - sigma(np.linalg.norm(D, axis=2))
 
 
-def uniform_convexity_certify(f, sigma: ModulusSpec, grid,
-                              config: lp.SolverConfig = lp.DEFAULT_CONFIG) \
-        -> GammaResult:
+def uniform_convexity_certify(f, sigma: ModulusSpec, grid) -> GammaResult:
     """Per-point gamma with f(x) + sigma(||y-x||) + <gamma(x), y-x> <= f(y)
     over the grid, or the first point where none exists."""
     pts, D, R = _modulus_rows(f, sigma, grid)
-    return _certify_points(pts, pts, R, 1.0, config, skip_self=True, D=D)
+    return _certify_points(pts, pts, R, 1.0, skip_self=True, D=D)
 
 
-def uniform_smoothness_certify(f, sigma: ModulusSpec, grid,
-                               config: lp.SolverConfig = lp.DEFAULT_CONFIG) \
+def uniform_smoothness_certify(f, sigma: ModulusSpec, grid) \
         -> GammaResult:
     """Mirror of uniform_convexity_certify:
     f(x) + sigma(||y-x||) + <gamma(x), y-x> >= f(y) over the grid."""
     pts, D, R = _modulus_rows(f, sigma, grid)
-    return _certify_points(pts, pts, R, -1.0, config, skip_self=True, D=D)
+    return _certify_points(pts, pts, R, -1.0, skip_self=True, D=D)
 
 
 # ---------------------------------------------------------------------------

@@ -180,38 +180,36 @@ def _least_cost_basis(C, masses) -> np.ndarray:
     return basis
 
 
-def _solve_couplings(measures, C, what, config) -> lp.LpSolution:
+def _solve_couplings(measures, C, what) -> lp.LpSolution:
     """The primal LP over couplings with cost tensor C, started from its
     least-cost staircase (``_least_cost_basis``), so phase 1 has nothing
     to pivot; its marginal-row multipliers are the dual potentials."""
     A, b = _marginal_rows(measures)
     prog = lp.LinearProgram(C.ravel(), A, (lp.EQ,) * len(b), b)
     start = _least_cost_basis(C, [m.weights for m in measures])
-    return _require_optimal(lp.solve(prog, config, basis=start), what)
+    return _require_optimal(lp.solve(prog, basis=start), what)
 
 
 def kantorovich_primal(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                       cost: CostSpec,
-                       config: lp.SolverConfig = lp.DEFAULT_CONFIG):
+                       cost: CostSpec):
     """Minimal-cost coupling of (mu, nu); returns (Coupling, value)."""
     _check_dims(mu, nu)
     sol = _solve_couplings((mu, nu), cost.pairwise(mu.points, nu.points),
-                           "kantorovich_primal", config)
+                           "kantorovich_primal")
     mass = sol.primal.reshape(len(mu), len(nu))
     coupling = Coupling(mu, nu, mass / mass.sum(), marginal_consistent=True)
     return coupling, float(sol.value)
 
 
 def kantorovich_dual(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                     cost: CostSpec,
-                     config: lp.SolverConfig = lp.DEFAULT_CONFIG):
+                     cost: CostSpec):
     """Optimal feasible potentials; returns (Potentials, value).
 
     phi and -psi are the multipliers of the row and column sums of the
     primal LP."""
     _check_dims(mu, nu)
     sol = _solve_couplings((mu, nu), cost.pairwise(mu.points, nu.points),
-                           "kantorovich_dual", config)
+                           "kantorovich_dual")
     m = len(mu)
     pots = Potentials(mu.points, nu.points, sol.dual[:m], -sol.dual[m:])
     return pots, pots.objective(mu, nu)
@@ -283,8 +281,7 @@ def _verify_metric(D: np.ndarray, points: np.ndarray, tol: float = 1e-9):
             witness=(points[i], points[j], points[k]))
 
 
-def kr_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, metric_cost: CostSpec,
-            config: lp.SolverConfig = lp.DEFAULT_CONFIG):
+def kr_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, metric_cost: CostSpec):
     """Single-potential dual sup integral(f d(mu - nu)) over 1-Lipschitz f.
 
     The cost must be a metric on the union of supports (symmetry, zero
@@ -302,8 +299,7 @@ def kr_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, metric_cost: CostSpec,
     index = {point_key(p): t for t, p in enumerate(U)}
     left = np.array([index[point_key(p)] for p in mu.points])
     right = np.array([index[point_key(p)] for p in nu.points])
-    sol = _solve_couplings((mu, nu), D[np.ix_(left, right)], "kr_dual",
-                           config)
+    sol = _solve_couplings((mu, nu), D[np.ix_(left, right)], "kr_dual")
     psi = -sol.dual[len(mu):]
     f = np.min(D[:, right] + psi[None, :], axis=1)
     return KrPotential(U, f), \
@@ -328,7 +324,7 @@ def kr_tight_check(f: KrPotential, coupling: Coupling,
 # Multimarginal transport
 # ---------------------------------------------------------------------------
 
-def _solve_multimarginal(measures, cost: MultiCost, what, config):
+def _solve_multimarginal(measures, cost: MultiCost, what):
     measures = list(measures)
     if len(measures) < 2:
         raise DimensionMismatch("need at least two marginals")
@@ -338,26 +334,24 @@ def _solve_multimarginal(measures, cost: MultiCost, what, config):
     sizes = [len(m) for m in measures]
     lp.check_size(sum(sizes), math.prod(sizes))
     supports = tuple(m.points for m in measures)
-    sol = _solve_couplings(measures, cost.tensor(supports), what, config)
+    sol = _solve_couplings(measures, cost.tensor(supports), what)
     return measures, supports, sol
 
 
-def multimarginal_primal(measures, cost: MultiCost,
-                         config: lp.SolverConfig = lp.DEFAULT_CONFIG):
+def multimarginal_primal(measures, cost: MultiCost):
     """Minimal-cost coupling of k marginals; returns (MultiCoupling, value)."""
-    measures, supports, sol = _solve_multimarginal(
-        measures, cost, "multimarginal_primal", config)
+    measures, _, sol = _solve_multimarginal(
+        measures, cost, "multimarginal_primal")
     mass = sol.primal.reshape(tuple(len(m) for m in measures))
-    mc = MultiCoupling(supports, mass / mass.sum(), marginal_consistent=True)
+    mc = MultiCoupling(measures, mass / mass.sum())
     return mc, float(sol.value)
 
 
-def multimarginal_dual(measures, cost: MultiCost,
-                       config: lp.SolverConfig = lp.DEFAULT_CONFIG):
+def multimarginal_dual(measures, cost: MultiCost):
     """Optimal potentials f_i with sum_i f_i(x_i) <= c on the product: the
     multipliers of the primal LP's marginal rows, one slice per measure."""
     measures, supports, sol = _solve_multimarginal(
-        measures, cost, "multimarginal_dual", config)
+        measures, cost, "multimarginal_dual")
     cuts = np.cumsum([len(m) for m in measures])[:-1]
     pots = MultiPotentials(supports, tuple(np.split(sol.dual, cuts)))
     return pots, pots.objective(measures)

@@ -301,7 +301,33 @@ def test_toolkit_errors_exit_1(measures, capsys, argv, message):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
-UCVX_F = '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}'
+@pytest.mark.parametrize("argv, message", [
+    (["ot", "solve", "--mu", "{}", "--nu", "{}", "--cost", "{}", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["ot", "solve", "--mu", "{}"],
+     "the following arguments are required: --nu, --cost"),
+    (["nosuch", "solve"], "invalid choice: 'nosuch'"),
+    # --tol and --samples belong to the commands that read them
+    (["ot", "solve", "--mu", "{}", "--nu", "{}", "--cost", "{}",
+      "--samples", "5"], "unrecognized arguments: --samples 5"),
+    (["ot", "dual", "--mu", "{}", "--nu", "{}", "--cost", "{}",
+      "--tol", "0.1"], "unrecognized arguments: --tol 0.1"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("usage: ") and message in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exit_:
+        cli.run([flag])
+    assert exit_.value.code == 0 and capsys.readouterr().out
+
+
+UCVX_F ='{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}'
 UCVX_SIGMA = '{"kind":"power","p":2}'
 UCVX_GRID = '{"box":[[-1.0,1.0]],"counts":[5]}'
 

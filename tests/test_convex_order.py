@@ -121,7 +121,7 @@ SQUARE = [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]
 def test_refusals_inside_the_hull_come_from_the_lp(mu, nu, monkeypatch):
     # every atom of mu lies in the hull of nu's support, so the support
     # function refutes nothing: the LP runs and its Farkas ray separates
-    assert co._hull_witness(mu, nu, lp.DEFAULT_CONFIG) is None
+    assert co._hull_witness(mu, nu) is None
     calls = count_solves(monkeypatch)
     cert = co.convex_order_check(mu, nu)
     assert not cert.in_order and len(calls) == 1
@@ -163,11 +163,10 @@ def shifted_order_pairs(draw):
 @given(shifted_order_pairs())
 def test_hull_witness_never_contradicts_the_lp(case):
     mu, nu, shift = case
-    cfg = lp.DEFAULT_CONFIG
-    assert co._hull_witness(mu, nu, cfg) is None
+    assert co._hull_witness(mu, nu) is None
     shifted = ms.DiscreteMeasure(nu.dim, nu.points + shift, nu.weights)
     for a, b in ((nu, mu), (mu, shifted), (shifted, mu)):
-        witness = co._hull_witness(a, b, cfg)
+        witness = co._hull_witness(a, b)
         if witness is None:
             continue
         assert witness.integral_gap(a, b) > 1e-10

@@ -373,7 +373,7 @@ def lex_tableaux(draw):
 def test_lex_leaving_matches_column_scan(case):
     T, basis = case
     col = T[:-1, 0]
-    rows = np.flatnonzero(col > lp.DEFAULT_CONFIG.pivot_tol)
+    rows = np.flatnonzero(col > lp.PIVOT_TOL)
     assert lp._lex_leaving(T, basis, rows, col) == \
         _lex_leaving_by_columns(T, basis, rows, col)
 
@@ -457,18 +457,18 @@ def test_sliver_of_the_column_is_no_pivot(monkeypatch):
     seen = _leaving_rows(monkeypatch)
     real_extract, basic = lp._extract_primal, []
 
-    def extract(M, b, basis, cfg, xb):
+    def extract(M, b, basis, xb):
         basic.append(xb.copy())
-        return real_extract(M, b, basis, cfg, xb)
+        return real_extract(M, b, basis, xb)
     monkeypatch.setattr(lp, "_extract_primal", extract)
     sol = lp.solve(prog)
     (rows, col), = seen
-    assert lp.DEFAULT_CONFIG.pivot_tol < col[0] < lp.RELATIVE_PIVOT * col[1]
+    assert lp.PIVOT_TOL < col[0] < lp.RELATIVE_PIVOT * col[1]
     assert rows.tolist() == [1]
     # the negative basic value is guarded by _extract_primal: it clamps
     # basic values at zero and accepts them above -1e-6 (1 + |b|), and
     # the row the clamp leaves short misses by 5e-10, inside
-    # max(1e-8, feas_tol) (1 + |b|). The clamp in _lex_leaving acts only
+    # max(1e-8, FEAS_TOL) (1 + |b|). The clamp in _lex_leaving acts only
     # on later ratio tests, and there are none here.
     assert basic[0].min() == pytest.approx(-5e-10, rel=1e-6)
     assert sol.status == lp.OPTIMAL and sol.value == -1.0
@@ -612,6 +612,27 @@ def test_starting_basis_is_refreshed_fully_once(monkeypatch):
     assert len(sols) == 1 and 0 < sols[0].iterations < 99
     assert steps.count("full") == 1
     assert steps[:3] == ["full", "plain", "phase 2 loop"]
+
+
+def test_exact_install_opens_phase_two_plainly(monkeypatch):
+    # phase 1 pivots and ends with an artificial basic, so it refreshes
+    # fully before its drive-out, which finds nothing to pivot on: the
+    # tableau is the exact install of the final basis, and phase 2 opens
+    # on it with a plain refresh
+    mu, nu = planar_spread_pair(0)
+    steps = _record_solve_steps(monkeypatch)
+    real_pivot = lp._pivot
+
+    def pivot(*args):
+        if steps[-1] != "pivot":
+            steps.append("pivot")
+        real_pivot(*args)
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    mot_primal(mu, nu, cost_from_json({"kind": "euclidean"}))
+    opening = steps.index("phase 2 loop")
+    assert steps[:opening] == ["full", "phase 1 loop", "pivot", "plain",
+                               "full", "plain"]
+    assert "full" not in steps[opening:]
 
 
 def test_infeasible_verdict_takes_one_refresh(monkeypatch):
@@ -758,53 +779,50 @@ def test_validate_ray_rejects_false_rays():
     # column of M; on basis {x0}, column 1 gives the ray z = (1, 1, 0, 0),
     # which improves min -x1 and is accepted
     M = np.array([[1.0, -1.0, 1.0, 1.0]])
-    cfg = lp.DEFAULT_CONFIG
-    lp._validate_ray(M, np.array([0.0, -1.0, 0.0, 0.0]), [0], 1, cfg)
+    lp._validate_ray(M, np.array([0.0, -1.0, 0.0, 0.0]), [0], 1)
     with pytest.raises(NumericalBreakdown, match="ray failed validation"):
         # the ray does not improve a zero objective
-        lp._validate_ray(M, np.zeros(4), [0], 1, cfg)
+        lp._validate_ray(M, np.zeros(4), [0], 1)
     with pytest.raises(NumericalBreakdown, match="ray failed validation"):
         # column 2 has the admissible pivot B^-1 A_2 = 1
-        lp._validate_ray(M, np.array([0.0, 0.0, -1.0, 0.0]), [0], 2, cfg)
+        lp._validate_ray(M, np.array([0.0, 0.0, -1.0, 0.0]), [0], 2)
     with pytest.raises(NumericalBreakdown, match="ray failed validation"):
         # on the artificial basis {a} the ray (0, 1, 0, 1) leaves the
         # real row unbalanced
-        lp._validate_ray(M, np.array([0.0, -1.0, 0.0, 0.0]), [3], 1, cfg)
+        lp._validate_ray(M, np.array([0.0, -1.0, 0.0, 0.0]), [3], 1)
     with pytest.raises(NumericalBreakdown,
                        match="singular during ray validation"):
         lp._validate_ray(np.array([[0.0, 1.0, 1.0]]),
-                         np.array([0.0, -1.0, 0.0]), [0], 1, cfg)
+                         np.array([0.0, -1.0, 0.0]), [0], 1)
 
 
 def test_extract_primal_refusals():
     # two rows x0 + x1 = b0, x1 = b1 over x0, x1, then the artificials a0,
     # a1 of the two rows; the basis {x0, x1} gives x1 = b1, x0 = b0 - b1
     M = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
-    cfg = lp.DEFAULT_CONFIG
-    z = lp._extract_primal(M, np.array([3.0, 1.0]), [0, 1], cfg, None)
+    z = lp._extract_primal(M, np.array([3.0, 1.0]), [0, 1], None)
     assert z.tolist() == [2.0, 1.0]
     with pytest.raises(NumericalBreakdown,
                        match="singular during primal extraction"):
         # the two basic columns are parallel
         lp._extract_primal(np.array([[1.0, 2.0, 1.0, 0.0],
                                      [2.0, 4.0, 0.0, 1.0]]),
-                           np.ones(2), [0, 1], cfg, None)
+                           np.ones(2), [0, 1], None)
     with pytest.raises(NumericalBreakdown,
                        match="does not reproduce a feasible point"):
         # x0 = -1e-5 on a column of 1e-4: clipped, it leaves row 0 off by
         # only 1e-9, so the basic value itself must be refused
         lp._extract_primal(np.array([[1e-4, 1.0, 1.0, 0.0],
                                      [0.0, 1.0, 0.0, 1.0]]),
-                           np.array([1.0 - 1e-9, 1.0]), [0, 1], cfg, None)
+                           np.array([1.0 - 1e-9, 1.0]), [0, 1], None)
     with pytest.raises(NumericalBreakdown,
                        match="does not reproduce a feasible point"):
         # on the basis {a0, x1} the artificial carries x0's mass
-        lp._extract_primal(M, np.array([3.0, 1.0]), [2, 1], cfg, None)
+        lp._extract_primal(M, np.array([3.0, 1.0]), [2, 1], None)
     with pytest.raises(NumericalBreakdown,
                        match="does not reproduce a feasible point"):
         # x0 = -1e-7 is clipped to zero, which leaves row 0 off by 1e-7
-        lp._extract_primal(M, np.array([1.0 - 1e-7, 1.0]), [0, 1], cfg,
-                           None)
+        lp._extract_primal(M, np.array([1.0 - 1e-7, 1.0]), [0, 1], None)
 
 
 def test_solve_peak_memory_is_bounded_by_tableau():
@@ -825,12 +843,12 @@ def test_solve_peak_memory_is_bounded_by_tableau():
     assert peak <= 5.5 * tableau, peak / tableau
 
 
-def test_iteration_cap_raises_breakdown():
+def test_iteration_cap_raises_breakdown(monkeypatch):
     rng = np.random.default_rng(31)
     prog = random_bounded_lp(rng, max_vars=8, max_rows=8)
-    tiny = lp.SolverConfig(max_iterations=1)
+    monkeypatch.setattr(lp, "_iteration_cap", lambda m, n: 1)
     with pytest.raises(NumericalBreakdown):
-        lp.solve(prog, tiny)
+        lp.solve(prog)
 
 
 def test_equality_redundancy_is_tolerated():

@@ -74,6 +74,20 @@ def test_marginals_two_by_two():
     assert np.allclose(right.weights, [0.5, 0.5])
 
 
+def test_multicoupling_checks_every_marginal():
+    mu = ms.new_measure(1, [[0.0], [1.0]], [0.5, 0.5])
+    nu = ms.new_measure(1, [[0.0], [2.0], [4.0]], [0.2, 0.3, 0.5])
+    mass = np.multiply.outer(np.multiply.outer(mu.weights, nu.weights),
+                             mu.weights)
+    assert ms.MultiCoupling((mu, nu, mu), mass).mass.shape == (2, 3, 2)
+    # 1e-9 moved from row 0 to row 1 keeps the total and the other axes
+    moved = mass.copy()
+    moved[0, 0, 0] -= 1e-9
+    moved[1, 0, 0] += 1e-9
+    with pytest.raises(MassNotOne, match="marginal 0 residual"):
+        ms.MultiCoupling((mu, nu, mu), moved)
+
+
 def test_evaluate_cost_examples():
     assert ms.evaluate_cost(ms.CostSpec.euclidean(), [0.0], [1.0]) == 1.0
     assert ms.evaluate_cost(ms.CostSpec.sq_euclidean(),

@@ -603,7 +603,7 @@ def _farkas_cases():
     it does not. Then X = Y systems, which keep the zero row y = x: its
     r is 0, or -0.05 where every point is refuted by that row alone. Last,
     two systems refuted by 4e-9, inside 1e-8 (1 + max|r|) but beyond the
-    LP's feas_tol (1 + max|r|): rows -g <= r and g <= r, and a zero row."""
+    LP's FEAS_TOL (1 + max|r|): rows -g <= r and g <= r, and a zero row."""
     rng = np.random.default_rng(20261018)
     sets = []
     for d in (1, 2):
@@ -654,8 +654,7 @@ def _certify_one_point(D, r):
     """``_certify_points`` on the one-point system D g <= r (x = 0, so
     Y = D): (g, None), or (None, (row indices, weights)) of the binding
     core, its points located among the rows of D."""
-    res = mot._certify_points(np.zeros((1, D.shape[1])), D, r[None], 1.0,
-                              lp.DEFAULT_CONFIG)
+    res = mot._certify_points(np.zeros((1, D.shape[1])), D, r[None], 1.0)
     if res.ok:
         return res.gammas[0], None
     binding = res.counterexample.binding
@@ -693,7 +692,7 @@ def _certify_systems():
     zero cost (refuted); a 4 x 4 x 4 grid, whose fits have p = 9
     features, for the uniform convexity of x'Qx, as it is and with its
     point 21 raised by 1. Last, two systems refuted by 4e-9, inside
-    1e-8 (1 + max|r|) but beyond the LP's feas_tol (1 + max|r|): the
+    1e-8 (1 + max|r|) but beyond the LP's FEAS_TOL (1 + max|r|): the
     midpoint of [-1, 0, 1] with values 1 - 4e-9, 0, 1 - 4e-9 under
     sigma(t) = t^2 (its fitted slope 0 misses both rows by 4e-9), and an
     X = Y grid whose zero rows have r = -4e-9."""
@@ -738,8 +737,7 @@ def _certify_by_lp(X, Y, R, orient, skip_self):
     core, or None."""
     for i, x in enumerate(X):
         keep = np.arange(len(Y)) != i if skip_self else slice(None)
-        _, core = mot._farkas_lp(Y[keep] - x, orient * R[i, keep],
-                                 lp.DEFAULT_CONFIG)
+        _, core = mot._farkas_lp(Y[keep] - x, orient * R[i, keep])
         if core is not None:
             return i, [(Y[keep][k], w) for k, w in zip(*core)]
     return None
@@ -748,14 +746,13 @@ def _certify_by_lp(X, Y, R, orient, skip_self):
 def test_candidates_keep_every_lp_verdict(monkeypatch):
     farkas_lp, lps, visited = mot._farkas_lp, [], 0
 
-    def spy_lp(D, r, config):
+    def spy_lp(D, r):
         lps.append(len(r))
-        return farkas_lp(D, r, config)
+        return farkas_lp(D, r)
     monkeypatch.setattr(mot, "_farkas_lp", spy_lp)
     verdicts = set()
     for X, Y, R, orient, skip_self in _certify_systems():
-        res = mot._certify_points(X, Y, R, orient, lp.DEFAULT_CONFIG,
-                                  skip_self)
+        res = mot._certify_points(X, Y, R, orient, skip_self)
         ref = _certify_by_lp(X, Y, R, orient, skip_self)
         verdicts.add(res.ok)
         assert res.ok == (ref is None)
@@ -850,8 +847,7 @@ def test_batched_fit_matches_lstsq_per_point():
                 continue
             np.testing.assert_allclose(g[i], ref, rtol=1e-9, atol=1e-12)
             dims.add(X.shape[1])
-        res = mot._certify_points(X, Y, R, orient, lp.DEFAULT_CONFIG,
-                                  skip_self)
+        res = mot._certify_points(X, Y, R, orient, skip_self)
         assert res.ok == (_certify_by_lp(X, Y, R, orient, skip_self) is None)
     assert dims == {1, 2, 3}
     # the six random points, the all-zero point, the equal rows and the
@@ -884,7 +880,7 @@ def test_farkas_points_skip_phase_one(monkeypatch):
     pts, _, R = mot._modulus_rows(f, ModulusSpec.power(2), grid)
     for i, x in enumerate(pts):
         D = np.delete(pts, i, axis=0) - x
-        _, core = mot._farkas_lp(D, np.delete(R[i], i), lp.DEFAULT_CONFIG)
+        _, core = mot._farkas_lp(D, np.delete(R[i], i))
         assert core is None
     assert solves == [(3, 48)] * 49
     assert 1 not in phases

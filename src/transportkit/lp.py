@@ -564,7 +564,10 @@ def _start_columns(std: _Standardized, lp: LinearProgram, basis) \
 
 
 def solve(lp: LinearProgram, basis=None) -> LpSolution:
-    """Solve the LP; deterministic for identical inputs.
+    """Solve the LP; deterministic for identical inputs under one BLAS
+    configuration (the thread count can steer the pivots: the 32 x 64
+    kernel pair of the tests makes 365 pivots in ``mot_primal`` under
+    one BLAS thread and 295 under two).
 
     ``basis``, if given, is the starting basis of phase 1: one entry per
     row, the user column basic on that row or -1 for an artificial there.

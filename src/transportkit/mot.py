@@ -18,11 +18,13 @@ f(x) + sigma(||y - x||) + <gamma(x), y - x> <= f(y).
 
 Every gamma certifier checks a point x on its rows <g, y_j - x> <= r_j.
 All points come first, in one array pass: each point's candidate g is
-the linear part of a local quadratic fit, the fits are solved in one
-batch and accepted where they meet every row. Only the points this
-misses are visited, in order: each tries the gammas of the nearest
-accepted points before and after it, and else one LP with d + 1 rows
-decides the Farkas alternative,
+accepted where it meets every row. In one dimension the rows are exactly
+an interval of slopes and g is its midpoint; in more, g is the linear
+part of a local quadratic fit, the fits solved in one batch. Only the
+points this misses are visited, in order: each tries the gammas of the
+nearest accepted points before and after it, and else one LP with d + 1
+rows decides the Farkas alternative (in one dimension, only for a
+refuted point or one inside the tolerance band),
 min sum_j lam_j r_j  s.t.  sum_j lam_j (y_j - x) = 0, sum_j lam_j <= 1,
 lam >= 0. Optimum zero: the barycenter-row multipliers are g. Negative
 optimum: the basic lam has at most d + 1 nonzeros and its support is an
@@ -379,8 +381,12 @@ def _certify_points(X, Y, R, orient, skip_self=False, D=None) \
     for every row j (j != i when ``skip_self``), or the first point where
     none exists with its binding core.
 
-    Every point's fitted gradient (``_fitted_gradients``) is checked on
-    its rows in one pass; for a smooth function it is the discrete
+    Every point's candidate is checked on its rows in one pass: in one
+    dimension the midpoint of its exact interval of slopes
+    (``_interval_slopes``), which meets the rows whenever some gamma
+    meets them exactly, so there an LP runs only for a refuted point or
+    for one inside the tolerance band; in more, its fitted gradient
+    (``_fitted_gradients``), for a smooth function the discrete
     gradient. Only the points it misses are visited, in order: each
     tries the gammas of the nearest accepted points before and after it
     (the previous point's and the next fitted one's), then
@@ -395,7 +401,8 @@ def _certify_points(X, Y, R, orient, skip_self=False, D=None) \
     differences y_j - x_i that ``_point_rows`` would build.
     """
     D, r = _point_rows(X, Y, R, orient, skip_self, D)
-    g, fitted = _fitted_gradients(D, r)
+    candidates = _interval_slopes if D.shape[2] == 1 else _fitted_gradients
+    g, fitted = candidates(D, r)
     met = fitted & _meets_rows(D, r, g, lp.FEAS_TOL)
     accepted = np.flatnonzero(met)
     for i in np.flatnonzero(~met):
@@ -445,6 +452,28 @@ def _meets_rows(D, r, g, tol):
     scale = 1.0 + np.abs(r).max(axis=-1, initial=0.0)
     excess = (D @ g[..., None])[..., 0] - r
     return excess.max(axis=-1, initial=0.0) <= tol * scale
+
+
+def _interval_slopes(D, r):
+    """Every point's candidate slope in one dimension, for D of shape
+    (n, m, 1) and r of shape (n, m): a point's rows D_j g <= r_j are
+    exactly the interval lo <= g <= hi, with lo the largest r_j / D_j
+    over D_j < 0 and hi the smallest over D_j > 0. Zero rows (-0.0 and
+    the zeroed self row of ``skip_self`` among them) bound nothing. The
+    candidate is the midpoint when both bounds exist, the one bound when
+    one does, and 0 when neither does. Returns (g, finite), g of shape
+    (n, 1); a point whose g is not finite (a quotient overflowed) is not
+    a candidate, and its row of g is 0."""
+    Dv = D[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = r / Dv
+        lo = np.where(Dv < 0.0, q, -np.inf).max(axis=1, initial=-np.inf)
+        hi = np.where(Dv > 0.0, q, np.inf).min(axis=1, initial=np.inf)
+        g = np.where(lo > -np.inf,
+                     np.where(hi < np.inf, 0.5 * lo + 0.5 * hi, lo),
+                     np.where(hi < np.inf, hi, 0.0))
+    finite = np.isfinite(g)
+    return np.where(finite, g, 0.0)[:, None], finite
 
 
 def _fitted_gradients(D, r):

@@ -682,6 +682,16 @@ def test_farkas_point_matches_direct_system():
     assert verdicts == {True, False}
 
 
+def _bclass_line():
+    """41 points on [-1, 1] and a bclass_sup under the euclidean cost on
+    them, whose kinks fall between the points."""
+    xs = np.linspace(-1.0, 1.0, 41).reshape(-1, 1)
+    fx = FunctionEvaluator.bclass_sup(
+        [([0.1234], [0.6], 0.0), ([-0.5321], [-0.3], 0.1),
+         ([0.8111], [1.0], -0.2)], ms.CostSpec.euclidean()).on(xs)
+    return xs, fx
+
+
 def _certify_systems():
     """(X, Y, R, orient, skip_self) as the certifiers build them: 7 x 7
     grids under sigma(t) = t^2, for the uniform convexity of x'Qx
@@ -707,12 +717,8 @@ def _certify_systems():
             bump[moved] = rng.uniform(0.5, 1.0)
         for h, orient in ((f + bump / 2, 1.0), (-f - bump, -1.0)):
             yield grid, grid, h[None, :] - h[:, None] - sq_dist, orient, True
-    xs = np.linspace(-1.0, 1.0, 41).reshape(-1, 1)
-    eu = ms.CostSpec.euclidean()
-    fx = FunctionEvaluator.bclass_sup(
-        [([0.1234], [0.6], 0.0), ([-0.5321], [-0.3], 0.1),
-         ([0.8111], [1.0], -0.2)], eu).on(xs)
-    for cost in (eu, ZERO):
+    xs, fx = _bclass_line()
+    for cost in (ms.CostSpec.euclidean(), ZERO):
         yield xs, xs, fx[:, None] - fx[None, :] - cost.pairwise(xs, xs), \
             -1.0, False
     cube = Grid(Box([-1.0] * 3, [1.0] * 3), (4, 4, 4)).points()
@@ -775,6 +781,85 @@ def test_candidates_keep_every_lp_verdict(monkeypatch):
     assert verdicts == {True, False}
     # the reference's own LPs are counted too: one per point it visits
     assert 0 < len(lps) - visited < visited / 4
+
+
+@st.composite
+def line_systems(draw):
+    """(X, Y, R, orient, skip_self) in one dimension: points on the
+    integer lattice {-2..2}, where points may repeat, and Y on both sides
+    of the lattice or on one, with its 0 as -0.0 (so the row y - x = -0.0
+    - 0.0 is -0.0); or Y = X under ``skip_self``. Each point's rows are
+    r = D g + s - shift for an integer slope g and slacks s in {0, 1, 2}
+    (half of them 0, so rows are often tight), up to three of them dented
+    to -1 (which may refute the point), and one shift in {0, +-1e-9,
+    +-4e-9} for the system, which moves the rows with zero slack to within
+    4e-9 of feasibility. Last, whether the system is clean: no dent and
+    no positive shift, so every point's g meets its rows exactly."""
+    lattice = [-2.0, -1.0, 0.0, 1.0, 2.0]
+    X = np.array(draw(st.lists(st.sampled_from(lattice), min_size=1,
+                               max_size=5)))[:, None]
+    skip_self = draw(st.booleans())
+    if skip_self:
+        Y = X
+    else:
+        signed = [-2.0, -1.0, -0.0, 1.0, 2.0]
+        side = draw(st.sampled_from([signed, signed[:3], signed[2:]]))
+        Y = np.array(draw(st.lists(st.sampled_from(side), min_size=1,
+                                   max_size=6)))[:, None]
+    n, m = len(X), len(Y)
+    g = np.array(draw(st.lists(st.integers(-2, 2), min_size=n,
+                               max_size=n)), dtype=float)
+    s = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0]),
+                               min_size=n * m, max_size=n * m))).reshape(n, m)
+    dents = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, m - 1)), max_size=3))
+    for i, j in dents:
+        s[i, j] = -1.0
+    shift = draw(st.sampled_from([0.0, 1e-9, -1e-9, 4e-9, -4e-9]))
+    orient = draw(st.sampled_from([1.0, -1.0]))
+    r = (Y[:, 0][None, :] - X) * g[:, None] + s - shift
+    return X, Y, orient * r, orient, skip_self, not dents and shift <= 0
+
+
+@given(line_systems())
+def test_line_candidates_keep_every_lp_verdict(system):
+    X, Y, R, orient, skip_self, clean = system
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_solves(mp)
+        res = mot._certify_points(X, Y, R, orient, skip_self)
+    ref = _certify_by_lp(X, Y, R, orient, skip_self)
+    assert res.ok == (ref is None)
+    # a line's candidate is exact: a feasible point never reaches the LP
+    assert not clean or (res.ok and not calls)
+    if not res.ok:
+        index, binding = ref
+        cex = res.counterexample
+        assert cex.index == index
+        assert cex.point.tobytes() == X[index].tobytes()
+        assert len(cex.binding) == len(binding)
+        for (y, w), (y_ref, w_ref) in zip(cex.binding, binding):
+            assert y.tobytes() == y_ref.tobytes() and w == w_ref
+        return
+    for i, x in enumerate(X):
+        keep = np.arange(len(Y)) != i if skip_self else slice(None)
+        r = orient * R[i, keep]
+        excess = orient * ((Y[keep] - x) @ res.gammas[i]) - r
+        assert excess.max(initial=0.0) \
+            <= lp.FEAS_TOL * (1.0 + np.abs(r).max(initial=0.0))
+
+
+@pytest.mark.parametrize("cost, solves", [(ms.CostSpec.euclidean(), 0),
+                                          (ZERO, 1)])
+def test_line_solves_an_lp_only_to_refute(monkeypatch, cost, solves):
+    # every point of a line has its exact interval of slopes, so only the
+    # refuted point reaches the LP, for its binding core
+    xs, fx = _bclass_line()
+    calls = count_solves(monkeypatch)
+    res = mot.gamma_certify(fx, fx, xs, xs, cost)
+    assert len(calls) == solves
+    assert res.ok == (solves == 0)
+    if not res.ok:
+        assert len(res.counterexample.binding) <= 2
 
 
 def _fit_systems():

@@ -749,6 +749,31 @@ def _certify_by_lp(X, Y, R, orient, skip_self):
     return None
 
 
+def _assert_agrees_with_lp(res, X, Y, R, orient, skip_self, tol):
+    """``res`` has ``_certify_by_lp``'s verdict: the same refuted index,
+    point and binding core, byte for byte, or gammas that meet every row
+    within tol (1 + max|r|). Returns the number of points the reference
+    visited."""
+    ref = _certify_by_lp(X, Y, R, orient, skip_self)
+    assert res.ok == (ref is None)
+    if not res.ok:
+        index, binding = ref
+        cex = res.counterexample
+        assert cex.index == index
+        assert cex.point.tobytes() == X[index].tobytes()
+        assert len(cex.binding) == len(binding)
+        for (y, w), (y_ref, w_ref) in zip(cex.binding, binding):
+            assert y.tobytes() == y_ref.tobytes() and w == w_ref
+        return index + 1
+    for i, x in enumerate(X):
+        keep = np.arange(len(Y)) != i if skip_self else slice(None)
+        r = orient * R[i, keep]
+        excess = orient * ((Y[keep] - x) @ res.gammas[i]) - r
+        assert excess.max(initial=0.0) \
+            <= tol * (1.0 + np.abs(r).max(initial=0.0))
+    return len(X)
+
+
 def test_candidates_keep_every_lp_verdict(monkeypatch):
     farkas_lp, lps, visited = mot._farkas_lp, [], 0
 
@@ -757,27 +782,10 @@ def test_candidates_keep_every_lp_verdict(monkeypatch):
         return farkas_lp(D, r)
     monkeypatch.setattr(mot, "_farkas_lp", spy_lp)
     verdicts = set()
-    for X, Y, R, orient, skip_self in _certify_systems():
-        res = mot._certify_points(X, Y, R, orient, skip_self)
-        ref = _certify_by_lp(X, Y, R, orient, skip_self)
+    for system in _certify_systems():
+        res = mot._certify_points(*system)
         verdicts.add(res.ok)
-        assert res.ok == (ref is None)
-        if not res.ok:
-            index, binding = ref
-            cex = res.counterexample
-            assert cex.index == index
-            assert cex.point.tobytes() == X[index].tobytes()
-            assert len(cex.binding) == len(binding)
-            for (y, w), (y_ref, w_ref) in zip(cex.binding, binding):
-                assert y.tobytes() == y_ref.tobytes() and w == w_ref
-            visited += index + 1
-            continue
-        visited += len(X)
-        for i, x in enumerate(X):
-            keep = np.arange(len(Y)) != i if skip_self else slice(None)
-            r = orient * R[i, keep]
-            excess = orient * ((Y[keep] - x) @ res.gammas[i]) - r
-            assert excess.max() <= 1e-8 * (1.0 + np.abs(r).max())
+        visited += _assert_agrees_with_lp(res, *system, 1e-8)
     assert verdicts == {True, False}
     # the reference's own LPs are counted too: one per point it visits
     assert 0 < len(lps) - visited < visited / 4
@@ -823,29 +831,13 @@ def line_systems(draw):
 
 @given(line_systems())
 def test_line_candidates_keep_every_lp_verdict(system):
-    X, Y, R, orient, skip_self, clean = system
+    *system, clean = system
     with pytest.MonkeyPatch.context() as mp:
         calls = count_solves(mp)
-        res = mot._certify_points(X, Y, R, orient, skip_self)
-    ref = _certify_by_lp(X, Y, R, orient, skip_self)
-    assert res.ok == (ref is None)
+        res = mot._certify_points(*system)
+    _assert_agrees_with_lp(res, *system, lp.FEAS_TOL)
     # a line's candidate is exact: a feasible point never reaches the LP
     assert not clean or (res.ok and not calls)
-    if not res.ok:
-        index, binding = ref
-        cex = res.counterexample
-        assert cex.index == index
-        assert cex.point.tobytes() == X[index].tobytes()
-        assert len(cex.binding) == len(binding)
-        for (y, w), (y_ref, w_ref) in zip(cex.binding, binding):
-            assert y.tobytes() == y_ref.tobytes() and w == w_ref
-        return
-    for i, x in enumerate(X):
-        keep = np.arange(len(Y)) != i if skip_self else slice(None)
-        r = orient * R[i, keep]
-        excess = orient * ((Y[keep] - x) @ res.gammas[i]) - r
-        assert excess.max(initial=0.0) \
-            <= lp.FEAS_TOL * (1.0 + np.abs(r).max(initial=0.0))
 
 
 @pytest.mark.parametrize("cost, solves", [(ms.CostSpec.euclidean(), 0),

@@ -54,6 +54,25 @@ def affinely_independent(atoms: np.ndarray, tol: float = INDEPENDENCE_TOL) \
     return bool(s.min() > tol)
 
 
+def _extreme_failure(center: np.ndarray, atoms: np.ndarray,
+                     weights: np.ndarray) -> str | None:
+    """The first failed clause of an extreme convex-order pair (delta_center,
+    sum_i w_i delta_{x_i}), or None. Clauses in order: atom count <= dim+1,
+    all weights positive, atoms affinely independent, barycenter within
+    ``BARYCENTER_TOL`` of the center."""
+    d = center.size
+    if len(atoms) > d + 1:
+        return f"{len(atoms)} atoms exceed dim+1 = {d + 1}"
+    if np.any(weights <= 0):
+        return "a weight is not strictly positive"
+    if not affinely_independent(atoms):
+        return "atoms are affinely dependent"
+    gap = float(np.linalg.norm(weights @ atoms - center))
+    if gap > BARYCENTER_TOL:
+        return f"barycenter off center by {gap:.3e}"
+    return None
+
+
 @dataclass(frozen=True)
 class Fan:
     """Extreme point of the convex-order pairs: center plus at most dim+1
@@ -70,17 +89,11 @@ class Fan:
         d = c.size
         if a.shape[1] != d or w.shape != (a.shape[0],):
             raise DimensionMismatch("fan fields have inconsistent shapes")
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-10:
-            raise BarycenterMismatch(
-                "fan weights must be positive and sum to one")
-        if a.shape[0] > d + 1:
-            raise BarycenterMismatch(
-                f"{a.shape[0]} atoms exceed dim+1 = {d + 1}")
-        if not affinely_independent(a):
-            raise BarycenterMismatch("fan atoms are affinely dependent")
-        if np.linalg.norm(w @ a - c) > BARYCENTER_TOL:
-            raise BarycenterMismatch(
-                f"fan barycenter off by {np.linalg.norm(w @ a - c):.3e}")
+        if abs(w.sum() - 1.0) > 1e-10:
+            raise BarycenterMismatch("fan weights must sum to one")
+        reason = _extreme_failure(c, a, w)
+        if reason is not None:
+            raise BarycenterMismatch(f"not a fan: {reason}")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "atoms", a)
         object.__setattr__(self, "weights", w)
@@ -159,16 +172,6 @@ class OrderCertificate:
     witness: ConvexWitness | None = None
 
 
-def _check_martingale_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) \
-        -> None:
-    """Refuse a pair of unequal dimensions, or whose martingale LP is over
-    ``lp.check_size``'s budget, from the sizes alone: before the (m, n)
-    product of ``_hull_witness`` and before the rows are built."""
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
-    lp.check_size(len(mu) + len(nu) + len(mu) * mu.dim, len(mu) * len(nu))
-
-
 def _hull_witness(mu: DiscreteMeasure, nu: DiscreteMeasure) \
         -> ConvexWitness | None:
     """A two-piece witness max(0, <s, z> - h) when an atom of mu lies
@@ -210,7 +213,7 @@ def _martingale_rows(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Equality system (A, rels, b) of the martingale transport polytope,
     in the fixed row order: m row sums, n column sums, then d barycenter
     rows per source point. Callers check the sizes first
-    (``_check_martingale_pair``)."""
+    (``_martingale_lp``)."""
     m, n, d = len(mu), len(nu), mu.dim
     bary = np.zeros((m, d, m, n))
     # row (i, axis) holds y_j[axis] - x_i[axis] on the columns of source i
@@ -255,36 +258,58 @@ def _farkas_witness(mu: DiscreteMeasure, nu: DiscreteMeasure,
         intercepts=farkas[:m] - np.einsum("id,id->i", gamma, mu.points))
 
 
+def _martingale_lp(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                   cost: CostSpec | None = None) \
+        -> lp.LpSolution | ConvexWitness:
+    """The one martingale LP of (mu, nu), with cost c(x_i, y_j) on mu x nu
+    or, without a cost, zero (a feasibility check). Returns the optimal
+    ``LpSolution``, whose row multipliers are (u, -v, gamma), or a
+    ConvexWitness refuting convex order. In order: the sizes alone refuse
+    unequal dimensions and an LP over ``lp.check_size``'s budget;
+    ``_hull_witness`` refutes before any row is built; else one solve from
+    ``_martingale_start`` decides, ending optimal or infeasible (the set
+    is bounded), and a Farkas ray whose witness (``_farkas_witness``)
+    separates by no more than 1e-10 raises NumericalBreakdown."""
+    if mu.dim != nu.dim:
+        raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
+    m, n = len(mu), len(nu)
+    lp.check_size(m + n + m * mu.dim, m * n)
+    witness = _hull_witness(mu, nu)
+    if witness is not None:
+        return witness
+    A, rels, b = _martingale_rows(mu, nu)
+    c = np.zeros(m * n) if cost is None \
+        else cost.pairwise(mu.points, nu.points).ravel()
+    sol = lp.solve(lp.LinearProgram(c, A, rels, b),
+                   basis=_martingale_start(mu, nu))
+    if sol.status == lp.OPTIMAL:
+        return sol
+    witness = _farkas_witness(mu, nu, sol.farkas)
+    gap = witness.integral_gap(mu, nu)
+    if gap <= 1e-10:
+        raise NumericalBreakdown(
+            f"witness gap {gap:.3e} fails to separate the pair")
+    return witness
+
+
 def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure) \
         -> OrderCertificate:
     """Decide mu precedes nu in convex order.
 
     InOrder returns a martingale coupling. NotInOrder returns a convex
-    piecewise-affine witness. When an atom of mu lies outside the convex
-    hull of nu's support, that is the two-piece support-function witness
-    of ``_hull_witness``, and no LP is solved. Otherwise the feasibility
-    LP, started from ``_martingale_start``, decides, and a refusal's
-    witness is assembled from its Farkas certificate
-    (``_farkas_witness``): dual values of the barycenter rows become
-    slopes, those of the source-marginal rows become intercepts.
+    piecewise-affine witness: the two-piece support-function witness of
+    ``_hull_witness`` when an atom of mu lies outside the convex hull of
+    nu's support (no LP is solved), and otherwise the one read off the
+    Farkas ray of the feasibility LP (``_martingale_lp`` without a cost):
+    dual values of the barycenter rows become slopes, those of the
+    source-marginal rows intercepts.
     """
-    _check_martingale_pair(mu, nu)
-    witness = _hull_witness(mu, nu)
-    if witness is not None:
-        return OrderCertificate(in_order=False, witness=witness)
-    res = lp.check_feasibility(*_martingale_rows(mu, nu),
-                               basis=_martingale_start(mu, nu))
-    if res.status == lp.OPTIMAL:
-        mass = res.primal.reshape(len(mu), len(nu))
-        coupling = Coupling(mu, nu, mass / mass.sum(),
-                            marginal_consistent=True)
-        return OrderCertificate(in_order=True, coupling=coupling)
-    witness = _farkas_witness(mu, nu, res.farkas)
-    gap = witness.integral_gap(mu, nu)
-    if gap <= 1e-10:
-        raise NumericalBreakdown(
-            f"witness gap {gap:.3e} fails to separate the pair")
-    return OrderCertificate(in_order=False, witness=witness)
+    res = _martingale_lp(mu, nu)
+    if isinstance(res, ConvexWitness):
+        return OrderCertificate(in_order=False, witness=res)
+    mass = res.primal.reshape(len(mu), len(nu))
+    return OrderCertificate(in_order=True,
+                            coupling=Coupling(mu, nu, mass / mass.sum()))
 
 
 def strassen_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) \
@@ -422,24 +447,14 @@ class ExtremeCheck:
 def is_extreme_pair(center, nu: DiscreteMeasure) -> ExtremeCheck:
     """Is (delta_center, nu) an extreme convex-order pair?
 
-    Clauses in order: atom count <= dim+1, all weights positive, atoms
-    affinely independent, barycenter equals the center within 1e-9. The
-    reason names the first failed clause.
+    The clauses of ``_extreme_failure``, which ``Fan`` holds too; the
+    reason names the first failed one.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.size != nu.dim:
         raise DimensionMismatch(f"center dim {center.size} vs {nu.dim}")
-    d = nu.dim
-    if len(nu) > d + 1:
-        return ExtremeCheck(False, f"{len(nu)} atoms exceed dim+1 = {d + 1}")
-    if np.any(nu.weights <= 0):
-        return ExtremeCheck(False, "a weight is not strictly positive")
-    if not affinely_independent(nu.points):
-        return ExtremeCheck(False, "atoms are affinely dependent")
-    gap = float(np.linalg.norm(barycenter(nu) - center))
-    if gap > BARYCENTER_TOL:
-        return ExtremeCheck(False, f"barycenter off center by {gap:.3e}")
-    return ExtremeCheck(True)
+    reason = _extreme_failure(center, nu.points, nu.weights)
+    return ExtremeCheck(reason is None, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ and the Farkas ray are mapped back to the user's rows by the row signs.
 Phase 1 starts from the slack/artificial identity, or from a starting
 basis the caller passes to ``solve``: one entry per row, a user column
 or -1 for an artificial on that row (the coupling LPs of ``ot`` pass
-their least-cost staircase, the martingale LPs of ``convex_order`` and
-``mot`` a staircase on their marginal rows). An artificial that a
+their least-cost staircase, the martingale LP of ``convex_order`` a
+staircase on its marginal rows). An artificial that a
 starting basis puts below -FEAS_TOL enters with coefficient -1 instead
 of +1, so it starts above zero; -e_i is still an artificial for row i,
 and the Farkas ray and its validation are the same. The basic values
@@ -519,12 +519,12 @@ def _extract_primal(M, b, basis, xb) -> np.ndarray:
     refresh that confirmed phase 2's optimum; without phase 2 it is None
     and solved here, and a singular basis raises. A basic value below
     -1e-6 (1 + |b|), an artificial carrying mass or a row residual above
-    max(1e-8, FEAS_TOL) (1 + |b|) raises NumericalBreakdown."""
+    1e-8 (1 + |b|) raises NumericalBreakdown."""
     n_real = M.shape[1] - M.shape[0]
     if xb is None:
         xb = _solve_basis(M[:, basis], b, "primal extraction")
     scale = 1.0 + np.abs(b).max(initial=0.0)
-    thresh = max(1e-8, FEAS_TOL) * scale
+    thresh = 1e-8 * scale
     z = np.zeros(M.shape[1])
     z[basis] = np.maximum(xb, 0.0)
     # artificial columns must carry no mass: they are bookkeeping, not

@@ -4,8 +4,8 @@ Points are plain 1-D float64 arrays; a measure stores its support as an
 (m, dim) array plus a weight vector. Point identity is exact coordinate
 equality throughout: callers must deduplicate or snap beforehand.
 
-Mass tolerances: 1e-12 at construction, 1e-10 for objects derived from LP
-solutions (round-off accumulates there).
+Mass tolerances: 1e-12 at construction, 1e-10 for every coupling's
+marginals (couplings come from LP solutions, where round-off accumulates).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
 )
 
 MASS_TOL = 1e-12          # construction
-DERIVED_MASS_TOL = 1e-10  # marginal consistency of LP-derived objects
+DERIVED_MASS_TOL = 1e-10  # every marginal of every coupling
 
 
 def point_key(p) -> tuple:
@@ -123,44 +123,6 @@ def integrate(values, m: DiscreteMeasure) -> float:
 
 
 @dataclass(frozen=True)
-class Coupling:
-    """Joint mass over the product of two stored supports."""
-
-    left: DiscreteMeasure
-    right: DiscreteMeasure
-    mass: np.ndarray  # (len(left), len(right))
-    marginal_consistent: bool = False
-
-    def __post_init__(self):
-        mat = np.asarray(self.mass, dtype=float)
-        if mat.shape != (len(self.left), len(self.right)):
-            raise DimensionMismatch(
-                f"mass has shape {mat.shape}, expected "
-                f"({len(self.left)}, {len(self.right)})")
-        if np.any(mat < 0):
-            raise NegativeWeight(f"negative mass entry {mat.min()}")
-        if abs(mat.sum() - 1.0) > MASS_TOL:
-            raise MassNotOne(f"total mass {mat.sum()!r}")
-        if self.marginal_consistent:
-            row_err = np.max(np.abs(mat.sum(axis=1) - self.left.weights))
-            col_err = np.max(np.abs(mat.sum(axis=0) - self.right.weights))
-            if max(row_err, col_err) > DERIVED_MASS_TOL:
-                raise MassNotOne(
-                    f"marginal residuals ({row_err:.3e}, {col_err:.3e}) "
-                    f"exceed {DERIVED_MASS_TOL}")
-        object.__setattr__(self, "mass", _freeze(mat))
-
-
-def marginals(c: Coupling) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-    """Row-sum and column-sum measures over the stored supports."""
-    row = c.mass.sum(axis=1)
-    col = c.mass.sum(axis=0)
-    left = DiscreteMeasure(c.left.dim, c.left.points, row / row.sum())
-    right = DiscreteMeasure(c.right.dim, c.right.points, col / col.sum())
-    return left, right
-
-
-@dataclass(frozen=True)
 class MultiCoupling:
     """Joint mass tensor over the product of k measures' supports; the
     sums along each axis are its measure's weights within
@@ -187,6 +149,32 @@ class MultiCoupling:
                                  f"exceeds {DERIVED_MASS_TOL}")
         object.__setattr__(self, "measures", measures)
         object.__setattr__(self, "mass", _freeze(t))
+
+
+class Coupling(MultiCoupling):
+    """The two-measure MultiCoupling: a (len(left), len(right)) mass
+    matrix whose row and column sums are left's and right's weights."""
+
+    def __init__(self, left: DiscreteMeasure, right: DiscreteMeasure,
+                 mass):
+        super().__init__((left, right), mass)
+
+    @property
+    def left(self) -> DiscreteMeasure:
+        return self.measures[0]
+
+    @property
+    def right(self) -> DiscreteMeasure:
+        return self.measures[1]
+
+
+def marginals(c: Coupling) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+    """Row-sum and column-sum measures over the stored supports."""
+    row = c.mass.sum(axis=1)
+    col = c.mass.sum(axis=0)
+    left = DiscreteMeasure(c.left.dim, c.left.points, row / row.sum())
+    right = DiscreteMeasure(c.right.dim, c.right.points, col / col.sum())
+    return left, right
 
 
 def union_points(*arrays) -> np.ndarray:

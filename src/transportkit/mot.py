@@ -6,8 +6,9 @@ through per-point gamma fields, generation and extension of the associated
 function class, uniform convexity and smoothness certificates, and the
 martingale triangle inequality checks (sampled and second-order).
 
-``mot_primal`` and ``mot_dual`` solve one martingale LP (m + n + m d rows)
-and the dual is read off its row multipliers; the symmetric dual (f, gamma)
+``mot_primal`` and ``mot_dual`` solve the martingale LP of
+``convex_order._martingale_lp`` (m + n + m d rows) with their cost, and
+the dual is read off its row multipliers; the symmetric dual (f, gamma)
 on a support union of u points is read off a flow-and-barycenter primal
 with u (1 + d) rows.
 
@@ -39,12 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .convex_order import (
-    _check_martingale_pair,
-    _hull_witness,
-    _martingale_rows,
-    _martingale_start,
-)
+from .convex_order import _hull_witness, _martingale_lp
 from .errors import (
     BadCheckParameter,
     DimensionMismatch,
@@ -180,34 +176,20 @@ class ExtendResult:
 # ---------------------------------------------------------------------------
 
 def _solve_martingale(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                      cost: CostSpec, what: str) -> lp.LpSolution:
-    """The LP over martingale couplings, started from
-    ``_martingale_start``, whose row multipliers are the dual (u, -v,
-    gamma); raises unless it is optimal. A pair out of convex order
-    raises NotInConvexOrder: at once, before any row is built, when the
-    support-function witness of ``convex_order._hull_witness`` refutes
-    it, and otherwise when the LP is infeasible (its Farkas ray is the
-    witness)."""
-    _check_martingale_pair(mu, nu)
-    if _hull_witness(mu, nu) is not None:
+                      cost: CostSpec) -> lp.LpSolution:
+    """``_martingale_lp`` with a cost; a refuted pair raises."""
+    sol = _martingale_lp(mu, nu, cost)
+    if not isinstance(sol, lp.LpSolution):
         raise NotInConvexOrder("no martingale coupling exists")
-    A, rels, b = _martingale_rows(mu, nu)
-    C = cost.pairwise(mu.points, nu.points)
-    sol = lp.solve(lp.LinearProgram(C.ravel(), A, rels, b),
-                   basis=_martingale_start(mu, nu))
-    if sol.status == lp.INFEASIBLE:
-        raise NotInConvexOrder("no martingale coupling exists")
-    if sol.status != lp.OPTIMAL:
-        raise NumericalBreakdown(f"{what}: LP terminated {sol.status}")
     return sol
 
 
 def mot_primal(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
-    """Cheapest martingale coupling; returns (Coupling, value)."""
-    sol = _solve_martingale(mu, nu, cost, "mot_primal")
+    """Cheapest martingale coupling; returns (Coupling, value). A pair out
+    of convex order raises NotInConvexOrder, as in ``mot_dual``."""
+    sol = _solve_martingale(mu, nu, cost)
     mass = sol.primal.reshape(len(mu), len(nu))
-    return Coupling(mu, nu, mass / mass.sum(), marginal_consistent=True), \
-        float(sol.value)
+    return Coupling(mu, nu, mass / mass.sum()), float(sol.value)
 
 
 def mot_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
@@ -220,7 +202,7 @@ def mot_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
     witness when an atom of mu lies outside the hull of nu's support, and
     otherwise by the LP's Farkas ray.
     """
-    sol = _solve_martingale(mu, nu, cost, "mot_dual")
+    sol = _solve_martingale(mu, nu, cost)
     m, n, y = len(mu), len(nu), sol.dual
     dual = GammaDual(mu.points, nu.points, y[:m], -y[m:m + n],
                      y[m + n:].reshape(m, mu.dim))

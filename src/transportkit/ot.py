@@ -116,12 +116,6 @@ def _check_dims(mu: DiscreteMeasure, nu: DiscreteMeasure):
     lp.check_size(len(mu) + len(nu), len(mu) * len(nu))
 
 
-def _require_optimal(sol: lp.LpSolution, what: str) -> lp.LpSolution:
-    if sol.status != lp.OPTIMAL:
-        raise NumericalBreakdown(f"{what}: LP terminated {sol.status}")
-    return sol
-
-
 # ---------------------------------------------------------------------------
 # Two-marginal Kantorovich problem
 # ---------------------------------------------------------------------------
@@ -129,10 +123,9 @@ def _require_optimal(sol: lp.LpSolution, what: str) -> lp.LpSolution:
 def _marginal_rows(measures):
     """Equality rows (A, b) fixing every marginal of a coupling on the
     product of the supports (flattened in C order): for each measure in
-    turn, one row per atom."""
+    turn, one row per atom. Callers check the sizes first."""
     sizes = tuple(len(m) for m in measures)
     N = math.prod(sizes)
-    lp.check_size(sum(sizes), N)
     cols = np.arange(N)
     offsets = np.cumsum((0,) + sizes[:-1])
     A = np.zeros((sum(sizes), N))
@@ -187,7 +180,10 @@ def _solve_couplings(measures, C, what) -> lp.LpSolution:
     A, b = _marginal_rows(measures)
     prog = lp.LinearProgram(C.ravel(), A, (lp.EQ,) * len(b), b)
     start = _least_cost_basis(C, [m.weights for m in measures])
-    return _require_optimal(lp.solve(prog, basis=start), what)
+    sol = lp.solve(prog, basis=start)
+    if sol.status != lp.OPTIMAL:
+        raise NumericalBreakdown(f"{what}: LP terminated {sol.status}")
+    return sol
 
 
 def kantorovich_primal(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -197,8 +193,7 @@ def kantorovich_primal(mu: DiscreteMeasure, nu: DiscreteMeasure,
     sol = _solve_couplings((mu, nu), cost.pairwise(mu.points, nu.points),
                            "kantorovich_primal")
     mass = sol.primal.reshape(len(mu), len(nu))
-    coupling = Coupling(mu, nu, mass / mass.sum(), marginal_consistent=True)
-    return coupling, float(sol.value)
+    return Coupling(mu, nu, mass / mass.sum()), float(sol.value)
 
 
 def kantorovich_dual(mu: DiscreteMeasure, nu: DiscreteMeasure,

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import json
 
@@ -6,6 +7,8 @@ import pytest
 
 from transportkit import cli, convex_order
 from transportkit.errors import NumericalBreakdown
+from transportkit.functions import Box, Grid
+from transportkit.measures import CostSpec
 
 
 def write(tmp_path, name, obj):
@@ -373,6 +376,28 @@ def test_mti_hessian_cli(capsys):
         "--grid", '{"box":[[-1.0,1.0]],"counts":[9]}'])
     assert code == 0
     assert report["results"]["ok"] is True
+
+
+def test_mti_hessian_refutation_report():
+    # no JSON cost reaches the refutation: the quartic (x - y)^4, smooth
+    # on the diagonal, has Hessian 12 (x - y)^2 in y against 0 at (y, y)
+    quartic = CostSpec.custom(lambda x, y: float(np.sum((x - y) ** 4)))
+    grid = Grid(Box([-1.0], [1.0]), (9,))
+    results, code = cli._cmd_mti_hessian(argparse.Namespace(step=1e-4),
+                                         quartic, grid)
+    assert code == 2 and results["ok"] is False
+    report = json.loads(json.dumps(cli._js(results), allow_nan=False))
+    (x,), (y,) = report["x"], report["y"]
+    assert report["eigenvalue_gap"] == pytest.approx(-12.0 * (x - y) ** 2,
+                                                     abs=1e-5)
+
+
+def test_ot_multi_needs_two_measures(measures, capsys):
+    code = cli.main(["ot", "multi", "--mu", measures["d0"],
+                     "--cost", '{"kind":"euclidean"}'])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: mu: need at least two --mu arguments\n"
 
 
 def test_ucvx_certify_cli(capsys):

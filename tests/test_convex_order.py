@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 from conftest import count_solves, kernel_pairs, mean_preserving_spread, \
     nu3, planar_spread_pair, pm1, random_convex_order_pair, random_measure
 from transportkit import convex_order as co, lp, measures as ms, mot
-from transportkit.errors import BarycenterMismatch, NotInConvexOrder
+from transportkit.errors import BarycenterMismatch, DimensionMismatch, \
+    NotInConvexOrder
 
 
 def spread_pair(seed, index):
@@ -126,6 +127,12 @@ def test_refusals_inside_the_hull_come_from_the_lp(mu, nu, monkeypatch):
     cert = co.convex_order_check(mu, nu)
     assert not cert.in_order and len(calls) == 1
     assert cert.witness.integral_gap(mu, nu) > 1e-10
+    # mot_primal and mot_dual reach the same verdict from the same LP
+    for solve in (mot.mot_primal, mot.mot_dual):
+        calls.clear()
+        with pytest.raises(NotInConvexOrder):
+            solve(mu, nu, ms.CostSpec.euclidean())
+        assert len(calls) == 1
 
 
 def test_hull_refusals_solve_no_lp(monkeypatch):
@@ -200,6 +207,18 @@ def test_strassen_raises_when_not_in_order():
         co.strassen_coupling(pm1(), ms.dirac([0.0]))
 
 
+def test_zero_weight_source_is_skipped():
+    # mu's middle atom has no mass: its row of the coupling is empty, so
+    # disintegrate gives it no fiber, and the fans still recompose mu
+    mu = ms.new_measure(1, [[-0.5], [0.0], [0.5]], [0.5, 0.0, 0.5])
+    nu = nu3()
+    fibers = co.disintegrate(co.strassen_coupling(mu, nu))
+    assert [x.tolist() for x, _, _ in fibers] == [[-0.5], [0.5]]
+    rep = co.choquet_represent(mu, nu)
+    assert max(rep.recomposition_error(mu, nu)) <= co.TV_TOL
+    assert {fan.center[0] for _, fan in rep.entries} == {-0.5, 0.5}
+
+
 def test_strassen_barycenter_residual_scaled():
     rng = np.random.default_rng(71)
     for _ in range(10):
@@ -213,8 +232,7 @@ def test_strassen_barycenter_residual_scaled():
 
 def test_disintegrate_examples():
     nu = pm1()
-    prod = ms.Coupling(ms.dirac([0.0]), nu, np.array([[0.5, 0.5]]),
-                       marginal_consistent=True)
+    prod = ms.Coupling(ms.dirac([0.0]), nu, np.array([[0.5, 0.5]]))
     fibers = co.disintegrate(prod)
     assert len(fibers) == 1
     x, mass, cond = fibers[0]
@@ -222,8 +240,7 @@ def test_disintegrate_examples():
     assert np.allclose(cond.weights, nu.weights)
 
     mu = ms.new_measure(1, [[0.0], [3.0]], [0.25, 0.75])
-    diag = ms.Coupling(mu, mu, np.diag(mu.weights),
-                       marginal_consistent=True)
+    diag = ms.Coupling(mu, mu, np.diag(mu.weights))
     for i, (x, mass, cond) in enumerate(co.disintegrate(diag)):
         assert mass == pytest.approx(mu.weights[i])
         assert cond.weights[i] == pytest.approx(1.0)
@@ -433,6 +450,34 @@ def test_choquet_drops_noise_branches():
 
 
 # --- is_extreme_pair -----------------------------------------------------------
+
+@pytest.mark.parametrize("center, atoms, weights, reason", [
+    ([0.0], [[-1.0], [0.0], [1.0]], [0.25, 0.5, 0.25],
+     "3 atoms exceed dim+1 = 2"),
+    ([0.0], [[0.0], [1.0]], [1.0, 0.0], "a weight is not strictly positive"),
+    ([0.0, 0.0], [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [0.25, 0.5, 0.25],
+     "atoms are affinely dependent"),
+    ([0.5], [[-1.0], [1.0]], [0.5, 0.5], "barycenter off center by 5.000e-01"),
+], ids=["too-many-atoms", "zero-weight", "dependent", "off-center"])
+def test_fan_refuses_what_is_extreme_pair_refuses(center, atoms, weights,
+                                                  reason):
+    # one clause list: the fan's refusal names the same clause
+    with pytest.raises(BarycenterMismatch) as refusal:
+        co.Fan(np.array(center), np.array(atoms), np.array(weights))
+    assert str(refusal.value) == f"not a fan: {reason}"
+    nu = ms.DiscreteMeasure(len(center), atoms, weights)
+    assert co.is_extreme_pair(center, nu).reason == reason
+
+
+def test_fan_refuses_bad_shapes_and_mass():
+    with pytest.raises(DimensionMismatch, match="inconsistent shapes"):
+        co.Fan(np.array([0.0]), np.array([[-1.0, 0.0]]), np.array([1.0]))
+    with pytest.raises(DimensionMismatch, match="inconsistent shapes"):
+        co.Fan(np.array([0.0]), np.array([[-1.0], [1.0]]), np.array([1.0]))
+    with pytest.raises(BarycenterMismatch, match="must sum to one"):
+        co.Fan(np.array([0.0]), np.array([[-1.0], [1.0]]),
+               np.array([0.5, 0.6]))
+
 
 def test_is_extreme_examples():
     assert co.is_extreme_pair([0.0], pm1()).ok

@@ -467,9 +467,9 @@ def test_sliver_of_the_column_is_no_pivot(monkeypatch):
     assert rows.tolist() == [1]
     # the negative basic value is guarded by _extract_primal: it clamps
     # basic values at zero and accepts them above -1e-6 (1 + |b|), and
-    # the row the clamp leaves short misses by 5e-10, inside
-    # max(1e-8, FEAS_TOL) (1 + |b|). The clamp in _lex_leaving acts only
-    # on later ratio tests, and there are none here.
+    # the row the clamp leaves short misses by 5e-10, inside 1e-8 (1 +
+    # |b|). The clamp in _lex_leaving acts only on later ratio tests, and
+    # there are none here.
     assert basic[0].min() == pytest.approx(-5e-10, rel=1e-6)
     assert sol.status == lp.OPTIMAL and sol.value == -1.0
     assert lp.residual_report(prog, sol)["primal"] == \

@@ -67,8 +67,7 @@ def test_marginals_product_and_diagonal():
 def test_marginals_two_by_two():
     mu = ms.new_measure(1, [[0.0], [2.0]], [0.5, 0.5])
     nu = ms.new_measure(1, [[1.0], [3.0]], [0.5, 0.5])
-    c = ms.Coupling(mu, nu, np.array([[0.5, 0.0], [0.0, 0.5]]),
-                    marginal_consistent=True)
+    c = ms.Coupling(mu, nu, np.array([[0.5, 0.0], [0.0, 0.5]]))
     left, right = ms.marginals(c)
     assert np.allclose(left.weights, [0.5, 0.5])
     assert np.allclose(right.weights, [0.5, 0.5])
@@ -86,6 +85,14 @@ def test_multicoupling_checks_every_marginal():
     moved[1, 0, 0] += 1e-9
     with pytest.raises(MassNotOne, match="marginal 0 residual"):
         ms.MultiCoupling((mu, nu, mu), moved)
+    # a Coupling is the two-measure case: the same check, however built
+    plan = np.outer(mu.weights, nu.weights)
+    c = ms.Coupling(mu, nu, plan.copy())
+    assert c.left is c.measures[0] is mu and c.right is c.measures[1] is nu
+    plan[0, 0] -= 1e-9
+    plan[1, 0] += 1e-9
+    with pytest.raises(MassNotOne, match="marginal 0 residual"):
+        ms.Coupling(mu, nu, plan)
 
 
 def test_evaluate_cost_examples():

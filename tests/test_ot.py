@@ -290,6 +290,24 @@ def test_multimarginal_forced_instance():
     assert pots.max_violation(cost) <= 1e-9
 
 
+def test_custom_multicost_matches_pairwise_sum():
+    # the k-ary sum of euclidean distances, wrapped as a custom cost, is
+    # pairwise_sum(euclidean): the same tensor and the same optimal value
+    rng = np.random.default_rng(37)
+    measures = [random_measure(rng, 2, 4) for _ in range(3)]
+    custom = ms.MultiCost.custom(lambda xs: sum(
+        float(np.linalg.norm(xs[i] - xs[j]))
+        for i in range(len(xs)) for j in range(i + 1, len(xs))))
+    summed = ms.MultiCost.pairwise_sum(ms.CostSpec.euclidean())
+    supports = [m.points for m in measures]
+    tensor = custom.tensor(supports)
+    assert tensor.shape == tuple(len(m) for m in measures)
+    assert np.allclose(tensor, summed.tensor(supports), rtol=0, atol=1e-12)
+    _, value = ot.multimarginal_primal(measures, custom)
+    assert value == pytest.approx(
+        ot.multimarginal_primal(measures, summed)[1], abs=1e-12)
+
+
 def test_multimarginal_k2_agrees_with_two_marginal():
     rng = np.random.default_rng(31)
     mu = random_measure(rng, 2, 6)

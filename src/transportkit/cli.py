@@ -157,17 +157,14 @@ def _read_arguments(args):
     return inputs, built
 
 
-def _js(x):
-    """Recursively make a results object JSON-serializable."""
+def _plain(x):
+    """``json.dumps``'s default hook: a numpy array becomes a list and a
+    numpy scalar a Python scalar."""
     if isinstance(x, np.ndarray):
         return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
+    if isinstance(x, np.generic):
         return x.item()
-    if isinstance(x, dict):
-        return {k: _js(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_js(v) for v in x]
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +190,9 @@ def _cmd_ot_dual(args, mu, nu, cost):
 def _cmd_ot_kr(args, mu, nu, cost):
     f, value = ot.kr_dual(mu, nu, cost)
     coupling, primal = ot.kantorovich_primal(mu, nu, cost)
-    tol = args.tol if args.tol is not None else 1e-7
     return {"value": value, "primal_value": primal,
             "points": f.points, "f": f.values,
-            "tight": ot.kr_tight_check(f, coupling, cost, tol),
+            "tight": ot.kr_tight_check(f, coupling, cost, args.tol),
             "coupling": coupling.mass}, 0
 
 
@@ -274,9 +270,9 @@ def _check_report(check, gap_key):
 
 
 def _cmd_class_check(args, f1, f2, cost, domain):
-    tol = args.tol if args.tol is not None else mot.VIOLATION_TOL
     return _check_report(mot.simplex_inequality_check(
-        f1, f2, cost, domain, args.samples, args.seed, tol), "max_violation")
+        f1, f2, cost, domain, args.samples, args.seed, args.tol),
+        "max_violation")
 
 
 def _gamma_report(res):
@@ -314,9 +310,8 @@ def _cmd_class_extend(args, g, cost, gamma, targets,
 
 
 def _cmd_mti_check(args, cost, domain):
-    tol = args.tol if args.tol is not None else mot.VIOLATION_TOL
     return _check_report(mot.mti_check(
-        cost, domain, args.samples, args.seed, tol), "max_abs_gap")
+        cost, domain, args.samples, args.seed, args.tol), "max_abs_gap")
 
 
 def _cmd_mti_hessian(args, cost, grid):
@@ -373,14 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=handler, json_kinds=kinds, given=given)
 
     pair = {"mu": "measure", "nu": "measure"}
-    tol = {"type": float, "default": None,
-           "help": "override the command's check tolerance"}
+    tol = {"type": float, "default": mot.VIOLATION_TOL,
+           "help": "check tolerance (default %(default)s)"}
     samples = {"type": int, "default": 1000}
 
     g_ot = top.add_parser("ot").add_subparsers(dest="cmd", required=True)
     leaf(g_ot, "solve", _cmd_ot_solve, **pair, cost="cost")
     leaf(g_ot, "dual", _cmd_ot_dual, **pair, cost="cost")
-    leaf(g_ot, "kr", _cmd_ot_kr, **pair, cost="cost", tol=tol)
+    leaf(g_ot, "kr", _cmd_ot_kr, **pair, cost="cost",
+         tol=dict(tol, default=1e-7))
     leaf(g_ot, "multi", _cmd_ot_multi,
          mu={"kind": "measure", "required": True, "action": "append",
              "help": "one per marginal, repeatable"},
@@ -427,21 +423,17 @@ _CSV_COMMANDS = {"class certify", "class extend", "ucvx certify",
 
 
 def _to_csv(command: str, results: dict) -> str:
+    if command == "class extend":
+        pts, rows = results["targets"], [[v] for v in results["values"]]
+        header = ["value"]
+    else:
+        pts, rows = results["points"], results["gamma"]
+        header = [f"gamma{i}" for i in range(len(pts[0]))]
     buf = io.StringIO()
     w = csv.writer(buf)
-    if command == "class extend":
-        pts = results["targets"]
-        dim = len(pts[0])
-        w.writerow([f"x{i}" for i in range(dim)] + ["value"])
-        for p, v in zip(pts, results["values"]):
-            w.writerow(list(p) + [v])
-    else:
-        pts = results["points"]
-        dim = len(pts[0])
-        w.writerow([f"x{i}" for i in range(dim)]
-                   + [f"gamma{i}" for i in range(dim)])
-        for p, g in zip(pts, results["gamma"]):
-            w.writerow(list(p) + list(g))
+    w.writerow([f"x{i}" for i in range(len(pts[0]))] + header)
+    for p, r in zip(pts, rows):
+        w.writerow(list(p) + list(r))
     return buf.getvalue()
 
 
@@ -483,12 +475,12 @@ def run(argv) -> int:
             print("error: format: csv output needs a certified gamma "
                   "table", file=sys.stderr)
             return 1
-        payload = _to_csv(command, _js(results))
+        payload = _to_csv(command, results)
     else:
-        report = {"command": command, "inputs": _js(inputs),
-                  "results": _js(results), "timing_ms": elapsed_ms,
+        report = {"command": command, "inputs": inputs,
+                  "results": results, "timing_ms": elapsed_ms,
                   "seed": args.seed, "tool_version": __version__}
-        payload = json.dumps(report, indent=2)
+        payload = json.dumps(report, indent=2, default=_plain)
 
     if args.out:
         with open(args.out, "w") as fh:

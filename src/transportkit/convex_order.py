@@ -6,7 +6,10 @@ A fan is a pair (delta_x, sum_i lambda_i delta_{x_i}) whose atoms are
 affinely independent, at most dim+1 of them, with barycenter x. Every
 convex-order pair is a mixture of fans; the decomposition here repeatedly
 splits a fiber measure along a kernel direction of the lifted weighted
-atom matrix, removing at least one atom per branch.
+atom matrix, removing at least one atom per branch. A leaf's weights are
+its products of split factors plus the least-squares solution of their
+residual in [atoms^T; 1] lambda = [center; 1], unless that sum is not
+positive.
 """
 
 from __future__ import annotations
@@ -152,17 +155,19 @@ class ConvexWitness:
     slopes: np.ndarray      # (p, d)
     intercepts: np.ndarray  # (p,)
 
+    def on(self, points) -> np.ndarray:
+        """The witness at each row of an (n, d) array."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.max(self.slopes @ points.T + self.intercepts[:, None],
+                      axis=0)
+
     def __call__(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(np.max(self.slopes @ x + self.intercepts))
+        return float(self.on(x)[0])
 
     def integral_gap(self, mu: DiscreteMeasure, nu: DiscreteMeasure) \
             -> float:
-        vals_mu = np.max(self.slopes @ mu.points.T
-                         + self.intercepts[:, None], axis=0)
-        vals_nu = np.max(self.slopes @ nu.points.T
-                         + self.intercepts[:, None], axis=0)
-        return float(mu.weights @ vals_mu - nu.weights @ vals_nu)
+        return float(mu.weights @ self.on(mu.points)
+                     - nu.weights @ self.on(nu.points))
 
 
 @dataclass(frozen=True)
@@ -371,7 +376,12 @@ def fan_decompose(center, nu: DiscreteMeasure) -> FanRepresentation:
         mix, atoms, w = stack.pop()
         d = atoms.shape[1]
         if atoms.shape[0] <= d + 1 and affinely_independent(atoms):
-            leaves.append((mix, atoms, w))
+            # w, a product of split factors, misses the center by more
+            # than BARYCENTER_TOL beside atoms of weight ~1e-10
+            lifted = np.vstack([atoms.T, np.ones(len(atoms))])
+            lam = w + np.linalg.lstsq(
+                lifted, np.append(center, 1.0) - lifted @ w, rcond=None)[0]
+            leaves.append((mix, atoms, lam if np.all(lam > 0) else w))
             continue
         t = _split_direction(atoms, w)
         pos = t > 1e-14

@@ -35,7 +35,7 @@ def point_key(p) -> tuple:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    a = np.array(a, dtype=float, order="C")  # a copy, never the caller's
     a.flags.writeable = False
     return a
 
@@ -85,24 +85,15 @@ class DiscreteMeasure:
 
 
 def new_measure(dim: int, points, weights) -> DiscreteMeasure:
-    """Validate and build a DiscreteMeasure.
-
-    Weights are renormalized only when their sum deviates from 1 by at
-    most 1e-9; larger deviations raise MassNotOne.
+    """Build a DiscreteMeasure, renormalizing weights whose sum deviates
+    from 1 by at most 1e-9; larger deviations raise MassNotOne, and
+    DiscreteMeasure checks the rest.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or pts.shape[0] != w.shape[0]:
-        raise DimensionMismatch(
-            f"{pts.shape[0]} points but {w.size} weights")
-    if np.any(w < 0):
-        raise NegativeWeight(f"negative weight {w.min()}")
     total = w.sum()
     if abs(total - 1.0) > 1e-9:
         raise MassNotOne(f"weights sum to {total!r}, deviation exceeds 1e-9")
-    return DiscreteMeasure(dim=int(dim), points=pts, weights=w / total)
+    return DiscreteMeasure(dim=int(dim), points=points, weights=w / total)
 
 
 def dirac(point) -> DiscreteMeasure:

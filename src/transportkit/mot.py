@@ -290,20 +290,35 @@ def mti_violation(cost: CostSpec, base, atoms, lambdas) -> float:
     return float(lam @ from_base - cost(base, bary) - lam @ from_bary)
 
 
-def _check_samples(n_samples: int) -> None:
-    if n_samples < 1:
-        raise BadCheckParameter(f"need at least one sample, got "
-                                f"{n_samples}")
-
-
 def _sample_tuple(box: Box, seed: int, index: int, with_base: bool):
-    # per-sample generator so serial and parallel runs agree; the pair
-    # (seed, index) is hashed whole so distinct pairs draw distinct tuples
+    # one generator per sample, seeded by the pair (seed, index) hashed
+    # whole, so distinct pairs draw distinct tuples
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     atoms = box.sample(rng, box.dim + 1)
     lam = rng.dirichlet(np.ones(box.dim + 1))
     base = box.sample(rng, 1)[0] if with_base else None
     return atoms, lam, base
+
+
+def _sampled_check(violation, domain: Box, n_samples: int, seed: int,
+                   tol: float, with_base: bool,
+                   magnitude=float) -> SampledCheck:
+    """Draw ``_sample_tuple`` i = 0, 1, ... and stop at the first whose
+    ``violation(atoms, lam, base)`` exceeds tol; ``max_violation`` is the
+    largest ``magnitude`` of a violation seen."""
+    if n_samples < 1:
+        raise BadCheckParameter(f"need at least one sample, got "
+                                f"{n_samples}")
+    worst = -np.inf
+    for i in range(n_samples):
+        atoms, lam, base = _sample_tuple(domain, seed, i, with_base)
+        v = violation(atoms, lam, base)
+        worst = max(worst, magnitude(v))
+        if v > tol:
+            return SampledCheck(False,
+                                SimplexWitness(atoms, lam, v, base=base),
+                                i + 1, worst)
+    return SampledCheck(True, None, n_samples, worst)
 
 
 def simplex_inequality_check(f1, f2, cost: CostSpec, domain: Box,
@@ -312,33 +327,19 @@ def simplex_inequality_check(f1, f2, cost: CostSpec, domain: Box,
     """Sample simplex tuples (atoms uniform in the box, flat Dirichlet
     weights); report the first violation above tol, or Ok with the largest
     violation seen. Fewer than one sample raises BadCheckParameter."""
-    _check_samples(n_samples)
-    worst = -np.inf
-    for i in range(n_samples):
-        atoms, lam, _ = _sample_tuple(domain, seed, i, with_base=False)
-        v = simplex_violation(f1, f2, cost, atoms, lam)
-        worst = max(worst, v)
-        if v > tol:
-            return SampledCheck(False, SimplexWitness(atoms, lam, v),
-                                i + 1, worst)
-    return SampledCheck(True, None, n_samples, worst)
+    return _sampled_check(
+        lambda atoms, lam, _: simplex_violation(f1, f2, cost, atoms, lam),
+        domain, n_samples, seed, tol, with_base=False)
 
 
 def mti_check(cost: CostSpec, domain: Box, n_samples: int, seed: int,
               tol: float = VIOLATION_TOL) -> SampledCheck:
     """Sampled martingale triangle inequality with an independent base
-    point per tuple. Fewer than one sample raises BadCheckParameter."""
-    _check_samples(n_samples)
-    worst = -np.inf
-    for i in range(n_samples):
-        atoms, lam, base = _sample_tuple(domain, seed, i, with_base=True)
-        v = mti_violation(cost, base, atoms, lam)
-        worst = max(worst, abs(v))
-        if v > tol:
-            return SampledCheck(False,
-                                SimplexWitness(atoms, lam, v, base=base),
-                                i + 1, worst)
-    return SampledCheck(True, None, n_samples, worst)
+    point per tuple; ``max_violation`` is the largest |gap| seen. Fewer
+    than one sample raises BadCheckParameter."""
+    return _sampled_check(
+        lambda atoms, lam, base: mti_violation(cost, base, atoms, lam),
+        domain, n_samples, seed, tol, with_base=True, magnitude=abs)
 
 
 def gamma_certify(f1, f2, X, Y, cost: CostSpec) -> GammaResult:

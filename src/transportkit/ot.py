@@ -109,11 +109,19 @@ class TightSet:
     right_points: np.ndarray
 
 
-def _check_dims(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"marginal dims {mu.dim} vs {nu.dim}")
-    # before the cost matrix is built
-    lp.check_size(len(mu) + len(nu), len(mu) * len(nu))
+def _check_marginals(measures) -> tuple:
+    """The measures as a tuple, after refusing fewer than two, unequal
+    dimensions, and a coupling LP over ``lp.check_size``'s budget, from
+    the sizes alone: before any cost is built."""
+    measures = tuple(measures)
+    if len(measures) < 2:
+        raise DimensionMismatch("need at least two marginals")
+    if len({m.dim for m in measures}) > 1:
+        raise DimensionMismatch("marginal dims "
+                                + " vs ".join(str(m.dim) for m in measures))
+    sizes = [len(m) for m in measures]
+    lp.check_size(sum(sizes), math.prod(sizes))
+    return measures
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +197,7 @@ def _solve_couplings(measures, C, what) -> lp.LpSolution:
 def kantorovich_primal(mu: DiscreteMeasure, nu: DiscreteMeasure,
                        cost: CostSpec):
     """Minimal-cost coupling of (mu, nu); returns (Coupling, value)."""
-    _check_dims(mu, nu)
+    _check_marginals((mu, nu))
     sol = _solve_couplings((mu, nu), cost.pairwise(mu.points, nu.points),
                            "kantorovich_primal")
     mass = sol.primal.reshape(len(mu), len(nu))
@@ -202,7 +210,7 @@ def kantorovich_dual(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
     phi and -psi are the multipliers of the row and column sums of the
     primal LP."""
-    _check_dims(mu, nu)
+    _check_marginals((mu, nu))
     sol = _solve_couplings((mu, nu), cost.pairwise(mu.points, nu.points),
                            "kantorovich_dual")
     m = len(mu)
@@ -287,7 +295,7 @@ def kr_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, metric_cost: CostSpec):
     value, which no 1-Lipschitz potential exceeds.
     Returns (KrPotential, value).
     """
-    _check_dims(mu, nu)
+    _check_marginals((mu, nu))
     U = union_points(mu.points, nu.points)
     D = metric_cost.pairwise(U, U)
     _verify_metric(D, U)
@@ -319,34 +327,23 @@ def kr_tight_check(f: KrPotential, coupling: Coupling,
 # Multimarginal transport
 # ---------------------------------------------------------------------------
 
-def _solve_multimarginal(measures, cost: MultiCost, what):
-    measures = list(measures)
-    if len(measures) < 2:
-        raise DimensionMismatch("need at least two marginals")
-    dim = measures[0].dim
-    if any(m.dim != dim for m in measures):
-        raise DimensionMismatch("marginals have unequal dims")
-    sizes = [len(m) for m in measures]
-    lp.check_size(sum(sizes), math.prod(sizes))
-    supports = tuple(m.points for m in measures)
-    sol = _solve_couplings(measures, cost.tensor(supports), what)
-    return measures, supports, sol
-
-
 def multimarginal_primal(measures, cost: MultiCost):
     """Minimal-cost coupling of k marginals; returns (MultiCoupling, value)."""
-    measures, _, sol = _solve_multimarginal(
-        measures, cost, "multimarginal_primal")
+    measures = _check_marginals(measures)
+    sol = _solve_couplings(measures,
+                           cost.tensor([m.points for m in measures]),
+                           "multimarginal_primal")
     mass = sol.primal.reshape(tuple(len(m) for m in measures))
-    mc = MultiCoupling(measures, mass / mass.sum())
-    return mc, float(sol.value)
+    return MultiCoupling(measures, mass / mass.sum()), float(sol.value)
 
 
 def multimarginal_dual(measures, cost: MultiCost):
     """Optimal potentials f_i with sum_i f_i(x_i) <= c on the product: the
     multipliers of the primal LP's marginal rows, one slice per measure."""
-    measures, supports, sol = _solve_multimarginal(
-        measures, cost, "multimarginal_dual")
+    measures = _check_marginals(measures)
+    supports = tuple(m.points for m in measures)
+    sol = _solve_couplings(measures, cost.tensor(supports),
+                           "multimarginal_dual")
     cuts = np.cumsum([len(m) for m in measures])[:-1]
     pots = MultiPotentials(supports, tuple(np.split(sol.dual, cuts)))
     return pots, pots.objective(measures)

@@ -386,7 +386,8 @@ def test_mti_hessian_refutation_report():
     results, code = cli._cmd_mti_hessian(argparse.Namespace(step=1e-4),
                                          quartic, grid)
     assert code == 2 and results["ok"] is False
-    report = json.loads(json.dumps(cli._js(results), allow_nan=False))
+    report = json.loads(json.dumps(results, default=cli._plain,
+                                   allow_nan=False))
     (x,), (y,) = report["x"], report["y"]
     assert report["eigenvalue_gap"] == pytest.approx(-12.0 * (x - y) ** 2,
                                                      abs=1e-5)

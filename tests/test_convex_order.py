@@ -207,6 +207,15 @@ def test_strassen_raises_when_not_in_order():
         co.strassen_coupling(pm1(), ms.dirac([0.0]))
 
 
+def test_martingale_lp_refuses_unequal_dims():
+    # from the sizes alone, before the hull witness or any row is built
+    plane = ms.dirac([0.0, 0.0])
+    with pytest.raises(DimensionMismatch, match="dims 1 vs 2"):
+        co.convex_order_check(pm1(), plane)
+    with pytest.raises(DimensionMismatch, match="dims 1 vs 2"):
+        mot.mot_primal(pm1(), plane, ms.CostSpec.euclidean())
+
+
 def test_zero_weight_source_is_skipped():
     # mu's middle atom has no mass: its row of the coupling is empty, so
     # disintegrate gives it no fiber, and the fans still recompose mu
@@ -447,6 +456,47 @@ def test_choquet_drops_noise_branches():
     mu, nu = spread_pair(0, 37)
     rep = co.choquet_represent(mu, nu)
     assert max(rep.recomposition_error(mu, nu)) <= co.TV_TOL
+
+
+# pairs 48 and 265 of the near-coincident construction (default_rng(0): each
+# atom of mu split into a child 1e-10-1e-6 away and a far one): a fiber puts
+# atoms of weight 1e-10-1e-9 beside one of weight ~1, and the split tree's
+# weights on its leaves missed the center by 1.2e-8-1.6e-7
+NEAR_COINCIDENT = {
+    48: ([0.8705381226021487, 0.36962008619907083, -0.26539719549506247],
+         [0.3446281879229789, 0.32431970092160606, 0.33105211115541516],
+         [0.8705381211456324, 1.2865892436662296, 0.3696200860019086,
+          0.7429264911881052, -0.2653971585912502, -0.5033345300650642],
+         [0.3446281867165008, 1.2064780721410044e-09, 0.3243197007503162,
+          1.712898509571269e-10, 0.33105205980961394,
+          5.134580117468814e-08]),
+    265: ([0.730175187096415, 0.39373220290062094, 0.42542076084214964,
+           -0.2525653760556459],
+          [0.26530980099559515, 0.2631127498647656, 0.17768569671261117,
+           0.29389175242702786],
+          [0.7301752361394848, 0.46971492540512694, 0.39373220312162927,
+           0.1254686233975989, 0.42542098760020686, 0.1890621190953792,
+           -0.2525653765288918, -0.03936698597605595],
+          [0.26530975103939636, 4.995619880573234e-08, 0.26311274964800085,
+           2.1676480943600717e-10, 0.1776855262444429,
+           1.7046816831482437e-07, 0.2938917517746633,
+           6.523645884161836e-10]),
+}
+
+
+@pytest.mark.parametrize("index", sorted(NEAR_COINCIDENT))
+def test_near_coincident_fibers_decompose(index):
+    # each leaf corrects its products of split factors by a least-squares
+    # solve of its barycenter equations; without it choquet_represent
+    # raised BarycenterMismatch ("not a fan: barycenter off center by ...")
+    x, p, y, q = NEAR_COINCIDENT[index]
+    mu = ms.DiscreteMeasure(1, np.array(x), np.array(p))
+    nu = ms.DiscreteMeasure(1, np.array(y), np.array(q))
+    rep = co.choquet_represent(mu, nu)
+    assert max(rep.recomposition_error(mu, nu)) <= co.TV_TOL
+    for _, fan in rep.entries:
+        assert np.linalg.norm(fan.weights @ fan.atoms - fan.center) \
+            <= co.BARYCENTER_TOL
 
 
 # --- is_extreme_pair -----------------------------------------------------------

@@ -42,6 +42,20 @@ def test_new_measure_mass_validation():
     assert abs(m.weights.sum() - 1.0) <= 1e-15
 
 
+def test_construction_copies_the_callers_arrays():
+    # a measure and a coupling freeze copies: the caller's arrays stay
+    # writeable and are not aliased
+    p, w = np.array([[0.0], [1.0]]), np.array([0.5, 0.5])
+    m = ms.DiscreteMeasure(1, p, w)
+    plan = np.diag(w)
+    c = ms.Coupling(m, m, plan)
+    for theirs, ours in ((p, m.points), (w, m.weights), (plan, c.mass)):
+        assert theirs.flags.writeable and not ours.flags.writeable
+        assert not np.shares_memory(theirs, ours)
+    plan[0, 0] -= 1e-9
+    assert c.mass[0, 0] == 0.5
+
+
 def test_barycenter_examples():
     assert ms.barycenter(ms.dirac([0.0])) == pytest.approx(0.0)
     m = ms.new_measure(1, [[-1.0], [1.0]], [0.5, 0.5])

@@ -17,6 +17,7 @@ from conftest import (
 from transportkit import convex_order as co, lp, measures as ms, mot
 from transportkit.errors import (
     BadCheckParameter,
+    DimensionMismatch,
     EmptyAtoms,
     GammaMissing,
     GridTooCoarse,
@@ -144,6 +145,12 @@ def test_mot_dual_symmetric_rejects_nonvanishing_diagonal():
                                  + 1.0)
     with pytest.raises(NonVanishingDiagonal):
         mot.mot_dual_symmetric(ms.dirac([0.0]), pm1(), shifted)
+
+
+def test_mot_dual_symmetric_refuses_unequal_dims():
+    with pytest.raises(DimensionMismatch, match="dims 1 vs 2"):
+        mot.mot_dual_symmetric(pm1(), ms.dirac([0.0, 0.0]),
+                               ms.CostSpec.euclidean())
 
 
 def test_symmetric_below_general_structural():
@@ -539,6 +546,9 @@ def test_extend_error_cases():
     with pytest.raises(LowerBoundViolation):
         mot.extend(K, g, ZERO, np.array([[-0.0], [-2.0]]), [[2.0]],
                    lower_bound=bad_lb)
+    # gamma = 0 makes the envelope max(g) = 1 on the whole grid
+    with pytest.raises(ValueError, match="restriction deviates by 1.000e"):
+        mot.extend(K, g, ZERO, np.zeros((2, 1)), [[2.0]])
 
 
 def test_extended_function_stays_in_class():

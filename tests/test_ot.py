@@ -12,6 +12,7 @@ from conftest import (
 )
 from transportkit import lp, measures as ms, ot
 from transportkit.errors import (
+    DimensionMismatch,
     InfeasibleInput,
     NotAFixedPoint,
     NotAMetric,
@@ -191,6 +192,21 @@ def test_kr_rejects_non_metric():
     with pytest.raises(NotAMetric) as info:
         ot.kr_dual(mu, nu, ms.CostSpec.sq_euclidean())
     assert info.value.witness is not None
+    # on the union {0, 1}: c(0, 1) = 1.5 against c(1, 0) = 1, and then a
+    # symmetric cost with c(z, z) = 1
+    a, b = ms.dirac([0.0]), ms.dirac([1.0])
+    asym = ms.CostSpec.custom(
+        lambda x, y: float(abs(x[0] - y[0]) + 0.5 * (x[0] < y[0])))
+    with pytest.raises(NotAMetric,
+                       match=r"asymmetry 5\.000e-01 at pair \(0, 1\)") as info:
+        ot.kr_dual(a, b, asym)
+    assert np.array_equal(np.array(info.value.witness), [[0.0], [1.0]])
+    shifted = ms.CostSpec.custom(lambda x, y: float(abs(x[0] - y[0]) + 1.0))
+    with pytest.raises(NotAMetric,
+                       match=r"nonzero diagonal 1\.000e\+00 at point 0") \
+            as info:
+        ot.kr_dual(a, b, shifted)
+    assert np.array_equal(np.array(info.value.witness), [[0.0]])
 
 
 def _full_tensor_triangle(D):
@@ -399,6 +415,27 @@ def test_coupling_lps_run_no_phase_one(monkeypatch):
     assert phases and set(phases) == {2}
 
 
+def test_marginal_refusals_come_before_any_cost():
+    # fewer than two marginals and unequal dimensions are refused from the
+    # measures alone: neither cost is ever evaluated
+    calls = []
+    pair_cost = ms.CostSpec.custom(lambda x, y: calls.append(1) or 0.0)
+    multi_cost = ms.MultiCost.custom(lambda pts: calls.append(1) or 0.0)
+    line = ms.new_measure(1, [[0.0], [1.0]], [0.5, 0.5])
+    plane = ms.dirac([0.0, 0.0])
+    for solve in (ot.multimarginal_primal, ot.multimarginal_dual):
+        with pytest.raises(DimensionMismatch,
+                           match="need at least two marginals"):
+            solve([line], multi_cost)
+        with pytest.raises(DimensionMismatch,
+                           match="marginal dims 1 vs 1 vs 2"):
+            solve([line, line, plane], multi_cost)
+    for solve in (ot.kantorovich_primal, ot.kantorovich_dual, ot.kr_dual):
+        with pytest.raises(DimensionMismatch, match="marginal dims 1 vs 2"):
+            solve(line, plane, pair_cost)
+    assert calls == []
+
+
 # --- c-convexification -------------------------------------------------------
 
 def test_convexify_worked_example():
@@ -448,6 +485,8 @@ def test_convexify_rejects_infeasible_seed():
     cost = ms.MultiCost.pairwise_sum(ms.CostSpec.euclidean())
     with pytest.raises(InfeasibleInput):
         ot.multi_c_convexify([{(0.0,): 2.0}, {(1.0,): 0.0}], cost, sup)
+    with pytest.raises(DimensionMismatch, match="1 tables for 2 supports"):
+        ot.multi_c_convexify([{(0.0,): 0.0}], cost, sup)
 
 
 # --- boundedness normalization ----------------------------------------------

@@ -215,7 +215,7 @@ def _hull_witness(mu: DiscreteMeasure, nu: DiscreteMeasure) \
 
 
 def _martingale_rows(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """Equality system (A, rels, b) of the martingale transport polytope,
+    """Equality system (A, b) of the martingale transport polytope,
     in the fixed row order: m row sums, n column sums, then d barycenter
     rows per source point. Callers check the sizes first
     (``_martingale_lp``)."""
@@ -226,7 +226,7 @@ def _martingale_rows(mu: DiscreteMeasure, nu: DiscreteMeasure):
         nu.points.T[None, :, :] - mu.points[:, :, None]
     A, b = _marginal_rows((mu, nu))
     b = np.concatenate([b, np.zeros(m * d)])
-    return np.vstack([A, bary.reshape(m * d, m * n)]), (lp.EQ,) * len(b), b
+    return np.vstack([A, bary.reshape(m * d, m * n)]), b
 
 
 def _martingale_start(mu: DiscreteMeasure, nu: DiscreteMeasure) \
@@ -282,10 +282,10 @@ def _martingale_lp(mu: DiscreteMeasure, nu: DiscreteMeasure,
     witness = _hull_witness(mu, nu)
     if witness is not None:
         return witness
-    A, rels, b = _martingale_rows(mu, nu)
+    A, b = _martingale_rows(mu, nu)
     c = np.zeros(m * n) if cost is None \
         else cost.pairwise(mu.points, nu.points).ravel()
-    sol = lp.solve(lp.LinearProgram(c, A, rels, b),
+    sol = lp.solve(lp.LinearProgram(c, A, b),
                    basis=_martingale_start(mu, nu))
     if sol.status == lp.OPTIMAL:
         return sol

@@ -102,3 +102,11 @@ class LowerBoundViolation(TransportkitError):
 
 class GridTooCoarse(TransportkitError):
     pass
+
+
+class MissingGrowth(TransportkitError):
+    """A cost lacks the growth bound |c(x, y)| <= Lambda ||x - y||."""
+
+
+class RestrictionDeviates(TransportkitError):
+    """An extension's envelope misses g on its grid: gamma fails there."""

@@ -3,16 +3,17 @@
 Self-contained: no external LP dependency. Designed for desk-scale problems
 (a few thousand variables) where auditability beats speed.
 
-Every LP has one form: minimise c.x over x >= 0 subject to rows in matrix
-form, an (m, n) array ``A``, a length-m sequence ``rels`` of
-``LE``/``EQ``/``GE`` and a length-m right-hand side ``b``, read row by row
-as ``A[i] @ x  rels[i]  b[i]``. The problem builders (coupling marginals,
-martingale barycenters, gamma rows) form their rows as one array and hand
-it over as it is. A maximisation is the minimisation of -c, and a free
-variable the difference of two nonnegative columns. The solver has no
-settings: its tolerances are the module constants ``FEAS_TOL``,
-``PIVOT_TOL`` and ``RELATIVE_PIVOT``, and its iteration cap is derived
-from the problem size.
+Every LP has one form: minimise c.x subject to A x = b and x >= 0, with
+``A`` an (m, n) array and ``b`` a length-m right-hand side. The problem
+builders (coupling marginals, martingale barycenters, gamma rows) form
+their rows as one array and hand it over as it is. A maximisation is the
+minimisation of -c, a free variable the difference of two nonnegative
+columns, and an inequality row a row plus a slack column that its caller
+states: +1 for "<=", -1 for ">=". Every column is the caller's, so a
+starting basis can name any of them. The solver has no settings: its
+tolerances are the module constants ``FEAS_TOL``, ``PIVOT_TOL`` and
+``RELATIVE_PIVOT``, and its iteration cap is derived from the problem
+size.
 
 Pivot rule: the entering column maximises z_j^2 / w_j over the columns
 whose reduced cost z_j is below -FEAS_TOL (Devex pricing, Harris 1973;
@@ -41,28 +42,30 @@ size-derived iteration cap. A numerical breakdown raises
 ``NumericalBreakdown`` out of the solve. ``LpSolution.iterations``
 counts the pivots of both phases.
 
-Standard form adds one slack column per inequality row and negates every
-row whose right-hand side is negative, so b >= 0. Both phases, ray
-validation and primal extraction work on one matrix M = [A | S | I], built
-once per solve: the i-th of the last m columns is the artificial of row
-i, a basis entry that never enters and so has no tableau column. The
-primal is the first n entries of the standard solution, and the row duals
-and the Farkas ray are mapped back to the user's rows by the row signs.
+Standard form negates every row whose right-hand side is negative, so
+b >= 0. Both phases, ray validation and primal extraction work on one
+matrix M = [A | I], built once per solve: the i-th of the last m columns
+is the artificial of row i, a basis entry that never enters and so has no
+tableau column. The primal is the standard solution without its
+artificials, and the row duals and the Farkas ray are mapped back to the
+user's rows by the row signs.
 
-Phase 1 starts from the slack/artificial identity, or from a starting
-basis the caller passes to ``solve``: one entry per row, a user column
-or -1 for an artificial on that row (the coupling LPs of ``ot`` pass
-their least-cost staircase, the martingale LP of ``convex_order`` a
-staircase on its marginal rows). An artificial that a
-starting basis puts below -FEAS_TOL enters with coefficient -1 instead
-of +1, so it starts above zero; -e_i is still an artificial for row i,
-and the Farkas ray and its validation are the same. The basic values
-B^-1 b alone tell which artificials to negate, so a starting basis is
-installed by one full refresh.
-Phase 1 pivots only when some artificial starts above zero (for a given
-basis: above the feasibility tolerance, as the artificials of redundant
-rows carry rounding); a feasible starting basis goes straight to
-phase 2. Phase 2 opens with a full refresh, a fresh lexicographic state,
+Phase 1 starts from the artificial identity, or from a starting basis
+the caller passes to ``solve``: one entry per row, a column of A or -1
+for an artificial on that row (the coupling LPs of ``ot`` pass their
+least-cost staircase, the martingale LP of ``convex_order`` a staircase
+on its marginal rows, the gamma LP of ``mot`` its slack). A starting
+basis whose columns are the unit columns of their rows is the identity,
+like the default: the tableau is M itself, with no basis solve. Any other
+is installed by one full refresh, and an artificial that it puts below
+-FEAS_TOL enters with coefficient -1 instead of +1, so it starts above
+zero; -e_i is still an artificial for row i, and the Farkas ray and its
+validation are the same. The basic values B^-1 b alone tell which
+artificials to negate.
+Phase 1 pivots only when some artificial starts above zero (for a
+solved basis: above the feasibility tolerance, as the artificials of
+redundant rows carry rounding); a feasible starting basis goes straight
+to phase 2. Phase 2 opens with a full refresh, a fresh lexicographic state,
 only if phase 1 pivoted since its last full refresh; otherwise the
 tableau is still the exact install of its basis and a plain refresh of
 rhs and reduced costs opens it. The primal is B^-1 b of the final
@@ -73,10 +76,11 @@ objective and returns its ``LpSolution``: OPTIMAL with a feasible
 ``primal``, or INFEASIBLE with a Farkas ray in ``farkas``. A zero
 objective is optimal at every feasible basis, so it runs no phase 2.
 
-The reported dual vector y has one multiplier per row: value = b.y,
-y <= 0 on "<=" rows, y >= 0 on ">=" rows, unrestricted on "==" rows, and
-c - A^T y >= 0. When infeasible, ``farkas`` holds a ray y with the same
-signs, b.y > 0 and A^T y <= 0, proving emptiness. ``residual_report``
+The reported dual vector y has one multiplier per row: value = b.y, y
+free on every row, and c - A^T y >= 0. A row's sign comes from its slack
+column: at zero cost, +e_i gives y_i <= 0 on a "<=" row and -e_i gives
+y_i >= 0 on a ">=" row. When infeasible, ``farkas`` holds a ray y with
+b.y > 0 and A^T y <= 0, proving emptiness. ``residual_report``
 measures the primal, dual, gap and complementary-slackness residuals of an
 optimal solution on the user's data when asked; ``solve`` itself checks
 only that its primal meets the rows.
@@ -85,14 +89,10 @@ only that its primal meets the rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericalBreakdown, ProductTooLarge
-
-LE, EQ, GE = "<=", "==", ">="
-_RELATIONS = (LE, EQ, GE)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -136,12 +136,11 @@ def check_size(n_rows: int, n_cols: int) -> None:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min c.x subject to A x (rels) b row by row and x >= 0. The arrays
-    are stored as given (as floats); do not mutate them."""
+    """min c.x subject to A x = b and x >= 0. The arrays are stored as
+    given (as floats); do not mutate them."""
 
     objective: np.ndarray
     A: np.ndarray
-    rels: Sequence[str]
     b: np.ndarray
 
     def __post_init__(self):
@@ -149,21 +148,16 @@ class LinearProgram:
         if c.ndim != 1:
             raise ValueError("objective must be a vector")
         A = np.asarray(self.A, dtype=float)
-        rels = np.asarray(self.rels, dtype=str)
         b = np.asarray(self.b, dtype=float)
-        if b.ndim != 1 or rels.shape != b.shape:
-            raise ValueError(f"rels and b must be vectors of one length, "
-                             f"got shapes {rels.shape} and {b.shape}")
+        if b.ndim != 1:
+            raise ValueError(f"b must be a vector, got shape {b.shape}")
         # a reshape would let a wrong-shaped A of the right size through
         if A.ndim != 2 or A.shape != (b.size, c.size):
             raise ValueError(f"A has shape {A.shape}, expected "
                              f"{(b.size, c.size)}")
-        if not set(rels.tolist()) <= set(_RELATIONS):
-            raise ValueError(f"relation must be one of {_RELATIONS}")
         if not np.isfinite(b).all():
             raise ValueError("rhs must be finite")
-        for name, value in (("objective", c), ("A", A), ("rels", rels),
-                            ("b", b)):
+        for name, value in (("objective", c), ("A", A), ("b", b)):
             object.__setattr__(self, name, value)
 
     @property
@@ -190,31 +184,22 @@ class LpSolution:
 # ---------------------------------------------------------------------------
 
 class _Standardized:
-    """User LP rewritten as  min c.z  s.t.  A z = b, z >= 0, with b >= 0.
-
-    Column order: the n user columns, then one slack column per inequality
-    row, in row order (+1 on "<=" rows, -1 on ">=" rows). Every row whose
-    b is negative is then negated, slack included; ``row_sign`` is -1 on
-    those rows and +1 elsewhere, so a row dual here times ``row_sign`` is
-    the dual of the user's row. ``M`` is ``A`` followed by one unit column
-    per row, the artificials; ``A`` is a view of M's first columns."""
+    """User LP with every row whose b is negative negated, so b >= 0;
+    ``row_sign`` is -1 on those rows and +1 elsewhere, so a row dual here
+    times ``row_sign`` is the dual of the user's row. ``M`` is ``A``
+    followed by one unit column per row, the artificials; ``A`` is a view
+    of M's first n columns."""
 
     def __init__(self, lp: LinearProgram):
         A, b = lp.A, lp.b
         m, n = A.shape
-        self.slack_row = np.flatnonzero(lp.rels != EQ)
-        S = np.zeros((m, self.slack_row.size))
-        S[self.slack_row, np.arange(self.slack_row.size)] = \
-            np.where(lp.rels[self.slack_row] == LE, 1.0, -1.0)
         self.row_sign = np.where(b < 0, -1.0, 1.0)
-        self.M = np.hstack([A, S, np.eye(m)])
-        self.n_total = self.M.shape[1] - m
-        self.A = self.M[:, :self.n_total]
+        self.M = np.hstack([A, np.eye(m)])
+        self.A = self.M[:, :n]
         self.A *= self.row_sign[:, None]
-        self.c = np.concatenate([lp.objective, np.zeros(S.shape[1])])
+        self.c = lp.objective
         self.b = b * self.row_sign
-        self.m = m
-        self.n_user = n
+        self.m, self.n = m, n
 
 
 # ---------------------------------------------------------------------------
@@ -378,36 +363,31 @@ def _pivot_loop(T, basis, phase, M, b, costs, fresh=None):
 def _phase1(std: _Standardized, start=None):
     """Find a basic feasible point or a Farkas certificate.
 
-    Starts from the slack/artificial identity, or from ``start``: one
-    standard column per row, -1 for an artificial on that row (see
+    Starts from the artificial identity, or from ``start``: one user
+    column per row, -1 for an artificial on that row (see
     ``_start_columns``). Row i's artificial is basis entry n + i, column
-    n + i of ``std.M``, +e_i as built. For a starting basis, B x = b is
-    solved for the basic values; each artificial they put below
-    -FEAS_TOL (1 + |b|) is negated to -e_i in M, so it starts above zero,
-    and the basis is then installed by one full refresh against the
-    phase-1 costs. A singular starting basis, or one with a user column
-    below -FEAS_TOL (1 + |b|), raises ValueError. The verdict is read off
-    the refresh that confirms the pivot loop's optimum: the artificial
-    level from its basic values, the Farkas ray from its duals.
+    n + i of ``std.M``, +e_i as built. A basis of unit columns, each on
+    its own row, is the identity: the tableau is M itself and the basic
+    values are b, so nothing is solved. For any other starting basis,
+    B x = b is solved for the basic values; each artificial they put
+    below -FEAS_TOL (1 + |b|) is negated to -e_i in M, so it starts above
+    zero, and the basis is then installed by one full refresh against
+    the phase-1 costs. A singular starting basis, or one with a user
+    column below -FEAS_TOL (1 + |b|), raises ValueError. The verdict is
+    read off the refresh that confirms the pivot loop's optimum: the
+    artificial level from its basic values, the Farkas ray from its
+    duals.
 
     Returns (status, T, basis, farkas, pivots, exact), where ``exact``
     tells that no pivot followed the tableau's last full install, so it
     is still the exact tableau of ``basis``. Artificials stay in the
     basis at level zero when rows are redundant, so no rows are deleted.
     """
-    m, n = std.m, std.n_total
+    m, n = std.m, std.n
     M = std.M
     tol = FEAS_TOL * (1.0 + np.abs(std.b).max(initial=0.0))
 
-    if start is None:
-        # a slack column with +1 coefficient can seed the basis; every
-        # other row gets an artificial
-        basis = np.full(m, -1)
-        slack_col = std.n_user + np.arange(std.slack_row.size)
-        seeds = std.A[std.slack_row, slack_col] > 0
-        basis[std.slack_row[seeds]] = slack_col[seeds]
-    else:
-        basis = start.copy()
+    basis = np.full(m, -1) if start is None else start.copy()
     art_rows = np.flatnonzero(basis < 0)
     basis[art_rows] = n + art_rows
     basis = basis.tolist()
@@ -416,9 +396,10 @@ def _phase1(std: _Standardized, start=None):
 
     # tableau with the basis-inverse block
     T = np.zeros((m + 1, n + m + 1))
-    if start is None:
-        # the initial basis is the identity, so the tableau is M itself
-        # and the artificials start at b
+    B = M[:, basis]
+    if np.count_nonzero(B) == m and (B.diagonal() == 1.0).all():
+        # the basis is the identity, so the tableau is M itself and the
+        # basic values are b
         T[:-1, :-1] = M
         T[:-1, -1] = std.b
         for i in art_rows:
@@ -541,10 +522,9 @@ def _extract_primal(M, b, basis, xb) -> np.ndarray:
 # public entry points
 # ---------------------------------------------------------------------------
 
-def _start_columns(std: _Standardized, lp: LinearProgram, basis) \
-        -> np.ndarray:
-    """A caller's starting basis as standard columns: entry i names the
-    user column basic on row i, or -1 for an artificial on that row.
+def _start_columns(std: _Standardized, basis) -> np.ndarray:
+    """A caller's starting basis: entry i names the user column basic on
+    row i, or -1 for an artificial on that row.
     Refuses with ValueError a basis of the wrong length, an entry that is
     no user column and a repeated column."""
     start = np.asarray(basis)
@@ -554,32 +534,33 @@ def _start_columns(std: _Standardized, lp: LinearProgram, basis) \
     if start.size and start.dtype.kind not in "iu":
         raise ValueError(f"basis entries must be integers, got "
                          f"{start.dtype}")
-    if ((start < -1) | (start >= lp.n_vars)).any():
-        raise ValueError(f"basis entries must lie in [-1, {lp.n_vars})")
+    if ((start < -1) | (start >= std.n)).any():
+        raise ValueError(f"basis entries must lie in [-1, {std.n})")
     named = start[start >= 0]
     if len(set(named.tolist())) != named.size:
         raise ValueError("basis repeats a column")
-    # user column j is standard column j
     return start.astype(int)
 
 
 def solve(lp: LinearProgram, basis=None) -> LpSolution:
-    """Solve the LP; deterministic for identical inputs under one BLAS
-    configuration (the thread count can steer the pivots: the 32 x 64
-    kernel pair of the tests makes 365 pivots in ``mot_primal`` under
-    one BLAS thread and 295 under two).
+    """Solve min c.x s.t. A x = b, x >= 0; deterministic for identical
+    inputs under one BLAS configuration (the thread count can steer the
+    pivots: the 32 x 64 kernel pair of the tests makes 365 pivots in
+    ``mot_primal`` under one BLAS thread and 295 under two).
 
     ``basis``, if given, is the starting basis of phase 1: one entry per
-    row, the user column basic on that row or -1 for an artificial there.
-    It must be nonsingular, with no repeated column, and its user columns
+    row, the column of A basic on that row or -1 for an artificial there.
+    It must be nonsingular, with no repeated column, and its columns
     feasible (basic values >= -FEAS_TOL (1 + |b|)); otherwise ValueError.
-    An artificial below that bound enters with coefficient -1. Phase 1
-    then pivots only if an artificial starts above the feasibility
-    tolerance.
+    An artificial below that bound enters with coefficient -1. A basis
+    whose columns are unit columns on their own rows is the identity and
+    is installed with no basis solve, as the default all-artificial one
+    is. Phase 1 then pivots only if an artificial starts above zero (for
+    any other basis: above the feasibility tolerance).
 
     A numerical breakdown raises NumericalBreakdown."""
     std = _Standardized(lp)
-    start = None if basis is None else _start_columns(std, lp, basis)
+    start = None if basis is None else _start_columns(std, basis)
     status, T, basis, farkas, it1, exact = _phase1(std, start)
     if status == "infeasible":
         return LpSolution(status=INFEASIBLE, farkas=farkas, iterations=it1)
@@ -599,44 +580,36 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     z = _extract_primal(std.M, std.b, basis, xb)
     # a negated row's dual changes sign with it
     return LpSolution(status=OPTIMAL, value=float(std.c @ z),
-                      primal=z[:std.n_user], dual=std.row_sign * y,
+                      primal=z, dual=std.row_sign * y,
                       iterations=it1 + it2)
 
 
 def residual_report(lp: LinearProgram, sol: LpSolution) -> dict:
     """Primal/dual feasibility, duality-gap and complementary-slackness
-    residuals of an optimal solution on the user's data, when asked."""
+    residuals of an optimal solution on the user's data, when asked. An
+    inequality row's slackness is its slack column's, so it is measured
+    with the variables."""
     x, y = sol.primal, sol.dual
-    le, ge = lp.rels == LE, lp.rels == GE
-    gap = lp.A @ x - lp.b
-    row_viol = np.where(le, gap, np.where(ge, -gap, np.abs(gap)))
-    primal = max(0.0, float(row_viol.max(initial=0.0)),
+    primal = max(float(np.abs(lp.A @ x - lp.b).max(initial=0.0)),
                  float(np.max(-x, initial=0.0)))
-    # dual signs: y <= 0 on "<=" rows and y >= 0 on ">=" rows
-    dual_sign = max(0.0, float(y[le].max(initial=0.0)),
-                    float((-y[ge]).max(initial=0.0)))
-    cs_rows = float(np.abs(y * gap).max(initial=0.0))
-
     # reduced costs r = c - A^T y must be >= 0
     r = lp.objective - lp.A.T @ y
-    dual_red = float((-r).max(initial=0.0))
-    cs_vars = float(np.abs(x * r).max(initial=0.0))
     gap = abs(float(lp.objective @ x) - float(lp.b @ y))
     return {
         "primal": primal,
-        "dual": max(dual_sign, dual_red),
+        "dual": float((-r).max(initial=0.0)),
         "gap": float(gap),
-        "complementary_slackness": max(cs_rows, cs_vars),
+        "complementary_slackness": float(np.abs(x * r).max(initial=0.0)),
     }
 
 
-def check_feasibility(A, rels, b, basis=None) -> LpSolution:
-    """Feasibility of {A x (rels) b, x >= 0}, as the
-    zero-objective ``solve``: ``status`` is OPTIMAL with a feasible point
-    in ``primal``, or INFEASIBLE with a Farkas ray in ``farkas`` proving
-    emptiness. ``basis`` is passed to ``solve`` as its starting basis.
+def check_feasibility(A, b, basis=None) -> LpSolution:
+    """Feasibility of {A x = b, x >= 0}, as the zero-objective ``solve``:
+    ``status`` is OPTIMAL with a feasible point in ``primal``, or
+    INFEASIBLE with a Farkas ray in ``farkas`` proving emptiness.
+    ``basis`` is passed to ``solve`` as its starting basis.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"A must be a matrix, got shape {A.shape}")
-    return solve(LinearProgram(np.zeros(A.shape[1]), A, rels, b), basis)
+    return solve(LinearProgram(np.zeros(A.shape[1]), A, b), basis)

@@ -63,6 +63,9 @@ class DiscreteMeasure:
                 f"{pts.shape[0]} points but {w.size} weights")
         if not np.all(np.isfinite(pts)):
             raise DimensionMismatch("points contain non-finite coordinates")
+        if not np.all(np.isfinite(w)):
+            # NaN passes both checks below
+            raise MassNotOne("weights contain non-finite values")
         if np.any(w < 0):
             raise NegativeWeight(f"negative weight {w.min()}")
         if abs(w.sum() - 1.0) > MASS_TOL:

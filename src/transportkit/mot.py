@@ -26,9 +26,10 @@ points this misses are visited, in order: each tries the gammas of the
 nearest accepted points before and after it, and else one LP with d + 1
 rows decides the Farkas alternative (in one dimension, only for a
 refuted point or one inside the tolerance band),
-min sum_j lam_j r_j  s.t.  sum_j lam_j (y_j - x) = 0, sum_j lam_j <= 1,
-lam >= 0. Optimum zero: the barycenter-row multipliers are g. Negative
-optimum: the basic lam has at most d + 1 nonzeros and its support is an
+min sum_j lam_j r_j  s.t.  sum_j lam_j (y_j - x) = 0,
+sum_j lam_j + s = 1, lam >= 0, s >= 0, its slack s a column of its own.
+Optimum zero: the barycenter-row multipliers are g. Negative optimum:
+the basic lam has at most d + 1 nonzeros and its support is an
 irreducible infeasible core (Gleeson & Ryan, ORSA J. Comput. 1990),
 reported with the weights lam normalised to sum 1.
 """
@@ -47,10 +48,12 @@ from .errors import (
     GammaMissing,
     GridTooCoarse,
     LowerBoundViolation,
+    MissingGrowth,
     NonSmoothDiagonal,
     NonVanishingDiagonal,
     NotInConvexOrder,
     NumericalBreakdown,
+    RestrictionDeviates,
 )
 from .functions import Box, FunctionEvaluator, Grid, ModulusSpec
 from .measures import (
@@ -254,7 +257,7 @@ def mot_dual_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure,
     A[J, cols] = -1.0
     A[u + I[:, None] * d + np.arange(d), cols[:, None]] = Z[J] - Z[I]
     b = np.concatenate([_signed_mass(mu, nu, Z), np.zeros(u * d)])
-    sol = lp.solve(lp.LinearProgram(C[I, J], A, (lp.EQ,) * len(b), b))
+    sol = lp.solve(lp.LinearProgram(C[I, J], A, b))
     if sol.status == lp.INFEASIBLE:
         raise NotInConvexOrder(
             "no flow-and-barycenter plan: the pair is not in convex order")
@@ -502,18 +505,21 @@ def _farkas_lp(D, r):
     the LP step of ``_certify_points``.
 
     Solves the Farkas alternative  min r.lam  s.t.  D' lam = 0,
-    sum(lam) <= 1, lam >= 0  (d + 1 rows; lam = 0 is feasible and the
-    simplex bounds it). At optimum 0 the multipliers of the d barycenter
-    rows are g. A negative optimum proves the system empty; its basic lam
-    has at most d + 1 nonzeros on linearly independent columns, so no
-    proper subset of its support is infeasible. Returns (g, None) or
-    (None, (support, weights summing to 1)); both are re-verified on the
-    rows before they are returned.
+    sum(lam) + s = 1, lam >= 0, s >= 0  (d + 1 rows; the simplex bounds
+    it). The slack s is column n; lam = 0, s = 1 starts the solve, an
+    identity basis with artificials at zero on the barycenter rows, so
+    phase 1 solves no basis and runs no pivot loop. At optimum 0 the
+    multipliers of the d barycenter rows are g. A negative optimum proves
+    the system empty; its basic lam has at most d + 1 nonzeros on
+    linearly independent columns, so no proper subset of its support is
+    infeasible. Returns (g, None) or (None, (support, weights summing to
+    1)); both are re-verified on the rows before they are returned.
     """
     n, d = D.shape
-    A = np.vstack([D.T, np.ones(n)])
-    sol = lp.solve(lp.LinearProgram(r, A, (lp.EQ,) * d + (lp.LE,),
-                                    np.append(np.zeros(d), 1.0)))
+    A = np.block([[D.T, np.zeros((d, 1))], [np.ones((1, n + 1))]])
+    sol = lp.solve(lp.LinearProgram(np.append(r, 0.0), A,
+                                    np.append(np.zeros(d), 1.0)),
+                   basis=[-1] * d + [n])
     if sol.status != lp.OPTIMAL:
         raise NumericalBreakdown(f"gamma certificate: LP terminated "
                                  f"{sol.status}")
@@ -522,7 +528,7 @@ def _farkas_lp(D, r):
         if not _meets_rows(D, r, g, 1e-8):
             raise NumericalBreakdown("gamma certificate violates its rows")
         return g, None
-    support = np.flatnonzero(sol.primal > 1e-12)
+    support = np.flatnonzero(sol.primal[:n] > 1e-12)
     lam = sol.primal[support] / sol.primal[support].sum()
     drift = np.abs(lam @ D[support]).max(initial=0.0)
     if drift > 1e-8 * (1.0 + np.abs(D).max()) or not lam @ r[support] < 0:
@@ -552,15 +558,16 @@ def extend(grid_points, g, cost: CostSpec, gamma, targets,
     ``bclass_sup`` evaluator with one atom (y, -gamma(y), g(y)) per grid
     point.
 
-    Requires growth metadata |c(x, y)| <= Lambda ||x - y|| on the cost and
-    a gamma value for every grid point. The restriction of g0 to the grid
-    reproduces g; its largest deviation is reported.
+    Requires growth metadata |c(x, y)| <= Lambda ||x - y|| on the cost
+    (else MissingGrowth) and a gamma value for every grid point. The
+    restriction of g0 to the grid reproduces g within 1e-9 (else
+    RestrictionDeviates); its largest deviation is reported.
     """
     K = np.atleast_2d(np.asarray(grid_points, dtype=float))
     Z = np.atleast_2d(np.asarray(targets, dtype=float))
     gv = values_on(K, g)
     if cost.growth is None:
-        raise ValueError(
+        raise MissingGrowth(
             "extension requires growth metadata |c| <= Lambda ||x-y||")
     if isinstance(gamma, dict):
         gm = np.empty((K.shape[0], K.shape[1]))
@@ -586,7 +593,7 @@ def extend(grid_points, g, cost: CostSpec, gamma, targets,
     envelope = FunctionEvaluator.bclass_sup(zip(K, -gm, gv), cost).on
     restriction_error = float(np.max(np.abs(envelope(K) - gv)))
     if restriction_error > 1e-9:
-        raise ValueError(
+        raise RestrictionDeviates(
             f"gamma does not certify g on the grid: restriction deviates "
             f"by {restriction_error:.3e}")
     out = envelope(Z)

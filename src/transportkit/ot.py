@@ -186,7 +186,7 @@ def _solve_couplings(measures, C, what) -> lp.LpSolution:
     least-cost staircase (``_least_cost_basis``), so phase 1 has nothing
     to pivot; its marginal-row multipliers are the dual potentials."""
     A, b = _marginal_rows(measures)
-    prog = lp.LinearProgram(C.ravel(), A, (lp.EQ,) * len(b), b)
+    prog = lp.LinearProgram(C.ravel(), A, b)
     start = _least_cost_basis(C, [m.weights for m in measures])
     sol = lp.solve(prog, basis=start)
     if sol.status != lp.OPTIMAL:

@@ -126,19 +126,47 @@ def count_solves(monkeypatch) -> list:
     return calls
 
 
+def with_slacks(objective, A, senses, b):
+    """The LP  min objective.x  s.t.  (A x)_i senses[i] b_i  and x >= 0,
+    each sense "<=", "==" or ">=", in the solver's form A' x' = b: one
+    slack column per inequality row, in row order after A's columns, +1
+    on "<=" rows and -1 on ">=" rows, at zero cost. A None objective is
+    zero. x is the primal's first A.shape[1] entries.
+
+    Returns the LinearProgram and its slack start: the slack of each row
+    where that column is a unit column at b_i >= 0 once rows with b_i < 0
+    are negated (a "<=" row with b_i >= 0, a ">=" row with b_i < 0), and
+    -1 for an artificial on every other row."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    senses = np.asarray(senses, dtype=str)
+    rows = np.flatnonzero(senses != "==")
+    sign = np.where(senses[rows] == "<=", 1.0, -1.0)
+    slacks = np.zeros((b.size, rows.size))
+    slacks[rows, np.arange(rows.size)] = sign
+    c = np.zeros(A.shape[1]) if objective is None else objective
+    start = np.full(b.size, -1)
+    unit = sign * np.where(b[rows] < 0, -1.0, 1.0) > 0
+    start[rows[unit]] = A.shape[1] + np.flatnonzero(unit)
+    return lp.LinearProgram(np.concatenate([c, np.zeros(rows.size)]),
+                            np.hstack([A, slacks]), b), start
+
+
 def random_bounded_lp(rng: np.random.Generator, max_vars: int,
                       max_rows: int) -> lp.LinearProgram:
     """Feasible bounded LP: random <= rows through a nonnegative point,
-    entries in [-1, 1], plus a simplex cap guaranteeing boundedness. The
-    objective is min -c, so its value is minus the maximum of c.x."""
+    entries in [-1, 1], plus a simplex cap guaranteeing boundedness, each
+    row with its slack column, so A is [rows | I]. The objective is
+    min -c, so its value is minus the maximum of c.x."""
     n = int(rng.integers(2, max_vars + 1))
     m = int(rng.integers(1, max_rows))
     A = rng.uniform(-1.0, 1.0, size=(m, n))
     x0 = rng.uniform(0.0, 1.0, size=n)
     b = A @ x0 + rng.uniform(0.1, 1.0, size=m)
     c = rng.uniform(-1.0, 1.0, size=n)
-    return lp.LinearProgram(-c, np.vstack([A, np.ones(n)]),
-                            (lp.LE,) * (m + 1), np.append(b, n + 1.0))
+    prog, _ = with_slacks(-c, np.vstack([A, np.ones(n)]), ["<="] * (m + 1),
+                          np.append(b, n + 1.0))
+    return prog
 
 
 def split_free(A, free):
@@ -153,16 +181,13 @@ def split_free(A, free):
 
 
 def lp_value_by_vertex_enumeration(prog: lp.LinearProgram) -> float:
-    """Independent oracle: convert to standard equality form with slacks
-    and take the least objective over all feasible basic solutions."""
-    A, rels, b = prog.A, prog.rels, prog.b
+    """Independent oracle: the least objective over all feasible basic
+    solutions of A x = b, whose A must have full row rank."""
+    A, b = prog.A, prog.b
     m, n = A.shape
-    assert all(r == lp.LE for r in rels), "oracle handles <= rows"
-    M = np.hstack([A, np.eye(m)])
     best = np.inf
-    cost = np.concatenate([prog.objective, np.zeros(m)])
-    for basis in itertools.combinations(range(n + m), m):
-        B = M[:, basis]
+    for basis in itertools.combinations(range(n), m):
+        B = A[:, basis]
         try:
             xb = np.linalg.solve(B, b)
         except np.linalg.LinAlgError:
@@ -171,7 +196,7 @@ def lp_value_by_vertex_enumeration(prog: lp.LinearProgram) -> float:
             continue
         if abs(np.linalg.det(B)) < 1e-12:
             continue
-        val = float(cost[list(basis)] @ xb)
+        val = float(prog.objective[list(basis)] @ xb)
         best = min(best, val)
     return best
 

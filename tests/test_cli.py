@@ -296,6 +296,21 @@ def test_numerical_breakdown_exits_3(measures, capsys, monkeypatch):
     (["mti", "hessian", "--cost", '{"kind":"sq_euclidean"}',
       "--grid", '{"box":[[-1.0,1.0]],"counts":[9]}', "--step", "0"],
      "step h must be finite and positive, got 0.0"),
+    # a NaN weight, which the sum and sign checks pass: MassNotOne
+    (["order", "check",
+      "--mu", '{"dim":1,"points":[[0.0],[1.0]],"weights":[NaN,0.5]}',
+      "--nu", "d0"],
+     "mu/weights: weights contain non-finite values"),
+    # a cost without growth metadata: MissingGrowth
+    (["class", "extend", "--g", '{"points":[[0.0],[1.0]],"values":[0.0,1.0]}',
+      "--cost", '{"kind":"sq_euclidean"}', "--gamma", "[[0.0],[0.0]]",
+      "--targets", "[[2.0]]"],
+     "extension requires growth metadata"),
+    # a gamma whose envelope is 6 at 0, where g is 0: RestrictionDeviates
+    (["class", "extend", "--g", '{"points":[[0.0],[1.0]],"values":[0.0,1.0]}',
+      "--cost", '{"kind":"linear","a":[0.0]}', "--gamma", "[[0.0],[5.0]]",
+      "--targets", "[[2.0]]"],
+     "gamma does not certify g on the grid: restriction deviates by 6.000e"),
 ])
 def test_toolkit_errors_exit_1(measures, capsys, argv, message):
     code = cli.main([measures.get(a, a) for a in argv])

@@ -319,10 +319,10 @@ def test_breakdown_pair_52_186_is_in_order():
 
 
 def _cold_value(mu, nu, cost):
-    """The martingale LP's value from the slack/artificial identity."""
-    A, rels, b = co._martingale_rows(mu, nu)
+    """The martingale LP's value from the artificial identity."""
+    A, b = co._martingale_rows(mu, nu)
     C = cost.pairwise(mu.points, nu.points).ravel()
-    return lp.solve(lp.LinearProgram(C, A, rels, b)).value
+    return lp.solve(lp.LinearProgram(C, A, b)).value
 
 
 @pytest.mark.parametrize("seed, index", [(52, 168), (41, 272)])
@@ -366,16 +366,16 @@ def test_martingale_start_matches_cold_solve(case):
     mu, nu, cost = case
     assert co.convex_order_check(mu, nu).in_order
     for p, q in ((mu, nu), (nu, mu)):
-        A, rels, b = co._martingale_rows(p, q)
+        A, b = co._martingale_rows(p, q)
         start = co._martingale_start(p, q)
-        cold = lp.check_feasibility(A, rels, b)
+        cold = lp.check_feasibility(A, b)
         cert = co.convex_order_check(p, q)
         assert cert.in_order == (cold.status == lp.OPTIMAL)
         if not cert.in_order:
             assert cert.witness.integral_gap(p, q) > 1e-10
             continue
         C = cost.pairwise(p.points, q.points).ravel()
-        prog = lp.LinearProgram(C, A, rels, b)
+        prog = lp.LinearProgram(C, A, b)
         sol = lp.solve(prog, basis=start)
         res = lp.residual_report(prog, sol)
         assert max(res.values()) <= 1e-9, res

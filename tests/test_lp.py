@@ -12,6 +12,7 @@ from conftest import (
     random_bounded_lp,
     split_free,
     transport_value_by_vertex_enumeration,
+    with_slacks,
 )
 from transportkit import lp
 from transportkit.convex_order import (
@@ -28,14 +29,14 @@ from transportkit.ot import kantorovich_primal
 
 def test_max_bounded_by_one():
     # max x s.t. x <= 1 is min -x, of value -1
-    sol = lp.solve(lp.LinearProgram([-1.0], [[1.0]], [lp.LE], [1.0]))
+    sol = lp.solve(*with_slacks([-1.0], [[1.0]], ["<="], [1.0]))
     assert sol.status == lp.OPTIMAL
     assert sol.value == pytest.approx(-1.0)
     assert sol.primal[0] == pytest.approx(1.0)
 
 
 def test_infeasible_with_farkas():
-    sol = lp.solve(lp.LinearProgram([-1.0], [[1.0]], [lp.LE], [-1.0]))
+    sol = lp.solve(*with_slacks([-1.0], [[1.0]], ["<="], [-1.0]))
     assert sol.status == lp.INFEASIBLE
     y = sol.farkas
     # certificate: y on <= row is <= 0, combination nonpositive on x >= 0,
@@ -52,17 +53,17 @@ def test_transport_2x2_matches_enumeration():
         [0.5, 0.5], [0.5, 0.5], C)
     assert oracle == pytest.approx(1.0)
     A = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]]
-    sol = lp.solve(lp.LinearProgram(C.ravel(), A, [lp.EQ] * 4,
-                                    [0.5, 0.5, 0.5, 0.5]))
+    sol = lp.solve(lp.LinearProgram(C.ravel(), A, [0.5, 0.5, 0.5, 0.5]))
     assert sol.status == lp.OPTIMAL
     assert sol.value == pytest.approx(oracle, abs=1e-10)
 
 
 def test_feasibility_examples():
-    r = lp.check_feasibility([[1.0]], [lp.EQ], [1.0])
+    r = lp.check_feasibility([[1.0]], [1.0])
     assert r.status == lp.OPTIMAL and r.primal[0] == pytest.approx(1.0)
 
-    r2 = lp.check_feasibility([[1.0], [1.0]], [lp.LE, lp.GE], [0.0, 1.0])
+    prog, start = with_slacks(None, [[1.0], [1.0]], ["<=", ">="], [0.0, 1.0])
+    r2 = lp.check_feasibility(prog.A, prog.b, start)
     assert r2.status == lp.INFEASIBLE
     y = r2.farkas
     assert y @ [0.0, 1.0] > 0
@@ -79,7 +80,7 @@ def test_feasibility_martingale_system():
     for i, x in enumerate(mu_pts):
         A[5 + i, 3 * i:3 * i + 3] = np.array(nu_pts) - x
     b = [0.5, 0.5, 0.25, 0.5, 0.25, 0.0, 0.0]
-    r = lp.check_feasibility(A, [lp.EQ] * 7, b)
+    r = lp.check_feasibility(A, b)
     assert r.status == lp.OPTIMAL
     expected = np.array([0.25, 0.25, 0.0, 0.0, 0.25, 0.25])
     assert np.allclose(r.primal, expected, atol=1e-10)
@@ -123,29 +124,30 @@ def _beale_lp():
     A = [[0.25, -8.0, -1.0, 9.0],
          [0.5, -12.0, -0.5, 3.0],
          [0.0, 0.0, 1.0, 0.0]]
-    return lp.LinearProgram(c, A, [lp.LE] * 3, [0.0, 0.0, 1.0])
+    return with_slacks(c, A, ["<="] * 3, [0.0, 0.0, 1.0])
 
 
 def test_beale_cycling_lp():
     # Beale (1955): most-negative-reduced-cost entering with a smallest-index
     # tie-break among the tied ratios cycles forever from the slack basis;
     # the lexicographic leaving rule must reach the optimum instead
-    prog = _beale_lp()
-    sol = lp.solve(prog)
+    prog, start = _beale_lp()
+    sol = lp.solve(prog, basis=start)
     assert sol.status == lp.OPTIMAL
     assert sol.value == -1.25
-    assert sol.primal.tolist() == [1.0, 0.0, 1.0, 0.0]
+    assert sol.primal[:4].tolist() == [1.0, 0.0, 1.0, 0.0]
     res = lp.residual_report(prog, sol)
     assert all(v == 0.0 for v in res.values()), res
 
 
 @st.composite
 def tie_heavy_lps(draw):
-    """Small <= LPs with many ties: integer-lattice coefficients, costs
-    all equal or on a lattice, duplicated (redundant) rows, and a simplex
-    cap that keeps them bounded. Some rhs are negative, so phase 1 pivots
-    and some instances are infeasible. Half the objectives are negated:
-    min -c is the maximum of c."""
+    """Small <= LPs with many ties, with their slack starts:
+    integer-lattice coefficients, costs all equal or on a lattice,
+    duplicated (redundant) rows, and a simplex cap that keeps them
+    bounded. Some rhs are negative, so phase 1 pivots and some instances
+    are infeasible. Half the objectives are negated: min -c is the
+    maximum of c."""
     n = draw(st.integers(2, 4))
     rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n,
                                   max_size=n), min_size=1, max_size=3))
@@ -161,15 +163,15 @@ def tie_heavy_lps(draw):
     else:
         c = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
     sign = draw(st.sampled_from([1.0, -1.0]))
-    return lp.LinearProgram(sign * np.array(c, dtype=float),
-                            np.array(rows, dtype=float), [lp.LE] * len(rows),
-                            np.array(rhs, dtype=float))
+    return with_slacks(sign * np.array(c, dtype=float), rows,
+                       ["<="] * len(rows), rhs)
 
 
 @given(tie_heavy_lps())
-def test_tie_heavy_lps_match_vertex_enumeration(prog):
-    sol = lp.solve(prog)
-    again = lp.solve(prog)
+def test_tie_heavy_lps_match_vertex_enumeration(case):
+    prog, start = case
+    sol = lp.solve(prog, basis=start)
+    again = lp.solve(prog, basis=start)
     oracle = lp_value_by_vertex_enumeration(prog)
     if np.isinf(oracle):
         # no feasible vertex: the Farkas ray must prove emptiness
@@ -192,12 +194,14 @@ def test_tie_heavy_lps_match_vertex_enumeration(prog):
 
 def test_iterations_count_pivots():
     # Beale's LP starts from its slack basis and takes two phase-2 pivots
-    assert lp.solve(_beale_lp()).iterations == 2
+    prog, start = _beale_lp()
+    assert lp.solve(prog, basis=start).iterations == 2
     # x1 = x2 = x3 starts feasible with two artificials at level 0; the
     # two pivots that drive them out are the only pivots of the solve
-    sol = lp.solve(lp.LinearProgram(
+    prog, start = with_slacks(
         [1.0, 1.0, 1.0], [[1, -1, 0], [0, 1, -1], [1, 1, 1]],
-        [lp.EQ, lp.EQ, lp.LE], [0.0, 0.0, 1.0]))
+        ["==", "==", "<="], [0.0, 0.0, 1.0])
+    sol = lp.solve(prog, basis=start)
     assert sol.status == lp.OPTIMAL and sol.value == 0.0
     assert sol.iterations == 2
 
@@ -208,19 +212,19 @@ def test_devex_tie_goes_to_smallest_index(monkeypatch):
     # has -2 under x1, so x1's reference weight becomes 4. Then x0 prices
     # (-1)^2 / 1 and x1 prices (-2)^2 / 4: a tie, which the smaller index
     # wins, where the most negative reduced cost would take x1
-    prog = lp.LinearProgram([-1.0, 4.0, -3.0],
-                            [[0.0, -2.0, 1.0], [1.0, 1.0, 0.0]],
-                            [lp.LE, lp.LE], [1.0, 1.0])
+    prog, start = with_slacks([-1.0, 4.0, -3.0],
+                              [[0.0, -2.0, 1.0], [1.0, 1.0, 0.0]],
+                              ["<=", "<="], [1.0, 1.0])
     real, entered = lp._pivot, []
 
     def pivot(T, basis, r, j):
         entered.append(j)
         real(T, basis, r, j)
     monkeypatch.setattr(lp, "_pivot", pivot)
-    sol = lp.solve(prog)
+    sol = lp.solve(prog, basis=start)
     assert entered == [2, 0, 1]
     assert sol.status == lp.OPTIMAL and sol.value == -5.0
-    assert sol.primal.tolist() == [0.0, 1.0, 3.0]
+    assert sol.primal[:3].tolist() == [0.0, 1.0, 3.0]
 
 
 def _reversed_martingale_lp(nu, mu):
@@ -257,10 +261,10 @@ def test_false_optimum_is_priced_again_on_a_refresh(monkeypatch):
     # drifted tableau: it must refresh, price the columns still to enter
     # and pivot on to the primal and duals of an unpatched solve
     n = 6
-    prog = lp.LinearProgram(-np.arange(1.0, n + 1),
-                            np.diag(np.arange(2.0, n + 2)), [lp.LE] * n,
-                            np.ones(n))
-    ref = lp.solve(prog)
+    prog, start = with_slacks(-np.arange(1.0, n + 1),
+                              np.diag(np.arange(2.0, n + 2)), ["<="] * n,
+                              np.ones(n))
+    ref = lp.solve(prog, basis=start)
     real_pivot, real_refresh = lp._pivot, lp._refresh_tableau
     blanked, refreshes = [], []
 
@@ -275,7 +279,7 @@ def test_false_optimum_is_priced_again_on_a_refresh(monkeypatch):
         return real_refresh(*args, full=full)
     monkeypatch.setattr(lp, "_pivot", pivot)
     monkeypatch.setattr(lp, "_refresh_tableau", refresh)
-    sol = lp.solve(prog)
+    sol = lp.solve(prog, basis=start)
     # the opening refresh, one after each blanked pivot, one to confirm
     assert len(blanked) == 3 and refreshes == [False] * 5
     assert sol.status == lp.OPTIMAL
@@ -292,7 +296,7 @@ def test_refreshes_that_keep_an_entering_column_raise(monkeypatch):
     # itself at -1: entering it pivots on its own row and leaves the basis
     # as it was, so no refresh confirms an optimum. The fourth refresh's
     # breakdown raises out of solve, with no second attempt
-    prog = lp.LinearProgram([-1.0], [[1.0]], [lp.LE], [1.0])
+    prog, start = with_slacks([-1.0], [[1.0]], ["<="], [1.0])
     real_phase1, real_refresh = lp._phase1, lp._refresh_tableau
     phase1s, lies = [], []
 
@@ -311,7 +315,7 @@ def test_refreshes_that_keep_an_entering_column_raise(monkeypatch):
     with pytest.raises(NumericalBreakdown,
                        match="phase 2: reduced costs still admit an entering "
                              "column after 4 refreshes"):
-        lp.solve(prog)
+        lp.solve(prog, basis=start)
     assert len(lies) == 4 and len(phase1s) == 1
 
 
@@ -404,9 +408,9 @@ def test_lex_leaving_matches_column_scan_on_martingale_pair(monkeypatch):
 def test_breakdowns_raise_out_of_solve_and_check_feasibility(monkeypatch):
     # check_feasibility is the zero-objective solve, so a singular basis
     # met inside the solve raises out of both entry points, at once
-    prog = lp.LinearProgram([-1.0], [[1.0]], [lp.LE], [1.0])
-    assert lp.solve(prog).value == pytest.approx(-1.0)
-    assert lp.check_feasibility([[1.0]], [lp.EQ], [1.0]).status == lp.OPTIMAL
+    prog, start = with_slacks([-1.0], [[1.0]], ["<="], [1.0])
+    assert lp.solve(prog, basis=start).value == pytest.approx(-1.0)
+    assert lp.check_feasibility([[1.0]], [1.0]).status == lp.OPTIMAL
     calls = []
 
     def singular(B, rhs, during):
@@ -414,23 +418,24 @@ def test_breakdowns_raise_out_of_solve_and_check_feasibility(monkeypatch):
         raise NumericalBreakdown(f"basis became singular during {during}")
     monkeypatch.setattr(lp, "_solve_basis", singular)
     with pytest.raises(NumericalBreakdown, match="singular during refresh"):
-        lp.solve(prog)
+        lp.solve(prog, basis=start)
     assert calls == ["refresh"]
     with pytest.raises(NumericalBreakdown, match="singular during refresh"):
-        lp.check_feasibility([[1.0]], [lp.EQ], [1.0])
+        lp.check_feasibility([[1.0]], [1.0])
     assert calls == ["refresh"] * 2
 
 
-@pytest.mark.parametrize("rel, b", [(lp.EQ, [0.0, 2.0]),
-                                    (lp.LE, [0.0, -1.0]),
-                                    (lp.GE, [1.0, 0.0])])
-def test_lp_without_columns(rel, b):
-    # no variables: b = 0 is met by the empty point, b != 0 by none
+@pytest.mark.parametrize("sense, b", [("==", [0.0, 2.0]),
+                                      ("<=", [0.0, -1.0]),
+                                      (">=", [1.0, 0.0])])
+def test_lp_without_columns(sense, b):
+    # no variables: b = 0 is met by the empty point, b != 0 by none. The
+    # only columns are the inequality rows' slacks
     A = np.zeros((2, 0))
-    sol = lp.solve(lp.LinearProgram(np.zeros(0), A, [rel] * 2, np.zeros(2)))
+    sol = lp.solve(*with_slacks(np.zeros(0), A, [sense] * 2, np.zeros(2)))
     assert sol.status == lp.OPTIMAL and sol.value == 0.0
-    assert sol.primal.shape == (0,)
-    sol = lp.solve(lp.LinearProgram(np.zeros(0), A, [rel] * 2, b))
+    assert sol.primal.shape == ((0,) if sense == "==" else (2,))
+    sol = lp.solve(*with_slacks(np.zeros(0), A, [sense] * 2, b))
     assert sol.status == lp.INFEASIBLE
     assert float(np.asarray(b) @ sol.farkas) > 0
 
@@ -452,8 +457,8 @@ def test_sliver_of_the_column_is_no_pivot(monkeypatch):
     # below RELATIVE_PIVOT times the column's largest, so row 1 leaves at
     # ratio 1 and row 0's slack ends at 5e-10 - 1e-9 = -5e-10. The answer
     # x = 1 (exact: 0.5) meets row 0 only within the feasibility tolerance
-    prog = lp.LinearProgram([-1.0], [[1e-9], [1.0]], [lp.LE, lp.LE],
-                            [5e-10, 1.0])
+    prog, start = with_slacks([-1.0], [[1e-9], [1.0]], ["<=", "<="],
+                              [5e-10, 1.0])
     seen = _leaving_rows(monkeypatch)
     real_extract, basic = lp._extract_primal, []
 
@@ -461,7 +466,7 @@ def test_sliver_of_the_column_is_no_pivot(monkeypatch):
         basic.append(xb.copy())
         return real_extract(M, b, basis, xb)
     monkeypatch.setattr(lp, "_extract_primal", extract)
-    sol = lp.solve(prog)
+    sol = lp.solve(prog, basis=start)
     (rows, col), = seen
     assert lp.PIVOT_TOL < col[0] < lp.RELATIVE_PIVOT * col[1]
     assert rows.tolist() == [1]
@@ -480,10 +485,10 @@ def test_large_negative_entry_keeps_the_admissible_row(monkeypatch):
     # min -x s.t. -1e6 x <= 1, 1e-3 x <= 1: the column (-1e6, 1e-3). Its
     # largest positive entry, not max |col|, sets the scale, so row 1 stays
     # admissible and the solve is bounded at x = 1000
-    prog = lp.LinearProgram([-1.0], [[-1e6], [1e-3]], [lp.LE, lp.LE],
-                            [1.0, 1.0])
+    prog, start = with_slacks([-1.0], [[-1e6], [1e-3]], ["<=", "<="],
+                              [1.0, 1.0])
     seen = _leaving_rows(monkeypatch)
-    sol = lp.solve(prog)
+    sol = lp.solve(prog, basis=start)
     (rows, col), = seen
     assert lp.RELATIVE_PIVOT * np.abs(col).max() > col[1]
     assert rows.tolist() == [1]
@@ -499,7 +504,7 @@ def _transport_2x2(free=None):
     if free is not None:
         A, var, sign = split_free(A, free)
         c = c[var] * sign
-    return lp.LinearProgram(c, A, [lp.EQ] * 4, [0.5, 0.5, 0.3, 0.7])
+    return lp.LinearProgram(c, A, [0.5, 0.5, 0.3, 0.7])
 
 
 @pytest.mark.parametrize("basis, free, reason", [
@@ -530,11 +535,38 @@ def test_starting_basis_is_used():
     assert max(res.values()) <= 1e-12, res
 
 
+def test_unit_column_start_installs_without_a_basis_solve(monkeypatch):
+    # x0 is row 0's unit column, so the start {x0, artificial of row 1} is
+    # the identity, as the default all-artificial start is: phase 1 takes M
+    # as its tableau and solves no basis before its pivot loop. Both starts
+    # end at the one optimum x = (1, 1, 0), y = (1, 0)
+    prog = lp.LinearProgram([1.0, 1.0, 3.0],
+                            [[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]], [2.0, 1.0])
+    cold = lp.solve(prog)
+    real_solve, real_loop, steps = lp._solve_basis, lp._pivot_loop, []
+
+    def solve_basis(*args):
+        steps.append("basis solve")
+        return real_solve(*args)
+
+    def loop(*args, **kwargs):
+        steps.append("pivot loop")
+        return real_loop(*args, **kwargs)
+    monkeypatch.setattr(lp, "_solve_basis", solve_basis)
+    monkeypatch.setattr(lp, "_pivot_loop", loop)
+    sol = lp.solve(prog, basis=[0, -1])
+    assert steps[0] == "pivot loop"
+    assert sol.status == cold.status == lp.OPTIMAL
+    assert sol.value == cold.value == 2.0
+    assert sol.primal.tolist() == cold.primal.tolist() == [1.0, 1.0, 0.0]
+    assert sol.dual.tolist() == cold.dual.tolist() == [1.0, 0.0]
+
+
 def test_starting_artificial_above_zero_runs_phase_one(monkeypatch):
     # x1 = 1 on the second row leaves the first row's artificial at 1, so
     # phase 1 must pivot from this basis before phase 2 can start
-    prog = lp.LinearProgram([-1.0, -2.0], [[1.0, 1.0], [0.0, 1.0]],
-                            [lp.LE, lp.LE], [2.0, 1.0])
+    prog, _ = with_slacks([-1.0, -2.0], [[1.0, 1.0], [0.0, 1.0]],
+                          ["<=", "<="], [2.0, 1.0])
     real, phases = lp._pivot_loop, []
     params = inspect.signature(real)
 
@@ -555,11 +587,12 @@ def test_zero_objective_runs_no_phase_two(monkeypatch):
     def never(*args):
         raise AssertionError("phase 2 ran on a zero objective")
     monkeypatch.setattr(lp, "_phase2", never)
-    res = lp.check_feasibility([[1.0, 1.0], [1.0, -1.0]], [lp.EQ, lp.GE],
-                               [1.0, 0.5])
+    prog, start = with_slacks(None, [[1.0, 1.0], [1.0, -1.0]], ["==", ">="],
+                              [1.0, 0.5])
+    res = lp.check_feasibility(prog.A, prog.b, start)
     assert res.status == lp.OPTIMAL and not res.dual.any()
-    assert res.primal @ [1.0, 1.0] == pytest.approx(1.0)
-    assert res.primal @ [1.0, -1.0] >= 0.5 - 1e-12
+    assert res.primal[:2] @ [1.0, 1.0] == pytest.approx(1.0)
+    assert res.primal[:2] @ [1.0, -1.0] >= 0.5 - 1e-12
 
 
 def _gaussian_pair(n, seed):
@@ -640,9 +673,9 @@ def test_infeasible_verdict_takes_one_refresh(monkeypatch):
     # phase-1 loop whose one plain refresh confirms its optimum and gives
     # the artificials and the Farkas ray
     mu, nu = planar_spread_pair(7)
-    A, rels, b = _martingale_rows(nu, mu)
+    A, b = _martingale_rows(nu, mu)
     steps = _record_solve_steps(monkeypatch)
-    res = lp.check_feasibility(A, rels, b)
+    res = lp.check_feasibility(A, b)
     assert res.status == lp.INFEASIBLE
     assert steps == ["phase 1 loop", "plain"]
     assert res.farkas @ b == pytest.approx(1.0)
@@ -665,10 +698,10 @@ def test_starting_artificial_below_zero_enters_negated():
     # x1 = 1 on the second row leaves the first row's artificial at
     # 0 - 1 = -1; it enters as -e_0, starts at +1 and phase 1 pivots it out
     A = [[1.0, -1.0], [1.0, 1.0]]
-    prog = lp.LinearProgram([1.0, 2.0], A, [lp.EQ, lp.EQ], [0.0, 1.0])
+    prog = lp.LinearProgram([1.0, 2.0], A, [0.0, 1.0])
     # the same rows as pairs of "<=" rows, for the oracle
-    oracle = lp.LinearProgram([1.0, 2.0], A + [[-1.0, 1.0], [-1.0, -1.0]],
-                              [lp.LE] * 4, [0.0, 1.0, 0.0, -1.0])
+    oracle, _ = with_slacks([1.0, 2.0], A + [[-1.0, 1.0], [-1.0, -1.0]],
+                            ["<="] * 4, [0.0, 1.0, 0.0, -1.0])
     sol = lp.solve(prog, basis=[-1, 0])
     assert sol.status == lp.OPTIMAL
     assert sol.value == pytest.approx(
@@ -729,7 +762,7 @@ def test_artificials_stay_on_their_rows_random_lps(seed, started):
     # b_k - A_kj x_j, which may lie below zero and then enter negated
     rng = np.random.default_rng(seed)
     prog = random_bounded_lp(rng, max_vars=6, max_rows=6)
-    m, n = prog.n_rows, prog.n_vars + prog.n_rows
+    m, n = prog.n_rows, prog.n_vars
     start = None
     if started:
         rows, cols = np.nonzero(prog.A * prog.b[:, None] > 0)
@@ -748,17 +781,16 @@ def test_artificials_stay_on_their_rows_martingale_starts(case):
     # negates those that start below zero, in order and reversed
     mu, nu, cost = case
     for p, q in ((mu, nu), (nu, mu)):
-        A, rels, b = _martingale_rows(p, q)
+        A, b = _martingale_rows(p, q)
         start = _martingale_start(p, q)
         C = cost.pairwise(p.points, q.points).ravel()
-        prog = lp.LinearProgram(C, A, rels, b)
+        prog = lp.LinearProgram(C, A, b)
         records = _artificial_records(lambda: lp.solve(prog, basis=start))
         assert _assert_artificials_on_their_rows(records, *A.shape)
 
 
 def test_unbounded_detection():
-    sol = lp.solve(lp.LinearProgram([-1.0, 0.0], [[0.0, 1.0]],
-                                    [lp.LE], [1.0]))
+    sol = lp.solve(*with_slacks([-1.0, 0.0], [[0.0, 1.0]], ["<="], [1.0]))
     assert sol.status == lp.UNBOUNDED
 
 
@@ -856,7 +888,7 @@ def test_equality_redundancy_is_tolerated():
     # dependent; the solver must drop the redundant row, not fail
     A = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]]
     sol = lp.solve(lp.LinearProgram([0.0, 1.0, 1.0, 0.0], A,
-                                    [lp.EQ] * 4, [0.5, 0.5, 0.4, 0.6]))
+                                    [0.5, 0.5, 0.4, 0.6]))
     assert sol.status == lp.OPTIMAL
     # diagonal keeps min(.5,.4) + min(.5,.6); 0.1 must move off-diagonal
     assert sol.value == pytest.approx(0.1, abs=1e-12)
@@ -870,9 +902,10 @@ def test_farkas_certificate_properties_random():
         n = int(rng.integers(2, 5))
         A = rng.uniform(-1, 1, size=(3, n))
         b = rng.uniform(-1, 1, size=3)
-        res = lp.check_feasibility(A, [lp.LE, lp.GE, lp.EQ], b)
+        prog, start = with_slacks(None, A, ["<=", ">=", "=="], b)
+        res = lp.check_feasibility(prog.A, prog.b, start)
         if res.status == lp.OPTIMAL:
-            Ax = A @ res.primal
+            Ax = A @ res.primal[:n]
             assert Ax[0] <= b[0] + 1e-8
             assert Ax[1] >= b[1] - 1e-8
             assert abs(Ax[2] - b[2]) <= 1e-8
@@ -888,17 +921,14 @@ def test_farkas_certificate_properties_random():
     assert checked > 10
 
 
-_GOOD = {"A": np.ones((2, 4)), "rels": [lp.LE, lp.GE], "b": [1.0, 0.0]}
+_GOOD = {"A": np.ones((2, 4)), "b": [1.0, 0.0]}
 _BAD_INPUTS = {
-    "b_longer_than_A_and_rels": {"b": [1.0, 0.0, 2.0]},
-    "rels_longer_than_A_and_b": {"rels": [lp.LE, lp.GE, lp.EQ]},
+    "b_longer_than_A": {"b": [1.0, 0.0, 2.0]},
     "A_has_an_extra_row": {"A": np.ones((3, 4))},
-    "unknown_relation": {"rels": [lp.LE, "<"]},
     "nan_rhs": {"b": [1.0, np.nan]},
     "infinite_rhs": {"b": [np.inf, 0.0]},
-    "transposed_single_row": {"A": np.ones((4, 1)), "rels": [lp.LE],
-                              "b": [1.0]},
-    "flat_row": {"A": np.ones(4), "rels": [lp.LE], "b": [1.0]},
+    "transposed_single_row": {"A": np.ones((4, 1)), "b": [1.0]},
+    "flat_row": {"A": np.ones(4), "b": [1.0]},
 }
 
 
@@ -906,78 +936,68 @@ _BAD_INPUTS = {
 def test_bad_matrix_inputs_raise(case):
     bad = {**_GOOD, **_BAD_INPUTS[case]}
     with pytest.raises(ValueError):
-        lp.LinearProgram(np.zeros(4), bad["A"], bad["rels"], bad["b"])
+        lp.LinearProgram(np.zeros(4), bad["A"], bad["b"])
     with pytest.raises(ValueError):
-        lp.check_feasibility(bad["A"], bad["rels"], bad["b"])
+        lp.check_feasibility(bad["A"], bad["b"])
 
 
 def test_matrix_of_right_size_but_wrong_shape_raises():
     # 2 x 2 holds the 4 entries of a 1 x 4 row; reshaping it would hide
     # the mistake, so the shape must match exactly
     with pytest.raises(ValueError):
-        lp.LinearProgram(np.zeros(4), np.ones((2, 2)), [lp.LE], [1.0])
+        lp.LinearProgram(np.zeros(4), np.ones((2, 2)), [1.0])
     with pytest.raises(ValueError):
-        lp.LinearProgram(np.zeros(4), np.ones((2, 2)), [lp.LE, lp.LE],
-                         [1.0, 1.0])
-    prog = lp.LinearProgram(np.zeros(4), _GOOD["A"], _GOOD["rels"],
-                            _GOOD["b"])
+        lp.LinearProgram(np.zeros(4), np.ones((2, 2)), [1.0, 1.0])
+    prog = lp.LinearProgram(np.zeros(4), _GOOD["A"], _GOOD["b"])
     assert (prog.n_rows, prog.n_vars) == (2, 4)
 
 
 def _residual_report_by_loops(prog, sol):
     """The row-by-row and variable-by-variable form of residual_report."""
-    A, rels, b = prog.A, prog.rels, prog.b
+    A, b = prog.A, prog.b
     x, y = sol.primal, sol.dual
     ax = A @ x
-    primal = dual_sign = cs_rows = 0.0
-    for i, rel in enumerate(rels):
-        gap = ax[i] - b[i]
-        if rel == lp.LE:
-            primal = max(primal, gap)
-            dual_sign = max(dual_sign, y[i])
-        elif rel == lp.GE:
-            primal = max(primal, -gap)
-            dual_sign = max(dual_sign, -y[i])
-        else:
-            primal = max(primal, abs(gap))
-        cs_rows = max(cs_rows, abs(y[i] * gap))
+    primal = 0.0
+    for i in range(prog.n_rows):
+        primal = max(primal, abs(ax[i] - b[i]))
     primal = max(primal, float(np.max(-x, initial=0.0)))
     r = prog.objective - A.T @ y
-    dual_red = cs_vars = 0.0
+    dual = cs = 0.0
     for j in range(prog.n_vars):
-        dual_red = max(dual_red, -r[j])
-        cs_vars = max(cs_vars, abs(x[j] * r[j]))
+        dual = max(dual, -r[j])
+        cs = max(cs, abs(x[j] * r[j]))
     gap = abs(float(prog.objective @ x) - float(b @ y))
-    return {"primal": float(primal), "dual": float(max(dual_sign, dual_red)),
-            "gap": float(gap),
-            "complementary_slackness": float(max(cs_rows, cs_vars))}
+    return {"primal": float(primal), "dual": float(dual),
+            "gap": float(gap), "complementary_slackness": float(cs)}
 
 
 def test_residual_report_matches_row_loops():
     # min or max (min -c), with free variables split into column pairs
+    # and inequality rows given their slack columns
     rng = np.random.default_rng(2024)
     solved = 0
     for _ in range(200):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(0, 7))
         A = rng.uniform(-1.0, 1.0, size=(m, n))
-        rels = rng.choice([lp.LE, lp.EQ, lp.GE], size=m)
+        senses = rng.choice(["<=", "==", ">="], size=m)
         free = rng.random(n) < 0.4
         x0 = rng.uniform(-1.0, 1.0, size=n)
         x0[~free] = np.abs(x0[~free])
         slack = rng.uniform(0.0, 1.0, size=m)
-        b = A @ x0 + np.where(rels == lp.LE, slack,
-                              np.where(rels == lp.GE, -slack, 0.0))
+        b = A @ x0 + np.where(senses == "<=", slack,
+                              np.where(senses == ">=", -slack, 0.0))
         c = rng.uniform(-1.0, 1.0, size=n)
         sign = rng.choice([1.0, -1.0])
         A, var, col_sign = split_free(A, free)
-        prog = lp.LinearProgram(sign * c[var] * col_sign, A, rels, b)
+        prog, start = with_slacks(sign * c[var] * col_sign, A, senses, b)
         # arbitrary points reach every branch with nonzero residuals
-        probe = lp.LpSolution(lp.OPTIMAL, primal=rng.normal(size=var.size),
+        probe = lp.LpSolution(lp.OPTIMAL,
+                              primal=rng.normal(size=prog.n_vars),
                               dual=rng.normal(size=m))
         assert lp.residual_report(prog, probe) == \
             _residual_report_by_loops(prog, probe)
-        sol = lp.solve(prog)
+        sol = lp.solve(prog, basis=start)
         if sol.status == lp.OPTIMAL:
             solved += 1
             assert lp.residual_report(prog, sol) == \

@@ -34,6 +34,16 @@ def test_new_measure_negative_weight():
         ms.new_measure(1, [[0.0], [1.0]], [1.5, -0.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_is_refused(bad):
+    # NaN compares false with everything, so it passes the sign and sum
+    # checks, and new_measure would divide every weight by a NaN sum
+    with pytest.raises(MassNotOne):
+        ms.new_measure(1, [[0.0], [1.0]], [bad, 0.5])
+    with pytest.raises(MassNotOne, match="non-finite"):
+        ms.DiscreteMeasure(1, [[0.0], [1.0]], [bad, 0.5])
+
+
 def test_new_measure_mass_validation():
     with pytest.raises(MassNotOne):
         ms.new_measure(1, [[0.0], [1.0]], [0.5, 0.4])

@@ -13,6 +13,7 @@ from conftest import (
     random_convex_order_pair,
     split_free,
     traced_refusal_peak,
+    with_slacks,
 )
 from transportkit import convex_order as co, lp, measures as ms, mot
 from transportkit.errors import (
@@ -22,10 +23,12 @@ from transportkit.errors import (
     GammaMissing,
     GridTooCoarse,
     LowerBoundViolation,
+    MissingGrowth,
     NonSmoothDiagonal,
     NonVanishingDiagonal,
     NotInConvexOrder,
     ProductTooLarge,
+    RestrictionDeviates,
 )
 from transportkit.functions import Box, FunctionEvaluator, Grid, ModulusSpec
 
@@ -242,8 +245,8 @@ def _symmetric_referee(mu, nu, cost):
                        - nu_d.get(ms.point_key(p), 0.0) for p in Z])
     objective = np.concatenate([signed, np.zeros(A.shape[1] - len(Z))])
     split, var, sign = split_free(A, np.ones(A.shape[1], dtype=bool))
-    sol = lp.solve(lp.LinearProgram(-objective[var] * sign, split,
-                                    (lp.LE,) * len(b), b))
+    sol = lp.solve(*with_slacks(-objective[var] * sign, split,
+                                ["<="] * len(b), b))
     return A, b, sol
 
 
@@ -269,8 +272,8 @@ def test_gamma_dual_read_off_meets_referee_rows():
             # max objective.x over free x, as min -objective.x over
             # column pairs
             split, var, sign = split_free(A, np.ones(A.shape[1], dtype=bool))
-            ref = lp.solve(lp.LinearProgram(
-                -objective[var] * sign, split, (lp.LE,) * len(b), b))
+            ref = lp.solve(*with_slacks(
+                -objective[var] * sign, split, ["<="] * len(b), b))
             x = np.concatenate([dual.u, dual.v, dual.gamma.ravel()])
             assert float(np.max(A @ x - b)) <= 1e-9
             assert ref.status == lp.OPTIMAL
@@ -538,7 +541,7 @@ def test_extend_error_cases():
     K = np.array([[0.0], [1.0]])
     g = np.array([0.0, 1.0])
     no_growth = ms.CostSpec.sq_euclidean()
-    with pytest.raises(ValueError):
+    with pytest.raises(MissingGrowth):
         mot.extend(K, g, no_growth, np.zeros((2, 1)), [[2.0]])
     with pytest.raises(GammaMissing):
         mot.extend(K, g, ZERO, {(0.0,): [0.0]}, [[2.0]])
@@ -547,7 +550,8 @@ def test_extend_error_cases():
         mot.extend(K, g, ZERO, np.array([[-0.0], [-2.0]]), [[2.0]],
                    lower_bound=bad_lb)
     # gamma = 0 makes the envelope max(g) = 1 on the whole grid
-    with pytest.raises(ValueError, match="restriction deviates by 1.000e"):
+    with pytest.raises(RestrictionDeviates,
+                       match="restriction deviates by 1.000e"):
         mot.extend(K, g, ZERO, np.zeros((2, 1)), [[2.0]])
 
 
@@ -656,8 +660,8 @@ def _referee_feasible(D, r):
     """The (n - 1)-row system solved directly for g, each component of g
     split into a column pair."""
     split, _, _ = split_free(D, np.ones(D.shape[1], dtype=bool))
-    return lp.check_feasibility(split, (lp.LE,) * len(r), r).status \
-        == lp.OPTIMAL
+    prog, start = with_slacks(None, split, ["<="] * len(r), r)
+    return lp.check_feasibility(prog.A, prog.b, start).status == lp.OPTIMAL
 
 
 def _certify_one_point(D, r):
@@ -943,11 +947,11 @@ def test_batched_fit_matches_lstsq_per_point():
 
 
 def test_farkas_points_skip_phase_one(monkeypatch):
-    # lam = 0 with the sum(lam) <= 1 slack is a feasible basis, and the d
-    # barycenter rows have rhs 0: their artificials start at level 0, so
-    # phase 1 must not pivot. The candidate gamma certifies every point of
-    # this grid without an LP, so the LP step runs on its 49 point systems
-    # directly.
+    # lam = 0 with the sum(lam) <= 1 slack, column 48, is a feasible
+    # basis, and the d barycenter rows have rhs 0: their artificials start
+    # at level 0, so phase 1 must not pivot. The candidate gamma certifies
+    # every point of this grid without an LP, so the LP step runs on its
+    # 49 point systems directly.
     phases, solves = [], []
     pivot_loop, solve = lp._pivot_loop, lp.solve
     params = inspect.signature(pivot_loop)
@@ -969,7 +973,7 @@ def test_farkas_points_skip_phase_one(monkeypatch):
         D = np.delete(pts, i, axis=0) - x
         _, core = mot._farkas_lp(D, np.delete(R[i], i))
         assert core is None
-    assert solves == [(3, 48)] * 49
+    assert solves == [(3, 49)] * 49
     assert 1 not in phases
     assert 2 in phases
 

@@ -389,7 +389,7 @@ def test_least_cost_basis_is_a_feasible_start(case):
     x = np.linalg.solve(B, b)
     assert x.min() >= -1e-15
     assert np.abs(x[~named]).max() <= 1e-15
-    prog = lp.LinearProgram(C.ravel(), A, [lp.EQ] * b.size, b)
+    prog = lp.LinearProgram(C.ravel(), A, b)
     warm, cold = lp.solve(prog, basis=basis), lp.solve(prog)
     assert abs(warm.value - cold.value) <= 1e-12
     for sol in (warm, cold):

@@ -6,7 +6,8 @@ domain, grid, nodes (a grid or a point list), points, atoms or g.
 ``run`` reads each JSON argument given once (inline or a file path),
 builds it once as its kind, and passes the built objects to the
 command's handler. A malformed argument exits 1 with a diagnostic naming
-it, or its field (``mu/weights``). Each run emits a RunReport:
+it, or its field (``mu/weights``). Each run emits a RunReport, one line
+of JSON (``python -m json.tool`` pretty-prints it):
 
     {"command": ..., "inputs": ..., "results": ..., "timing_ms": ...,
      "seed": ..., "tool_version": ...}
@@ -480,7 +481,7 @@ def run(argv) -> int:
         report = {"command": command, "inputs": inputs,
                   "results": results, "timing_ms": elapsed_ms,
                   "seed": args.seed, "tool_version": __version__}
-        payload = json.dumps(report, indent=2, default=_plain)
+        payload = json.dumps(report, default=_plain)
 
     if args.out:
         with open(args.out, "w") as fh:

@@ -40,7 +40,9 @@ are read off that refresh; a fourth refresh that still prices an entering
 column is a breakdown, and so is a pivot loop that runs past its
 size-derived iteration cap. A numerical breakdown raises
 ``NumericalBreakdown`` out of the solve. ``LpSolution.iterations``
-counts the pivots of both phases.
+counts the pivots of both phases, and ``LpSolution.basis`` is an
+optimum's final basis in the form of a starting basis, so a re-solve
+from it makes no pivot.
 
 Standard form negates every row whose right-hand side is negative, so
 b >= 0. Both phases, ray validation and primal extraction work on one
@@ -171,12 +173,17 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
+    """What ``solve`` returns. On an OPTIMAL solution ``basis`` is the
+    final basis in the form ``solve(basis=)`` takes: one entry per row,
+    the column of A basic there or -1 where an artificial sits."""
+
     status: str
     value: float | None = None
     primal: np.ndarray | None = None
     dual: np.ndarray | None = None
     farkas: np.ndarray | None = None
     iterations: int = 0
+    basis: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +588,8 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     # a negated row's dual changes sign with it
     return LpSolution(status=OPTIMAL, value=float(std.c @ z),
                       primal=z, dual=std.row_sign * y,
-                      iterations=it1 + it2)
+                      iterations=it1 + it2,
+                      basis=np.where(np.array(basis) < std.n, basis, -1))
 
 
 def residual_report(lp: LinearProgram, sol: LpSolution) -> dict:

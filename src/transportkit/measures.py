@@ -30,8 +30,9 @@ DERIVED_MASS_TOL = 1e-10  # every marginal of every coupling
 
 
 def point_key(p) -> tuple:
-    """Hashable exact-coordinate key for a point."""
-    return tuple(float(c) for c in np.asarray(p, dtype=float).ravel())
+    """Hashable exact-coordinate key for a point: its coordinates as
+    Python floats, the sign of a zero kept."""
+    return tuple(np.asarray(p, dtype=float).ravel().tolist())
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

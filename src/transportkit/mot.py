@@ -21,7 +21,8 @@ Every gamma certifier checks a point x on its rows <g, y_j - x> <= r_j.
 All points come first, in one array pass: each point's candidate g is
 accepted where it meets every row. In one dimension the rows are exactly
 an interval of slopes and g is its midpoint; in more, g is the linear
-part of a local quadratic fit, the fits solved in one batch. Only the
+part of a local quadratic fit, the fits solved in one batch, and a
+point it misses is refitted once without its worst-fitting row. Only the
 points this misses are visited, in order: each tries the gammas of the
 nearest accepted points before and after it, and else one LP with d + 1
 rows decides the Farkas alternative (in one dimension, only for a
@@ -373,7 +374,11 @@ def _certify_points(X, Y, R, orient, skip_self=False, D=None) \
     meets them exactly, so there an LP runs only for a refuted point or
     for one inside the tolerance band; in more, its fitted gradient
     (``_fitted_gradients``), for a smooth function the discrete
-    gradient. Only the points it misses are visited, in order: each
+    gradient. A single outlier row, such as a raised point in the
+    window, spoils a fit, so the fitted points it misses are refitted in
+    one batch, each without its worst-fitting near row (the largest
+    |residual| under its own model), and checked again on all their
+    rows. Only the points still missed are visited, in order: each
     tries the gammas of the nearest accepted points before and after it
     (the previous point's and the next fitted one's), then
     ``_farkas_lp``. A candidate is accepted when it meets every row
@@ -387,9 +392,20 @@ def _certify_points(X, Y, R, orient, skip_self=False, D=None) \
     differences y_j - x_i that ``_point_rows`` would build.
     """
     D, r = _point_rows(X, Y, R, orient, skip_self, D)
-    candidates = _interval_slopes if D.shape[2] == 1 else _fitted_gradients
-    g, fitted = candidates(D, r)
-    met = fitted & _meets_rows(D, r, g, lp.FEAS_TOL)
+    if D.shape[2] == 1:
+        g, fitted = _interval_slopes(D, r)
+        met = fitted & _meets_rows(D, r, g, lp.FEAS_TOL)
+    else:
+        g, fitted, misfit = _fitted_gradients(D, r)
+        met = fitted & _meets_rows(D, r, g, lp.FEAS_TOL)
+        redo = np.flatnonzero(fitted & ~met)
+        if redo.size:
+            use = np.arange(D.shape[1]) != misfit[redo].argmax(axis=1)[:, None]
+            Dr, rr = D[redo], r[redo]
+            g_redo, refit, _ = _fitted_gradients(Dr, rr, use)
+            refit &= _meets_rows(Dr, rr, g_redo, lp.FEAS_TOL)
+            g[redo[refit]] = g_redo[refit]
+            met[redo[refit]] = True
     accepted = np.flatnonzero(met)
     for i in np.flatnonzero(~met):
         keep = np.arange(len(Y)) != i if skip_self else slice(None)
@@ -462,27 +478,35 @@ def _interval_slopes(D, r):
     return np.where(finite, g, 0.0)[:, None], finite
 
 
-def _fitted_gradients(D, r):
+def _fitted_gradients(D, r, use=None):
     """The linear part g_i of the least-squares quadratic model
     r_i ~ D_i g + sum_{k <= l} q_kl D_ik D_il of every point i, for D of
     shape (n, m, d) and r of shape (n, m).
 
-    Each model is fitted on its point's nonzero rows with
+    Each model is fitted on its point's near rows: the nonzero rows with
     |D_j|^2 <= 4.5 min |D_j|^2 (the factor stays above 4, so a lattice's
     rows at twice the nearest step survive rounding and one-sided fits
-    stay determined), with D scaled by the nearest distance. The near
-    rows are padded with zero rows to the largest near count, and the n
-    normal equations are solved in one batch. Returns (g, fitted). A
-    point is not fitted, and its row of g means nothing, when its normal
-    matrix is singular to working precision: its reciprocal 1-norm
-    condition number is at most K p eps, for K near rows and p features
-    (as when its rows are all zero, fewer than p, or on one line).
+    stay determined), with D scaled by the nearest distance. ``use``, if
+    given, is an (n, m) mask that leaves a point's unmasked rows out of
+    its fit; the near rows and the scale are still chosen among all its
+    nonzero rows. This is the refit of ``_certify_points``, which leaves
+    out each missed point's worst near row. The near rows are padded with
+    zero rows to the largest near count, and the n normal equations are
+    solved in one batch. Returns (g, fitted, misfit), misfit of shape
+    (n, m) the |residual| of each near row under its point's model and 0
+    on every other row. A point is not fitted, and its rows of g and
+    misfit mean nothing, when its normal matrix is singular to working
+    precision: its reciprocal 1-norm condition number is at most K p eps,
+    for K near rows and p features (as when its rows are all zero, fewer
+    than p, or on one line).
     """
     d = D.shape[2]
     sq = np.einsum("ijk,ijk->ij", D, D)
     nonzero = sq > 0.0
     nearest = np.where(nonzero, sq, np.inf).min(axis=1, initial=np.inf)
     near = nonzero & (sq <= 4.5 * nearest[:, None])
+    if use is not None:
+        near &= use
     count = near.sum(axis=1)
     point = np.arange(len(D))[:, None]
     rows = np.argsort(~near, axis=1, kind="stable")[:, :count.max(initial=0)]
@@ -496,8 +520,11 @@ def _fitted_gradients(D, r):
     fitted = 1.0 / np.linalg.cond(normal, 1) \
         > count * M.shape[2] * np.finfo(float).eps
     normal[~fitted] = np.eye(M.shape[2])
-    rhs = Mt @ np.where(live, r[point, rows], 0.0)[..., None]
-    return np.linalg.solve(normal, rhs)[:, :d, 0] / h, fitted
+    target = np.where(live, r[point, rows], 0.0)
+    coef = np.linalg.solve(normal, Mt @ target[..., None])
+    misfit = np.zeros(near.shape)
+    misfit[point, rows] = np.abs((M @ coef)[..., 0] - target)
+    return coef[:, :d, 0] / h, fitted, misfit
 
 
 def _farkas_lp(D, r):

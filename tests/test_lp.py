@@ -789,6 +789,38 @@ def test_artificials_stay_on_their_rows_martingale_starts(case):
         assert _assert_artificials_on_their_rows(records, *A.shape)
 
 
+def _assert_basis_round_trip(prog, sol):
+    """Re-solving from an optimal solution's basis pivots 0 times and
+    gives the same value and primal."""
+    assert sol.basis.shape == (prog.n_rows,)
+    again = lp.solve(prog, basis=sol.basis)
+    assert again.status == lp.OPTIMAL
+    assert again.iterations == 0
+    assert again.value == sol.value
+    assert np.array_equal(again.primal, sol.primal)
+    assert np.array_equal(again.basis, sol.basis)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_basis_round_trip_random_lps(seed):
+    prog = random_bounded_lp(np.random.default_rng(seed), max_vars=6,
+                             max_rows=6)
+    sol = lp.solve(prog)
+    assert sol.status == lp.OPTIMAL
+    _assert_basis_round_trip(prog, sol)
+
+
+@given(kernel_pairs())
+def test_basis_round_trip_martingale_lps(case):
+    # an artificial left on a redundant marginal row is reported as -1
+    mu, nu, cost = case
+    A, b = _martingale_rows(mu, nu)
+    prog = lp.LinearProgram(cost.pairwise(mu.points, nu.points).ravel(),
+                            A, b)
+    _assert_basis_round_trip(prog, lp.solve(
+        prog, basis=_martingale_start(mu, nu)))
+
+
 def test_unbounded_detection():
     sol = lp.solve(*with_slacks([-1.0, 0.0], [[0.0, 1.0]], ["<="], [1.0]))
     assert sol.status == lp.UNBOUNDED

@@ -13,6 +13,16 @@ from transportkit.errors import (
 )
 
 
+@pytest.mark.parametrize("p", [[-0.0, 1.5], np.array([[0.1, -0.0]]), 3.0,
+                               np.float32(0.1), [2]])
+def test_point_key_is_python_floats_with_signed_zeros(p):
+    key = ms.point_key(p)
+    ref = tuple(float(c) for c in np.asarray(p, dtype=float).ravel())
+    assert key == ref
+    assert all(type(c) is float for c in key)
+    assert [np.signbit(c) for c in key] == [np.signbit(c) for c in ref]
+
+
 def test_new_measure_dirac():
     m = ms.new_measure(1, [[0.0]], [1.0])
     assert len(m) == 1

@@ -805,6 +805,63 @@ def test_candidates_keep_every_lp_verdict(monkeypatch):
     assert 0 < len(lps) - visited < visited / 4
 
 
+def test_refit_spares_the_raised_centres_window(monkeypatch):
+    # x'Qx on a 7 x 7 grid under sigma(t) = t^2, its centre (point 24)
+    # raised by 0.25: the raised row spoils the fit of every point whose
+    # window holds the centre. Without the refit, three of the points
+    # before it reach the LP; refitted without that row they are
+    # certified, and only the centre's refutation and one point two steps
+    # from it (whose worst residual falls on its other neighbour) solve.
+    grid = Grid(Box([-1.0, -1.0], [1.0, 1.0]), (7, 7)).points()
+    f = np.einsum("ij,jk,ik->i", grid, [[1.1, 0.05], [0.05, 1.25]], grid)
+    f[24] += 0.25
+    sq_dist = ((grid[:, None, :] - grid[None, :, :]) ** 2).sum(axis=2)
+    system = (grid, grid, f[None, :] - f[:, None] - sq_dist, 1.0, True)
+    calls = count_solves(monkeypatch)
+    res = mot._certify_points(*system)
+    assert len(calls) <= 2
+    assert res.counterexample.index == 24
+    _assert_agrees_with_lp(res, *system, 1e-8)
+
+
+@st.composite
+def dented_grids(draw):
+    """(X, Y, R, orient, skip_self) as the certifiers build them for the
+    uniform convexity of x'Qx, or the uniform smoothness of -x'Qx, on a
+    5 x 5 grid under sigma(t) = s t^2, with every point's row to one
+    drawn other point dented against the modulus by an amount from 1e-9
+    (within the LP's verdict threshold) to 1 (beyond any slack)."""
+    grid = Grid(Box([-1.0, -1.0], [1.0, 1.0]), (5, 5)).points()
+    n = len(grid)
+    a, c = draw(st.lists(st.sampled_from([1.0, 1.25, 1.5, 2.0]),
+                         min_size=2, max_size=2))
+    b = draw(st.sampled_from([-0.25, 0.0, 0.25]))
+    s = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    orient = draw(st.sampled_from([1.0, -1.0]))
+    others = draw(st.lists(st.integers(0, n - 2), min_size=n, max_size=n))
+    dents = draw(st.lists(st.sampled_from([1e-9, 4e-9, 1e-3, 0.05, 0.3,
+                                           1.0]), min_size=n, max_size=n))
+    h = orient * np.einsum("ij,jk,ik->i", grid, [[a, b], [b, c]], grid)
+    R = h[None, :] - h[:, None] \
+        - s * ((grid[:, None, :] - grid[None, :, :]) ** 2).sum(axis=2)
+    for i, (j, dent) in enumerate(zip(others, dents)):
+        R[i, j + (j >= i)] -= orient * dent
+    return grid, grid, R, orient, True
+
+
+@given(dented_grids())
+def test_refit_never_accepts_a_refuted_point(system):
+    # each point alone: its fit, its refit without its worst row, then
+    # the LP, which must agree on the verdict; then the whole grid
+    X, Y, R, orient, _ = system
+    for i, x in enumerate(X):
+        keep = np.arange(len(Y)) != i
+        D, r = Y[keep] - x, orient * R[i, keep]
+        _, core = _certify_one_point(D, r)
+        assert (core is None) == (mot._farkas_lp(D, r)[1] is None)
+    _assert_agrees_with_lp(mot._certify_points(*system), *system, 1e-8)
+
+
 @st.composite
 def line_systems(draw):
     """(X, Y, R, orient, skip_self) in one dimension: points on the
@@ -906,29 +963,43 @@ def _fit_systems():
     yield P, P, f[None, :] - f[:, None], -1.0, True
 
 
-def _lstsq_gradient(D, r):
+def _lstsq_gradient(D, r, use=None):
     """One point's fit by np.linalg.lstsq: the quadratic model on its
-    nonzero rows with |D_j|^2 <= 4.5 min |D_j|^2, scaled by the nearest
-    distance; its linear part, or None when the rows are all zero or do
-    not determine the model."""
+    nonzero rows with |D_j|^2 <= 4.5 min |D_j|^2, less the rows outside
+    the mask ``use``, scaled by the nearest nonzero distance. Returns its
+    linear part and the |residual| of every row (0 off the fitted ones),
+    or None when the rows are all zero or do not determine the model."""
     sq = (D ** 2).sum(axis=1)
     if not (sq > 0).any():
         return None
     nearest = sq[sq > 0].min()
     near = (sq > 0) & (sq <= 4.5 * nearest)
+    if use is not None:
+        near &= use
     U = D[near] / np.sqrt(nearest)
     d = D.shape[1]
     M = np.column_stack([U] + [U[:, a] * U[:, b] for a in range(d)
                                for b in range(a, d)])
     coef, _, rank, _ = np.linalg.lstsq(M, r[near], rcond=None)
-    return coef[:d] / np.sqrt(nearest) if rank == M.shape[1] else None
+    if rank < M.shape[1]:
+        return None
+    misfit = np.zeros(len(r))
+    misfit[near] = np.abs(M @ coef - r[near])
+    return coef[:d] / np.sqrt(nearest), misfit
+
+
+def _assert_fit_matches(g, misfit, ref, r):
+    np.testing.assert_allclose(g, ref[0], rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(
+        misfit, ref[1], rtol=0.0,
+        atol=1e-10 * (1.0 + np.abs(r).max(initial=0.0)))
 
 
 def test_batched_fit_matches_lstsq_per_point():
     dims, unfitted = set(), 0
     for X, Y, R, orient, skip_self in _fit_systems():
         D, r = mot._point_rows(X, Y, R, orient, skip_self)
-        g, fitted = mot._fitted_gradients(D, r)
+        g, fitted, misfit = mot._fitted_gradients(D, r)
         for i, x in enumerate(X):
             keep = np.arange(len(Y)) != i if skip_self else slice(None)
             ref = _lstsq_gradient(Y[keep] - x, orient * R[i, keep])
@@ -936,7 +1007,7 @@ def test_batched_fit_matches_lstsq_per_point():
             if ref is None:
                 unfitted += 1
                 continue
-            np.testing.assert_allclose(g[i], ref, rtol=1e-9, atol=1e-12)
+            _assert_fit_matches(g[i], misfit[i, keep], ref, r[i])
             dims.add(X.shape[1])
         res = mot._certify_points(X, Y, R, orient, skip_self)
         assert res.ok == (_certify_by_lp(X, Y, R, orient, skip_self) is None)
@@ -944,6 +1015,34 @@ def test_batched_fit_matches_lstsq_per_point():
     # the six random points, the all-zero point, the equal rows and the
     # seven points of the line
     assert unfitted == 15
+
+
+def test_dropped_row_fit_matches_lstsq_per_point():
+    # the refit of ``_certify_points``: each fitted point leaves out its
+    # worst near row, picked here by the reference's own residuals
+    refits, unfitted = 0, 0
+    for X, Y, R, orient, skip_self in _fit_systems():
+        D, r = mot._point_rows(X, Y, R, orient, skip_self)
+        use = np.ones(r.shape, dtype=bool)
+        refs = {}
+        for i, x in enumerate(X):
+            keep = np.arange(len(Y)) != i if skip_self \
+                else np.ones(len(Y), dtype=bool)
+            ref = _lstsq_gradient(Y[keep] - x, orient * R[i, keep])
+            if ref is not None:
+                use[i, np.flatnonzero(keep)[ref[1].argmax()]] = False
+                refs[i] = _lstsq_gradient(Y[keep] - x, orient * R[i, keep],
+                                          use[i, keep])
+        g, fitted, misfit = mot._fitted_gradients(D, r, use)
+        for i, ref in refs.items():
+            keep = np.arange(len(Y)) != i if skip_self else slice(None)
+            assert fitted[i] == (ref is not None)
+            if ref is None:
+                unfitted += 1
+                continue
+            _assert_fit_matches(g[i], misfit[i, keep], ref, r[i])
+            refits += 1
+    assert refits > 0 and unfitted > 0
 
 
 def test_farkas_points_skip_phase_one(monkeypatch):

@@ -35,6 +35,10 @@ class MissingValue(TransportkitError):
     """A function table lacks a value at a required support point."""
 
 
+class NonFinite(TransportkitError):
+    """An evaluator, modulus, cost or box holds NaN or an infinity."""
+
+
 # --- linear programming ---
 
 class NumericalBreakdown(TransportkitError):

@@ -11,9 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyAtoms, GridTooCoarse
+from .errors import DimensionMismatch, EmptyAtoms, GridTooCoarse, NonFinite
 from .measures import (
     CostSpec,
+    check_finite,
     cost_from_json,
     cost_to_json,
     point_key,
@@ -31,6 +32,7 @@ class Box:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        check_finite(NonFinite, "box bounds", lo, hi)
         if lo.shape != hi.shape or np.any(hi <= lo):
             raise DimensionMismatch("box needs lo < hi per axis")
         object.__setattr__(self, "lo", lo)
@@ -124,6 +126,9 @@ class FunctionEvaluator:
             object.__setattr__(self, "_table",
                                {point_key(p): float(v)
                                 for p, v in zip(pts, vals)})
+        check_finite(NonFinite, f"{self.kind} evaluator arrays", self.c,
+                     self.Q, self.b, self.points, self.values,
+                     *(v for t in self.pieces + self.atoms for v in t))
         object.__setattr__(self, "dim", self._point_dim())
 
     def _point_dim(self) -> int | None:
@@ -232,16 +237,18 @@ class ModulusSpec:
     def __post_init__(self):
         if self.kind not in ("power", "zero", "samples"):
             raise ValueError(f"unknown modulus kind {self.kind!r}")
+        check_finite(NonFinite, "modulus parameters", self.p, self.scale,
+                     self.ts, self.sigmas)
         if self.kind == "power" and self.p < 1.0:
             raise ValueError("power modulus needs p >= 1 so sigma(t) <= L*t")
         if self.kind == "samples":
             ts = np.asarray(self.ts, dtype=float)
             vals = np.asarray(self.sigmas, dtype=float)
             if ts.ndim != 1 or ts.size == 0 or ts.shape != vals.shape \
-                    or ts[0] != 0.0:
+                    or ts[0] != 0.0 or (np.diff(ts) <= 0.0).any():
                 raise DimensionMismatch(
-                    "sample modulus needs matching non-empty arrays "
-                    "starting at t=0")
+                    "sample modulus needs matching non-empty arrays, ts "
+                    "strictly increasing from t=0")
             if abs(vals[0]) > 0:
                 raise ValueError("sigma(0) must be zero")
             object.__setattr__(self, "ts", ts)

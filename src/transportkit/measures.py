@@ -22,6 +22,7 @@ from .errors import (
     MassNotOne,
     MissingValue,
     NegativeWeight,
+    NonFinite,
     OffGrid,
 )
 
@@ -33,6 +34,12 @@ def point_key(p) -> tuple:
     """Hashable exact-coordinate key for a point: its coordinates as
     Python floats, the sign of a zero kept."""
     return tuple(np.asarray(p, dtype=float).ravel().tolist())
+
+
+def check_finite(error, what: str, *values) -> None:
+    """Refuse NaN and infinities, which pass order checks; skip None."""
+    if not all(np.isfinite(v).all() for v in values if v is not None):
+        raise error(f"{what} contain non-finite values")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -62,11 +69,8 @@ class DiscreteMeasure:
         if w.shape != (pts.shape[0],):
             raise DimensionMismatch(
                 f"{pts.shape[0]} points but {w.size} weights")
-        if not np.all(np.isfinite(pts)):
-            raise DimensionMismatch("points contain non-finite coordinates")
-        if not np.all(np.isfinite(w)):
-            # NaN passes both checks below
-            raise MassNotOne("weights contain non-finite values")
+        check_finite(DimensionMismatch, "points", pts)
+        check_finite(MassNotOne, "weights", w)
         if np.any(w < 0):
             raise NegativeWeight(f"negative weight {w.min()}")
         if abs(w.sum() - 1.0) > MASS_TOL:
@@ -245,6 +249,9 @@ class CostSpec:
     def __post_init__(self):
         if self.kind not in _BUILTIN_KINDS:
             raise ValueError(f"unknown cost kind {self.kind!r}")
+        check_finite(NonFinite, f"{self.kind} cost parameters", self.a,
+                     self.threshold, self.grid, self.values, self.lipschitz,
+                     self.growth, *(w for w, _ in self.terms))
         if self.kind == "truncated_euclidean" and (
                 self.threshold is None or self.threshold <= 0):
             raise ValueError("truncated_euclidean needs a positive threshold")

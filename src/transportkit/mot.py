@@ -17,15 +17,15 @@ f1(x) - f2(y) <= c(x, y) + <gamma(x), y - x> on the checked sets. Uniform
 convexity certificates use the classical orientation
 f(x) + sigma(||y - x||) + <gamma(x), y - x> <= f(y).
 
-Every gamma certifier checks a point x on its rows <g, y_j - x> <= r_j.
-All points come first, in one array pass: each point's candidate g is
-accepted where it meets every row. In one dimension the rows are exactly
-an interval of slopes and g is its midpoint; in more, g is the linear
-part of a local quadratic fit, the fits solved in one batch, and a
-point it misses is refitted once without its worst-fitting row. Only the
-points this misses are visited, in order: each tries the gammas of the
-nearest accepted points before and after it, and else one LP with d + 1
-rows decides the Farkas alternative (in one dimension, only for a
+Every gamma certifier checks a point x on its rows <g, y_j - x> <= r_j,
+in three stages. (1) Each point's candidate g, accepted where it meets
+every row, all points in one array pass: in one dimension the rows are
+exactly an interval of slopes and g is its midpoint; in more, g is the
+linear part of a local quadratic fit, the fits solved in one batch.
+(2) In more than one dimension, the points it misses are refitted in
+one batch, each without its near row of largest leave-one-out residual.
+(3) Each point still missed, in order, solves one LP with d + 1 rows,
+which decides the Farkas alternative (in one dimension, only for a
 refuted point or one inside the tolerance band),
 min sum_j lam_j r_j  s.t.  sum_j lam_j (y_j - x) = 0,
 sum_j lam_j + s = 1, lam >= 0, s >= 0, its slack s a column of its own.
@@ -368,65 +368,43 @@ def _certify_points(X, Y, R, orient, skip_self=False, D=None) \
     for every row j (j != i when ``skip_self``), or the first point where
     none exists with its binding core.
 
-    Every point's candidate is checked on its rows in one pass: in one
-    dimension the midpoint of its exact interval of slopes
-    (``_interval_slopes``), which meets the rows whenever some gamma
-    meets them exactly, so there an LP runs only for a refuted point or
-    for one inside the tolerance band; in more, its fitted gradient
-    (``_fitted_gradients``), for a smooth function the discrete
-    gradient. A single outlier row, such as a raised point in the
-    window, spoils a fit, so the fitted points it misses are refitted in
-    one batch, each without its worst-fitting near row (the largest
-    |residual| under its own model), and checked again on all their
-    rows. Only the points still missed are visited, in order: each
-    tries the gammas of the nearest accepted points before and after it
-    (the previous point's and the next fitted one's), then
-    ``_farkas_lp``. A candidate is accepted when it meets every row
-    within the LP's own verdict threshold, ``lp.FEAS_TOL`` (1 + max|r|)
-    (``_meets_rows``). Such a candidate bounds the LP's optimum r.lam
-    below by -FEAS_TOL (1 + max|r|), where the LP certifies too, so no
-    point the LP would refute is accepted, and every refutation and its
-    binding core come from the LP. A returned gamma is some certificate
-    of its point, not a particular vertex of its feasible set. A
-    one-point call is the batch of one. ``D``, if given, is the array of
-    differences y_j - x_i that ``_point_rows`` would build.
+    The module's three stages: (1) every point's candidate, from
+    ``_interval_slopes`` in one dimension (an LP runs there only for a
+    refuted point or one inside the tolerance band) and
+    ``_fitted_gradients`` in more; (2) one batched refit of the fitted
+    points it misses, each without its near row of largest leave-one-out
+    residual e_j / (1 - h_jj) (Allen's PRESS residual, Technometrics
+    1974), which names a single outlier row, such as a raised point in
+    the window, where the plain residual may peak on a row it pulled;
+    (3) ``_farkas_lp`` for each point still missed, in order. A
+    candidate is accepted when it meets every row within FEAS_TOL
+    (1 + max|r|) (``_meets_rows``), the LP's own verdict threshold, so
+    no point the LP would refute is accepted and every refutation and its
+    binding core come from the LP. ``D``, if given, is the array
+    y_j - x_i that ``_point_rows`` would build.
     """
     D, r = _point_rows(X, Y, R, orient, skip_self, D)
     if D.shape[2] == 1:
         g, fitted = _interval_slopes(D, r)
-        met = fitted & _meets_rows(D, r, g, lp.FEAS_TOL)
     else:
-        g, fitted, misfit = _fitted_gradients(D, r)
-        met = fitted & _meets_rows(D, r, g, lp.FEAS_TOL)
-        redo = np.flatnonzero(fitted & ~met)
-        if redo.size:
-            use = np.arange(D.shape[1]) != misfit[redo].argmax(axis=1)[:, None]
-            Dr, rr = D[redo], r[redo]
-            g_redo, refit, _ = _fitted_gradients(Dr, rr, use)
-            refit &= _meets_rows(Dr, rr, g_redo, lp.FEAS_TOL)
-            g[redo[refit]] = g_redo[refit]
-            met[redo[refit]] = True
-    accepted = np.flatnonzero(met)
+        g, fitted, loo = _fitted_gradients(D, r)
+    met = fitted & _meets_rows(D, r, g, lp.FEAS_TOL)
+    redo = np.flatnonzero(fitted & ~met)
+    if D.shape[2] > 1 and redo.size:
+        # a refit the rows refuse is overwritten by the LP's gamma
+        use = np.arange(D.shape[1]) != loo[redo].argmax(axis=1)[:, None]
+        Dr, rr = D[redo], r[redo]
+        g[redo], refit, _ = _fitted_gradients(Dr, rr, use)
+        met[redo] = refit & _meets_rows(Dr, rr, g[redo], lp.FEAS_TOL)
     for i in np.flatnonzero(~met):
         keep = np.arange(len(Y)) != i if skip_self else slice(None)
-        Di, ri = D[i, keep], r[i, keep]
-        # point i - 1 is settled already; the next fitted one follows i
-        later = np.searchsorted(accepted, i)
-        tried = list(accepted[later:later + 1])
-        if i > 0:
-            tried.insert(0, i - 1)
-        meets = _meets_rows(Di, ri, g[tried], lp.FEAS_TOL)
-        if meets.any():
-            g[i] = g[tried[meets.argmax()]]
-        else:
-            gi, core = _farkas_lp(Di, ri)
-            if core is not None:
-                Yi = Y[keep]
-                binding = tuple((Yi[k].copy(), float(w))
-                                for k, w in zip(*core))
-                return GammaResult(False, X, counterexample=(
-                    CounterexamplePoint(X[i].copy(), int(i), binding)))
-            g[i] = gi
+        gi, core = _farkas_lp(D[i, keep], r[i, keep])
+        if core is not None:
+            Yi = Y[keep]
+            binding = tuple((Yi[k].copy(), float(w)) for k, w in zip(*core))
+            return GammaResult(False, X, counterexample=(
+                CounterexamplePoint(X[i].copy(), int(i), binding)))
+        g[i] = gi
     return GammaResult(True, X, gammas=orient * g)
 
 
@@ -446,11 +424,10 @@ def _point_rows(X, Y, R, orient, skip_self, D=None):
 
 
 def _meets_rows(D, r, g, tol):
-    """D g <= r within tol (1 + max|r|), for one point's rows (D of shape
-    (m, d)) or every point's (n, m, d), with leading axes broadcast, so
-    one call also tries a stack of g (k, d) on one point: the one
-    acceptance test of a gamma, whether a candidate (tol = FEAS_TOL) or
-    read off the LP (tol = 1e-8)."""
+    """D g <= r within tol (1 + max|r|), for every point's rows (D of
+    shape (n, m, d), g of shape (n, d)) or one point's (D of shape
+    (m, d)): the one acceptance test of a gamma, whether a candidate or
+    a refit (tol = FEAS_TOL) or read off the LP (tol = 1e-8)."""
     scale = 1.0 + np.abs(r).max(axis=-1, initial=0.0)
     excess = (D @ g[..., None])[..., 0] - r
     return excess.max(axis=-1, initial=0.0) <= tol * scale
@@ -489,16 +466,18 @@ def _fitted_gradients(D, r, use=None):
     stay determined), with D scaled by the nearest distance. ``use``, if
     given, is an (n, m) mask that leaves a point's unmasked rows out of
     its fit; the near rows and the scale are still chosen among all its
-    nonzero rows. This is the refit of ``_certify_points``, which leaves
-    out each missed point's worst near row. The near rows are padded with
-    zero rows to the largest near count, and the n normal equations are
-    solved in one batch. Returns (g, fitted, misfit), misfit of shape
-    (n, m) the |residual| of each near row under its point's model and 0
-    on every other row. A point is not fitted, and its rows of g and
-    misfit mean nothing, when its normal matrix is singular to working
-    precision: its reciprocal 1-norm condition number is at most K p eps,
-    for K near rows and p features (as when its rows are all zero, fewer
-    than p, or on one line).
+    nonzero rows (the refit of ``_certify_points``). The near rows are
+    padded with zero rows to the largest near count, and the n normal
+    equations are solved in one batch. Returns (g, fitted, loo), loo of
+    shape (n, m) each near row's leave-one-out |residual|, its miss under
+    the fit without it: |e_j| / (1 - h_jj), h_jj = M_j (M'M)^-1 M_j'; 0
+    on other rows and where 1 - h_jj is within rounding (K p eps times
+    the condition number), as no fit without that row is determined. A
+    point is not fitted, and its rows of g and loo mean nothing, when
+    its normal matrix is singular to working precision: its reciprocal
+    1-norm condition number is at most K p eps, for K near rows and p
+    features (as when its rows are all zero, fewer than p, or on one
+    line).
     """
     d = D.shape[2]
     sq = np.einsum("ijk,ijk->ij", D, D)
@@ -517,14 +496,18 @@ def _fitted_gradients(D, r, use=None):
     M = np.concatenate([U, U[..., k] * U[..., l]], axis=2)
     Mt = M.transpose(0, 2, 1)
     normal = Mt @ M
-    fitted = 1.0 / np.linalg.cond(normal, 1) \
-        > count * M.shape[2] * np.finfo(float).eps
+    rcond = 1.0 / np.linalg.cond(normal, 1)
+    tiny = count * M.shape[2] * np.finfo(float).eps
+    fitted = rcond > tiny
     normal[~fitted] = np.eye(M.shape[2])
     target = np.where(live, r[point, rows], 0.0)
     coef = np.linalg.solve(normal, Mt @ target[..., None])
-    misfit = np.zeros(near.shape)
-    misfit[point, rows] = np.abs((M @ coef)[..., 0] - target)
-    return coef[:, :d, 0] / h, fitted, misfit
+    spare = 1.0 - np.einsum("ikp,ipk->ik", M, np.linalg.solve(normal, Mt))
+    loo = np.zeros(near.shape)
+    loo[point, rows] = np.divide(  # spare = 1 - h, h the hat diagonal
+        np.abs((M @ coef)[..., 0] - target), spare,
+        out=np.zeros(spare.shape), where=spare * rcond[:, None] > tiny[:, None])
+    return coef[:, :d, 0] / h, fitted, loo
 
 
 def _farkas_lp(D, r):

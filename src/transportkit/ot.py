@@ -92,12 +92,13 @@ class KrPotential:
     points: np.ndarray
     values: np.ndarray
 
+    def on(self, points) -> np.ndarray:
+        """Values on an (n, d) point array; MissingValue off the support."""
+        return values_on(points, dict(zip(map(point_key, self.points),
+                                          self.values)))
+
     def value_at(self, p) -> float:
-        k = point_key(p)
-        for row, v in zip(self.points, self.values):
-            if point_key(row) == k:
-                return float(v)
-        raise KeyError(f"point {k} not in potential support")
+        return float(self.on(p)[0])
 
 
 @dataclass(frozen=True)
@@ -313,12 +314,9 @@ def kr_tight_check(f: KrPotential, coupling: Coupling,
                    metric_cost: CostSpec, tol: float = 1e-7) -> bool:
     """True iff coupling mass concentrates (beyond tol * total) on pairs
     with f(x) - f(y) = d(x, y) within tol, x from the left marginal."""
-    lookup = {point_key(p): float(v)
-              for p, v in zip(f.points, f.values)}
     D = metric_cost.pairwise(coupling.left.points, coupling.right.points)
-    fl = np.array([lookup[point_key(p)] for p in coupling.left.points])
-    fr = np.array([lookup[point_key(p)] for p in coupling.right.points])
-    gap = np.abs((fl[:, None] - fr[None, :]) - D)
+    gap = np.abs(f.on(coupling.left.points)[:, None]
+                 - f.on(coupling.right.points)[None, :] - D)
     offending = float(coupling.mass[gap > tol].sum())
     return bool(offending <= tol * coupling.mass.sum())
 

@@ -311,6 +311,28 @@ def test_numerical_breakdown_exits_3(measures, capsys, monkeypatch):
       "--cost", '{"kind":"linear","a":[0.0]}', "--gamma", "[[0.0],[5.0]]",
       "--targets", "[[2.0]]"],
      "gamma does not certify g on the grid: restriction deviates by 6.000e"),
+    # unsorted modulus samples, which np.interp would misread
+    (["ucvx", "certify", "--f", '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}',
+      "--sigma", '{"kind":"samples","ts":[0,3,1],"values":[0,9,0.1]}',
+      "--grid", "[[-1.0],[0.0],[1.0]]"],
+     "sigma: sample modulus needs matching non-empty arrays, ts strictly "
+     "increasing"),
+    # NaN and infinities, which order and sign checks pass: NonFinite
+    (["ucvx", "certify", "--f", '{"kind":"quadratic","Q":[[NaN]],"b":[0.0]}',
+      "--sigma", '{"kind":"power","p":2}', "--grid", "[[-1.0],[0.0],[1.0]]"],
+     "f: quadratic evaluator arrays contain non-finite values"),
+    (["ucvx", "certify", "--f", '{"kind":"samples","points":[[0.0],[1.0]],'
+      '"values":[0.0,Infinity]}', "--sigma", '{"kind":"power","p":2}',
+      "--grid", "[[0.0],[1.0]]"],
+     "f: samples evaluator arrays contain non-finite values"),
+    (["ucvx", "certify", "--f", '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}',
+      "--sigma", '{"kind":"power","p":NaN}', "--grid", "[[-1.0],[0.0],[1.0]]"],
+     "sigma: modulus parameters contain non-finite values"),
+    (["class", "certify", "--f1", '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}',
+      "--f2", '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}',
+      "--cost", '{"kind":"linear","a":[NaN]}',
+      "--x", "[[0.0]]", "--y", "[[-1.0],[1.0]]"],
+     "cost: linear cost parameters contain non-finite values"),
 ])
 def test_toolkit_errors_exit_1(measures, capsys, argv, message):
     code = cli.main([measures.get(a, a) for a in argv])

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from transportkit import measures as ms
-from transportkit.errors import DimensionMismatch, GridTooCoarse, MissingValue
+from transportkit.errors import (
+    DimensionMismatch,
+    GridTooCoarse,
+    MissingValue,
+    NonFinite,
+)
 from transportkit.functions import (
     Box,
     FunctionEvaluator,
@@ -146,6 +151,39 @@ def test_modulus_validation():
         ModulusSpec.from_samples([0.0, 1.0], [0.5, 1.0])
     with pytest.raises(DimensionMismatch):
         ModulusSpec.from_samples([], [])
+    # np.interp would misread times out of order, or repeated
+    for ts in ([0.0, 3.0, 1.0], [0.0, 1.0, 1.0]):
+        with pytest.raises(DimensionMismatch, match="strictly increasing"):
+            ModulusSpec.from_samples(ts, [0.0, 9.0, 0.1])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FunctionEvaluator.quadratic([[1.0, 0.0], [0.0, np.nan]],
+                                        [0.0, 0.0]),
+    lambda: FunctionEvaluator.quadratic([[1.0]], [np.inf]),
+    lambda: FunctionEvaluator.quadratic([[1.0]], [0.0], c=-np.inf),
+    lambda: FunctionEvaluator.max_affine([([1.0], 0.0), ([np.nan], 0.0)]),
+    lambda: FunctionEvaluator.max_affine([([1.0], np.inf)]),
+    lambda: FunctionEvaluator.bclass_sup([([0.0], [np.nan], 0.0)],
+                                         ms.CostSpec.euclidean()),
+    lambda: FunctionEvaluator.samples([[0.0], [1.0]], [0.0, np.nan]),
+    lambda: FunctionEvaluator.samples([[0.0], [np.inf]], [0.0, 1.0]),
+    lambda: ModulusSpec.power(np.nan),
+    lambda: ModulusSpec.power(2.0, scale=np.inf),
+    lambda: ModulusSpec.from_samples([0.0, 1.0], [0.0, np.nan]),
+    lambda: ModulusSpec.from_samples([0.0, np.inf], [0.0, 1.0]),
+    lambda: ms.CostSpec.linear([np.nan]),
+    lambda: ms.CostSpec.truncated_euclidean(np.nan),
+    lambda: ms.CostSpec.matrix([[0.0], [1.0]], [[0.0, np.inf], [1.0, 0.0]]),
+    lambda: ms.CostSpec.conical([(np.nan, ms.CostSpec.euclidean())]),
+    lambda: Box([np.nan], [1.0]),
+    lambda: Box([0.0, 0.0], [1.0, np.inf]),
+])
+def test_non_finite_parameters_are_refused(build):
+    # NaN passes every order and sign check (p < 1, threshold <= 0,
+    # hi <= lo), so each is refused as non-finite before them
+    with pytest.raises(NonFinite, match="non-finite"):
+        build()
 
 
 def test_modulus_growth_constant():

@@ -809,9 +809,9 @@ def test_refit_spares_the_raised_centres_window(monkeypatch):
     # x'Qx on a 7 x 7 grid under sigma(t) = t^2, its centre (point 24)
     # raised by 0.25: the raised row spoils the fit of every point whose
     # window holds the centre. Without the refit, three of the points
-    # before it reach the LP; refitted without that row they are
-    # certified, and only the centre's refutation and one point two steps
-    # from it (whose worst residual falls on its other neighbour) solve.
+    # before it reach the LP; refitted without the row of largest
+    # leave-one-out residual, the centre's, they are certified, and only
+    # the centre's refutation solves.
     grid = Grid(Box([-1.0, -1.0], [1.0, 1.0]), (7, 7)).points()
     f = np.einsum("ij,jk,ik->i", grid, [[1.1, 0.05], [0.05, 1.25]], grid)
     f[24] += 0.25
@@ -819,9 +819,40 @@ def test_refit_spares_the_raised_centres_window(monkeypatch):
     system = (grid, grid, f[None, :] - f[:, None] - sq_dist, 1.0, True)
     calls = count_solves(monkeypatch)
     res = mot._certify_points(*system)
-    assert len(calls) <= 2
+    assert len(calls) == 1
     assert res.counterexample.index == 24
     _assert_agrees_with_lp(res, *system, 1e-8)
+
+
+def test_refit_drops_the_raised_centres_row_two_steps_away(monkeypatch):
+    # the raised grid of the certify_grid benchmark (seed 41, task 0):
+    # x'Qx with Q = AA' + I on a 7 x 7 grid, its centre raised by delta.
+    # Points 10 and 22, two steps from the centre along an axis, miss a
+    # row with their fitted gradients; under the plain residual their
+    # worst row is the neighbour between them and the centre, but their
+    # row of largest leave-one-out residual is the centre's. Refitted
+    # without it they are certified, and the LP runs only at the centre.
+    rng = np.random.default_rng(np.random.SeedSequence([41, 3, 0]))
+    A = rng.uniform(-0.5, 0.5, (2, 2))
+    grid = Grid(Box([-1.0, -1.0], [1.0, 1.0]), (7, 7)).points()
+    f = np.einsum("ij,jk,ik->i", grid, A @ A.T + np.eye(2), grid)
+    f[24] += rng.uniform(0.1, 0.5)
+    f = FunctionEvaluator.samples(grid, f)
+    _, _, R = mot._modulus_rows(f, ModulusSpec.power(2), grid)
+    D, r = mot._point_rows(grid, grid, R, 1.0, True)
+    g, fitted, loo = mot._fitted_gradients(D, r)
+    missed = fitted & ~mot._meets_rows(D, r, g, lp.FEAS_TOL)
+    assert missed[[10, 22]].all()
+    assert (loo[[10, 22]].argmax(axis=1) == 24).all()
+    farkas_lp, at = mot._farkas_lp, []
+
+    def spy_lp(D, r):
+        at.append(int(np.flatnonzero((grid == grid[0] - D[0]).all(1))[0]))
+        return farkas_lp(D, r)
+    monkeypatch.setattr(mot, "_farkas_lp", spy_lp)
+    res = mot.uniform_convexity_certify(f, ModulusSpec.power(2), grid)
+    assert res.counterexample.index == 24
+    assert at == [24]
 
 
 @st.composite
@@ -967,8 +998,10 @@ def _lstsq_gradient(D, r, use=None):
     """One point's fit by np.linalg.lstsq: the quadratic model on its
     nonzero rows with |D_j|^2 <= 4.5 min |D_j|^2, less the rows outside
     the mask ``use``, scaled by the nearest nonzero distance. Returns its
-    linear part and the |residual| of every row (0 off the fitted ones),
-    or None when the rows are all zero or do not determine the model."""
+    linear part and the leave-one-out |residual| of every fitted row, its
+    miss under the model refitted without it (0 where that refit is
+    undetermined, and off the fitted rows), or None when the rows are all
+    zero or do not determine the model."""
     sq = (D ** 2).sum(axis=1)
     if not (sq > 0).any():
         return None
@@ -980,18 +1013,29 @@ def _lstsq_gradient(D, r, use=None):
     d = D.shape[1]
     M = np.column_stack([U] + [U[:, a] * U[:, b] for a in range(d)
                                for b in range(a, d)])
-    coef, _, rank, _ = np.linalg.lstsq(M, r[near], rcond=None)
-    if rank < M.shape[1]:
+
+    def fit(rows):
+        coef, _, rank, _ = np.linalg.lstsq(M[rows], r[near][rows],
+                                           rcond=None)
+        return coef if rank == M.shape[1] else None
+
+    coef = fit(np.ones(len(M), dtype=bool))
+    if coef is None:
         return None
-    misfit = np.zeros(len(r))
-    misfit[near] = np.abs(M @ coef - r[near])
-    return coef[:d] / np.sqrt(nearest), misfit
+    loo = np.zeros(len(r))
+    for k, j in enumerate(np.flatnonzero(near)):
+        rest = fit(np.arange(len(M)) != k)
+        if rest is not None:
+            loo[j] = abs(M[k] @ rest - r[j])
+    return coef[:d] / np.sqrt(nearest), loo
 
 
-def _assert_fit_matches(g, misfit, ref, r):
+def _assert_fit_matches(g, loo, ref, r):
     np.testing.assert_allclose(g, ref[0], rtol=1e-9, atol=1e-12)
+    # a leave-one-out residual is divided by 1 - h_jj, so its rounding
+    # grows with the row's leverage
     np.testing.assert_allclose(
-        misfit, ref[1], rtol=0.0,
+        loo, ref[1], rtol=1e-6,
         atol=1e-10 * (1.0 + np.abs(r).max(initial=0.0)))
 
 
@@ -999,7 +1043,7 @@ def test_batched_fit_matches_lstsq_per_point():
     dims, unfitted = set(), 0
     for X, Y, R, orient, skip_self in _fit_systems():
         D, r = mot._point_rows(X, Y, R, orient, skip_self)
-        g, fitted, misfit = mot._fitted_gradients(D, r)
+        g, fitted, loo = mot._fitted_gradients(D, r)
         for i, x in enumerate(X):
             keep = np.arange(len(Y)) != i if skip_self else slice(None)
             ref = _lstsq_gradient(Y[keep] - x, orient * R[i, keep])
@@ -1007,7 +1051,7 @@ def test_batched_fit_matches_lstsq_per_point():
             if ref is None:
                 unfitted += 1
                 continue
-            _assert_fit_matches(g[i], misfit[i, keep], ref, r[i])
+            _assert_fit_matches(g[i], loo[i, keep], ref, r[i])
             dims.add(X.shape[1])
         res = mot._certify_points(X, Y, R, orient, skip_self)
         assert res.ok == (_certify_by_lp(X, Y, R, orient, skip_self) is None)
@@ -1019,7 +1063,8 @@ def test_batched_fit_matches_lstsq_per_point():
 
 def test_dropped_row_fit_matches_lstsq_per_point():
     # the refit of ``_certify_points``: each fitted point leaves out its
-    # worst near row, picked here by the reference's own residuals
+    # near row of largest leave-one-out residual, picked here by the
+    # reference's own refits
     refits, unfitted = 0, 0
     for X, Y, R, orient, skip_self in _fit_systems():
         D, r = mot._point_rows(X, Y, R, orient, skip_self)
@@ -1033,14 +1078,14 @@ def test_dropped_row_fit_matches_lstsq_per_point():
                 use[i, np.flatnonzero(keep)[ref[1].argmax()]] = False
                 refs[i] = _lstsq_gradient(Y[keep] - x, orient * R[i, keep],
                                           use[i, keep])
-        g, fitted, misfit = mot._fitted_gradients(D, r, use)
+        g, fitted, loo = mot._fitted_gradients(D, r, use)
         for i, ref in refs.items():
             keep = np.arange(len(Y)) != i if skip_self else slice(None)
             assert fitted[i] == (ref is not None)
             if ref is None:
                 unfitted += 1
                 continue
-            _assert_fit_matches(g[i], misfit[i, keep], ref, r[i])
+            _assert_fit_matches(g[i], loo[i, keep], ref, r[i])
             refits += 1
     assert refits > 0 and unfitted > 0
 

@@ -14,6 +14,7 @@ from transportkit import lp, measures as ms, ot
 from transportkit.errors import (
     DimensionMismatch,
     InfeasibleInput,
+    MissingValue,
     NotAFixedPoint,
     NotAMetric,
     ProductTooLarge,
@@ -270,6 +271,21 @@ def test_kr_tight_check():
     f2, _ = ot.kr_dual(mu2, nu2, cost)
     c2, _ = ot.kantorovich_primal(mu2, nu2, cost)
     assert ot.kr_tight_check(f2, c2, cost, 1e-7)
+
+
+def test_kr_lookups_off_support_raise_missing_value():
+    # the potential lives on the union {0, 1}; 2 is off it, both for a
+    # point lookup and for a coupling whose right support holds it
+    cost = ms.CostSpec.euclidean()
+    f, _ = ot.kr_dual(ms.dirac([0.0]), ms.dirac([1.0]), cost)
+    assert f.on([[1.0], [0.0]]).tolist() == [f.value_at([1.0]),
+                                             f.value_at([0.0])]
+    with pytest.raises(MissingValue, match=r"\(2\.0,\)"):
+        f.value_at([2.0])
+    coupling, _ = ot.kantorovich_primal(ms.dirac([0.0]), ms.dirac([2.0]),
+                                        cost)
+    with pytest.raises(MissingValue):
+        ot.kr_tight_check(f, coupling, cost)
 
 
 # --- multimarginal -----------------------------------------------------------

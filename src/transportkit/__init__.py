@@ -23,7 +23,6 @@ from .measures import (  # noqa: F401
 from .lp import (  # noqa: F401
     LinearProgram,
     LpSolution,
-    check_feasibility,
     solve,
 )
 from .ot import (  # noqa: F401
@@ -32,13 +31,11 @@ from .ot import (  # noqa: F401
     Potentials,
     TightSet,
     c_transform,
-    kantorovich_dual,
-    kantorovich_primal,
-    kr_dual,
+    kantorovich,
+    kr,
     kr_tight_check,
     multi_c_convexify,
-    multimarginal_dual,
-    multimarginal_primal,
+    multimarginal,
     normalize_potentials,
     tight_support_report,
 )
@@ -53,7 +50,6 @@ from .convex_order import (  # noqa: F401
     fan_decompose,
     is_extreme_pair,
     representation_cost,
-    strassen_coupling,
 )
 from .mot import (  # noqa: F401
     GammaDual,
@@ -63,9 +59,8 @@ from .mot import (  # noqa: F401
     bclass_generate,
     extend,
     gamma_certify,
-    mot_dual,
     mot_dual_symmetric,
-    mot_primal,
+    mot_solve,
     mti_check,
     mti_second_order_check,
     mti_violation,

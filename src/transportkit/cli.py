@@ -34,14 +34,25 @@ import time
 import numpy as np
 
 from . import __version__, convex_order, mot, ot
-from .errors import NotInConvexOrder, NumericalBreakdown, TransportkitError
+from .errors import (
+    NonFinite,
+    NotInConvexOrder,
+    NumericalBreakdown,
+    TransportkitError,
+)
 from .functions import (
     Grid,
     box_from_json,
     evaluator_from_json,
     modulus_from_json,
 )
-from .measures import MultiCost, cost_from_json, measure_to_json, new_measure
+from .measures import (
+    MultiCost,
+    check_finite,
+    cost_from_json,
+    measure_to_json,
+    new_measure,
+)
 
 
 class InputError(Exception):
@@ -72,7 +83,15 @@ def _array(obj) -> np.ndarray:
 
 
 def _points(obj) -> np.ndarray:
-    return np.atleast_2d(_array(obj))
+    points = np.atleast_2d(_array(obj))
+    check_finite(NonFinite, "point coordinates", points)
+    return points
+
+
+def _g(obj):
+    points, values = _points(obj["points"]), _array(obj["values"])
+    check_finite(NonFinite, "values", values)
+    return points, values
 
 
 def _measure(obj):
@@ -108,7 +127,7 @@ _KINDS = {
     "nodes": lambda obj: (_grid if isinstance(obj, dict) else _points)(obj),
     "points": _points,
     "atoms": lambda obj: [(a["y"], a["a"], a["b"]) for a in obj],
-    "g": lambda obj: (_points(obj["points"]), _array(obj["values"])),
+    "g": _g,
 }
 
 
@@ -173,25 +192,28 @@ def _plain(x):
 # arguments, and returns (results, exit_code)
 # ---------------------------------------------------------------------------
 
+def _duality(value, certificate, cost, *measures) -> dict:
+    """The keys by which a report proves its value: the certificate's
+    objective, its gap to the value, and its largest violation."""
+    dual_value = certificate.objective(*measures)
+    return {"dual_value": dual_value, "gap": abs(value - dual_value),
+            "feasibility_margin": certificate.max_violation(cost)}
+
+
 def _cmd_ot_solve(args, mu, nu, cost):
-    coupling, value = ot.kantorovich_primal(mu, nu, cost)
+    coupling, pots, value = ot.kantorovich(mu, nu, cost)
     return {"value": value, "coupling": coupling.mass,
             "row_marginal_residual": float(np.max(np.abs(
                 coupling.mass.sum(axis=1) - mu.weights))),
             "col_marginal_residual": float(np.max(np.abs(
-                coupling.mass.sum(axis=0) - nu.weights)))}, 0
-
-
-def _cmd_ot_dual(args, mu, nu, cost):
-    pots, value = ot.kantorovich_dual(mu, nu, cost)
-    return {"value": value, "phi": pots.phi, "psi": pots.psi,
-            "feasibility_margin": pots.max_violation(cost)}, 0
+                coupling.mass.sum(axis=0) - nu.weights))),
+            "phi": pots.phi, "psi": pots.psi,
+            **_duality(value, pots, cost, mu, nu)}, 0
 
 
 def _cmd_ot_kr(args, mu, nu, cost):
-    f, value = ot.kr_dual(mu, nu, cost)
-    coupling, primal = ot.kantorovich_primal(mu, nu, cost)
-    return {"value": value, "primal_value": primal,
+    coupling, f, primal = ot.kr(mu, nu, cost)
+    return {"value": f.objective(mu, nu), "primal_value": primal,
             "points": f.points, "f": f.values,
             "tight": ot.kr_tight_check(f, coupling, cost, args.tol),
             "coupling": coupling.mass}, 0
@@ -201,23 +223,10 @@ def _cmd_ot_multi(args, mu, cost):
     if len(mu) < 2:
         raise InputError("mu", "need at least two --mu arguments")
     cost = MultiCost.pairwise_sum(cost)
-    coupling, value = ot.multimarginal_primal(mu, cost)
-    pots, dual_value = ot.multimarginal_dual(mu, cost)
-    return {"value": value, "dual_value": dual_value,
-            "gap": abs(value - dual_value),
-            "mass": coupling.mass,
-            "potentials": [v for v in pots.values],
-            "feasibility_margin": pots.max_violation(cost)}, 0
-
-
-def _cmd_order_check(args, mu, nu):
-    cert = convex_order.convex_order_check(mu, nu)
-    if cert.in_order:
-        return {"in_order": True, "coupling": cert.coupling.mass}, 0
-    return {"in_order": False,
-            "witness": {"slopes": cert.witness.slopes,
-                        "intercepts": cert.witness.intercepts,
-                        "integral_gap": cert.witness.integral_gap(mu, nu)}}, 2
+    coupling, pots, value = ot.multimarginal(mu, cost)
+    return {"value": value, "mass": coupling.mass,
+            "potentials": list(pots.values),
+            **_duality(value, pots, cost, mu)}, 0
 
 
 def _barycenter_residual(coupling, mu, nu) -> float:
@@ -226,10 +235,16 @@ def _barycenter_residual(coupling, mu, nu) -> float:
     return float(drift.max())
 
 
-def _cmd_order_couple(args, mu, nu):
-    coupling = convex_order.strassen_coupling(mu, nu)
-    return {"coupling": coupling.mass, "barycenter_residual":
-            _barycenter_residual(coupling, mu, nu)}, 0
+def _cmd_order_check(args, mu, nu):
+    cert = convex_order.convex_order_check(mu, nu)
+    if cert.in_order:
+        return {"in_order": True, "coupling": cert.coupling.mass,
+                "barycenter_residual":
+                _barycenter_residual(cert.coupling, mu, nu)}, 0
+    return {"in_order": False,
+            "witness": {"slopes": cert.witness.slopes,
+                        "intercepts": cert.witness.intercepts,
+                        "integral_gap": cert.witness.integral_gap(mu, nu)}}, 2
 
 
 def _cmd_order_decompose(args, mu, nu, cost=None):
@@ -244,15 +259,11 @@ def _cmd_order_decompose(args, mu, nu, cost=None):
 
 
 def _cmd_mot_solve(args, mu, nu, cost):
-    coupling, value = mot.mot_primal(mu, nu, cost)
+    coupling, dual, value = mot.mot_solve(mu, nu, cost)
     return {"value": value, "coupling": coupling.mass, "barycenter_residual":
-            _barycenter_residual(coupling, mu, nu)}, 0
-
-
-def _cmd_mot_dual(args, mu, nu, cost):
-    dual, value = mot.mot_dual(mu, nu, cost)
-    return {"value": value, "u": dual.u, "v": dual.v, "gamma": dual.gamma,
-            "feasibility_margin": dual.max_violation(cost)}, 0
+            _barycenter_residual(coupling, mu, nu),
+            "u": dual.u, "v": dual.v, "gamma": dual.gamma,
+            **_duality(value, dual, cost, mu, nu)}, 0
 
 
 def _cmd_mot_dual_sym(args, mu, nu, cost):
@@ -375,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     g_ot = top.add_parser("ot").add_subparsers(dest="cmd", required=True)
     leaf(g_ot, "solve", _cmd_ot_solve, **pair, cost="cost")
-    leaf(g_ot, "dual", _cmd_ot_dual, **pair, cost="cost")
     leaf(g_ot, "kr", _cmd_ot_kr, **pair, cost="cost",
          tol=dict(tol, default=1e-7))
     leaf(g_ot, "multi", _cmd_ot_multi,
@@ -385,13 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     g_or = top.add_parser("order").add_subparsers(dest="cmd", required=True)
     leaf(g_or, "check", _cmd_order_check, **pair)
-    leaf(g_or, "couple", _cmd_order_couple, **pair)
     leaf(g_or, "decompose", _cmd_order_decompose, **pair,
          cost={"kind": "cost"})
 
     g_mot = top.add_parser("mot").add_subparsers(dest="cmd", required=True)
     leaf(g_mot, "solve", _cmd_mot_solve, **pair, cost="cost")
-    leaf(g_mot, "dual", _cmd_mot_dual, **pair, cost="cost")
     leaf(g_mot, "dual-sym", _cmd_mot_dual_sym, **pair, cost="cost")
 
     g_cl = top.add_parser("class").add_subparsers(dest="cmd", required=True)

@@ -265,16 +265,17 @@ def _farkas_witness(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 def _martingale_lp(mu: DiscreteMeasure, nu: DiscreteMeasure,
                    cost: CostSpec | None = None) \
-        -> lp.LpSolution | ConvexWitness:
+        -> tuple[Coupling, lp.LpSolution] | ConvexWitness:
     """The one martingale LP of (mu, nu), with cost c(x_i, y_j) on mu x nu
-    or, without a cost, zero (a feasibility check). Returns the optimal
-    ``LpSolution``, whose row multipliers are (u, -v, gamma), or a
-    ConvexWitness refuting convex order. In order: the sizes alone refuse
-    unequal dimensions and an LP over ``lp.check_size``'s budget;
-    ``_hull_witness`` refutes before any row is built; else one solve from
-    ``_martingale_start`` decides, ending optimal or infeasible (the set
-    is bounded), and a Farkas ray whose witness (``_farkas_witness``)
-    separates by no more than 1e-10 raises NumericalBreakdown."""
+    or, without a cost, zero (a feasibility check). Returns its optimal
+    coupling (mass one) and ``LpSolution``, whose row multipliers are
+    (u, -v, gamma), or a ConvexWitness refuting convex order. In order:
+    the sizes alone refuse unequal dimensions and an LP over
+    ``lp.check_size``'s budget; ``_hull_witness`` refutes before any row
+    is built; else one solve from ``_martingale_start`` decides, ending
+    optimal or infeasible (the set is bounded), and a Farkas ray whose
+    witness (``_farkas_witness``) separates by no more than 1e-10 raises
+    NumericalBreakdown."""
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
     m, n = len(mu), len(nu)
@@ -288,7 +289,8 @@ def _martingale_lp(mu: DiscreteMeasure, nu: DiscreteMeasure,
     sol = lp.solve(lp.LinearProgram(c, A, b),
                    basis=_martingale_start(mu, nu))
     if sol.status == lp.OPTIMAL:
-        return sol
+        mass = sol.primal.reshape(m, n)
+        return Coupling(mu, nu, mass / mass.sum()), sol
     witness = _farkas_witness(mu, nu, sol.farkas)
     gap = witness.integral_gap(mu, nu)
     if gap <= 1e-10:
@@ -312,19 +314,7 @@ def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure) \
     res = _martingale_lp(mu, nu)
     if isinstance(res, ConvexWitness):
         return OrderCertificate(in_order=False, witness=res)
-    mass = res.primal.reshape(len(mu), len(nu))
-    return OrderCertificate(in_order=True,
-                            coupling=Coupling(mu, nu, mass / mass.sum()))
-
-
-def strassen_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) \
-        -> Coupling:
-    """A coupling with marginals (mu, nu) and source-wise barycenter
-    identities (a one-step martingale)."""
-    cert = convex_order_check(mu, nu)
-    if not cert.in_order:
-        raise NotInConvexOrder("the pair admits no martingale coupling")
-    return cert.coupling
+    return OrderCertificate(in_order=True, coupling=res[0])
 
 
 def disintegrate(c: Coupling):
@@ -421,10 +411,13 @@ def choquet_represent(mu: DiscreteMeasure, nu: DiscreteMeasure) \
         -> FanRepresentation:
     """Mixture of fans representing the pair: couple, disintegrate, and
     decompose every fiber. Entry weights are mu(x) times the fiber fan
-    weights, ordered by source index."""
-    coupling = strassen_coupling(mu, nu)
+    weights, ordered by source index. A pair out of convex order raises
+    NotInConvexOrder."""
+    cert = convex_order_check(mu, nu)
+    if not cert.in_order:
+        raise NotInConvexOrder("the pair admits no martingale coupling")
     entries = []
-    for x, mass, fiber in disintegrate(coupling):
+    for x, mass, fiber in disintegrate(cert.coupling):
         rep = fan_decompose(x, fiber)
         for w, fan in rep.entries:
             entries.append((mass * w, fan))

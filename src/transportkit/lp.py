@@ -74,9 +74,7 @@ rhs and reduced costs opens it. The primal is B^-1 b of the final
 basis, checked against the rows of M.
 
 There is one solve path. ``check_feasibility`` is ``solve`` with a zero
-objective and returns its ``LpSolution``: OPTIMAL with a feasible
-``primal``, or INFEASIBLE with a Farkas ray in ``farkas``. A zero
-objective is optimal at every feasible basis, so it runs no phase 2.
+objective, which is optimal at every feasible basis: it runs no phase 2.
 
 The reported dual vector y has one multiplier per row: value = b.y, y
 free on every row, and c - A^T y >= 0. A row's sign comes from its slack
@@ -615,7 +613,9 @@ def check_feasibility(A, b, basis=None) -> LpSolution:
     """Feasibility of {A x = b, x >= 0}, as the zero-objective ``solve``:
     ``status`` is OPTIMAL with a feasible point in ``primal``, or
     INFEASIBLE with a Farkas ray in ``farkas`` proving emptiness.
-    ``basis`` is passed to ``solve`` as its starting basis.
+    ``basis`` is passed to ``solve`` as its starting basis. No module of
+    the package calls it; it is kept by name for the benchmark's tracer,
+    which wraps it.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:

@@ -6,9 +6,9 @@ through per-point gamma fields, generation and extension of the associated
 function class, uniform convexity and smoothness certificates, and the
 martingale triangle inequality checks (sampled and second-order).
 
-``mot_primal`` and ``mot_dual`` solve the martingale LP of
-``convex_order._martingale_lp`` (m + n + m d rows) with their cost, and
-the dual is read off its row multipliers; the symmetric dual (f, gamma)
+``mot_solve`` solves the martingale LP of ``convex_order._martingale_lp``
+(m + n + m d rows) with its cost once, and reads the coupling off its
+primal and the dual off its row multipliers; the symmetric dual (f, gamma)
 on a support union of u points is read off a flow-and-barycenter primal
 with u (1 + d) rows.
 
@@ -24,15 +24,11 @@ exactly an interval of slopes and g is its midpoint; in more, g is the
 linear part of a local quadratic fit, the fits solved in one batch.
 (2) In more than one dimension, the points it misses are refitted in
 one batch, each without its near row of largest leave-one-out residual.
-(3) Each point still missed, in order, solves one LP with d + 1 rows,
-which decides the Farkas alternative (in one dimension, only for a
-refuted point or one inside the tolerance band),
-min sum_j lam_j r_j  s.t.  sum_j lam_j (y_j - x) = 0,
-sum_j lam_j + s = 1, lam >= 0, s >= 0, its slack s a column of its own.
-Optimum zero: the barycenter-row multipliers are g. Negative optimum:
-the basic lam has at most d + 1 nonzeros and its support is an
-irreducible infeasible core (Gleeson & Ryan, ORSA J. Comput. 1990),
-reported with the weights lam normalised to sum 1.
+(3) Each point still missed, in order, solves the Farkas LP of
+``_farkas_lp`` with d + 1 rows (in one dimension, only for a refuted
+point or one inside the tolerance band): its barycenter-row multipliers
+are g, or its basic lam is an irreducible infeasible core (Gleeson &
+Ryan, ORSA J. Comput. 1990), reported with weights summing to 1.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .convex_order import _hull_witness, _martingale_lp
+from .convex_order import ConvexWitness, _hull_witness, _martingale_lp
 from .errors import (
     BadCheckParameter,
     DimensionMismatch,
@@ -179,37 +175,31 @@ class ExtendResult:
 # Martingale transport LPs
 # ---------------------------------------------------------------------------
 
-def _solve_martingale(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                      cost: CostSpec) -> lp.LpSolution:
-    """``_martingale_lp`` with a cost; a refuted pair raises."""
-    sol = _martingale_lp(mu, nu, cost)
-    if not isinstance(sol, lp.LpSolution):
+def mot_solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
+    """(Coupling, GammaDual, value) of one solve of the martingale LP: the
+    cheapest martingale coupling, its cost, and u, -v, gamma the
+    multipliers of its source, target and barycenter rows, which meet
+    u_i - v_j + <gamma_i, y_j - x_i> <= c(x_i, y_j) for every pair. A pair
+    out of convex order raises NotInConvexOrder, refused by the hull
+    witness or the Farkas ray of ``convex_order._martingale_lp``."""
+    res = _martingale_lp(mu, nu, cost)
+    if isinstance(res, ConvexWitness):
         raise NotInConvexOrder("no martingale coupling exists")
-    return sol
-
-
-def mot_primal(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
-    """Cheapest martingale coupling; returns (Coupling, value). A pair out
-    of convex order raises NotInConvexOrder, as in ``mot_dual``."""
-    sol = _solve_martingale(mu, nu, cost)
-    mass = sol.primal.reshape(len(mu), len(nu))
-    return Coupling(mu, nu, mass / mass.sum()), float(sol.value)
-
-
-def mot_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
-    """Optimal (u, v, gamma); value matches mot_primal by LP duality.
-
-    u, -v and gamma are the multipliers of the martingale primal's source,
-    target and barycenter rows; they meet one row per pair (i, j):
-    u_i - v_j + <gamma_i, y_j - x_i> <= c(x_i, y_j). A pair out of convex
-    order raises NotInConvexOrder, refused by the support-function
-    witness when an atom of mu lies outside the hull of nu's support, and
-    otherwise by the LP's Farkas ray.
-    """
-    sol = _solve_martingale(mu, nu, cost)
+    coupling, sol = res
     m, n, y = len(mu), len(nu), sol.dual
-    dual = GammaDual(mu.points, nu.points, y[:m], -y[m:m + n],
-                     y[m + n:].reshape(m, mu.dim))
+    return coupling, GammaDual(mu.points, nu.points, y[:m], -y[m:m + n],
+                               y[m + n:].reshape(m, mu.dim)), \
+        float(sol.value)
+
+
+def mot_primal(mu, nu, cost: CostSpec):
+    """(Coupling, value) of ``mot_solve``, kept for bench/workloads.py."""
+    return mot_solve(mu, nu, cost)[::2]
+
+
+def mot_dual(mu, nu, cost: CostSpec):
+    """(GammaDual, objective) of ``mot_solve``, kept for the bench."""
+    _, dual, _ = mot_solve(mu, nu, cost)
     return dual, dual.objective(mu, nu)
 
 
@@ -392,7 +382,7 @@ def _certify_points(X, Y, R, orient, skip_self=False, D=None) \
     redo = np.flatnonzero(fitted & ~met)
     if D.shape[2] > 1 and redo.size:
         # a refit the rows refuse is overwritten by the LP's gamma
-        use = np.arange(D.shape[1]) != loo[redo].argmax(axis=1)[:, None]
+        use = np.arange(D.shape[1]) != loo(redo).argmax(axis=1)[:, None]
         Dr, rr = D[redo], r[redo]
         g[redo], refit, _ = _fitted_gradients(Dr, rr, use)
         met[redo] = refit & _meets_rows(Dr, rr, g[redo], lp.FEAS_TOL)
@@ -468,16 +458,16 @@ def _fitted_gradients(D, r, use=None):
     its fit; the near rows and the scale are still chosen among all its
     nonzero rows (the refit of ``_certify_points``). The near rows are
     padded with zero rows to the largest near count, and the n normal
-    equations are solved in one batch. Returns (g, fitted, loo), loo of
-    shape (n, m) each near row's leave-one-out |residual|, its miss under
-    the fit without it: |e_j| / (1 - h_jj), h_jj = M_j (M'M)^-1 M_j'; 0
-    on other rows and where 1 - h_jj is within rounding (K p eps times
-    the condition number), as no fit without that row is determined. A
-    point is not fitted, and its rows of g and loo mean nothing, when
-    its normal matrix is singular to working precision: its reciprocal
-    1-norm condition number is at most K p eps, for K near rows and p
-    features (as when its rows are all zero, fewer than p, or on one
-    line).
+    equations are solved in one batch. Returns (g, fitted, loo), loo(at)
+    the (len(at), m) leave-one-out |residuals| of the points at, each
+    near row's miss under the fit without it: |e_j| / (1 - h_jj),
+    h_jj = M_j (M'M)^-1 M_j'; 0 on other rows and where 1 - h_jj is
+    within rounding (K p eps times the condition number), as no fit
+    without that row is determined. A point is not fitted, and its rows
+    of g and loo mean nothing, when its normal matrix is singular to
+    working precision: its reciprocal 1-norm condition number is at most
+    K p eps, for K near rows and p features (as when its rows are all
+    zero, fewer than p, or on one line).
     """
     d = D.shape[2]
     sq = np.einsum("ijk,ijk->ij", D, D)
@@ -502,11 +492,16 @@ def _fitted_gradients(D, r, use=None):
     normal[~fitted] = np.eye(M.shape[2])
     target = np.where(live, r[point, rows], 0.0)
     coef = np.linalg.solve(normal, Mt @ target[..., None])
-    spare = 1.0 - np.einsum("ikp,ipk->ik", M, np.linalg.solve(normal, Mt))
-    loo = np.zeros(near.shape)
-    loo[point, rows] = np.divide(  # spare = 1 - h, h the hat diagonal
-        np.abs((M @ coef)[..., 0] - target), spare,
-        out=np.zeros(spare.shape), where=spare * rcond[:, None] > tiny[:, None])
+
+    def loo(at):
+        spare = 1.0 - np.einsum("ikp,ipk->ik", M[at],  # 1 - h
+                                np.linalg.solve(normal[at], Mt[at]))
+        out = np.zeros((at.size, near.shape[1]))
+        out[np.arange(at.size)[:, None], rows[at]] = np.divide(
+            np.abs((M[at] @ coef[at])[..., 0] - target[at]), spare,
+            out=np.zeros(spare.shape),
+            where=spare * rcond[at, None] > tiny[at, None])
+        return out
     return coef[:, :d, 0] / h, fitted, loo
 
 
@@ -616,17 +611,12 @@ def extend(grid_points, g, cost: CostSpec, gamma, targets,
 # Uniform convexity / smoothness
 # ---------------------------------------------------------------------------
 
-def _grid_points(grid):
-    if isinstance(grid, Grid):
-        return grid.points()
-    return np.atleast_2d(np.asarray(grid, dtype=float))
-
-
 def _modulus_rows(f, sigma: ModulusSpec, grid):
     """Grid points, their differences D[i, j] = y_j - x_i (the rows of
     ``_point_rows``, built once) and R[i, j] = f(y_j) - f(x_i) -
     sigma(||y_j - x_i||)."""
-    pts = _grid_points(grid)
+    pts = grid.points() if isinstance(grid, Grid) \
+        else np.atleast_2d(np.asarray(grid, dtype=float))
     if abs(sigma(0.0)) > 0.0:
         raise ValueError("modulus must vanish at zero")
     fvals = values_on(pts, f)

@@ -1,10 +1,12 @@
-"""Two-marginal and multimarginal transport: primal LPs, dual potentials,
+"""Two-marginal and multimarginal transport: couplings, dual potentials,
 c-transforms, single-potential duality for metric costs, and the inductive
 c-convexification with its boundedness normalization.
 
-Each problem is one LP over couplings. The dual potentials are the
-multipliers of its marginal rows, and the single 1-Lipschitz potential of
-a metric cost is the c-transform of the right Kantorovich potential.
+Each problem is one LP over couplings, solved once by ``kantorovich``,
+``kr`` or ``multimarginal``: (coupling, certificate, value) read off one
+basis. The dual potentials are the multipliers of its marginal rows, and
+the 1-Lipschitz potential of a metric cost is the c-transform of the
+right Kantorovich potential.
 
 Orientation convention: duals maximize integral(phi dmu) - integral(psi dnu)
 under phi(x) - psi(y) <= c(x, y); the single-potential dual maximizes
@@ -100,6 +102,10 @@ class KrPotential:
     def value_at(self, p) -> float:
         return float(self.on(p)[0])
 
+    def objective(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+        return float(mu.weights @ self.on(mu.points)
+                     - nu.weights @ self.on(nu.points))
+
 
 @dataclass(frozen=True)
 class TightSet:
@@ -182,40 +188,41 @@ def _least_cost_basis(C, masses) -> np.ndarray:
     return basis
 
 
-def _solve_couplings(measures, C, what) -> lp.LpSolution:
-    """The primal LP over couplings with cost tensor C, started from its
+def _solve_couplings(measures, C):
+    """The LP over couplings with cost tensor C, started from its
     least-cost staircase (``_least_cost_basis``), so phase 1 has nothing
-    to pivot; its marginal-row multipliers are the dual potentials."""
+    to pivot: its optimal mass tensor, normalised to one, and its
+    LpSolution, whose marginal-row multipliers are the dual potentials."""
     A, b = _marginal_rows(measures)
-    prog = lp.LinearProgram(C.ravel(), A, b)
     start = _least_cost_basis(C, [m.weights for m in measures])
-    sol = lp.solve(prog, basis=start)
+    sol = lp.solve(lp.LinearProgram(C.ravel(), A, b), basis=start)
     if sol.status != lp.OPTIMAL:
-        raise NumericalBreakdown(f"{what}: LP terminated {sol.status}")
-    return sol
+        raise NumericalBreakdown(f"coupling LP terminated {sol.status}")
+    mass = sol.primal.reshape(C.shape)
+    return mass / mass.sum(), sol
 
 
-def kantorovich_primal(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                       cost: CostSpec):
-    """Minimal-cost coupling of (mu, nu); returns (Coupling, value)."""
+def kantorovich(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
+    """(Coupling, Potentials, value) of (mu, nu), read off one optimal
+    basis: the minimal-cost coupling, phi and -psi the multipliers of its
+    row and column sums, and its cost, which their objective meets."""
     _check_marginals((mu, nu))
-    sol = _solve_couplings((mu, nu), cost.pairwise(mu.points, nu.points),
-                           "kantorovich_primal")
-    mass = sol.primal.reshape(len(mu), len(nu))
-    return Coupling(mu, nu, mass / mass.sum()), float(sol.value)
-
-
-def kantorovich_dual(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                     cost: CostSpec):
-    """Optimal feasible potentials; returns (Potentials, value).
-
-    phi and -psi are the multipliers of the row and column sums of the
-    primal LP."""
-    _check_marginals((mu, nu))
-    sol = _solve_couplings((mu, nu), cost.pairwise(mu.points, nu.points),
-                           "kantorovich_dual")
+    mass, sol = _solve_couplings((mu, nu),
+                                 cost.pairwise(mu.points, nu.points))
     m = len(mu)
-    pots = Potentials(mu.points, nu.points, sol.dual[:m], -sol.dual[m:])
+    return Coupling(mu, nu, mass), \
+        Potentials(mu.points, nu.points, sol.dual[:m], -sol.dual[m:]), \
+        float(sol.value)
+
+
+def kantorovich_primal(mu, nu, cost: CostSpec):
+    """(Coupling, value) of ``kantorovich``, kept for bench/workloads.py."""
+    return kantorovich(mu, nu, cost)[::2]
+
+
+def kantorovich_dual(mu, nu, cost: CostSpec):
+    """(Potentials, objective) of ``kantorovich``, kept for the bench."""
+    _, pots, _ = kantorovich(mu, nu, cost)
     return pots, pots.objective(mu, nu)
 
 
@@ -285,29 +292,32 @@ def _verify_metric(D: np.ndarray, points: np.ndarray, tol: float = 1e-9):
             witness=(points[i], points[j], points[k]))
 
 
-def kr_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, metric_cost: CostSpec):
-    """Single-potential dual sup integral(f d(mu - nu)) over 1-Lipschitz f.
+def kr(mu: DiscreteMeasure, nu: DiscreteMeasure, metric_cost: CostSpec):
+    """(Coupling, KrPotential, value): single-potential duality for a
+    metric cost, read off one optimal basis of the Kantorovich LP.
 
     The cost must be a metric on the union of supports (symmetry, zero
     diagonal and triangle inequality are checked on all support triples).
     f is the c-transform f(z) = min_j d(z, y_j) + psi_j of the right
-    Kantorovich potential: 1-Lipschitz for a metric, f >= phi on the left
-    support and f <= psi on the right one, so it reaches the Kantorovich
-    value, which no 1-Lipschitz potential exceeds.
-    Returns (KrPotential, value).
+    potential: 1-Lipschitz for a metric, f >= phi on the left support and
+    f <= psi on the right one, so its objective integral(f d(mu - nu))
+    reaches the value, which no 1-Lipschitz potential exceeds.
     """
     _check_marginals((mu, nu))
-    U = union_points(mu.points, nu.points)
+    U = union_points(mu.points, nu.points)  # mu's atoms first, in order
     D = metric_cost.pairwise(U, U)
     _verify_metric(D, U)
     index = {point_key(p): t for t, p in enumerate(U)}
-    left = np.array([index[point_key(p)] for p in mu.points])
     right = np.array([index[point_key(p)] for p in nu.points])
-    sol = _solve_couplings((mu, nu), D[np.ix_(left, right)], "kr_dual")
-    psi = -sol.dual[len(mu):]
-    f = np.min(D[:, right] + psi[None, :], axis=1)
-    return KrPotential(U, f), \
-        float(mu.weights @ f[left] - nu.weights @ f[right])
+    mass, sol = _solve_couplings((mu, nu), D[:len(mu), right])
+    f = np.min(D[:, right] - sol.dual[None, len(mu):], axis=1)
+    return Coupling(mu, nu, mass), KrPotential(U, f), float(sol.value)
+
+
+def kr_dual(mu, nu, metric_cost: CostSpec):
+    """(KrPotential, objective) of ``kr``, kept for bench/workloads.py."""
+    _, f, _ = kr(mu, nu, metric_cost)
+    return f, f.objective(mu, nu)
 
 
 def kr_tight_check(f: KrPotential, coupling: Coupling,
@@ -325,26 +335,29 @@ def kr_tight_check(f: KrPotential, coupling: Coupling,
 # Multimarginal transport
 # ---------------------------------------------------------------------------
 
-def multimarginal_primal(measures, cost: MultiCost):
-    """Minimal-cost coupling of k marginals; returns (MultiCoupling, value)."""
+def multimarginal(measures, cost: MultiCost):
+    """(MultiCoupling, MultiPotentials, value) of k measures, read off one
+    optimal basis: the minimal-cost coupling, the potentials f_i with
+    sum_i f_i(x_i) <= c on the product (the multipliers of its marginal
+    rows, one slice per measure) and its cost."""
     measures = _check_marginals(measures)
-    sol = _solve_couplings(measures,
-                           cost.tensor([m.points for m in measures]),
-                           "multimarginal_primal")
-    mass = sol.primal.reshape(tuple(len(m) for m in measures))
-    return MultiCoupling(measures, mass / mass.sum()), float(sol.value)
+    supports = tuple(m.points for m in measures)
+    mass, sol = _solve_couplings(measures, cost.tensor(supports))
+    cuts = np.cumsum([len(m) for m in measures])[:-1]
+    return MultiCoupling(measures, mass), \
+        MultiPotentials(supports, tuple(np.split(sol.dual, cuts))), \
+        float(sol.value)
+
+
+def multimarginal_primal(measures, cost: MultiCost):
+    """(MultiCoupling, value) of ``multimarginal``, kept for the bench."""
+    return multimarginal(measures, cost)[::2]
 
 
 def multimarginal_dual(measures, cost: MultiCost):
-    """Optimal potentials f_i with sum_i f_i(x_i) <= c on the product: the
-    multipliers of the primal LP's marginal rows, one slice per measure."""
-    measures = _check_marginals(measures)
-    supports = tuple(m.points for m in measures)
-    sol = _solve_couplings(measures, cost.tensor(supports),
-                           "multimarginal_dual")
-    cuts = np.cumsum([len(m) for m in measures])[:-1]
-    pots = MultiPotentials(supports, tuple(np.split(sol.dual, cuts)))
-    return pots, pots.objective(measures)
+    """(MultiPotentials, objective) of ``multimarginal``, for the bench."""
+    coupling, pots, _ = multimarginal(measures, cost)
+    return pots, pots.objective(coupling.measures)
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def test_criterion_07_fan_decomposition():
         for _, fan in rep.entries:
             extreme_ok = extreme_ok and \
                 co.is_extreme_pair(fan.center, fan.measure()).ok
-        coupling = co.strassen_coupling(mu, nu)
+        coupling = co.convex_order_check(mu, nu).coupling
         direct = float(np.sum(coupling.mass
                               * cost.pairwise(mu.points, nu.points)))
         worst_costgap = max(worst_costgap,

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import count_solves
 
 from transportkit import cli, convex_order
 from transportkit.errors import NumericalBreakdown
@@ -64,6 +65,7 @@ def test_order_check_in_order_exit_0(measures, capsys):
     # the one martingale coupling splits each of -1, 1 evenly
     assert np.allclose(report["results"]["coupling"],
                        [[0.25, 0.25, 0.0], [0.0, 0.25, 0.25]], atol=1e-9)
+    assert report["results"]["barycenter_residual"] <= 1e-9
 
 
 def test_order_decompose_with_cost(measures, capsys):
@@ -95,31 +97,51 @@ def test_mot_solve_hand_instance(measures, capsys):
 
 
 def test_ot_dual_cli(measures, capsys):
+    # ot solve reports the potentials of its one solve beside the coupling
     code, report = run(capsys, [
-        "ot", "dual", "--mu", measures["d0"], "--nu", measures["d1"],
+        "ot", "solve", "--mu", measures["d0"], "--nu", measures["d1"],
         "--cost", '{"kind":"euclidean"}'])
     assert code == 0
-    assert report["results"]["value"] == pytest.approx(1.0)
-    assert report["results"]["feasibility_margin"] <= 1e-9
-
-
-def test_order_couple_cli(measures, capsys):
-    code, report = run(capsys, [
-        "order", "couple", "--mu", measures["pm1"], "--nu", measures["nu3"]])
-    assert code == 0
-    mass = np.array(report["results"]["coupling"])
-    assert np.allclose(mass, [[0.25, 0.25, 0.0], [0.0, 0.25, 0.25]],
-                       atol=1e-9)
-    assert report["results"]["barycenter_residual"] <= 1e-9
+    results = report["results"]
+    assert results["dual_value"] == pytest.approx(1.0)
+    assert results["phi"][0] - results["psi"][0] == pytest.approx(1.0)
+    assert results["feasibility_margin"] <= 1e-9
+    assert results["gap"] <= 1e-9
 
 
 def test_mot_dual_cli(measures, capsys):
+    # mot solve reports (u, v, gamma) of its one solve beside the coupling
     code, report = run(capsys, [
-        "mot", "dual", "--mu", measures["pm1"], "--nu", measures["nu3"],
+        "mot", "solve", "--mu", measures["pm1"], "--nu", measures["nu3"],
         "--cost", '{"kind":"euclidean"}'])
     assert code == 0
-    assert report["results"]["value"] == pytest.approx(1.0, abs=1e-9)
-    assert report["results"]["feasibility_margin"] <= 1e-9
+    results = report["results"]
+    assert results["dual_value"] == pytest.approx(1.0, abs=1e-9)
+    assert results["feasibility_margin"] <= 1e-9
+    assert results["gap"] <= 1e-9
+    assert len(results["u"]) == 2 and len(results["v"]) == 3
+    assert np.shape(results["gamma"]) == (2, 1)
+
+
+EUCLIDEAN = '{"kind":"euclidean"}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["ot", "solve", "--mu", "pm1", "--nu", "nu3", "--cost", EUCLIDEAN],
+    ["ot", "kr", "--mu", "pm1", "--nu", "nu3", "--cost", EUCLIDEAN],
+    ["ot", "multi", "--mu", "pm1", "--mu", "nu3", "--mu", "d1",
+     "--cost", EUCLIDEAN],
+    ["mot", "solve", "--mu", "pm1", "--nu", "nu3", "--cost", EUCLIDEAN],
+    ["order", "check", "--mu", "pm1", "--nu", "nu3"],
+    ["order", "decompose", "--mu", "pm1", "--nu", "nu3"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_each_solving_command_solves_once(measures, capsys, monkeypatch,
+                                          argv):
+    # the coupling and its certificate are read off one LP
+    calls = count_solves(monkeypatch)
+    code, report = run(capsys, [measures.get(a, a) for a in argv])
+    assert code == 0 and report["command"] == " ".join(argv[:2])
+    assert len(calls) == 1
 
 
 def test_mot_dual_sym(measures, capsys):
@@ -134,14 +156,14 @@ def test_mot_dual_sym(measures, capsys):
 def test_mot_dual_sym_one_dirac(measures, capsys):
     # mu = nu = one Dirac: the flow LP has no columns and value 0
     reports = {}
-    for cmd in ("dual-sym", "dual"):
+    for cmd in ("dual-sym", "solve"):
         code, report = run(capsys, [
             "mot", cmd, "--mu", measures["d0"], "--nu", measures["d0"],
             "--cost", '{"kind":"euclidean"}'])
         assert code == 0, cmd
         reports[cmd] = report["results"]
     assert reports["dual-sym"]["value"] == 0
-    assert reports["dual-sym"]["value"] == reports["dual"]["value"]
+    assert reports["dual-sym"]["value"] == reports["solve"]["dual_value"]
     assert reports["dual-sym"]["feasibility_margin"] == 0.0
 
 
@@ -333,6 +355,40 @@ def test_numerical_breakdown_exits_3(measures, capsys, monkeypatch):
       "--cost", '{"kind":"linear","a":[NaN]}',
       "--x", "[[0.0]]", "--y", "[[-1.0],[1.0]]"],
      "cost: linear cost parameters contain non-finite values"),
+    # NaN and infinities in point lists and g: NonFinite, before any fit
+    # or LP sees them
+    (["ucvx", "certify", "--f", '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}',
+      "--sigma", '{"kind":"power","p":2}', "--grid", "[[-1.0],[NaN],[1.0]]"],
+     "grid: point coordinates contain non-finite values"),
+    (["class", "certify", "--f1", '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}',
+      "--f2", '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}',
+      "--cost", '{"kind":"linear","a":[0.0]}',
+      "--x", "[[Infinity]]", "--y", "[[-1.0],[1.0]]"],
+     "x: point coordinates contain non-finite values"),
+    (["class", "certify", "--f1", '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}',
+      "--f2", '{"kind":"quadratic","Q":[[1.0]],"b":[0.0]}',
+      "--cost", '{"kind":"linear","a":[0.0]}',
+      "--x", "[[0.0]]", "--y", "[[-1.0],[NaN]]"],
+     "y: point coordinates contain non-finite values"),
+    (["class", "generate", "--atoms", '[{"y":[0.0],"a":[0.0],"b":0.0}]',
+      "--cost", '{"kind":"euclidean"}', "--at", "[[NaN]]"],
+     "at: point coordinates contain non-finite values"),
+    (["class", "extend", "--g", '{"points":[[0.0],[1.0]],"values":[0.0,1.0]}',
+      "--cost", '{"kind":"linear","a":[0.0]}', "--gamma", "[[0.0],[NaN]]",
+      "--targets", "[[2.0]]"],
+     "gamma: point coordinates contain non-finite values"),
+    (["class", "extend", "--g", '{"points":[[0.0],[1.0]],"values":[0.0,1.0]}',
+      "--cost", '{"kind":"linear","a":[0.0]}', "--gamma", "[[0.0],[0.0]]",
+      "--targets", "[[-Infinity]]"],
+     "targets: point coordinates contain non-finite values"),
+    (["class", "extend", "--g", '{"points":[[0.0],[NaN]],"values":[0.0,1.0]}',
+      "--cost", '{"kind":"linear","a":[0.0]}', "--gamma", "[[0.0],[0.0]]",
+      "--targets", "[[2.0]]"],
+     "g: point coordinates contain non-finite values"),
+    (["class", "extend", "--g", '{"points":[[0.0],[1.0]],"values":[0.0,NaN]}',
+      "--cost", '{"kind":"linear","a":[0.0]}', "--gamma", "[[0.0],[0.0]]",
+      "--targets", "[[2.0]]"],
+     "g: values contain non-finite values"),
 ])
 def test_toolkit_errors_exit_1(measures, capsys, argv, message):
     code = cli.main([measures.get(a, a) for a in argv])
@@ -350,7 +406,7 @@ def test_toolkit_errors_exit_1(measures, capsys, argv, message):
     # --tol and --samples belong to the commands that read them
     (["ot", "solve", "--mu", "{}", "--nu", "{}", "--cost", "{}",
       "--samples", "5"], "unrecognized arguments: --samples 5"),
-    (["ot", "dual", "--mu", "{}", "--nu", "{}", "--cost", "{}",
+    (["mot", "solve", "--mu", "{}", "--nu", "{}", "--cost", "{}",
       "--tol", "0.1"], "unrecognized arguments: --tol 0.1"),
 ])
 def test_usage_errors_exit_1(capsys, argv, message):
@@ -494,10 +550,10 @@ def test_class_certify_and_generate(capsys):
                                            pytest.approx(-0.5)]
 
 
-@pytest.mark.parametrize("cmd", ["solve", "dual"])
-def test_exit_code_2_not_in_convex_order(measures, capsys, cmd):
+def test_exit_code_2_not_in_convex_order(measures, capsys):
+    # mot solve refuses for its coupling and its dual alike
     code, report = run(capsys, [
-        "mot", cmd, "--mu", measures["pm1"], "--nu", measures["d0"],
+        "mot", "solve", "--mu", measures["pm1"], "--nu", measures["d0"],
         "--cost", '{"kind":"euclidean"}'])
     assert code == 2
     assert report["results"]["error"] == "no martingale coupling exists"

@@ -182,20 +182,20 @@ def test_hull_witness_never_contradicts_the_lp(case):
         assert res.status == lp.INFEASIBLE
 
 
-# --- strassen_coupling / disintegrate ----------------------------------------
+# --- Strassen couplings (convex_order_check) / disintegrate -----------------
 
 def test_strassen_unique_solution():
-    coupling = co.strassen_coupling(pm1(), nu3())
+    coupling = co.convex_order_check(pm1(), nu3()).coupling
     expected = np.array([[0.25, 0.25, 0.0], [0.0, 0.25, 0.25]])
     assert np.allclose(coupling.mass, expected, atol=1e-10)
 
 
 def test_strassen_trivial_cases():
     nu = pm1()
-    c = co.strassen_coupling(ms.dirac([0.0]), nu)
+    c = co.convex_order_check(ms.dirac([0.0]), nu).coupling
     assert np.allclose(c.mass, nu.weights[None, :])
     mu = random_measure(np.random.default_rng(3), 1, 4)
-    c2 = co.strassen_coupling(mu, mu)
+    c2 = co.convex_order_check(mu, mu).coupling
     # any martingale self-coupling works; the diagonal is one of them and
     # every valid output must satisfy the barycenter identities
     drift = c2.mass @ mu.points - c2.mass.sum(axis=1)[:, None] * mu.points
@@ -203,8 +203,13 @@ def test_strassen_trivial_cases():
 
 
 def test_strassen_raises_when_not_in_order():
-    with pytest.raises(NotInConvexOrder):
-        co.strassen_coupling(pm1(), ms.dirac([0.0]))
+    # no Strassen coupling: the check returns none, and the one caller
+    # that needs it raises
+    cert = co.convex_order_check(pm1(), ms.dirac([0.0]))
+    assert not cert.in_order and cert.coupling is None
+    with pytest.raises(NotInConvexOrder,
+                       match="the pair admits no martingale coupling"):
+        co.choquet_represent(pm1(), ms.dirac([0.0]))
 
 
 def test_martingale_lp_refuses_unequal_dims():
@@ -221,7 +226,7 @@ def test_zero_weight_source_is_skipped():
     # disintegrate gives it no fiber, and the fans still recompose mu
     mu = ms.new_measure(1, [[-0.5], [0.0], [0.5]], [0.5, 0.0, 0.5])
     nu = nu3()
-    fibers = co.disintegrate(co.strassen_coupling(mu, nu))
+    fibers = co.disintegrate(co.convex_order_check(mu, nu).coupling)
     assert [x.tolist() for x, _, _ in fibers] == [[-0.5], [0.5]]
     rep = co.choquet_represent(mu, nu)
     assert max(rep.recomposition_error(mu, nu)) <= co.TV_TOL
@@ -232,7 +237,7 @@ def test_strassen_barycenter_residual_scaled():
     rng = np.random.default_rng(71)
     for _ in range(10):
         mu, nu = random_convex_order_pair(rng, 2, 8)
-        coupling = co.strassen_coupling(mu, nu)
+        coupling = co.convex_order_check(mu, nu).coupling
         mass = coupling.mass.sum(axis=1)
         drift = coupling.mass @ nu.points - mass[:, None] * mu.points
         for i in range(len(mu)):
@@ -254,7 +259,7 @@ def test_disintegrate_examples():
         assert mass == pytest.approx(mu.weights[i])
         assert cond.weights[i] == pytest.approx(1.0)
 
-    strassen = co.strassen_coupling(pm1(), nu3())
+    strassen = co.convex_order_check(pm1(), nu3()).coupling
     fibers = co.disintegrate(strassen)
     assert np.allclose(fibers[0][2].weights, [0.5, 0.5, 0.0], atol=1e-10)
     assert np.allclose(fibers[1][2].weights, [0.0, 0.5, 0.5], atol=1e-10)
@@ -442,7 +447,7 @@ def test_representation_cost_equals_coupling_cost():
     cost = ms.CostSpec.sq_euclidean()
     for _ in range(8):
         mu, nu = random_convex_order_pair(rng, 2, 7)
-        coupling = co.strassen_coupling(mu, nu)
+        coupling = co.convex_order_check(mu, nu).coupling
         rep = co.choquet_represent(mu, nu)
         direct = float(np.sum(coupling.mass
                               * cost.pairwise(mu.points, nu.points)))

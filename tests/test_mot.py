@@ -1,4 +1,5 @@
 import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from conftest import (
     nu3,
     pm1,
     random_convex_order_pair,
+    random_measure,
     split_free,
     traced_refusal_peak,
     with_slacks,
 )
-from transportkit import convex_order as co, lp, measures as ms, mot
+from transportkit import convex_order as co, lp, measures as ms, mot, ot
 from transportkit.errors import (
     BadCheckParameter,
     DimensionMismatch,
@@ -99,6 +101,45 @@ def test_mot_duality_random_instances():
         _, vp = mot.mot_primal(mu, nu, cost)
         _, vd = mot.mot_dual(mu, nu, cost)
         assert abs(vp - vd) <= 1e-7 * (1 + abs(vp))
+
+
+def _same(a, b) -> bool:
+    """Byte-equal: the same pickled bytes, field by field."""
+    return pickle.dumps(a) == pickle.dumps(b)
+
+
+def _views_match(entry, primal, dual, args, objective_args):
+    """Each entry point solves once, and its two views return exactly its
+    (coupling, value) and (certificate, certificate objective)."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_solves(mp)
+        coupling, certificate, value = entry(*args)
+        assert len(calls) == 1
+    assert _same(primal(*args), (coupling, value))
+    assert _same(dual(*args),
+                 (certificate, certificate.objective(*objective_args)))
+
+
+@given(kernel_pairs())
+def test_views_return_the_fields_of_their_entry_point(case):
+    mu, nu, cost = case
+    _views_match(ot.kantorovich, ot.kantorovich_primal, ot.kantorovich_dual,
+                 (mu, nu, cost), (mu, nu))
+    _views_match(mot.mot_solve, mot.mot_primal, mot.mot_dual,
+                 (mu, nu, cost), (mu, nu))
+    eu = ms.CostSpec.euclidean()
+    coupling, f, value = ot.kr(mu, nu, eu)
+    assert _same(ot.kr_dual(mu, nu, eu), (f, f.objective(mu, nu)))
+    # the KR value is the Kantorovich value of the same coupling LP
+    assert _same((coupling, value), ot.kantorovich_primal(mu, nu, eu))
+
+
+def test_multimarginal_views_return_the_fields_of_their_entry_point():
+    rng = np.random.default_rng(29)
+    measures = [random_measure(rng, 2, 6) for _ in range(3)]
+    cost = ms.MultiCost.pairwise_sum(ms.CostSpec.euclidean())
+    _views_match(ot.multimarginal, ot.multimarginal_primal,
+                 ot.multimarginal_dual, (measures, cost), (measures,))
 
 
 def test_mot_dual_symmetric_examples():
@@ -843,7 +884,7 @@ def test_refit_drops_the_raised_centres_row_two_steps_away(monkeypatch):
     g, fitted, loo = mot._fitted_gradients(D, r)
     missed = fitted & ~mot._meets_rows(D, r, g, lp.FEAS_TOL)
     assert missed[[10, 22]].all()
-    assert (loo[[10, 22]].argmax(axis=1) == 24).all()
+    assert (loo(np.array([10, 22])).argmax(axis=1) == 24).all()
     farkas_lp, at = mot._farkas_lp, []
 
     def spy_lp(D, r):
@@ -853,6 +894,36 @@ def test_refit_drops_the_raised_centres_row_two_steps_away(monkeypatch):
     res = mot.uniform_convexity_certify(f, ModulusSpec.power(2), grid)
     assert res.counterexample.index == 24
     assert at == [24]
+
+
+def test_leave_one_out_residuals_only_for_missed_points(monkeypatch):
+    # the hat diagonals are paid for by the points a refit reads them
+    # for: none on the unraised quadratic, the missed points on the raised
+    fit, asked = mot._fitted_gradients, []
+
+    def spy_fit(D, r, use=None):
+        g, fitted, loo = fit(D, r, use)
+
+        def spy_loo(at):
+            asked.append(at.tolist())
+            return loo(at)
+        return g, fitted, spy_loo
+    monkeypatch.setattr(mot, "_fitted_gradients", spy_fit)
+    grid = Grid(Box([-1.0, -1.0], [1.0, 1.0]), (7, 7)).points()
+    Q = np.array([[1.5, 0.25], [0.25, 1.25]])
+    f = np.einsum("ij,jk,ik->i", grid, Q, grid)
+    sigma = ModulusSpec.power(2)
+    quadratic = FunctionEvaluator.quadratic(Q, np.zeros(2))
+    assert mot.uniform_convexity_certify(quadratic, sigma, grid).ok
+    assert asked == []
+    f[24] += 0.3
+    raised = FunctionEvaluator.samples(grid, f)
+    _, _, R = mot._modulus_rows(raised, sigma, grid)
+    D, r = mot._point_rows(grid, grid, R, 1.0, True)
+    g, fitted, _ = fit(D, r)
+    missed = np.flatnonzero(fitted & ~mot._meets_rows(D, r, g, lp.FEAS_TOL))
+    assert not mot.uniform_convexity_certify(raised, sigma, grid).ok
+    assert missed.size and asked == [missed.tolist()]
 
 
 @st.composite
@@ -1044,6 +1115,7 @@ def test_batched_fit_matches_lstsq_per_point():
     for X, Y, R, orient, skip_self in _fit_systems():
         D, r = mot._point_rows(X, Y, R, orient, skip_self)
         g, fitted, loo = mot._fitted_gradients(D, r)
+        loo = loo(np.arange(len(X)))
         for i, x in enumerate(X):
             keep = np.arange(len(Y)) != i if skip_self else slice(None)
             ref = _lstsq_gradient(Y[keep] - x, orient * R[i, keep])
@@ -1079,6 +1151,7 @@ def test_dropped_row_fit_matches_lstsq_per_point():
                 refs[i] = _lstsq_gradient(Y[keep] - x, orient * R[i, keep],
                                           use[i, keep])
         g, fitted, loo = mot._fitted_gradients(D, r, use)
+        loo = loo(np.arange(len(X)))
         for i, ref in refs.items():
             keep = np.arange(len(Y)) != i if skip_self else slice(None)
             assert fitted[i] == (ref is not None)

@@ -65,6 +65,16 @@ def test_order_check_in_order_exit_0(measures, capsys):
     # the one martingale coupling splits each of -1, 1 evenly
     assert np.allclose(report["results"]["coupling"],
                        [[0.25, 0.25, 0.0], [0.0, 0.25, 0.25]], atol=1e-9)
+
+
+def test_order_couple_cli(measures, capsys):
+    # order check reports the martingale coupling and its barycenter residual
+    code, report = run(capsys, [
+        "order", "check", "--mu", measures["pm1"], "--nu", measures["nu3"]])
+    assert code == 0
+    mass = np.array(report["results"]["coupling"])
+    assert np.allclose(mass, [[0.25, 0.25, 0.0], [0.0, 0.25, 0.25]],
+                       atol=1e-9)
     assert report["results"]["barycenter_residual"] <= 1e-9
 
 
@@ -550,13 +560,18 @@ def test_class_certify_and_generate(capsys):
                                            pytest.approx(-0.5)]
 
 
-def test_exit_code_2_not_in_convex_order(measures, capsys):
+@pytest.mark.parametrize("absent", [
+    ("value", "coupling", "barycenter_residual"),
+    ("u", "v", "gamma", "dual_value", "gap", "feasibility_margin"),
+], ids=["solve", "dual"])
+def test_exit_code_2_not_in_convex_order(measures, capsys, absent):
     # mot solve refuses for its coupling and its dual alike
     code, report = run(capsys, [
         "mot", "solve", "--mu", measures["pm1"], "--nu", measures["d0"],
         "--cost", '{"kind":"euclidean"}'])
     assert code == 2
     assert report["results"]["error"] == "no martingale coupling exists"
+    assert not set(absent) & set(report["results"])
     # the refusal echoes the pair it refused
     assert report["inputs"]["mu"] == {"dim": 1, "points": [[-1.0], [1.0]],
                                       "weights": [0.5, 0.5]}

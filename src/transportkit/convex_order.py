@@ -30,7 +30,8 @@ from .measures import (
     CostSpec,
     DiscreteMeasure,
     barycenter,
-    point_key,
+    locate,
+    union_points,
 )
 from .ot import _least_cost_basis, _marginal_rows
 
@@ -120,31 +121,22 @@ class FanRepresentation:
                 "representation weights must be positive and sum to one")
         object.__setattr__(self, "entries", entries)
 
-    def first_marginal(self) -> dict:
-        out = {}
-        for w, fan in self.entries:
-            k = point_key(fan.center)
-            out[k] = out.get(k, 0.0) + w
-        return out
-
-    def second_marginal(self) -> dict:
-        out = {}
-        for w, fan in self.entries:
-            for atom, lam in zip(fan.atoms, fan.weights):
-                k = point_key(atom)
-                out[k] = out.get(k, 0.0) + w * lam
-        return out
-
     def recomposition_error(self, mu: DiscreteMeasure,
                             nu: DiscreteMeasure) -> tuple[float, float]:
         """Total-variation distances of the recomposed marginals."""
-        return (_tv(self.first_marginal(), mu.as_dict()),
-                _tv(self.second_marginal(), nu.as_dict()))
+        ws = [w for w, _ in self.entries]
+        centers = np.array([fan.center for _, fan in self.entries])
+        atoms = np.vstack([fan.atoms for _, fan in self.entries])
+        masses = np.concatenate([w * fan.weights for w, fan in self.entries])
+        return _tv(mu, centers, ws), _tv(nu, atoms, masses)
 
 
-def _tv(a: dict, b: dict) -> float:
-    keys = set(a) | set(b)
-    return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
+def _tv(m: DiscreteMeasure, points, masses) -> float:
+    """Total-variation distance from m of the masses at points."""
+    U = union_points(m.points, points)  # m's atoms first, in order
+    diff = np.bincount(locate(U, points), masses, minlength=len(U))
+    diff[:len(m)] -= m.weights
+    return 0.5 * float(np.abs(diff).sum())
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyAtoms, GridTooCoarse, NonFinite
 from .measures import (
     CostSpec,
+    check_distinct,
     check_finite,
     cost_from_json,
     cost_to_json,
-    point_key,
-    values_on,
+    values_at,
 )
 
 
@@ -110,7 +110,6 @@ class FunctionEvaluator:
     cost: CostSpec | None = None
     points: np.ndarray | None = None
     values: np.ndarray | None = None
-    _table: dict = None
     dim: int | None = field(default=None, init=False)
 
     def __post_init__(self):
@@ -121,11 +120,9 @@ class FunctionEvaluator:
             vals = np.asarray(self.values, dtype=float)
             if vals.shape != (pts.shape[0],):
                 raise DimensionMismatch("samples: one value per point")
+            check_distinct(pts)
             object.__setattr__(self, "points", pts)
             object.__setattr__(self, "values", vals)
-            object.__setattr__(self, "_table",
-                               {point_key(p): float(v)
-                                for p, v in zip(pts, vals)})
         check_finite(NonFinite, f"{self.kind} evaluator arrays", self.c,
                      self.Q, self.b, self.points, self.values,
                      *(v for t in self.pieces + self.atoms for v in t))
@@ -219,7 +216,7 @@ class FunctionEvaluator:
             C = self.cost.pairwise(Y, P)
             lin = A @ P.T - np.sum(A * Y, axis=1)[:, None]
             return np.max(B[:, None] - C + lin, axis=0)
-        return values_on(P, self._table)
+        return values_at(self.points, self.values, P)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 Points are plain 1-D float64 arrays; a measure stores its support as an
 (m, dim) array plus a weight vector. Point identity is exact coordinate
-equality throughout: callers must deduplicate or snap beforehand.
+equality throughout (-0.0 equals 0.0), decided in one place, ``locate``,
+which finds a point's first occurrence in a table. Callers deduplicate or
+snap beforehand: a measure's support, a matrix cost's grid and sample
+points refuse a repeated point (``check_distinct``).
 
 Mass tolerances: 1e-12 at construction, 1e-10 for every coupling's
 marginals (couplings come from LP solutions, where round-off accumulates).
@@ -11,7 +14,7 @@ marginals (couplings come from LP solutions, where round-off accumulates).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -34,6 +37,48 @@ def point_key(p) -> tuple:
     """Hashable exact-coordinate key for a point: its coordinates as
     Python floats, the sign of a zero kept."""
     return tuple(np.asarray(p, dtype=float).ravel().tolist())
+
+
+def _keys(points) -> list:
+    """``point_key`` of each row of an (n, d) array, from one ``tolist``
+    call, or of each point of a sequence such as dict keys."""
+    if not isinstance(points, np.ndarray):
+        return [point_key(p) for p in points]
+    return list(map(tuple, np.asarray(points, dtype=float).tolist()))
+
+
+def locate(table, points) -> np.ndarray:
+    """Index in ``table`` of the first point equal to each of ``points``
+    (each an (n, d) array of rows or a sequence of points such as dict
+    keys), or -1 where ``table`` has no such point. Keys are
+    ``point_key``'s, so -0.0 equals 0.0."""
+    keys = _keys(table)
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return np.array([first.get(k, -1) for k in _keys(points)], dtype=int)
+
+
+def locate_all(table, points, error, message: str) -> np.ndarray:
+    """``locate`` for points that must all be in ``table``: the first
+    missing one raises ``error(message.format(its point_key))``."""
+    idx = locate(table, points)
+    if np.any(idx < 0):  # argmin finds the first -1
+        raise error(message.format(point_key(points[np.argmin(idx)])))
+    return idx
+
+
+def values_at(table, values, points) -> np.ndarray:
+    """``values``, given at the points of ``table``, at each of ``points``;
+    MissingValue at a point that ``table`` lacks."""
+    idx = locate_all(table, points, MissingValue, "no value at point {}")
+    return np.asarray(values, dtype=float)[idx]
+
+
+def check_distinct(points) -> None:
+    """Refuse a table of points that repeats a point."""
+    repeats = np.flatnonzero(locate(points, points) != np.arange(len(points)))
+    if repeats.size:
+        raise DuplicatePoint(
+            f"point {point_key(points[repeats[0]])} appears twice")
 
 
 def check_finite(error, what: str, *values) -> None:
@@ -75,12 +120,7 @@ class DiscreteMeasure:
             raise NegativeWeight(f"negative weight {w.min()}")
         if abs(w.sum() - 1.0) > MASS_TOL:
             raise MassNotOne(f"weights sum to {w.sum()!r}")
-        seen = set()
-        for row in pts:
-            k = point_key(row)
-            if k in seen:
-                raise DuplicatePoint(f"point {k} appears twice")
-            seen.add(k)
+        check_distinct(pts)
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "weights", _freeze(w))
 
@@ -177,16 +217,12 @@ def marginals(c: Coupling) -> tuple[DiscreteMeasure, DiscreteMeasure]:
 
 
 def union_points(*arrays) -> np.ndarray:
-    """Stack point arrays, dropping exact duplicates, order-preserving."""
-    seen = set()
-    rows = []
-    for arr in arrays:
-        for p in np.atleast_2d(np.asarray(arr, dtype=float)):
-            k = point_key(p)
-            if k not in seen:
-                seen.add(k)
-                rows.append(np.asarray(p, dtype=float))
-    return np.array(rows)
+    """Stack point arrays, keeping the first occurrence of each point, in
+    order."""
+    rows = np.vstack([np.atleast_2d(np.asarray(a, dtype=float))
+                      for a in arrays])
+    first = locate(rows, rows)
+    return rows[first == np.arange(first.size)]
 
 
 def values_on(points: np.ndarray, values) -> np.ndarray:
@@ -198,14 +234,7 @@ def values_on(points: np.ndarray, values) -> np.ndarray:
     if callable(values):
         return np.array([float(values(p)) for p in points])
     if isinstance(values, Mapping):
-        table = {point_key(k): float(v) for k, v in values.items()}
-        out = np.empty(points.shape[0])
-        for i, p in enumerate(points):
-            k = point_key(p)
-            if k not in table:
-                raise MissingValue(f"no value at point {k}")
-            out[i] = table[k]
-        return out
+        return values_at(values, [float(v) for v in values.values()], points)
     arr = np.asarray(values, dtype=float)
     if arr.shape != (points.shape[0],):
         raise DimensionMismatch(
@@ -244,7 +273,6 @@ class CostSpec:
     fn: Callable | None = None
     lipschitz: float | None = None
     growth: float | None = None
-    _grid_index: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _BUILTIN_KINDS:
@@ -264,10 +292,9 @@ class CostSpec:
             if v.shape != (g.shape[0], g.shape[0]):
                 raise DimensionMismatch(
                     f"matrix values shape {v.shape} for {g.shape[0]} nodes")
+            check_distinct(g)
             object.__setattr__(self, "grid", _freeze(g))
             object.__setattr__(self, "values", _freeze(v))
-            object.__setattr__(self, "_grid_index",
-                               {point_key(p): i for i, p in enumerate(g)})
         if self.kind == "conical_combination":
             for w, t in self.terms:
                 if w < 0:
@@ -362,9 +389,9 @@ class CostSpec:
                     f"linear cost vector has dim {self.a.size}")
             return (X @ self.a)[:, None] - (Y @ self.a)[None, :]
         if k == "matrix":
-            ix = [self._lookup(p) for p in X]
-            iy = [self._lookup(p) for p in Y]
-            return self.values[np.ix_(ix, iy)].copy()
+            idx = locate_all(self.grid, np.vstack([X, Y]), OffGrid,
+                             "point {} is not a grid node")
+            return self.values[np.ix_(idx[:len(X)], idx[len(X):])]
         if k == "conical_combination":
             out = np.zeros((X.shape[0], Y.shape[0]))
             for w, t in self.terms:
@@ -376,12 +403,6 @@ class CostSpec:
             for j, yj in enumerate(Y):
                 out[i, j] = float(self.fn(xi, yj))
         return out
-
-    def _lookup(self, p) -> int:
-        i = self._grid_index.get(point_key(p))
-        if i is None:
-            raise OffGrid(f"point {point_key(p)} is not a grid node")
-        return i
 
 
 def evaluate_cost(c: CostSpec, x, y) -> float:

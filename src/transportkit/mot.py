@@ -57,7 +57,8 @@ from .measures import (
     Coupling,
     CostSpec,
     DiscreteMeasure,
-    point_key,
+    locate,
+    locate_all,
     union_points,
     values_on,
 )
@@ -207,9 +208,10 @@ def _signed_mass(mu: DiscreteMeasure, nu: DiscreteMeasure, points) \
         -> np.ndarray:
     """(mu - nu) at each of ``points``; a point off a support has zero
     mass there."""
-    mu_d, nu_d = mu.as_dict(), nu.as_dict()
-    return np.array([mu_d.get(point_key(p), 0.0) - nu_d.get(point_key(p), 0.0)
-                     for p in points])
+    def mass(m):
+        idx = locate(m.points, points)
+        return np.where(idx < 0, 0.0, m.weights[idx])
+    return mass(mu) - mass(nu)
 
 
 def mot_dual_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -575,19 +577,13 @@ def extend(grid_points, g, cost: CostSpec, gamma, targets,
         raise MissingGrowth(
             "extension requires growth metadata |c| <= Lambda ||x-y||")
     if isinstance(gamma, dict):
-        gm = np.empty((K.shape[0], K.shape[1]))
-        table = {point_key(k): np.atleast_1d(np.asarray(v, dtype=float))
-                 for k, v in gamma.items()}
-        for i, p in enumerate(K):
-            key = point_key(p)
-            if key not in table:
-                raise GammaMissing(f"no gamma at grid point {key}")
-            gm[i] = table[key]
-    else:
-        gm = np.atleast_2d(np.asarray(gamma, dtype=float))
-        if gm.shape != K.shape:
-            raise GammaMissing(
-                f"gamma array has shape {gm.shape}, expected {K.shape}")
+        values = list(gamma.values())
+        gamma = [np.atleast_1d(values[i]) for i in locate_all(
+            gamma, K, GammaMissing, "no gamma at grid point {}")]
+    gm = np.atleast_2d(np.asarray(gamma, dtype=float))
+    if gm.shape != K.shape:
+        raise GammaMissing(
+            f"gamma array has shape {gm.shape}, expected {K.shape}")
 
     if lower_bound is not None:
         worst = float(np.max(values_on(K, lower_bound) - gv))

@@ -35,8 +35,10 @@ from .measures import (
     DiscreteMeasure,
     MultiCost,
     MultiCoupling,
-    point_key,
+    locate,
+    locate_all,
     union_points,
+    values_at,
     values_on,
 )
 
@@ -96,8 +98,7 @@ class KrPotential:
 
     def on(self, points) -> np.ndarray:
         """Values on an (n, d) point array; MissingValue off the support."""
-        return values_on(points, dict(zip(map(point_key, self.points),
-                                          self.values)))
+        return values_at(self.points, self.values, np.atleast_2d(points))
 
     def value_at(self, p) -> float:
         return float(self.on(p)[0])
@@ -307,8 +308,7 @@ def kr(mu: DiscreteMeasure, nu: DiscreteMeasure, metric_cost: CostSpec):
     U = union_points(mu.points, nu.points)  # mu's atoms first, in order
     D = metric_cost.pairwise(U, U)
     _verify_metric(D, U)
-    index = {point_key(p): t for t, p in enumerate(U)}
-    right = np.array([index[point_key(p)] for p in nu.points])
+    right = locate(U, nu.points)
     mass, sol = _solve_couplings((mu, nu), D[:len(mu), right])
     f = np.min(D[:, right] - sol.dual[None, len(mu):], axis=1)
     return Coupling(mu, nu, mass), KrPotential(U, f), float(sol.value)
@@ -404,23 +404,14 @@ def multi_c_convexify(partial, cost: MultiCost, supports) -> MultiPotentials:
     # the budget of the multimarginal LP over the same supports
     lp.check_size(sum(sizes), math.prod(sizes))
 
-    index_of = [{point_key(p): t for t, p in enumerate(s)} for s in supports]
     A_idx = []
     A_val = []
     for i, table in enumerate(partial):
         if not table:
             raise InfeasibleInput(f"A_{i} is empty")
-        ids = []
-        vals = []
-        for p, v in table.items():
-            key = point_key(np.atleast_1d(np.asarray(p, dtype=float)))
-            if key not in index_of[i]:
-                raise DimensionMismatch(
-                    f"A_{i} point {key} is not a support point")
-            ids.append(index_of[i][key])
-            vals.append(float(v))
-        A_idx.append(np.asarray(ids))
-        A_val.append(np.asarray(vals))
+        A_idx.append(locate_all(supports[i], list(table), DimensionMismatch,
+                                f"A_{i} point {{}} is not a support point"))
+        A_val.append(np.array([float(v) for v in table.values()]))
 
     C = cost.tensor(supports)
 

@@ -399,6 +399,16 @@ def test_numerical_breakdown_exits_3(measures, capsys, monkeypatch):
       "--cost", '{"kind":"linear","a":[0.0]}', "--gamma", "[[0.0],[0.0]]",
       "--targets", "[[2.0]]"],
      "g: values contain non-finite values"),
+    # a repeated point in a table of points: DuplicatePoint, not the last
+    # repeat's entry
+    (["ot", "solve", "--mu", "pm1", "--nu", "nu3", "--cost",
+      '{"kind":"matrix","grid":[[-2.0],[-1.0],[0.0],[1.0],[2.0],[0.0]],'
+      '"values":' + json.dumps(np.arange(36.0).reshape(6, 6).tolist()) + '}'],
+     "cost: point (0.0,) appears twice"),
+    (["ucvx", "certify", "--f", '{"kind":"samples","points":[[0.0],[1.0],'
+      '[0.0]],"values":[5.0,6.0,7.0]}', "--sigma", '{"kind":"power","p":2}',
+      "--grid", "[[0.0],[1.0]]"],
+     "f: point (0.0,) appears twice"),
 ])
 def test_toolkit_errors_exit_1(measures, capsys, argv, message):
     code = cli.main([measures.get(a, a) for a in argv])

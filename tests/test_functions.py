@@ -6,6 +6,7 @@ import pytest
 from transportkit import measures as ms
 from transportkit.errors import (
     DimensionMismatch,
+    DuplicatePoint,
     GridTooCoarse,
     MissingValue,
     NonFinite,
@@ -37,6 +38,12 @@ def test_samples_evaluator_exact_lookup():
     assert s([1.0]) == 7.0
     with pytest.raises(MissingValue):
         s([0.5])
+
+
+def test_samples_evaluator_refuses_a_repeated_point():
+    # f(0) would be 5 by the first sample and 7 by the last
+    with pytest.raises(DuplicatePoint, match=r"point \(0\.0,\) appears"):
+        FunctionEvaluator.samples([[0.0], [1.0], [0.0]], [5.0, 6.0, 7.0])
 
 
 def test_evaluator_json_roundtrip():

@@ -2,15 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from transportkit import measures as ms
+from transportkit import mot, ot
 from transportkit.errors import (
+    DimensionMismatch,
     DuplicatePoint,
+    GammaMissing,
     MassNotOne,
     MissingValue,
     NegativeWeight,
     OffGrid,
 )
+from transportkit.functions import FunctionEvaluator
 
 
 @pytest.mark.parametrize("p", [[-0.0, 1.5], np.array([[0.1, -0.0]]), 3.0,
@@ -156,6 +161,14 @@ def test_matrix_cost_off_grid():
         ms.evaluate_cost(c, [0.5], [1.0])
 
 
+@pytest.mark.parametrize("repeat", [0.0, -0.0])
+def test_matrix_cost_refuses_a_repeated_node(repeat):
+    # node 0 twice: c(0, 0) would be 0 by its first row and 8 by its last
+    with pytest.raises(DuplicatePoint, match="appears twice"):
+        ms.CostSpec.matrix([[0.0], [1.0], [repeat]],
+                           np.arange(9.0).reshape(3, 3))
+
+
 def test_conical_rejects_negative_weight():
     with pytest.raises(NegativeWeight):
         ms.CostSpec.conical([(-1.0, ms.CostSpec.euclidean())])
@@ -251,3 +264,69 @@ def test_custom_cost_not_serializable():
     c = ms.CostSpec.custom(lambda x, y: 0.0)
     with pytest.raises(ValueError):
         ms.cost_to_json(c)
+
+
+# --- exact-point identity ----------------------------------------------------
+
+# small integers and eighths with both zeros, so rows repeat and -0.0 meets
+# 0.0 often
+_coord = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.125, -0.375, 2.0])
+
+
+@st.composite
+def tables_and_points(draw):
+    d = draw(st.integers(1, 2))
+    rows = st.lists(st.tuples(*[_coord] * d), max_size=8)
+    return d, draw(rows), draw(rows)
+
+
+@given(tables_and_points())
+def test_locate_matches_a_point_key_referee(case):
+    d, table, points = case
+    referee = {}
+    for t, p in enumerate(table):
+        referee.setdefault(ms.point_key(p), t)
+    T = np.array(table, dtype=float).reshape(-1, d)
+    P = np.array(points, dtype=float).reshape(-1, d)
+    idx = ms.locate(T, P)
+    assert idx.tolist() == [referee.get(ms.point_key(p), -1) for p in P]
+    for i, p in zip(idx, P):
+        if i >= 0:  # equal coordinates, -0.0 and 0.0 alike
+            assert np.array_equal(T[i], p)
+        else:
+            assert not any(np.array_equal(t, p) for t in T)
+    # a sequence of points, such as dict keys, is a table too, and -0.0
+    # is 0.0 (P + 0.0 has no negative zero)
+    assert ms.locate(table, P + 0.0).tolist() == idx.tolist()
+    # the union keeps each point's first occurrence, in order
+    firsts = dict.fromkeys(map(ms.point_key, np.vstack([T, P])))
+    assert list(map(ms.point_key, ms.union_points(T, P))) == list(firsts)
+
+
+_LINE = np.array([[0.0], [1.0]])
+_SUM = ms.MultiCost.pairwise_sum(ms.CostSpec.euclidean())
+
+
+@pytest.mark.parametrize("lookup, error, message", [
+    (lambda: ms.values_on([[0.0], [2.0]], {(0.0,): 1.0}),
+     MissingValue, "no value at point (2.0,)"),
+    (lambda: FunctionEvaluator.samples(_LINE, [5.0, 6.0]).on([[2.0]]),
+     MissingValue, "no value at point (2.0,)"),
+    (lambda: ot.kr_dual(ms.dirac([0.0]), ms.dirac([1.0]),
+                        ms.CostSpec.euclidean())[0].on([[1.0], [2.0]]),
+     MissingValue, "no value at point (2.0,)"),
+    (lambda: ms.CostSpec.matrix(_LINE, np.eye(2)).pairwise(
+        [[0.0]], [[1.0], [2.0]]),
+     OffGrid, "point (2.0,) is not a grid node"),
+    (lambda: mot.extend(_LINE, [0.0, 1.0], ms.CostSpec.linear([0.0]),
+                        {(0.0,): [0.0]}, [[2.0]]),
+     GammaMissing, "no gamma at grid point (1.0,)"),
+    (lambda: ot.multi_c_convexify([{(0.0,): 0.0}, {(2.0,): 0.0}], _SUM,
+                                  [_LINE, _LINE]),
+     DimensionMismatch, "A_1 point (2.0,) is not a support point"),
+], ids=["values_on", "samples", "kr", "matrix", "extend_gamma",
+        "convexify"])
+def test_a_missing_point_keeps_its_callers_error(lookup, error, message):
+    with pytest.raises(error) as exc:
+        lookup()
+    assert str(exc.value) == message
